@@ -57,19 +57,32 @@ bool LittleIsEnoughFault::emit_into(std::span<double> out, const RowAttackContex
   }
   // Per coordinate: mean(honest) - z * population-stddev(honest).  The mean
   // accumulates in row order and scales by the reciprocal, matching
-  // linalg::mean exactly.
+  // linalg::mean exactly.  Each tile of coordinates is swept row by row
+  // (contiguous reads) into stack accumulators; every coordinate still sums
+  // its rows in honest order, so the result is the per-coordinate loop's.
   const auto count = static_cast<double>(honest.count());
   const double inv_count = 1.0 / count;
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    double mu = 0.0;
-    for (int i = 0; i < honest.count(); ++i) mu += honest.row(i)[k];
-    mu *= inv_count;
-    double sigma = 0.0;
+  for (std::size_t base = 0; base < out.size(); base += kHonestTileWidth) {
+    const std::size_t width = std::min(kHonestTileWidth, out.size() - base);
+    double mu[kHonestTileWidth];
+    double sigma[kHonestTileWidth];
+    std::fill_n(mu, width, 0.0);
+    std::fill_n(sigma, width, 0.0);
     for (int i = 0; i < honest.count(); ++i) {
-      const double diff = honest.row(i)[k] - mu;
-      sigma += diff * diff;
+      const double* row = honest.row(i).data() + base;
+      for (std::size_t j = 0; j < width; ++j) mu[j] += row[j];
     }
-    out[k] = mu - z_ * std::sqrt(sigma / count);
+    for (std::size_t j = 0; j < width; ++j) mu[j] *= inv_count;
+    for (int i = 0; i < honest.count(); ++i) {
+      const double* row = honest.row(i).data() + base;
+      for (std::size_t j = 0; j < width; ++j) {
+        const double diff = row[j] - mu[j];
+        sigma[j] += diff * diff;
+      }
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+      out[base + j] = mu[j] - z_ * std::sqrt(sigma[j] / count);
+    }
   }
   return true;
 }
@@ -90,11 +103,17 @@ bool MeanReverseFault::emit_into(std::span<double> out, const RowAttackContext& 
     for (std::size_t k = 0; k < out.size(); ++k) out[k] = context.true_gradient[k] * scale;
     return true;
   }
+  // Row-major over coordinate tiles, as in LittleIsEnoughFault::emit_into.
   const double inv_count = 1.0 / static_cast<double>(honest.count());
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    double mu = 0.0;
-    for (int i = 0; i < honest.count(); ++i) mu += honest.row(i)[k];
-    out[k] = (mu * inv_count) * scale;
+  for (std::size_t base = 0; base < out.size(); base += kHonestTileWidth) {
+    const std::size_t width = std::min(kHonestTileWidth, out.size() - base);
+    double mu[kHonestTileWidth];
+    std::fill_n(mu, width, 0.0);
+    for (int i = 0; i < honest.count(); ++i) {
+      const double* row = honest.row(i).data() + base;
+      for (std::size_t j = 0; j < width; ++j) mu[j] += row[j];
+    }
+    for (std::size_t j = 0; j < width; ++j) out[base + j] = (mu[j] * inv_count) * scale;
   }
   return true;
 }

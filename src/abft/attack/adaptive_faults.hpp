@@ -4,9 +4,17 @@
 // harder than the paper's two static behaviours.
 #pragma once
 
+#include <cstddef>
+
 #include "abft/attack/fault.hpp"
 
 namespace abft::attack {
+
+/// Coordinates per tile in the mean-based omniscient faults' emit_into: the
+/// honest rows are read row-major one tile at a time, with one stack
+/// accumulator per coordinate (a 64-double slice of a few dozen rows stays in
+/// L1 between the mean and the variance pass).
+inline constexpr std::size_t kHonestTileWidth = 64;
 
 /// "A Little Is Enough"-style attack (Baruch et al., 2019): sends
 /// mean(honest) - z * stddev(honest), coordinate-wise.  With small z the

@@ -11,10 +11,6 @@ namespace {
 
 constexpr std::uint64_t kArrivalSeedTag = 0xa11c10c4a55a1edULL;
 
-bool arrival_kind_known(const std::string& kind) {
-  return kind == "uniform" || kind == "exponential" || kind == "fixed";
-}
-
 }  // namespace
 
 AsyncRoundEngine::AsyncRoundEngine(std::vector<unsigned char> faulty, int dim,
@@ -30,8 +26,14 @@ AsyncRoundEngine::AsyncRoundEngine(std::vector<unsigned char> faulty, int dim,
   ABFT_REQUIRE(a.deadline > 0.0 && std::isfinite(a.deadline),
                "async deadline must be positive and finite");
   ABFT_REQUIRE(a.staleness_cap >= 0, "async staleness_cap must be non-negative");
-  ABFT_REQUIRE(arrival_kind_known(a.arrival.kind),
-               "async arrival kind must be 'uniform', 'exponential' or 'fixed'");
+  if (a.arrival.kind == "exponential") {
+    arrival_kind_ = ArrivalKind::exponential;
+  } else if (a.arrival.kind == "fixed") {
+    arrival_kind_ = ArrivalKind::fixed;
+  } else {
+    ABFT_REQUIRE(a.arrival.kind == "uniform",
+                 "async arrival kind must be 'uniform', 'exponential' or 'fixed'");
+  }
   ABFT_REQUIRE(a.arrival.scale > 0.0 && std::isfinite(a.arrival.scale),
                "async arrival scale must be positive and finite");
   threads_ = std::max(1, config_.threads);
@@ -74,10 +76,10 @@ double AsyncRoundEngine::draw_duration(int agent) {
   // "fixed": every computation takes exactly `scale`, consuming no
   // randomness — the deterministic model the window-boundary and staleness
   // contract tests pin their arithmetic on.
-  if (config_.async.arrival.kind == "fixed") return config_.async.arrival.scale;
+  if (arrival_kind_ == ArrivalKind::fixed) return config_.async.arrival.scale;
   util::Rng& rng = arrival_rng_[static_cast<std::size_t>(agent)];
   const double u = rng.uniform();
-  if (config_.async.arrival.kind == "exponential") {
+  if (arrival_kind_ == ArrivalKind::exponential) {
     // Inverse-CDF with u in [0, 1): 1 - u in (0, 1], so the log is finite.
     return -config_.async.arrival.scale * std::log(1.0 - u);
   }

@@ -201,12 +201,16 @@ class AsyncRoundEngine {
     double arrival_time = 0.0;
   };
 
+  /// ArrivalModel::kind, parsed once at construction.
+  enum class ArrivalKind : unsigned char { uniform, exponential, fixed };
+
   void push_row(int agent);
   [[nodiscard]] double draw_duration(int agent);
 
   std::vector<unsigned char> faulty_;
   int dim_ = 0;
   AsyncEngineConfig config_;
+  ArrivalKind arrival_kind_ = ArrivalKind::uniform;
   int threads_ = 1;
   std::unique_ptr<agg::ThreadPool> pool_;
   agg::AggregatorWorkspace workspace_;

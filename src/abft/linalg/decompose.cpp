@@ -7,6 +7,19 @@
 
 namespace abft::linalg {
 
+namespace {
+
+/// a * b, rounded on its own and kept out of FMA contraction.  The element
+/// updates `m(i, j) -= a * b` below round the product before subtracting it;
+/// contracting the pair into an FMA (which -march=native permits) would move
+/// the last bits of every least-squares reference and linear solve.
+double unfused_product(double a, double b) {
+  volatile double product = a * b;
+  return product;
+}
+
+}  // namespace
+
 std::optional<Matrix> cholesky(const Matrix& a) {
   ABFT_REQUIRE(a.rows() == a.cols(), "cholesky needs a square matrix");
   const int n = a.rows();
@@ -70,13 +83,13 @@ QrDecomposition qr_decompose(const Matrix& a) {
       double proj = 0.0;
       for (int i = k; i < m; ++i) proj += v[i] * work(i, j);
       const double scale = 2.0 * proj / v_norm_sq;
-      for (int i = k; i < m; ++i) work(i, j) -= scale * v[i];
+      for (int i = k; i < m; ++i) work(i, j) -= unfused_product(scale, v[i]);
     }
     for (int j = 0; j < m; ++j) {
       double proj = 0.0;
       for (int i = k; i < m; ++i) proj += v[i] * q_full(j, i);
       const double scale = 2.0 * proj / v_norm_sq;
-      for (int i = k; i < m; ++i) q_full(j, i) -= scale * v[i];
+      for (int i = k; i < m; ++i) q_full(j, i) -= unfused_product(scale, v[i]);
     }
   }
   QrDecomposition out{Matrix(m, n), Matrix(n, n)};
@@ -134,8 +147,8 @@ std::optional<Vector> solve(const Matrix& a, const Vector& b) {
     for (int r = col + 1; r < n; ++r) {
       const double factor = work(r, col) / work(col, col);
       if (factor == 0.0) continue;
-      for (int c = col; c < n; ++c) work(r, c) -= factor * work(col, c);
-      rhs[r] -= factor * rhs[col];
+      for (int c = col; c < n; ++c) work(r, c) -= unfused_product(factor, work(col, c));
+      rhs[r] -= unfused_product(factor, rhs[col]);
     }
   }
   Vector x(n);

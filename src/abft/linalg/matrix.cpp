@@ -22,18 +22,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-double& Matrix::operator()(int r, int c) {
-  ABFT_REQUIRE(0 <= r && r < rows_ && 0 <= c && c < cols_, "matrix index out of range");
-  return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
-               static_cast<std::size_t>(c)];
-}
-
-double Matrix::operator()(int r, int c) const {
-  ABFT_REQUIRE(0 <= r && r < rows_ && 0 <= c && c < cols_, "matrix index out of range");
-  return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
-               static_cast<std::size_t>(c)];
-}
-
 Vector Matrix::row(int r) const {
   ABFT_REQUIRE(0 <= r && r < rows_, "matrix row out of range");
   std::vector<double> out(static_cast<std::size_t>(cols_));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "abft/linalg/vector.hpp"
+#include "abft/util/check.hpp"
 
 namespace abft::linalg {
 
@@ -23,8 +24,15 @@ class Matrix {
   [[nodiscard]] int rows() const noexcept { return rows_; }
   [[nodiscard]] int cols() const noexcept { return cols_; }
 
-  double& operator()(int r, int c);
-  double operator()(int r, int c) const;
+  // Range-checked and inline, like Vector::operator[].
+  double& operator()(int r, int c) {
+    ABFT_REQUIRE(0 <= r && r < rows_ && 0 <= c && c < cols_, "matrix index out of range");
+    return data_[offset(r, c)];
+  }
+  double operator()(int r, int c) const {
+    ABFT_REQUIRE(0 <= r && r < rows_ && 0 <= c && c < cols_, "matrix index out of range");
+    return data_[offset(r, c)];
+  }
 
   [[nodiscard]] Vector row(int r) const;
   [[nodiscard]] Vector col(int c) const;
@@ -44,6 +52,11 @@ class Matrix {
   friend bool operator==(const Matrix&, const Matrix&) = default;
 
  private:
+  [[nodiscard]] std::size_t offset(int r, int c) const noexcept {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
+           static_cast<std::size_t>(c);
+  }
+
   int rows_ = 0;
   int cols_ = 0;
   std::vector<double> data_;  // row-major

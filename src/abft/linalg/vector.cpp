@@ -16,16 +16,6 @@ Vector::Vector(std::vector<double> values) noexcept : values_(std::move(values))
 
 Vector::Vector(std::initializer_list<double> values) : values_(values) {}
 
-double& Vector::operator[](int i) {
-  ABFT_REQUIRE(0 <= i && i < dim(), "vector index out of range");
-  return values_[static_cast<std::size_t>(i)];
-}
-
-double Vector::operator[](int i) const {
-  ABFT_REQUIRE(0 <= i && i < dim(), "vector index out of range");
-  return values_[static_cast<std::size_t>(i)];
-}
-
 Vector& Vector::operator+=(const Vector& other) {
   ABFT_REQUIRE(dim() == other.dim(), "vector dimension mismatch in +=");
   for (std::size_t i = 0; i < values_.size(); ++i) values_[i] += other.values_[i];

@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "abft/util/check.hpp"
+
 namespace abft::linalg {
 
 class Vector {
@@ -24,8 +26,15 @@ class Vector {
   [[nodiscard]] int dim() const noexcept { return static_cast<int>(values_.size()); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
 
-  double& operator[](int i);
-  double operator[](int i) const;
+  // Range-checked, and inline so that index loops pay only the compare.
+  double& operator[](int i) {
+    ABFT_REQUIRE(0 <= i && i < dim(), "vector index out of range");
+    return values_[static_cast<std::size_t>(i)];
+  }
+  double operator[](int i) const {
+    ABFT_REQUIRE(0 <= i && i < dim(), "vector index out of range");
+    return values_[static_cast<std::size_t>(i)];
+  }
 
   [[nodiscard]] std::span<const double> coefficients() const noexcept { return values_; }
   [[nodiscard]] std::span<double> coefficients() noexcept { return values_; }

@@ -25,8 +25,10 @@ Vector ResidualSquaredCost::gradient(const Vector& x) const {
 
 void ResidualSquaredCost::gradient_into(const Vector& x, std::span<double> out) const {
   ABFT_REQUIRE(static_cast<int>(out.size()) == dim(), "gradient_into size mismatch");
+  // dot() rejects an x of the wrong dimension; the check above sizes out.
   const double scale = -2.0 * (observation_ - linalg::dot(row_, x));
-  for (int k = 0; k < dim(); ++k) out[static_cast<std::size_t>(k)] = row_[k] * scale;
+  const auto a = row_.coefficients();
+  for (std::size_t k = 0; k < a.size(); ++k) out[k] = a[k] * scale;
 }
 
 double ResidualSquaredCost::gradient_lipschitz() const noexcept {
@@ -50,7 +52,11 @@ Vector SquaredDistanceCost::gradient(const Vector& x) const {
 void SquaredDistanceCost::gradient_into(const Vector& x, std::span<double> out) const {
   ABFT_REQUIRE(x.dim() == dim(), "dimension mismatch");
   ABFT_REQUIRE(static_cast<int>(out.size()) == dim(), "gradient_into size mismatch");
-  for (int k = 0; k < dim(); ++k) out[static_cast<std::size_t>(k)] = (x[k] - center_[k]) * 2.0;
+  // The two checks above put every index in range: one contiguous pass, the
+  // same per-coordinate expression as gradient()'s 2.0 * (x - c).
+  const auto xs = x.coefficients();
+  const auto c = center_.coefficients();
+  for (std::size_t k = 0; k < c.size(); ++k) out[k] = (xs[k] - c[k]) * 2.0;
 }
 
 LeastSquaresCost::LeastSquaresCost(linalg::Matrix h, Vector y)

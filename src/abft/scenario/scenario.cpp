@@ -366,8 +366,10 @@ std::unique_ptr<attack::FaultModel> make_fault(const FaultSpec& spec) {
 /// the fault objects, the roster referencing both, and the closed-form
 /// honest reference when one exists.
 struct GradientWorkload {
-  // Owned problem state (exactly one of the two is populated).
-  std::unique_ptr<regress::RegressionProblem> regression;
+  // Problem state: `regression` points at `owned_regression` or at a shared
+  // prebuilt instance; otherwise the quadratic costs are populated.
+  std::unique_ptr<regress::RegressionProblem> owned_regression;
+  const regress::RegressionProblem* regression = nullptr;
   std::vector<opt::SquaredDistanceCost> quadratic_costs;
 
   std::vector<const opt::CostFunction*> costs;
@@ -378,7 +380,10 @@ struct GradientWorkload {
   int dim = 0;
 };
 
-GradientWorkload build_gradient_workload(const ScenarioSpec& spec) {
+/// `shared`, when set, is the spec's random_regression instance, already
+/// built; it is used in place of a fresh one.
+GradientWorkload build_gradient_workload(const ScenarioSpec& spec,
+                                         const regress::RegressionProblem* shared) {
   GradientWorkload w;
   const std::string problem = spec.problem.empty() ? "paper_regression" : spec.problem;
   std::set<int> faulty_positions;
@@ -403,15 +408,20 @@ GradientWorkload build_gradient_workload(const ScenarioSpec& spec) {
                      std::all_of(spec.agents.begin(), spec.agents.end(),
                                  [](int a) { return 0 <= a && a < 6; }),
                  "paper_regression agents must be in [0, 6)");
-    w.regression = std::make_unique<regress::RegressionProblem>(
+    w.owned_regression = std::make_unique<regress::RegressionProblem>(
         regress::RegressionProblem::paper_instance());
+    w.regression = w.owned_regression.get();
     w.costs = w.regression->costs(spec.agents);
     w.dim = w.regression->dim();
   } else if (problem == "random_regression") {
     ABFT_REQUIRE(spec.agents.empty(),
                  "the agents subset applies to paper_regression and dsgd only");
-    w.regression =
-        std::make_unique<regress::RegressionProblem>(random_regression_instance(spec));
+    if (shared == nullptr) {
+      w.owned_regression =
+          std::make_unique<regress::RegressionProblem>(random_regression_instance(spec));
+      shared = w.owned_regression.get();
+    }
+    w.regression = shared;
     w.costs = w.regression->costs();
     w.dim = w.regression->dim();
   } else if (problem == "quadratic") {
@@ -532,12 +542,13 @@ double honest_cost_at(const GradientWorkload& w, const Vector& x) {
   return total;
 }
 
-ScenarioResult run_dgd_scenario(const ScenarioSpec& spec) {
+ScenarioResult run_dgd_scenario(const ScenarioSpec& spec,
+                                const regress::RegressionProblem* instance) {
   reject_inapplicable_keys(spec,
                            {"batch_size", "step_size", "momentum", "eval_interval", "model",
                             "dataset", "relay_strategy", "ds_strategy"},
                            "dgd");
-  GradientWorkload w = build_gradient_workload(spec);
+  GradientWorkload w = build_gradient_workload(spec, instance);
   const auto schedule = make_schedule(spec.schedule);
   const auto aggregator = make_scenario_aggregator(spec);
   sim::DgdConfig config{make_x0(spec, w.dim),
@@ -571,13 +582,14 @@ ScenarioResult run_dgd_scenario(const ScenarioSpec& spec) {
   return result;
 }
 
-ScenarioResult run_p2p_scenario(const ScenarioSpec& spec, bool authenticated) {
+ScenarioResult run_p2p_scenario(const ScenarioSpec& spec, bool authenticated,
+                                const regress::RegressionProblem* instance) {
   reject_inapplicable_keys(spec,
                            {"batch_size", "step_size", "momentum", "eval_interval", "model",
                             "dataset", "drop_probability", "async",
                             authenticated ? "relay_strategy" : "ds_strategy"},
                            authenticated ? "p2p_auth" : "p2p");
-  GradientWorkload w = build_gradient_workload(spec);
+  GradientWorkload w = build_gradient_workload(spec, instance);
   const auto schedule = make_schedule(spec.schedule);
   const auto aggregator = make_scenario_aggregator(spec);
   const auto relay = make_relay_strategy(spec, w.dim);
@@ -703,21 +715,29 @@ ScenarioResult run_dsgd_scenario(const ScenarioSpec& spec) {
 
 }  // namespace
 
-regress::RegressionProblem random_regression_instance(const ScenarioSpec& spec) {
-  ABFT_REQUIRE(spec.num_agents > 0 && spec.dim > 0,
+RegressionKey regression_key(const ScenarioSpec& spec) {
+  return RegressionKey{spec.seed, spec.num_agents, spec.dim, spec.f, spec.noise_stddev};
+}
+
+regress::RegressionProblem random_regression_instance(const RegressionKey& key) {
+  ABFT_REQUIRE(key.num_agents > 0 && key.dim > 0,
                "random_regression needs num_agents and dim > 0");
-  ABFT_REQUIRE(spec.num_agents - 2 * spec.f >= spec.dim,
+  ABFT_REQUIRE(key.num_agents - 2 * key.f >= key.dim,
                "random_regression needs n - 2f >= dim (else no honest subset determines x)");
   regress::GeneratorOptions options;
-  options.num_agents = spec.num_agents;
-  options.dim = spec.dim;
-  options.noise_stddev = spec.noise_stddev;
-  options.rank_check_subset_size = spec.num_agents - 2 * spec.f;
+  options.num_agents = key.num_agents;
+  options.dim = key.dim;
+  options.noise_stddev = key.noise_stddev;
+  options.rank_check_subset_size = key.num_agents - 2 * key.f;
   // Problem construction gets its own derived stream, independent of the
   // driver's round streams: two specs differing only in the rule or fault
   // study the same instance.
-  util::Rng rng(spec.seed ^ 0xab5eedULL);
+  util::Rng rng(key.seed ^ 0xab5eedULL);
   return regress::random_problem(options, rng);
+}
+
+regress::RegressionProblem random_regression_instance(const ScenarioSpec& spec) {
+  return random_regression_instance(regression_key(spec));
 }
 
 std::unique_ptr<agg::GradientAggregator> make_scenario_aggregator(const ScenarioSpec& spec) {
@@ -736,7 +756,10 @@ std::unique_ptr<agg::GradientAggregator> make_scenario_aggregator(const Scenario
   return std::make_unique<agg::HierarchicalAggregator>(std::move(config));
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
+namespace {
+
+ScenarioResult run_scenario_on(const ScenarioSpec& spec,
+                               const regress::RegressionProblem* instance) {
   ABFT_REQUIRE(spec.iterations >= 0, "iterations must be non-negative");
   // A repeated roster entry would run one shard/cost twice under two agent
   // ids (and the dsgd subset moves shards, so a duplicate would also read a
@@ -744,11 +767,24 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   std::set<int> distinct_agents(spec.agents.begin(), spec.agents.end());
   ABFT_REQUIRE(distinct_agents.size() == spec.agents.size(),
                "the agents subset must not repeat entries");
-  if (spec.driver == "dgd") return run_dgd_scenario(spec);
+  if (spec.driver == "dgd") return run_dgd_scenario(spec, instance);
   if (spec.driver == "dsgd") return run_dsgd_scenario(spec);
-  if (spec.driver == "p2p") return run_p2p_scenario(spec, false);
-  if (spec.driver == "p2p_auth") return run_p2p_scenario(spec, true);
+  if (spec.driver == "p2p") return run_p2p_scenario(spec, false, instance);
+  if (spec.driver == "p2p_auth") return run_p2p_scenario(spec, true, instance);
   throw std::invalid_argument("scenario: unknown driver \"" + spec.driver + "\"");
+}
+
+}  // namespace
+
+ScenarioResult run_scenario(const ScenarioSpec& spec) { return run_scenario_on(spec, nullptr); }
+
+ScenarioResult run_scenario(const ScenarioSpec& spec,
+                            const regress::RegressionProblem& instance) {
+  ABFT_REQUIRE(spec.problem == "random_regression",
+               "a prebuilt instance applies to the random_regression problem only");
+  ABFT_REQUIRE(instance.num_agents() == spec.num_agents && instance.dim() == spec.dim,
+               "prebuilt random_regression instance does not match the spec's shape");
+  return run_scenario_on(spec, &instance);
 }
 
 namespace {

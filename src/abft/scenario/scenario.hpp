@@ -116,6 +116,8 @@
 // layer above this one: see sweep/sweep.hpp.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -256,14 +258,42 @@ struct ScenarioResult {
 /// Builds the workload named by the spec and runs it on the spec's driver.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
+/// run_scenario on an already built random_regression instance, which the
+/// run only reads (so concurrent runs may share one).  `instance` must be
+/// random_regression_instance(regression_key(spec)); the result is then
+/// bit-identical to run_scenario(spec).  How a sweep builds each instance
+/// once for all the runs that name it.
+ScenarioResult run_scenario(const ScenarioSpec& spec,
+                            const regress::RegressionProblem& instance);
+
 /// The aggregator a spec runs with: the registry rule, or the hierarchy
 /// tree with its shard-assignment seed derived from the spec seed — exposed
 /// so tests/benches can study the exact rule a scenario used.
 std::unique_ptr<agg::GradientAggregator> make_scenario_aggregator(const ScenarioSpec& spec);
 
+/// Exactly the spec fields random_regression_instance reads: specs with
+/// equal keys name the same instance.  noise_stddev compares bit for bit.
+struct RegressionKey {
+  std::uint64_t seed = 1;
+  int num_agents = 0;
+  int dim = 0;
+  int f = 0;
+  double noise_stddev = 0.0;
+
+  friend bool operator==(const RegressionKey& a, const RegressionKey& b) noexcept {
+    return a.seed == b.seed && a.num_agents == b.num_agents && a.dim == b.dim && a.f == b.f &&
+           std::bit_cast<std::uint64_t>(a.noise_stddev) ==
+               std::bit_cast<std::uint64_t>(b.noise_stddev);
+  }
+};
+
+RegressionKey regression_key(const ScenarioSpec& spec);
+
 /// The deterministic random_regression instance a spec names (problem rng is
 /// derived from the spec seed) — exposed so redundancy / theorem-bound
 /// analysis (bench_epsilon_sweep) can study the very instance a sweep ran.
+/// Every subset of n - 2f agents is certified full rank.
+regress::RegressionProblem random_regression_instance(const RegressionKey& key);
 regress::RegressionProblem random_regression_instance(const ScenarioSpec& spec);
 
 /// Machine-readable one-object summary (stable keys; used by the CI smoke

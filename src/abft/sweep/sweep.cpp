@@ -6,12 +6,14 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
+#include "abft/regress/problem.hpp"
 #include "abft/util/check.hpp"
 #include "abft/util/csv.hpp"
 #include "abft/util/table.hpp"
@@ -712,6 +714,34 @@ SweepOutcome run_sweep(const SweepSpec& spec, int threads_override) {
   // parallel sweep never oversubscribes.
   agg::ThreadPool pool(std::min(threads, static_cast<int>(std::max<std::size_t>(
                                              runs.size(), 1))));
+
+  // One random_regression instance per distinct key, built (and certified)
+  // before dispatch; every run naming the key reads it.  Rules, faults and
+  // most other axes leave the key alone, so a grid builds one instance per
+  // seed rather than one per run.  A key whose construction throws stays
+  // unbuilt: its runs build it themselves and report the error as a
+  // standalone run_scenario would.
+  std::vector<scenario::RegressionKey> keys;
+  std::vector<int> key_of_run(runs.size(), -1);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& run_spec = runs[i].spec;
+    if (run_spec.problem != "random_regression" || run_spec.driver == "dsgd") continue;
+    const auto key = scenario::regression_key(run_spec);
+    const auto found = std::find(keys.begin(), keys.end(), key);
+    key_of_run[i] = static_cast<int>(found - keys.begin());
+    if (found == keys.end()) keys.push_back(key);
+  }
+  std::vector<std::optional<regress::RegressionProblem>> instances(keys.size());
+  pool.parallel_for(0, static_cast<int>(keys.size()), threads, [&](int lo, int hi) {
+    for (int k = lo; k < hi; ++k) {
+      try {
+        instances[static_cast<std::size_t>(k)].emplace(
+            scenario::random_regression_instance(keys[static_cast<std::size_t>(k)]));
+      } catch (const std::exception&) {
+        // Left unbuilt (see above).
+      }
+    }
+  });
   // Dynamic scheduling: run costs are heterogeneous (and grid order
   // correlates cost with position — e.g. a mode axis groups all the slow
   // exact runs together), so workers drain a shared cursor instead of
@@ -724,8 +754,12 @@ SweepOutcome run_sweep(const SweepSpec& spec, int threads_override) {
       auto& slot = outcome.runs[static_cast<std::size_t>(i)];
       auto& run = runs[static_cast<std::size_t>(i)];
       const auto start = std::chrono::steady_clock::now();
+      const int key = key_of_run[static_cast<std::size_t>(i)];
+      const auto* instance = key < 0 ? nullptr : &instances[static_cast<std::size_t>(key)];
       try {
-        slot.result = scenario::run_scenario(run.spec);
+        slot.result = instance != nullptr && instance->has_value()
+                          ? scenario::run_scenario(run.spec, **instance)
+                          : scenario::run_scenario(run.spec);
       } catch (const std::exception& error) {
         // Re-anchor the failure to its grid cell; parallel_for rethrows the
         // first failing chunk's exception to the caller.

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +90,28 @@ TEST(AsyncEngine, RejectsInvalidConfigs) {
   EXPECT_THROW(
       engine::AsyncRoundEngine(roster, 2, config([](auto& a) { a.arrival.scale = 0.0; })),
       std::invalid_argument);
+}
+
+TEST(AsyncEngine, ArrivalKindIsCheckedOnceAtConstruction) {
+  // The kind is parsed into the engine at construction; an unknown spelling
+  // is rejected there, naming the three known ones.
+  engine::AsyncEngineConfig config;
+  config.seed = 1;
+  config.async.arrival.kind = "Uniform";
+  try {
+    engine::AsyncRoundEngine engine(std::vector<unsigned char>{0, 0, 1}, 2, config);
+    ADD_FAILURE() << "an unknown arrival kind must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("async arrival kind must be 'uniform', 'exponential' or 'fixed'"),
+              std::string::npos)
+        << error.what();
+  }
+  for (const char* kind : {"uniform", "exponential", "fixed"}) {
+    config.async.arrival.kind = kind;
+    EXPECT_NO_THROW(engine::AsyncRoundEngine(std::vector<unsigned char>{0, 0, 1}, 2, config))
+        << kind;
+  }
 }
 
 // ------------------------- trigger + staleness weighting ---------------------

@@ -5,6 +5,10 @@
 // gradient, which is how the batched drivers call it.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "abft/agg/batch.hpp"
@@ -25,14 +29,14 @@ using linalg::Vector;
 /// materialized both as Vectors (legacy) and as rows of a GradientBatch
 /// (batched) so the two paths see identical inputs.
 struct ParityFixture {
-  int d = 7;
+  int d;
   Vector estimate;
   Vector true_gradient;
   std::vector<Vector> honest;
   agg::GradientBatch payloads;  // honest rows at 0..h-1, faulty row last
   std::vector<int> honest_rows;
 
-  explicit ParityFixture(int honest_count = 4) {
+  explicit ParityFixture(int honest_count = 4, int dim = 7) : d(dim) {
     util::Rng rng(2024);
     estimate = Vector(d);
     true_gradient = Vector(d);
@@ -63,9 +67,9 @@ struct ParityFixture {
 /// Runs both paths from identical rng states and checks payload and rng
 /// stream parity.  `alias` additionally exercises the drivers' calling
 /// convention where the output row holds (and aliases) the true gradient.
-void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3) {
+void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3, int dim = 7) {
   for (const bool alias : {false, true}) {
-    ParityFixture fx(honest_count);
+    ParityFixture fx(honest_count, dim);
     util::Rng legacy_rng(99);
     util::Rng row_rng(99);
 
@@ -83,7 +87,7 @@ void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3)
     if (sent) {
       for (int k = 0; k < fx.d; ++k) {
         EXPECT_EQ(out[static_cast<std::size_t>(k)], (*legacy)[k])
-            << fault.name() << " alias=" << alias << " coordinate " << k;
+            << fault.name() << " alias=" << alias << " d=" << fx.d << " coordinate " << k;
       }
     }
     // Identical stream consumption: the generators must continue in lockstep.
@@ -131,6 +135,85 @@ TEST(AttackParity, MimicSmallest) { expect_parity(attack::MimicSmallestFault{});
 
 TEST(AttackParity, MimicSmallestNoHonest) {
   expect_parity(attack::MimicSmallestFault{}, /*honest_count=*/0);
+}
+
+// The mean-based omniscient faults sweep the honest rows in coordinate tiles.
+// Dimensions on both sides of the tile width (and many tiles, with a ragged
+// last one), at 1, 4 and 45 honest rows, must still give the per-coordinate
+// column walk below bit for bit, and emit must still equal emit_into.
+constexpr auto kTile = static_cast<int>(attack::kHonestTileWidth);
+const int kTileDims[] = {1, kTile - 1, kTile, kTile + 1, 1000};
+const int kHonestCounts[] = {1, 4, 45};
+
+/// The per-coordinate column walks the tiled kernels replaced, honest rows in
+/// order.  The expressions are the kernels' own, so FMA contraction matches.
+std::vector<double> lie_reference(const ParityFixture& fx, double z) {
+  const auto count = static_cast<double>(fx.honest.size());
+  std::vector<double> out(static_cast<std::size_t>(fx.d));
+  for (int k = 0; k < fx.d; ++k) {
+    double mu = 0.0;
+    for (const auto& g : fx.honest) mu += g[k];
+    mu *= 1.0 / count;
+    double sigma = 0.0;
+    for (const auto& g : fx.honest) {
+      const double diff = g[k] - mu;
+      sigma += diff * diff;
+    }
+    out[static_cast<std::size_t>(k)] = mu - z * std::sqrt(sigma / count);
+  }
+  return out;
+}
+
+std::vector<double> mean_reverse_reference(const ParityFixture& fx, double scale) {
+  const double inv_count = 1.0 / static_cast<double>(fx.honest.size());
+  std::vector<double> out(static_cast<std::size_t>(fx.d));
+  for (int k = 0; k < fx.d; ++k) {
+    double mu = 0.0;
+    for (const auto& g : fx.honest) mu += g[k];
+    out[static_cast<std::size_t>(k)] = (mu * inv_count) * -scale;
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// emit_into on a fresh fixture, compared bit for bit with `reference`.
+template <typename Reference>
+void expect_matches_reference(const FaultModel& fault, int honest_count, int dim,
+                              Reference reference) {
+  ParityFixture fx(honest_count, dim);
+  std::vector<double> out(static_cast<std::size_t>(dim));
+  util::Rng rng(5);
+  ASSERT_TRUE(fault.emit_into(out, fx.row_context(fx.true_gradient.coefficients()), rng));
+  EXPECT_EQ(bits(out), bits(reference(fx)))
+      << fault.name() << " d=" << dim << " honest=" << honest_count;
+}
+
+TEST(AttackParity, LittleIsEnoughAcrossTileBoundaries) {
+  const attack::LittleIsEnoughFault fault(1.5);
+  for (const int honest_count : kHonestCounts) {
+    for (const int dim : kTileDims) {
+      expect_parity(fault, honest_count, 3, dim);
+      expect_matches_reference(fault, honest_count, dim,
+                               [](const ParityFixture& fx) { return lie_reference(fx, 1.5); });
+    }
+  }
+}
+
+TEST(AttackParity, MeanReverseAcrossTileBoundaries) {
+  const attack::MeanReverseFault fault(2.0);
+  for (const int honest_count : kHonestCounts) {
+    for (const int dim : kTileDims) {
+      expect_parity(fault, honest_count, 3, dim);
+      expect_matches_reference(fault, honest_count, dim, [](const ParityFixture& fx) {
+        return mean_reverse_reference(fx, 2.0);
+      });
+    }
+  }
 }
 
 /// A third-party fault that only implements the legacy emit(): the base

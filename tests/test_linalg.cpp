@@ -79,6 +79,25 @@ TEST(Matrix, ConstructionAndIndexing) {
   EXPECT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
+TEST(Accessors, InlineAccessorsKeepTheirRangeChecks) {
+  // Both overloads of both accessors check every index, including a column
+  // past the end that would otherwise land inside the next row.
+  Vector v(2);
+  const Vector& cv = v;
+  EXPECT_THROW(v[2], std::invalid_argument);
+  EXPECT_THROW(cv[2], std::invalid_argument);
+  EXPECT_THROW(cv[-1], std::invalid_argument);
+  Matrix m(2, 3);
+  const Matrix& cm = m;
+  EXPECT_THROW(m(0, 3), std::invalid_argument);
+  EXPECT_THROW(cm(0, 3), std::invalid_argument);
+  EXPECT_THROW(m(-1, 0), std::invalid_argument);
+  EXPECT_THROW(cm(0, -1), std::invalid_argument);
+  EXPECT_THROW(cm(2, 0), std::invalid_argument);
+  EXPECT_NO_THROW((void)cm(1, 2));
+  EXPECT_NO_THROW((void)cv[1]);
+}
+
 TEST(Matrix, RowColumnAccess) {
   const Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   EXPECT_EQ(m.row(0), (Vector{1.0, 2.0}));

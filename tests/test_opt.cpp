@@ -3,7 +3,12 @@
 // step schedules, and the projected-gradient reference solver.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "abft/opt/box.hpp"
 #include "abft/opt/cost.hpp"
@@ -53,6 +58,68 @@ TEST(SquaredDistanceCost, GradientMatchesFiniteDifferences) {
   const opt::SquaredDistanceCost q(Vector{0.5, 0.25, -1.0});
   const Vector x{1.0, 2.0, 3.0};
   EXPECT_TRUE(linalg::approx_equal(q.gradient(x), opt::numerical_gradient(q, x), 1e-5));
+}
+
+/// Bit patterns of a span, so -0.0 vs 0.0 (or any last-ulp slip) fails.
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+Vector random_vector(abft::util::Rng& rng, int dim, double scale) {
+  Vector v(dim);
+  for (int i = 0; i < dim; ++i) v[i] = scale * rng.normal();
+  return v;
+}
+
+// gradient_into is the engines' produce path and gradient() the reference:
+// the two must agree bit for bit at every dimension, including lengths that
+// are not a multiple of any vector width.
+TEST(GradientInto, SquaredDistanceMatchesGradientBitForBit) {
+  abft::util::Rng rng(41);
+  for (const int dim : {1, 3, 7, 64, 1001}) {
+    const opt::SquaredDistanceCost q(random_vector(rng, dim, 3.0));
+    const Vector x = random_vector(rng, dim, 5.0);
+    std::vector<double> out(static_cast<std::size_t>(dim), -1.0);
+    q.gradient_into(x, out);
+    EXPECT_EQ(bits(out), bits(q.gradient(x).coefficients())) << "dim " << dim;
+  }
+}
+
+TEST(GradientInto, ResidualSquaredMatchesGradientBitForBit) {
+  abft::util::Rng rng(43);
+  for (const int dim : {1, 3, 7, 64, 1001}) {
+    const opt::ResidualSquaredCost q(random_vector(rng, dim, 1.0), rng.normal());
+    const Vector x = random_vector(rng, dim, 2.0);
+    std::vector<double> out(static_cast<std::size_t>(dim), -1.0);
+    q.gradient_into(x, out);
+    EXPECT_EQ(bits(out), bits(q.gradient(x).coefficients())) << "dim " << dim;
+  }
+}
+
+// The loops index x and out without per-coordinate checks, so these size
+// checks are what keeps a mismatched caller out of bounds.
+TEST(GradientInto, SquaredDistanceRejectsMismatchedSizes) {
+  const opt::SquaredDistanceCost q(Vector{1.0, 2.0, 3.0});
+  std::vector<double> out(3);
+  std::vector<double> short_out(2);
+  std::vector<double> long_out(4);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0}, out), std::invalid_argument);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0, 4.0}, out), std::invalid_argument);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0}, short_out), std::invalid_argument);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0}, long_out), std::invalid_argument);
+}
+
+TEST(GradientInto, ResidualSquaredRejectsMismatchedSizes) {
+  const opt::ResidualSquaredCost q(Vector{1.0, 2.0, 3.0}, 0.5);
+  std::vector<double> out(3);
+  std::vector<double> short_out(2);
+  std::vector<double> long_out(4);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0}, out), std::invalid_argument);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0, 4.0}, out), std::invalid_argument);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0}, short_out), std::invalid_argument);
+  EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0}, long_out), std::invalid_argument);
 }
 
 TEST(GeneralQuadraticCost, ValueGradientAndValidation) {

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "abft/sweep/sweep.hpp"
 #include "abft/util/json.hpp"
@@ -497,6 +499,73 @@ TEST(SweepRun, ThreadCountDoesNotChangeAnyRow) {
         << serial.runs[i].run_id;
     EXPECT_EQ(serial.runs[i].result.eliminated_agents,
               pooled.runs[i].result.eliminated_agents);
+  }
+}
+
+// random_regression runs share one prebuilt instance per regression key
+// (seed, num_agents, dim, f, noise_stddev).  Two rules per key, and keys
+// that differ in seed, f or noise alone: a key that dropped a field would
+// hand some run another spec's instance and move its row.
+const char* kRegressionGrid = R"({
+  "name": "regression-grid",
+  "base": {
+    "driver": "dgd", "problem": "random_regression", "num_agents": 10, "dim": 3,
+    "iterations": 15, "box_halfwidth": 50.0,
+    "schedule": {"kind": "harmonic", "scale": 0.5},
+    "faults": [{"agent": 0, "kind": "gradient-reverse"}]
+  },
+  "sweep": {
+    "aggregator": ["cwtm", "krum"],
+    "f": [1, 2],
+    "seed": {"from": 3, "count": 2},
+    "variants": [{"label": "low-noise", "patch": {"noise_stddev": 0.05}},
+                 {"label": "high-noise", "patch": {"noise_stddev": 0.4}}]
+  }
+})";
+
+TEST(SweepRun, RegressionGridMatchesRunByRunScenarioAtEveryWidth) {
+  const auto spec = parse(kRegressionGrid);
+  const auto runs = sweep::expand_sweep(spec);
+  ASSERT_EQ(runs.size(), 16U);
+  for (const int threads : {1, 4}) {
+    const auto outcome = sweep::run_sweep(spec, threads);
+    ASSERT_EQ(outcome.runs.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto direct = scenario::run_scenario(runs[i].spec);
+      const auto& swept = outcome.runs[i].result;
+      EXPECT_EQ(outcome.runs[i].run_id, runs[i].run_id);
+      EXPECT_EQ(swept.final_cost, direct.final_cost) << runs[i].run_id;
+      ASSERT_TRUE(swept.distance_to_reference.has_value()) << runs[i].run_id;
+      EXPECT_EQ(swept.distance_to_reference, direct.distance_to_reference) << runs[i].run_id;
+      EXPECT_EQ(swept.eliminated_agents, direct.eliminated_agents) << runs[i].run_id;
+      ASSERT_EQ(swept.traces.size(), direct.traces.size());
+      EXPECT_EQ(swept.traces.front().estimates, direct.traces.front().estimates)
+          << runs[i].run_id << " threads=" << threads;
+    }
+  }
+}
+
+TEST(SweepRun, RegressionInstanceIsNotSharedAcrossFaultBounds) {
+  // n - 2f < dim at f = 4: run_scenario refuses to build that instance.  The
+  // f = 1 instance of the same seed must not stand in for it.
+  const auto spec = parse(R"({
+    "base": {"driver": "dgd", "problem": "random_regression", "num_agents": 10, "dim": 3,
+             "iterations": 5},
+    "sweep": {"f": [1, 4]}
+  })");
+  const auto runs = sweep::expand_sweep(spec);
+  ASSERT_EQ(runs.size(), 2U);
+  EXPECT_NO_THROW((void)scenario::run_scenario(runs[0].spec));
+  EXPECT_THROW((void)scenario::run_scenario(runs[1].spec), std::invalid_argument);
+  for (const int threads : {1, 2}) {
+    try {
+      (void)sweep::run_sweep(spec, threads);
+      ADD_FAILURE() << "the f = 4 run must fail at threads=" << threads;
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(runs[1].run_id), std::string::npos) << message;
+      EXPECT_NE(message.find("n - 2f >= dim"), std::string::npos) << message;
+    }
   }
 }
 
