@@ -6,37 +6,52 @@
 
 namespace abft::engine {
 
+void split_streams(std::uint64_t seed, std::size_t count, std::vector<util::Rng>& streams) {
+  util::Rng master(seed);
+  streams.clear();
+  streams.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) streams.push_back(master.split());
+}
+
+EngineCore::EngineCore(std::vector<unsigned char> faulty_mask, int row_dim,
+                       const EngineCoreConfig& config)
+    : faulty(std::move(faulty_mask)),
+      dim(row_dim),
+      seed(config.seed),
+      threads(std::max(1, config.threads)) {
+  ABFT_REQUIRE(!faulty.empty(), "round engine needs at least one agent");
+  ABFT_REQUIRE(dim > 0, "round engine needs a positive dimension");
+  pool = std::make_unique<agg::ThreadPool>(threads);
+  workspace.parallel_threads = threads;
+  workspace.pool = pool.get();
+  workspace.mode = config.mode;
+  workspace.precision = config.precision;
+}
+
+bool EngineCore::aggregate(const agg::GradientAggregator& rule, int declared_f, int current_f,
+                           int kept, int members_n, Vector& out) {
+  const int usable_f =
+      usable_fault_bound(rule, declared_f, current_f, kept, members_n, roster_size());
+  if (usable_f < 0) return false;
+  rule.aggregate_into(out, ingest, usable_f, workspace);
+  return true;
+}
+
 RoundEngine::RoundEngine(std::vector<unsigned char> faulty, int dim, RoundEngineConfig config)
-    : faulty_(std::move(faulty)), dim_(dim), config_(std::move(config)) {
-  ABFT_REQUIRE(!faulty_.empty(), "round engine needs at least one agent");
-  ABFT_REQUIRE(dim_ > 0, "round engine needs a positive dimension");
-  // ThreadPool(1) spawns no workers and parallel_for degenerates to a direct
-  // call, so the pool is constructed unconditionally and every phase
-  // dispatches through it without a serial/parallel branch.
-  threads_ = std::max(1, config_.threads);
-  pool_ = std::make_unique<agg::ThreadPool>(threads_);
-  workspace_.parallel_threads = threads_;
-  workspace_.pool = pool_.get();
-  workspace_.mode = config_.mode;
-  workspace_.precision = config_.precision;
-  planner_ = RoundPlanner(config_.axes, roster_size());
-  payload_row_.assign(faulty_.size(), -1);
+    : core_(std::move(faulty), dim, config),
+      planner_(std::move(config.axes), core_.roster_size()) {
+  payload_row_.assign(core_.faulty.size(), -1);
   reset(0);
 }
 
 void RoundEngine::reset(int declared_f) {
   ABFT_REQUIRE(declared_f >= 0, "declared fault bound must be non-negative");
-  // Independent stream per agent so behaviour is invariant to roster order
-  // (and to the thread count: each agent owns its stream outright).  Streams
-  // are re-derived per run, so repeated runs replay identically.
-  util::Rng master(config_.seed);
-  agent_rng_.clear();
-  agent_rng_.reserve(faulty_.size());
-  for (std::size_t i = 0; i < faulty_.size(); ++i) agent_rng_.push_back(master.split());
+  // Streams are re-derived per run, so repeated runs replay identically.
+  split_streams(core_.seed, core_.faulty.size(), core_.agent_rng);
   planner_.reset();
-  members_.resize(faulty_.size());
-  for (std::size_t i = 0; i < faulty_.size(); ++i) members_[i] = static_cast<int>(i);
-  member_mask_.assign(faulty_.size(), 1);
+  members_.resize(core_.faulty.size());
+  for (std::size_t i = 0; i < members_.size(); ++i) members_[i] = static_cast<int>(i);
+  member_mask_.assign(core_.faulty.size(), 1);
   declared_f_ = declared_f;
   current_f_ = declared_f;
   eliminated_ = 0;
@@ -60,7 +75,8 @@ void RoundEngine::begin_round(int round) {
     const int row = static_cast<int>(present_.size());
     payload_row_[static_cast<std::size_t>(agent)] = row;
     present_.push_back(agent);
-    (faulty_[static_cast<std::size_t>(agent)] != 0 ? faulty_rows_ : honest_rows_).push_back(row);
+    (core_.faulty[static_cast<std::size_t>(agent)] != 0 ? faulty_rows_ : honest_rows_)
+        .push_back(row);
   }
   // The payload buffer itself is shaped lazily on the first emit_* call:
   // drivers that run their own produce buffers (p2p) never pay for the
@@ -72,7 +88,7 @@ void RoundEngine::begin_round(int round) {
 
 void RoundEngine::ensure_payload() {
   if (!payload_shaped_) {
-    payload_.reshape(static_cast<int>(present_.size()), dim_);
+    core_.payload.reshape(static_cast<int>(present_.size()), core_.dim);
     payload_shaped_ = true;
   }
 }
@@ -103,14 +119,6 @@ int usable_fault_bound(const agg::GradientAggregator& rule, int declared_f, int 
   return usable_f;
 }
 
-bool RoundEngine::aggregate(const agg::GradientAggregator& rule, Vector& out) {
-  const int usable_f = usable_fault_bound(rule, declared_f_, current_f_, kept_,
-                                          static_cast<int>(members_.size()), roster_size());
-  if (usable_f < 0) return false;
-  rule.aggregate_into(out, ingest_, usable_f, workspace_);
-  return true;
-}
-
 void RoundEngine::eliminate(int agent) {
   // Step S1: a missing reply in a synchronous system is necessarily faulty —
   // eliminate the sender and shrink both n and f.
@@ -123,7 +131,7 @@ void RoundEngine::depart(int agent) {
   // Churn: a faulty departure means one fewer adversary the filter must
   // tolerate; an honest departure only shrinks n.
   remove_member(agent);
-  if (faulty_[static_cast<std::size_t>(agent)] != 0) current_f_ = std::max(0, current_f_ - 1);
+  if (core_.faulty[static_cast<std::size_t>(agent)] != 0) current_f_ = std::max(0, current_f_ - 1);
   ++departed_;
 }
 

@@ -11,6 +11,13 @@
 // goes into a payload row), a delivery transport (how a row reaches the
 // ingest buffer), and an update rule (what happens to the estimate).
 //
+// The part of that machinery which does not depend on how a round closes —
+// pool, workspace, fault streams, observer, payload/ingest batches, the
+// parallel produce loops and the clamped filter call — is the EngineCore
+// below, a plain member of both this engine and the event-driven
+// AsyncRoundEngine (async_engine.hpp).  The two engines differ only in which
+// rows a round produces and how it closes: deliver() here, collect() there.
+//
 // The engine is also where the scenario axes (axes.hpp) plug in: partial
 // participation, straggler schedules and churn are realized by the embedded
 // RoundPlanner and applied uniformly to every driver — present/absent agents
@@ -39,6 +46,7 @@
 //                                 was delivered (the driver holds position)
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -57,8 +65,9 @@ namespace abft::engine {
 
 using linalg::Vector;
 
-struct RoundEngineConfig {
-  /// Seed of the master stream split into per-agent streams.
+/// What every engine config carries.
+struct EngineCoreConfig {
+  /// Seed of the master stream split into per-agent fault streams.
   std::uint64_t seed = 0;
   /// Width of the persistent thread pool (1 = fully single-threaded; results
   /// are bit-identical for every value).
@@ -68,6 +77,9 @@ struct RoundEngineConfig {
   /// Compute precision of the workspace's fast lane (f32 demotes the
   /// bandwidth-bound kernel inputs; only meaningful under AggMode::fast).
   agg::Precision precision = agg::Precision::f64;
+};
+
+struct RoundEngineConfig : EngineCoreConfig {
   /// Round-perturbation axes (defaults = plain run, bit-identical).
   ScenarioAxes axes;
 };
@@ -98,6 +110,81 @@ using RoundObserver = std::function<void(int round, const Vector& estimate, cons
 int usable_fault_bound(const agg::GradientAggregator& rule, int declared_f, int current_f,
                        int kept, int members_n, int roster_n);
 
+/// Refills `streams` with `count` independent streams split off a master
+/// seeded with `seed` — one per agent, so behaviour is invariant to roster
+/// order and to the thread count (each agent owns its stream outright).
+void split_streams(std::uint64_t seed, std::size_t count, std::vector<util::Rng>& streams);
+
+/// What both engines share, written once.  The produce loops take the row
+/// list of the phase plus an `agent_of(row)` map, so the core never needs to
+/// know whether payload rows are compacted per round (RoundEngine) or
+/// indexed by agent (AsyncRoundEngine).
+struct EngineCore {
+  /// `faulty[i]` marks roster slot i Byzantine.  Throws std::invalid_argument
+  /// on an empty roster or a non-positive dimension.
+  EngineCore(std::vector<unsigned char> faulty_mask, int row_dim, const EngineCoreConfig& config);
+
+  [[nodiscard]] int roster_size() const noexcept { return static_cast<int>(faulty.size()); }
+
+  void notify(int round, const Vector& estimate, const Vector& filtered) const {
+    if (observer) observer(round, estimate, filtered);
+  }
+
+  /// Dispatch over [0, count) at the configured width.  ThreadPool(1) spawns
+  /// no workers and degenerates to a direct call, so there is no serial
+  /// branch anywhere.
+  template <typename Fn>
+  void parallel(int count, Fn&& fn) {
+    pool->parallel_for(0, count, threads, std::forward<Fn>(fn));
+  }
+
+  /// Produce phase, honest agents: writer(agent_of(row), payload row) for
+  /// every row of `rows` (parallel; each agent owns its row and stream).
+  template <typename AgentOf, typename Writer>
+  void emit_honest(std::span<const int> rows, AgentOf agent_of, Writer& writer) {
+    parallel(static_cast<int>(rows.size()), [&](int begin, int end) {
+      for (int k = begin; k < end; ++k) {
+        const int row = rows[static_cast<std::size_t>(k)];
+        writer(agent_of(row), payload.row(row));
+      }
+    });
+  }
+
+  /// Produce phase, Byzantine agents, after emit_honest so the omniscient
+  /// view over the `honest` rows is complete: emitter(agent, row, view)
+  /// mutates the row in place, and silence(row) runs for every emitter that
+  /// returned false.
+  template <typename AgentOf, typename Emitter, typename Silence>
+  void emit_faulty(std::span<const int> rows, std::span<const int> honest, AgentOf agent_of,
+                   Emitter& emitter, Silence silence) {
+    const attack::HonestRowsView view{payload.data(), dim, honest};
+    parallel(static_cast<int>(rows.size()), [&](int begin, int end) {
+      for (int k = begin; k < end; ++k) {
+        const int row = rows[static_cast<std::size_t>(k)];
+        if (!emitter(agent_of(row), payload.row(row), view)) silence(row);
+      }
+    });
+  }
+
+  /// Filter phase over the first `kept` ingest rows under usable_fault_bound
+  /// (judged against the configured roster).  Returns false, `out`
+  /// untouched, when the round must hold position.
+  bool aggregate(const agg::GradientAggregator& rule, int declared_f, int current_f, int kept,
+                 int members_n, Vector& out);
+
+  std::vector<unsigned char> faulty;
+  int dim = 0;
+  std::uint64_t seed = 0;
+  int threads = 1;
+  std::unique_ptr<agg::ThreadPool> pool;
+  agg::AggregatorWorkspace workspace;
+  /// Per-agent fault streams (refilled by split_streams at every reset).
+  std::vector<util::Rng> agent_rng;
+  RoundObserver observer;
+  agg::GradientBatch payload;
+  agg::GradientBatch ingest;
+};
+
 class RoundEngine {
  public:
   /// `faulty[i]` marks roster slot i Byzantine (used to partition the
@@ -105,24 +192,19 @@ class RoundEngine {
   RoundEngine(std::vector<unsigned char> faulty, int dim, RoundEngineConfig config);
 
   // --- shared resources ----------------------------------------------------
-  [[nodiscard]] int roster_size() const noexcept { return static_cast<int>(faulty_.size()); }
-  [[nodiscard]] int dim() const noexcept { return dim_; }
-  [[nodiscard]] int threads() const noexcept { return threads_; }
-  [[nodiscard]] agg::ThreadPool& pool() noexcept { return *pool_; }
-  [[nodiscard]] agg::AggregatorWorkspace& workspace() noexcept { return workspace_; }
   [[nodiscard]] util::Rng& agent_rng(int agent) noexcept {
-    return agent_rng_[static_cast<std::size_t>(agent)];
+    return core_.agent_rng[static_cast<std::size_t>(agent)];
   }
 
-  void set_observer(RoundObserver observer) { observer_ = std::move(observer); }
+  void set_observer(RoundObserver observer) { core_.observer = std::move(observer); }
   void notify(int round, const Vector& estimate, const Vector& filtered) const {
-    if (observer_) observer_(round, estimate, filtered);
+    core_.notify(round, estimate, filtered);
   }
 
   /// Engine-level parallel dispatch over [0, count) at the configured width.
   template <typename Fn>
   void parallel(int count, Fn&& fn) {
-    pool_->parallel_for(0, count, threads_, std::forward<Fn>(fn));
+    core_.parallel(count, std::forward<Fn>(fn));
   }
 
   // --- membership & fault-bound bookkeeping --------------------------------
@@ -149,42 +231,21 @@ class RoundEngine {
   /// over the present agents and partitions their rows honest/faulty.
   void begin_round(int round);
 
-  /// Members participating this round, in roster order; payload row k
-  /// belongs to present_agents()[k].
-  [[nodiscard]] std::span<const int> present_agents() const noexcept { return present_; }
+  /// Whether a member participates this round.
   [[nodiscard]] bool is_present(int agent) const noexcept {
     return payload_row_[static_cast<std::size_t>(agent)] >= 0;
-  }
-  /// Payload row of a present agent (-1 when absent this round).
-  [[nodiscard]] int payload_row(int agent) const noexcept {
-    return payload_row_[static_cast<std::size_t>(agent)];
   }
   /// Whether a present agent's message misses this round's close.
   [[nodiscard]] bool straggles(int agent) const noexcept { return planner_.straggles(agent); }
 
-  [[nodiscard]] std::span<const int> honest_rows() const noexcept { return honest_rows_; }
-  [[nodiscard]] std::span<const int> faulty_rows() const noexcept { return faulty_rows_; }
-
-  [[nodiscard]] agg::GradientBatch& payload() noexcept { return payload_; }
-  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return ingest_; }
-
-  /// The omniscient adversary's view: the honest payload rows of this round.
-  [[nodiscard]] attack::HonestRowsView honest_view() const noexcept {
-    return {payload_.data(), dim_, honest_rows_};
-  }
+  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return core_.ingest; }
 
   /// Produce phase, honest agents: writer(agent, row) fills the agent's
   /// payload row (parallel over agents; each owns its row and rng stream).
   template <typename Writer>
   void emit_honest(Writer&& writer) {
     ensure_payload();
-    pool_->parallel_for(0, static_cast<int>(honest_rows_.size()), threads_,
-                        [this, &writer](int begin, int end) {
-                          for (int h = begin; h < end; ++h) {
-                            const int row = honest_rows_[static_cast<std::size_t>(h)];
-                            writer(present_[static_cast<std::size_t>(row)], payload_.row(row));
-                          }
-                        });
+    core_.emit_honest(honest_rows_, agent_of_row(), writer);
   }
 
   /// Produce phase, Byzantine agents (after emit_honest, so the view is
@@ -193,16 +254,8 @@ class RoundEngine {
   template <typename Emitter>
   void emit_faulty(Emitter&& emitter) {
     ensure_payload();
-    const attack::HonestRowsView view = honest_view();
-    pool_->parallel_for(0, static_cast<int>(faulty_rows_.size()), threads_,
-                        [this, &emitter, &view](int begin, int end) {
-                          for (int b = begin; b < end; ++b) {
-                            const int row = faulty_rows_[static_cast<std::size_t>(b)];
-                            const bool sent = emitter(present_[static_cast<std::size_t>(row)],
-                                                      payload_.row(row), view);
-                            silent_[static_cast<std::size_t>(row)] = sent ? 0 : 1;
-                          }
-                        });
+    core_.emit_faulty(faulty_rows_, honest_rows_, agent_of_row(), emitter,
+                      [this](int row) { silent_[static_cast<std::size_t>(row)] = 1; });
   }
 
   /// Produce phase without an honest/faulty split (D-SGD: faults are data-
@@ -210,12 +263,11 @@ class RoundEngine {
   template <typename Writer>
   void emit_present(Writer&& writer) {
     ensure_payload();
-    pool_->parallel_for(0, static_cast<int>(present_.size()), threads_,
-                        [this, &writer](int begin, int end) {
-                          for (int row = begin; row < end; ++row) {
-                            writer(present_[static_cast<std::size_t>(row)], payload_.row(row));
-                          }
-                        });
+    core_.parallel(static_cast<int>(present_.size()), [this, &writer](int begin, int end) {
+      for (int row = begin; row < end; ++row) {
+        writer(present_[static_cast<std::size_t>(row)], core_.payload.row(row));
+      }
+    });
   }
 
   /// Delivery phase (serial: transports own ordered streams).  For each
@@ -227,27 +279,24 @@ class RoundEngine {
   template <typename Transport>
   int deliver(Transport&& transport) {
     const int present = static_cast<int>(present_.size());
-    ingest_.reshape(present, dim_);
+    core_.ingest.reshape(present, core_.dim);
     int kept = 0;
     for (int row = 0; row < present; ++row) {
       const int agent = present_[static_cast<std::size_t>(row)];
       if (planner_.straggles(agent)) continue;
       std::span<const double> message;
-      if (silent_[static_cast<std::size_t>(row)] == 0) message = payload_.row(row);
-      if (transport(agent, message, ingest_.row(kept))) {
+      if (silent_[static_cast<std::size_t>(row)] == 0) message = core_.payload.row(row);
+      if (transport(agent, message, core_.ingest.row(kept))) {
         ++kept;
       } else {
         eliminate(agent);
       }
     }
-    ingest_.truncate_rows(kept);
+    core_.ingest.truncate_rows(kept);
     ABFT_REQUIRE(!members_.empty(), "every agent was eliminated");
     kept_ = kept;
     return kept;
   }
-
-  /// Number of rows the last deliver() kept.
-  [[nodiscard]] int last_kept() const noexcept { return kept_; }
 
   /// Filter phase over the ingest batch: the usable fault bound is
   /// min(current_f, kept - 1, rule.max_usable_f(kept)) clamped at 0, so a
@@ -258,23 +307,23 @@ class RoundEngine {
   /// holds position that round.  A declared f the rule could not support
   /// even on the full roster is a misconfiguration and is NOT clamped: the
   /// rule's own precondition throws, as it always did.
-  bool aggregate(const agg::GradientAggregator& rule, Vector& out);
+  bool aggregate(const agg::GradientAggregator& rule, Vector& out) {
+    return core_.aggregate(rule, declared_f_, current_f_, kept_,
+                           static_cast<int>(members_.size()), out);
+  }
 
  private:
+  /// Payload row k belongs to present_[k].
+  [[nodiscard]] auto agent_of_row() const noexcept {
+    return [this](int row) { return present_[static_cast<std::size_t>(row)]; };
+  }
   void ensure_payload();
   void eliminate(int agent);
   void depart(int agent);
   void remove_member(int agent);
 
-  std::vector<unsigned char> faulty_;
-  int dim_ = 0;
-  RoundEngineConfig config_;
-  int threads_ = 1;
-  std::unique_ptr<agg::ThreadPool> pool_;
-  agg::AggregatorWorkspace workspace_;
-  std::vector<util::Rng> agent_rng_;
+  EngineCore core_;
   RoundPlanner planner_;
-  RoundObserver observer_;
 
   std::vector<int> members_;
   std::vector<unsigned char> member_mask_;
@@ -289,8 +338,6 @@ class RoundEngine {
   std::vector<int> faulty_rows_;
   std::vector<unsigned char> silent_;
   bool payload_shaped_ = false;
-  agg::GradientBatch payload_;
-  agg::GradientBatch ingest_;
   int kept_ = 0;
 };
 

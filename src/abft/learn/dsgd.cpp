@@ -74,8 +74,8 @@ DsgdSeries run_dsgd(const Model& model, const Vector& initial_params,
   // owns its stream, gradient scratch, momentum buffer and batch row, so
   // the series is bit-identical at every thread count.
   engine::RoundEngine eng(faulty_mask(faults), model.param_dim(),
-                          engine::RoundEngineConfig{config.seed, config.agg_threads,
-                                                    config.agg_mode, config.agg_precision,
+                          engine::RoundEngineConfig{{config.seed, config.agg_threads,
+                                                    config.agg_mode, config.agg_precision},
                                                     config.axes});
   eng.reset(config.f);
   if (config.observer) eng.set_observer(config.observer);

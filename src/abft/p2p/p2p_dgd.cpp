@@ -36,8 +36,8 @@ P2pDgdResult run_p2p_core(const std::vector<sim::AgentSpec>& roster, const P2pDg
   // fault-bound bookkeeping and the scenario plan.  The p2p-specific
   // broadcast fan-out and per-node filter state stay in this driver.
   engine::RoundEngine eng(sim::faulty_mask(roster), dim,
-                          engine::RoundEngineConfig{config.seed, config.agg_threads,
-                                                    config.agg_mode, config.agg_precision,
+                          engine::RoundEngineConfig{{config.seed, config.agg_threads,
+                                                    config.agg_mode, config.agg_precision},
                                                     config.axes});
   eng.reset(config.f);
 

@@ -36,7 +36,7 @@ void require_known_keys(const util::JsonValue& object, std::string_view where,
 }
 
 int int_or(const util::JsonValue& object, std::string_view key, int fallback) {
-  return static_cast<int>(object.number_or(key, fallback));
+  return util::checked_int(object.number_or(key, fallback), "scenario", key);
 }
 
 /// JSON numbers are doubles: a seed above 2^53 would silently round, so a
@@ -196,8 +196,11 @@ engine::ScenarioAxes parse_axes(const util::JsonValue& json) {
   if (const auto* churn = json.find("churn")) {
     for (const auto& event : churn->as_array()) {
       require_known_keys(event, "churn event", {"round", "agent"});
-      axes.churn.push_back(engine::ChurnEvent{static_cast<int>(event.at("round").as_number()),
-                                              static_cast<int>(event.at("agent").as_number())});
+      axes.churn.push_back(
+          engine::ChurnEvent{util::checked_int(event.at("round").as_number(), "scenario",
+                                               "churn round"),
+                             util::checked_int(event.at("agent").as_number(), "scenario",
+                                               "churn agent")});
     }
   }
   return axes;
@@ -246,7 +249,7 @@ ScenarioSpec parse_scenario(const util::JsonValue& json) {
   }
   if (const auto* agents = json.find("agents")) {
     for (const auto& agent : agents->as_array()) {
-      spec.agents.push_back(static_cast<int>(agent.as_number()));
+      spec.agents.push_back(util::checked_int(agent.as_number(), "scenario", "agents entry"));
     }
   }
   spec.num_agents = int_or(json, "num_agents", spec.num_agents);
@@ -256,7 +259,7 @@ ScenarioSpec parse_scenario(const util::JsonValue& json) {
     for (const auto& fault : faults->as_array()) {
       require_known_keys(fault, "fault", {"agent", "kind", "param"});
       FaultSpec f;
-      f.agent = static_cast<int>(fault.at("agent").as_number());
+      f.agent = util::checked_int(fault.at("agent").as_number(), "scenario", "fault agent");
       f.kind = fault.at("kind").as_string();
       f.param = fault.number_or("param", f.param);
       spec.faults.push_back(std::move(f));

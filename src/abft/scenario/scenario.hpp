@@ -6,7 +6,9 @@
 // config file: the fig2/fig3/table1 reproductions, the CI smoke goldens and
 // the abft_run CLI all execute through run_scenario().
 //
-// Spec schema (all keys optional unless noted; defaults in parentheses):
+// Spec schema (all keys optional unless noted; defaults in parentheses;
+// count-valued keys such as iterations, f, num_agents, agent ids and churn
+// rounds must be integers within int range — 2.7 or 1e12 is rejected):
 //   name                  free-form label ("")
 //   driver                "dgd" | "dsgd" | "p2p" | "p2p_auth"       ("dgd")
 //   problem               dgd/p2p: "paper_regression" | "quadratic" |

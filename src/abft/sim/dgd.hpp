@@ -17,13 +17,14 @@
 // honest gradient producer, the FaultModel emission, the SyncNetwork
 // transport, and the projected-descent update rule.  With the axes at their
 // defaults the traces are bit-identical to the pre-engine driver at every
-// thread count.
+// thread count.  The async mode swaps in engine::AsyncRoundEngine; one round
+// loop runs over either engine, differing only in how a round closes.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
+#include <variant>
 
 #include "abft/agg/aggregator.hpp"
 #include "abft/engine/async_engine.hpp"
@@ -104,11 +105,13 @@ class DgdSimulation {
 
   /// Trigger/staleness counters of the last async run; nullptr in sync mode.
   [[nodiscard]] const engine::AsyncStats* async_stats() const noexcept {
-    return async_ ? &async_->stats() : nullptr;
+    const auto* async = std::get_if<engine::AsyncRoundEngine>(&engine_);
+    return async != nullptr ? &async->stats() : nullptr;
   }
 
  private:
-  Trace run_async(const agg::GradientAggregator& aggregator);
+  using Engine = std::variant<engine::RoundEngine, engine::AsyncRoundEngine>;
+  static Engine make_engine(const std::vector<AgentSpec>& roster, const DgdConfig& config);
 
   std::vector<AgentSpec> roster_;
   DgdConfig config_;
@@ -116,10 +119,10 @@ class DgdSimulation {
   HonestGradientWriter honest_writer_;
 
   /// Owns the round state: batches, pool, workspace, rng streams,
-  /// membership/elimination bookkeeping and the scenario plan.  Exactly one
-  /// of engine_/async_ is constructed, keyed off config_.async.
-  std::unique_ptr<engine::RoundEngine> engine_;
-  std::unique_ptr<engine::AsyncRoundEngine> async_;
+  /// membership/elimination bookkeeping and the scenario plan — the
+  /// asynchronous engine when config_.async is set, the synchronous one
+  /// otherwise.
+  Engine engine_;
   Vector filtered_;
 };
 

@@ -62,6 +62,18 @@ std::vector<double> parse_number_axis(const JsonValue& values) {
   return out;
 }
 
+/// An integer axis: every entry an int (util::checked_int) of at least
+/// `min`, else `message`.
+std::vector<int> parse_int_axis(const JsonValue& values, std::string_view axis, int min,
+                                const char* message) {
+  std::vector<int> out;
+  for (const double value : parse_number_axis(values)) {
+    out.push_back(util::checked_int(value, "sweep", std::string(axis) + " axis entry"));
+    ABFT_REQUIRE(out.back() >= min, message);
+  }
+  return out;
+}
+
 std::uint64_t checked_seed(double value) {
   ABFT_REQUIRE(value >= 0.0 && value <= 9007199254740992.0 && value == std::floor(value),
                "sweep seeds must be integers in [0, 2^53]");
@@ -385,10 +397,8 @@ SweepSpec parse_sweep(const JsonValue& json) {
   reject_duplicate_keys(json, "sweep document");
   SweepSpec spec;
   spec.name = json.string_or("name", "");
-  const double threads = json.number_or("threads", 1);
-  ABFT_REQUIRE(threads >= 1.0 && threads == std::floor(threads),
-               "sweep threads must be an integer >= 1");
-  spec.threads = static_cast<int>(threads);
+  spec.threads = util::checked_int(json.number_or("threads", 1), "sweep", "threads");
+  ABFT_REQUIRE(spec.threads >= 1, "sweep threads must be an integer >= 1");
   spec.base = json.at("base");
   ABFT_REQUIRE(spec.base.is_object(), "sweep base must be a scenario object");
   reject_duplicate_keys(spec.base, "base");
@@ -416,18 +426,11 @@ SweepSpec parse_sweep(const JsonValue& json) {
     }
   }
   if (const auto* axis = sw.find("f")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value), "f axis entries must be"
-                   " non-negative integers");
-      spec.f.push_back(static_cast<int>(value));
-    }
+    spec.f = parse_int_axis(*axis, "f", 0, "f axis entries must be non-negative integers");
   }
   if (const auto* axis = sw.find("shards")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 1.0 && value == std::floor(value),
-                   "shards axis entries must be integers >= 1");
-      spec.shards.push_back(static_cast<int>(value));
-    }
+    spec.shards =
+        parse_int_axis(*axis, "shards", 1, "shards axis entries must be integers >= 1");
     ABFT_REQUIRE(spec.aggregator.empty(),
                  "the shards axis cannot combine with an aggregator axis — the rule strings "
                  "would clobber the hierarchy object; use variants instead");
@@ -439,11 +442,9 @@ SweepSpec parse_sweep(const JsonValue& json) {
                  "object (or absent, defaulting to one)");
   }
   if (const auto* axis = sw.find("coreset_size")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value),
-                   "coreset_size axis entries must be non-negative integers (0 = auto)");
-      spec.coreset_size.push_back(static_cast<int>(value));
-    }
+    spec.coreset_size = parse_int_axis(
+        *axis, "coreset_size", 0,
+        "coreset_size axis entries must be non-negative integers (0 = auto)");
     ABFT_REQUIRE(spec.aggregator.empty(),
                  "the coreset_size axis cannot combine with an aggregator axis — the rule "
                  "strings would clobber the reduction object; use variants instead");
@@ -467,18 +468,14 @@ SweepSpec parse_sweep(const JsonValue& json) {
                  "(or absent, defaulting to the default rule)");
   }
   if (const auto* axis = sw.find("quorum")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value),
-                   "quorum axis entries must be non-negative integers (0 = full roster)");
-      spec.quorum.push_back(static_cast<int>(value));
-    }
+    spec.quorum = parse_int_axis(*axis, "quorum", 0,
+                                 "quorum axis entries must be non-negative integers (0 = full "
+                                 "roster)");
   }
   if (const auto* axis = sw.find("staleness_cap")) {
-    for (const double value : parse_number_axis(*axis)) {
-      ABFT_REQUIRE(value >= 0.0 && value == std::floor(value),
-                   "staleness_cap axis entries must be non-negative integers");
-      spec.staleness_cap.push_back(static_cast<int>(value));
-    }
+    spec.staleness_cap = parse_int_axis(*axis, "staleness_cap", 0,
+                                        "staleness_cap axis entries must be non-negative "
+                                        "integers");
   }
   if (const auto* axis = sw.find("seed")) spec.seed = parse_seed_axis(*axis);
   if (const auto* axis = sw.find("drop_probability")) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -392,6 +393,17 @@ void require_known_keys(const JsonValue& object, std::string_view layer,
       throw std::invalid_argument(os.str());
     }
   }
+}
+
+int checked_int(double value, std::string_view layer, std::string_view what) {
+  if (!(value == std::floor(value) && value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max())) {
+    std::ostringstream os;
+    os << layer << ": " << what << " must be an integer in int range, got "
+       << format_json_number(value);
+    throw std::invalid_argument(os.str());
+  }
+  return static_cast<int>(value);
 }
 
 }  // namespace abft::util

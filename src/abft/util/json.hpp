@@ -107,4 +107,10 @@ void require_known_keys(const JsonValue& object, std::string_view layer,
                         std::string_view where,
                         std::initializer_list<std::string_view> allowed);
 
+/// A JSON number read as an int.  Throws std::invalid_argument, as
+/// "<layer>: <what> must be an integer in int range, got v", when `value`
+/// has a fractional part or lies outside int: a plain cast would run 2.7
+/// as 2 and is undefined behaviour past INT_MAX.
+int checked_int(double value, std::string_view layer, std::string_view what);
+
 }  // namespace abft::util

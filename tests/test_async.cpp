@@ -1,19 +1,16 @@
-// The event-driven engine mode: the MPSC ring's concurrency contract, the
-// quorum-or-deadline trigger, staleness weighting/dropping, the sync-parity
-// guarantee (full quorum + zero staleness + bounded arrivals replays the
-// synchronous trace bit for bit), and thread-count/replay determinism
-// through the scenario layer.
+// The event-driven engine mode: the quorum-or-deadline trigger, the
+// (birth_round, agent) consume order, silent Byzantine starters, staleness
+// weighting/dropping, the sync-parity guarantee (full quorum + zero
+// staleness + bounded arrivals replays the synchronous trace bit for bit),
+// and thread-count/replay determinism through the scenario layer.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "abft/engine/async_engine.hpp"
-#include "abft/engine/mpsc_ring.hpp"
 #include "abft/scenario/scenario.hpp"
 #include "abft/util/json.hpp"
 
@@ -21,50 +18,6 @@ namespace {
 
 using namespace abft;
 using linalg::Vector;
-
-// ------------------------------- MpscRing -----------------------------------
-
-TEST(MpscRing, SerialPushDrainRoundTrips) {
-  engine::MpscRing<int> ring(5);  // rounds up to a power of two >= 5
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // capacity 8: full
-  std::vector<int> drained;
-  ring.drain([&](int&& value) { drained.push_back(value); });
-  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  // Slots re-arm after a drain: the ring is reusable.
-  EXPECT_TRUE(ring.try_push(42));
-  drained.clear();
-  ring.drain([&](int&& value) { drained.push_back(value); });
-  EXPECT_EQ(drained, (std::vector<int>{42}));
-}
-
-TEST(MpscRing, ConcurrentProducersLoseNothing) {
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 1000;
-  engine::MpscRing<int> ring(kProducers * kPerProducer);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, &failures, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (!ring.try_push(p * kPerProducer + i)) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  std::vector<char> seen(kProducers * kPerProducer, 0);
-  int count = 0;
-  ring.drain([&](int&& value) {
-    ASSERT_GE(value, 0);
-    ASSERT_LT(value, kProducers * kPerProducer);
-    seen[static_cast<std::size_t>(value)] += 1;
-    ++count;
-  });
-  EXPECT_EQ(count, kProducers * kPerProducer);
-  for (const char c : seen) EXPECT_EQ(c, 1);  // every value exactly once
-}
 
 // --------------------------- config validation -------------------------------
 
@@ -288,6 +241,97 @@ TEST(AsyncEngine, OneCollectNeverIngestsTwoRowsFromOneAgent) {
   // The shape exercised the carry-over path, not just fresh rows.
   EXPECT_GT(eng.stats().late_rows, 0);
   EXPECT_GT(consumed, 0);
+}
+
+// collect() consumes in (birth_round, agent) order: older carried-over rows
+// first, agent order within one birth round.  Each row encodes its agent
+// ((agent+1) * w in coord 0), the weight probe w (coord 1) and its birth
+// round (birth * w in coord 2), so the order is recovered from the ingest
+// batch alone.  Five agents with heavy-tailed arrivals mix ages in one
+// batch; the shape must also contain a batch where plain agent order would
+// differ (an older row from a higher agent ahead of a fresher lower one).
+TEST(AsyncEngine, ConsumeOrderIsBirthRoundThenAgent) {
+  engine::AsyncEngineConfig config;
+  config.seed = 23;
+  config.async.quorum = 3;
+  config.async.staleness_cap = 3;
+  config.async.arrival.kind = "exponential";
+  config.async.arrival.scale = 1.5;
+  engine::AsyncRoundEngine eng({0, 0, 0, 0, 0}, 3, config);
+  eng.reset(0);
+  int mixed_batches = 0;
+  int agent_order_differs = 0;
+  for (int t = 0; t < 120; ++t) {
+    eng.begin_round(t);
+    eng.emit_honest([t](int agent, std::span<double> out) {
+      out[0] = static_cast<double>(agent + 1);
+      out[1] = 1.0;
+      out[2] = static_cast<double>(t);
+    });
+    const int kept = eng.collect(t);
+    std::vector<std::pair<int, int>> order;  // (birth_round, agent)
+    for (int r = 0; r < kept; ++r) {
+      const auto row = eng.ingest().row(r);
+      ASSERT_GT(row[1], 0.0);
+      const int agent = static_cast<int>(std::lround(row[0] / row[1])) - 1;
+      const int birth = static_cast<int>(std::lround(row[2] / row[1]));
+      ASSERT_GE(agent, 0);
+      ASSERT_LT(agent, 5);
+      ASSERT_LE(birth, t);
+      EXPECT_DOUBLE_EQ(row[1], 1.0 / (1.0 + static_cast<double>(t - birth)));
+      order.emplace_back(birth, agent);
+    }
+    for (std::size_t k = 1; k < order.size(); ++k) {
+      ASSERT_LT(order[k - 1], order[k]) << "round " << t << " row " << k;
+      if (order[k - 1].first != order[k].first) ++mixed_batches;
+      if (order[k - 1].second > order[k].second) ++agent_order_differs;
+    }
+  }
+  EXPECT_GT(mixed_batches, 0);
+  EXPECT_GT(agent_order_differs, 0);
+  EXPECT_GT(eng.stats().quorum_fires, 0);
+}
+
+// A Byzantine starter whose emitter returns false stays silent: its row is
+// never consumed, it is not eliminated, and it starts afresh next round.
+TEST(AsyncEngine, SilentFaultyStarterIsNeverConsumedAndRestarts) {
+  engine::AsyncEngineConfig config;
+  config.seed = 4;
+  config.async.arrival.kind = "fixed";
+  config.async.arrival.scale = 0.5;  // every row arrives inside its window
+  engine::AsyncRoundEngine eng({0, 1, 0}, 1, config);
+  eng.reset(1);
+  for (int t = 0; t < 4; ++t) {
+    eng.begin_round(t);
+    // Every agent was consumed or silent last round, so all three restart.
+    ASSERT_EQ(eng.starting_agents().size(), 3u) << "round " << t;
+    eng.emit_honest([](int agent, std::span<double> out) { out[0] = agent; });
+    int calls = 0;
+    const bool speak = t == 3;
+    eng.emit_faulty([&](int agent, std::span<double> row, const attack::HonestRowsView& view) {
+      ++calls;
+      EXPECT_EQ(agent, 1);
+      EXPECT_EQ(view.count(), 2);
+      row[0] = 99.0;
+      return speak;
+    });
+    EXPECT_EQ(calls, 1) << "round " << t;
+    const int kept = eng.collect(t);
+    if (!speak) {
+      // Quorum = the full roster never arrives: the deadline fires with the
+      // two honest rows, and the silent row is nowhere in the batch.
+      ASSERT_EQ(kept, 2) << "round " << t;
+      EXPECT_EQ(eng.ingest().row(0)[0], 0.0);
+      EXPECT_EQ(eng.ingest().row(1)[0], 2.0);
+    } else {
+      ASSERT_EQ(kept, 3);
+      EXPECT_EQ(eng.ingest().row(1)[0], 99.0);
+    }
+  }
+  EXPECT_EQ(eng.stats().deadline_fires, 3);
+  EXPECT_EQ(eng.stats().quorum_fires, 1);
+  EXPECT_EQ(eng.stats().late_rows, 0);
+  EXPECT_EQ(eng.stats().stale_dropped, 0);
 }
 
 // ------------------------------ sync parity ----------------------------------

@@ -187,6 +187,42 @@ TEST(ScenarioSpec, RejectsUnknownKeysAndEnums) {
   EXPECT_THROW(scenario::run_scenario(bad_fault), std::invalid_argument);
 }
 
+// JSON numbers are doubles: every integer field is checked, not cast — a
+// fractional value would silently truncate (2.7 iterations ran 2 rounds)
+// and one past INT_MAX is undefined behaviour.
+TEST(ScenarioSpec, RejectsNonIntegerAndOutOfRangeIntegers) {
+  const auto parse = [](const char* text) {
+    return scenario::parse_scenario(util::parse_json(text));
+  };
+  for (const char* bad : {
+           R"({"iterations": 1e12})",
+           R"({"iterations": 2.7})",
+           R"({"iterations": -3e9})",
+           R"({"f": 2.5})",
+           R"({"threads": 1e300})",
+           R"({"num_agents": 4.5})",
+           R"({"async": {"quorum": 1e10}})",
+           R"({"async": {"staleness_cap": 0.5}})",
+           R"({"axes": {"churn": [{"round": 1.5, "agent": 0}]}})",
+           R"({"axes": {"churn": [{"round": 1, "agent": 3e9}]}})",
+           R"({"agents": [0, 1.25]})",
+           R"({"faults": [{"agent": 1e12, "kind": "reverse"}]})",
+       }) {
+    EXPECT_THROW(parse(bad), std::invalid_argument) << bad;
+  }
+  try {
+    parse(R"({"iterations": 2.7})");
+    FAIL() << "a fractional iteration count must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("scenario: iterations must be an integer"),
+              std::string::npos)
+        << error.what();
+  }
+  // Integral values, including the int extremes, still parse exactly.
+  EXPECT_EQ(parse(R"({"iterations": 2147483647})").iterations, 2147483647);
+  EXPECT_EQ(parse(R"({"iterations": 3.0, "f": 1})").iterations, 3);
+}
+
 // ----------------------- spec-vs-driver bit parity ---------------------------
 
 TEST(ScenarioRun, DgdSpecMatchesHandBuiltDriverRun) {

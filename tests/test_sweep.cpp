@@ -389,6 +389,32 @@ TEST(SweepParse, RejectsMalformedAxes) {
   }
 }
 
+// Integer axes and the runner width are checked, not cast: a value past
+// INT_MAX is undefined behaviour as a cast, and a fractional one truncates.
+TEST(SweepParse, RejectsNonIntegerAndOutOfRangeIntegers) {
+  for (const char* bad : {
+           R"({"base": {}, "sweep": {"f": [1e12]}})",
+           R"({"base": {}, "sweep": {"f": [1, 2.5]}})",
+           R"({"base": {}, "sweep": {"shards": [3e9]}})",
+           R"({"base": {}, "sweep": {"coreset_size": [2.5]}})",
+           R"({"base": {}, "sweep": {"quorum": [1e10]}})",
+           R"({"base": {}, "sweep": {"staleness_cap": [-3e9]}})",
+           R"({"threads": 1e12, "base": {}, "sweep": {"f": [1]}})",
+           R"({"threads": 2.5, "base": {}, "sweep": {"f": [1]}})",
+       }) {
+    EXPECT_THROW(parse(bad), std::invalid_argument) << bad;
+  }
+  try {
+    parse(R"({"base": {}, "sweep": {"f": [1e12]}})");
+    FAIL() << "an f axis entry past INT_MAX must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("sweep: f axis entry must be an integer"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(parse(R"({"base": {}, "sweep": {"f": [0, 2147483647]}})").f.back(), 2147483647);
+}
+
 TEST(SweepParse, AsyncAxesValidateAndRejectBaseConflicts) {
   // Malformed entries fail at parse, not mid-sweep.
   EXPECT_THROW(parse(R"({"base": {}, "sweep": {"quorum": [-1]}})"), std::invalid_argument);
