@@ -179,6 +179,12 @@ struct AggregatorWorkspace {
   std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (demoted iterates)
   std::vector<int> order;        ///< index permutation (n)
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
+  // Certified Krum scorer (krum.hpp detail::krum_select): per-row score
+  // state (canonical / old / due for the old score) and the interval that
+  // holds each row's old score.
+  std::vector<unsigned char> krum_state;  ///< per-row score state (n)
+  std::vector<double> krum_lo;            ///< interval lower ends (n)
+  std::vector<double> krum_hi;            ///< interval upper ends (n)
   // Bulyan fast-mode stage 1 (incremental iterated-Krum scores): per-row
   // distance-sorted neighbour ids, their inverse permutation, and the
   // per-row selection-prefix cursor / selected count.

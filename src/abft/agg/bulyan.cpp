@@ -207,37 +207,18 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
   if (ws.mode == AggMode::fast) {
     select_stage1_incremental(ws, n, f, theta);
   } else {
-    ws.scratch.resize(static_cast<std::size_t>(n));
-    ws.pairrow.resize(static_cast<std::size_t>(n));
+    // Each round scores the active rows with the certified Krum scorer
+    // (krum.hpp): rank-selected canonical sums, with the old nth_element +
+    // accumulate score recomputed for the rows whose rounding interval
+    // meets another's, so every round picks the row the old per-row
+    // nth_element scan picked.
     int pool = n;
     for (int round = 0; round < theta; ++round) {
       // The span path's relaxed_scores rejects a pool of fewer than two
       // gradients (which f = 0 reaches on the final round); mirror it.
       ABFT_REQUIRE(pool >= 2, "relaxed krum scores need at least two gradients");
       const int neighbors = std::max(1, pool - f - 2);
-      int best = -1;
-      double best_score = 0.0;
-      for (int i = 0; i < n; ++i) {
-        if (!ws.active[static_cast<std::size_t>(i)]) continue;
-        // Same values in the same ascending-j order as the old square
-        // layout, so the exact path stays bit-identical.
-        ws.gather_pair_row(i, n, ws.pairrow.data());
-        const double* row = ws.pairrow.data();
-        int m = 0;
-        for (int j = 0; j < n; ++j) {
-          if (j != i && ws.active[static_cast<std::size_t>(j)]) {
-            ws.scratch[static_cast<std::size_t>(m++)] = row[j];
-          }
-        }
-        std::nth_element(ws.scratch.begin(), ws.scratch.begin() + (neighbors - 1),
-                         ws.scratch.begin() + m);
-        double score = 0.0;
-        for (int s = 0; s < neighbors; ++s) score += ws.scratch[static_cast<std::size_t>(s)];
-        if (best < 0 || score < best_score) {
-          best = i;
-          best_score = score;
-        }
-      }
+      const int best = detail::krum_select(ws, n, neighbors, ws.active.data());
       ws.order[static_cast<std::size_t>(round)] = best;
       ws.active[static_cast<std::size_t>(best)] = 0;
       --pool;

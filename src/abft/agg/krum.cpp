@@ -1,11 +1,156 @@
 #include "abft/agg/krum.hpp"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
+#include "abft/agg/rank_kernel.hpp"
 #include "abft/util/check.hpp"
 
 namespace abft::agg {
+
+namespace detail {
+
+namespace {
+
+static_assert(kKrumRankSelectMaxRow <= kRankKernelCapacity,
+              "smallest_k_sum sizes its stack buffer by kRankKernelCapacity");
+
+/// Row i's candidate distances (every other row, or every other active row)
+/// in ascending-j order — the buffer the old scorer partitioned.  Returns
+/// their count.
+int gather_candidates(AggregatorWorkspace& ws, int i, int n, const unsigned char* active,
+                      double* dst) {
+  double* row = ws.pairrow.data();
+  ws.gather_pair_row(i, n, row);
+  if (active == nullptr) {
+    std::copy(row, row + i, dst);
+    std::copy(row + i + 1, row + n, dst + i);
+    return n - 1;
+  }
+  int m = 0;
+  for (int j = 0; j < n; ++j) {
+    if (j != i && active[j] != 0) dst[m++] = row[j];
+  }
+  return m;
+}
+
+/// The old score: partition, then sum the kept prefix in partition order.
+double nth_element_score(double* dists, int m, int neighbors) {
+  std::nth_element(dists, dists + (neighbors - 1), dists + m);
+  return std::accumulate(dists, dists + neighbors, 0.0);
+}
+
+// Per-row state in ws.krum_state.
+constexpr unsigned char kCanonical = 0;  ///< ws.scores holds the canonical sum
+constexpr unsigned char kOld = 1;        ///< ws.scores holds the old score
+constexpr unsigned char kDue = 2;        ///< the row still needs the old score
+
+/// Canonical scores of the active rows.  A tie at the k-th distance
+/// (kept != neighbors) makes the rank-selected sum over-count, so those
+/// rows take the old score at once.  Returns false if any score is not
+/// finite.
+bool score_canonically(AggregatorWorkspace& ws, int n, int neighbors,
+                       const unsigned char* active) {
+  double* dists = ws.scratch.data();
+  bool finite = true;
+  for (int i = 0; i < n; ++i) {
+    if (active != nullptr && active[i] == 0) continue;
+    const int m = gather_candidates(ws, i, n, active, dists);
+    int kept = 0;
+    double score = smallest_k_sum(dists, m, neighbors, &kept);
+    unsigned char state = kCanonical;
+    if (kept != neighbors) {
+      score = nth_element_score(dists, m, neighbors);
+      state = kOld;
+    }
+    ws.scores[static_cast<std::size_t>(i)] = score;
+    ws.krum_state[static_cast<std::size_t>(i)] = state;
+    finite = finite && std::isfinite(score);
+  }
+  return finite;
+}
+
+/// Marks kDue every canonical row whose interval meets another active
+/// row's.  Both sums add the same `neighbors` non-negative terms, so each
+/// is within a relative g = (neighbors - 1) * DBL_EPSILON / 2 (to first
+/// order) of the exact sum t, and the old score lies in
+/// [c (1 - g) / (1 + g), c (1 + g) / (1 - g)] around the canonical c.
+/// gamma is four times g; [lo, hi] below covers that interval with room for
+/// rounding its ends.  An old score is its own interval; an inactive row
+/// gets an empty one.  Rows whose intervals are disjoint compare the same
+/// under either score, so the mixed vector keeps the old strict order and
+/// ties.
+void mark_band(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active) {
+  const auto nn = static_cast<std::size_t>(n);
+  ws.krum_lo.resize(nn);
+  ws.krum_hi.resize(nn);
+  double* lo = ws.krum_lo.data();
+  double* hi = ws.krum_hi.data();
+  auto& state = ws.krum_state;
+  const double gamma = 2.0 * static_cast<double>(neighbors) * DBL_EPSILON;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < n; ++i) {
+    const double s = ws.scores[static_cast<std::size_t>(i)];
+    const bool old = state[static_cast<std::size_t>(i)] == kOld;
+    if (active != nullptr && active[i] == 0) {
+      lo[i] = kInf;
+      hi[i] = -kInf;
+    } else {
+      lo[i] = old ? s : s * (1.0 - 2.0 * gamma);
+      hi[i] = old ? s : s * (1.0 + 3.0 * gamma);
+    }
+  }
+  // Every active row meets itself.  O(n^2) compares, small next to the
+  // rank counts' O(n^3 / lanes).
+  for (int i = 0; i < n; ++i) {
+    if (state[static_cast<std::size_t>(i)] != kCanonical) continue;
+    int meets = 0;
+    for (int j = 0; j < n; ++j) meets += (lo[j] <= hi[i]) & (hi[j] >= lo[i]);
+    if (meets > 1) state[static_cast<std::size_t>(i)] = kDue;
+  }
+}
+
+}  // namespace
+
+int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active) {
+  const auto nn = static_cast<std::size_t>(n);
+  ws.scores.resize(nn);
+  ws.pairrow.resize(nn);
+  ws.scratch.resize(nn);
+  ws.krum_state.assign(nn, kDue);
+  const auto is_active = [active](int i) { return active == nullptr || active[i] != 0; };
+  auto& state = ws.krum_state;
+
+  int live = 0;
+  for (int i = 0; i < n; ++i) live += is_active(i) ? 1 : 0;
+  // Past the cutoff every row takes the old route (its rows start out
+  // kDue), and so does every call with a non-finite score anywhere.
+  if (live - 1 <= kKrumRankSelectMaxRow) {
+    if (!score_canonically(ws, n, neighbors, active)) {
+      state.assign(nn, kDue);
+    } else {
+      mark_band(ws, n, neighbors, active);
+    }
+  }
+
+  double* dists = ws.scratch.data();
+  int best = -1;
+  for (int i = 0; i < n; ++i) {
+    if (!is_active(i)) continue;
+    if (state[static_cast<std::size_t>(i)] == kDue) {
+      const int m = gather_candidates(ws, i, n, active, dists);
+      ws.scores[static_cast<std::size_t>(i)] = nth_element_score(dists, m, neighbors);
+    }
+    const double score = ws.scores[static_cast<std::size_t>(i)];
+    if (best < 0 || score < ws.scores[static_cast<std::size_t>(best)]) best = i;
+  }
+  return best;
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -48,38 +193,17 @@ Vector KrumAggregator::aggregate(std::span<const Vector> gradients, int f) const
   return gradients[static_cast<std::size_t>(best)];
 }
 
-void KrumAggregator::batched_scores(const GradientBatch& batch, int f,
-                                    AggregatorWorkspace& ws) {
+int KrumAggregator::batched_scores(const GradientBatch& batch, int f, AggregatorWorkspace& ws) {
   const int n = batch.rows();
   ABFT_REQUIRE(n > 2 * f + 2, "krum needs n > 2f + 2");
   ws.fill_pairwise_sqdist(batch);
-  const int neighbors = n - f - 2;
-  ws.scores.resize(static_cast<std::size_t>(n));
-  ws.scratch.resize(static_cast<std::size_t>(n - 1));
-  ws.pairrow.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    // Row i of the logical distance matrix, gathered from the packed
-    // triangle (f32-lane values promoted); same values in the same
-    // ascending-j order as the old square layout, so exact mode stays
-    // bit-identical.
-    ws.gather_pair_row(i, n, ws.pairrow.data());
-    int m = 0;
-    for (int j = 0; j < n; ++j) {
-      if (j != i) ws.scratch[static_cast<std::size_t>(m++)] = ws.pairrow[static_cast<std::size_t>(j)];
-    }
-    std::nth_element(ws.scratch.begin(), ws.scratch.begin() + (neighbors - 1),
-                     ws.scratch.begin() + m);
-    ws.scores[static_cast<std::size_t>(i)] =
-        std::accumulate(ws.scratch.begin(), ws.scratch.begin() + neighbors, 0.0);
-  }
+  return detail::krum_select(ws, n, n - f - 2, nullptr);
 }
 
 void KrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                     AggregatorWorkspace& ws) const {
   const int d = validate_batch(batch, f);
-  batched_scores(batch, f, ws);
-  const auto best = static_cast<int>(
-      std::min_element(ws.scores.begin(), ws.scores.end()) - ws.scores.begin());
+  const int best = batched_scores(batch, f, ws);
   resize_output(out, d);
   const auto row = batch.row(best);
   std::copy(row.begin(), row.end(), out.coefficients().begin());

@@ -1,5 +1,6 @@
 // Internal: branchless rank-count kernel shared by the coordinate-wise
-// filters (CWTM, CWMed).  For a contiguous column of n doubles it computes
+// filters (CWTM, CWMed) and, through smallest_k_sum, the certified Krum
+// scorer (krum.hpp).  For a contiguous column of n doubles it computes
 //
 //   lt[j] = #{ i : col[i] < col[j] }        for every j in [0, n)
 //
@@ -14,6 +15,8 @@
 // portable auto-vectorizable fallback elsewhere.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #if defined(__AVX512F__) || defined(__AVX2__)
@@ -151,6 +154,41 @@ inline void rank_counts(const float* col, int n, std::int32_t* lt) {
     for (int j = 0; j < n; ++j) lt[j] += y < col[j] ? 1 : 0;
   }
 #endif
+}
+
+/// Sum of the entries of x[0, m) that have fewer than k strictly smaller
+/// entries, computed from the rank counts without a branch or a partition;
+/// *kept receives how many entries were summed.  kept == k exactly when the
+/// k-th and (k+1)-th smallest entries differ, and then the summed entries
+/// are the k smallest (a multiset of values, so any selection of them sums
+/// the same terms).  A NaN entry has no strictly smaller entries and is
+/// always kept, so the sum is NaN.  m <= kRankKernelCapacity.
+///
+/// Entry j goes to lane j mod 8, lanes add in ascending j, and the eight
+/// lanes reduce as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), so the sum is
+/// the same on every ISA; it is not a sequential sum, so a caller comparing
+/// it against one must allow for the rounding (see krum_select).
+inline double smallest_k_sum(const double* x, int m, int k, int* kept) {
+  constexpr int kLanes = 8;
+  std::int64_t lt[kRankKernelCapacity];
+  rank_counts(x, m, lt);
+  // An all-ones/all-zeros bit mask selects x or +0.0 (x * keep would turn
+  // an unkept +inf into NaN).
+  double lanes[kLanes] = {0.0};
+  std::int64_t count = 0;
+  for (int j0 = 0; j0 < m; j0 += kLanes) {
+    const int width = std::min(kLanes, m - j0);
+    for (int t = 0; t < width; ++t) {
+      const std::int64_t keep = lt[j0 + t] < k ? 1 : 0;
+      const auto bits = std::bit_cast<std::uint64_t>(x[j0 + t]) &
+                        (std::uint64_t{0} - static_cast<std::uint64_t>(keep));
+      lanes[t] += std::bit_cast<double>(bits);
+      count += keep;
+    }
+  }
+  *kept = static_cast<int>(count);
+  return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
+         ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
 }
 
 }  // namespace abft::agg::detail
