@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -46,229 +46,6 @@ void reject_duplicate_keys(const JsonValue& object, std::string_view where) {
   }
 }
 
-std::vector<std::string> parse_string_axis(const JsonValue& values, std::string_view axis) {
-  std::vector<std::string> out;
-  for (const auto& value : values.as_array()) out.push_back(value.as_string());
-  if (out.empty()) {
-    throw std::invalid_argument("sweep: the " + std::string(axis) + " axis list is empty");
-  }
-  return out;
-}
-
-std::vector<double> parse_number_axis(const JsonValue& values) {
-  std::vector<double> out;
-  for (const auto& value : values.as_array()) out.push_back(value.as_number());
-  ABFT_REQUIRE(!out.empty(), "sweep axis lists must be non-empty");
-  return out;
-}
-
-/// An integer axis: every entry an int (util::checked_int) of at least
-/// `min`, else `message`.
-std::vector<int> parse_int_axis(const JsonValue& values, std::string_view axis, int min,
-                                const char* message) {
-  std::vector<int> out;
-  for (const double value : parse_number_axis(values)) {
-    out.push_back(util::checked_int(value, "sweep", std::string(axis) + " axis entry"));
-    ABFT_REQUIRE(out.back() >= min, message);
-  }
-  return out;
-}
-
-std::uint64_t checked_seed(double value) {
-  ABFT_REQUIRE(value >= 0.0 && value <= 9007199254740992.0 && value == std::floor(value),
-               "sweep seeds must be integers in [0, 2^53]");
-  return static_cast<std::uint64_t>(value);
-}
-
-/// Seed axis: an explicit list, or a contiguous range {"from": s, "count": n}.
-std::vector<std::uint64_t> parse_seed_axis(const JsonValue& values) {
-  std::vector<std::uint64_t> out;
-  if (values.is_object()) {
-    require_known_keys(values, "seed range", {"from", "count"});
-    const std::uint64_t from = checked_seed(values.at("from").as_number());
-    const double count = values.at("count").as_number();
-    ABFT_REQUIRE(count >= 1.0 && count == std::floor(count) && count <= 1e6,
-                 "seed range count must be an integer in [1, 1e6]");
-    for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(count); ++i) {
-      out.push_back(from + i);
-    }
-    return out;
-  }
-  for (const auto& value : values.as_array()) out.push_back(checked_seed(value.as_number()));
-  ABFT_REQUIRE(!out.empty(), "sweep axis lists must be non-empty");
-  return out;
-}
-
-std::string sanitize_token(std::string_view text);
-
-/// Labels are compared after run-id/CSV sanitization: two labels that only
-/// differ in characters the tokens drop (e.g. "a b" vs "a-b") would emit
-/// indistinguishable axis cells and run ids, so they are duplicates too.
-void reject_duplicate_labels(const std::vector<std::string>& labels, std::string_view axis) {
-  std::vector<std::string> sorted;
-  sorted.reserve(labels.size());
-  for (const auto& label : labels) sorted.push_back(sanitize_token(label));
-  std::sort(sorted.begin(), sorted.end());
-  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-  if (dup != sorted.end()) {
-    std::ostringstream os;
-    os << "sweep: duplicate label \"" << *dup << "\" in the " << axis
-       << " axis (labels are compared after run-id sanitization)";
-    throw std::invalid_argument(os.str());
-  }
-}
-
-/// A named axis re-specifying a key the base already sets would make the
-/// spec contradict itself (which value did the author mean?) — reject.
-/// Variants are exempt: a patch exists to override, and applies last.
-void reject_base_conflict(const SweepSpec& spec, std::string_view axis, bool swept) {
-  if (!swept) return;
-  const JsonValue* collision = nullptr;
-  if (axis == "participation" || axis == "straggler_probability") {
-    if (const auto* axes = spec.base.find("axes")) collision = axes->find(axis);
-  } else if (axis == "quorum" || axis == "staleness_cap") {
-    // Lives one level down, at base.async.{quorum, staleness_cap}.
-    if (const auto* async = spec.base.find("async")) collision = async->find(axis);
-  } else if (axis == "shards") {
-    // Lives two levels down, at base.aggregator.hierarchy.shards.
-    if (const auto* aggregator = spec.base.find("aggregator")) {
-      if (aggregator->is_object()) {
-        if (const auto* hierarchy = aggregator->find("hierarchy")) {
-          collision = hierarchy->find(axis);
-        }
-      }
-    }
-  } else if (axis == "coreset_size") {
-    // Lives three levels down, at base.aggregator.reduction.coreset.size.
-    if (const auto* aggregator = spec.base.find("aggregator")) {
-      if (aggregator->is_object()) {
-        if (const auto* reduction = aggregator->find("reduction")) {
-          if (const auto* coreset = reduction->find("coreset")) {
-            collision = coreset->find("size");
-          }
-        }
-      }
-    }
-  } else if (axis == "reduction_kind") {
-    // Re-keys base.aggregator.reduction wholesale, so any base reduction
-    // block conflicts (the base kind would be silently replaced).
-    if (const auto* aggregator = spec.base.find("aggregator")) {
-      if (aggregator->is_object()) collision = aggregator->find("reduction");
-    }
-  } else {
-    collision = spec.base.find(axis);
-  }
-  if (collision != nullptr) {
-    std::ostringstream os;
-    os << "sweep: axis \"" << axis << "\" is also set in the base spec — remove one";
-    throw std::invalid_argument(os.str());
-  }
-}
-
-// ------------------------------ expansion -----------------------------------
-
-void set_member(Members& members, std::string_view key, JsonValue value) {
-  for (auto& [name, existing] : members) {
-    if (name == key) {
-      existing = std::move(value);
-      return;
-    }
-  }
-  members.emplace_back(std::string(key), std::move(value));
-}
-
-/// Sets one key inside the spec's "axes" sub-object (creating it if the base
-/// has none) — the participation / straggler axes live a level down.
-void set_axes_member(Members& members, std::string_view key, double value) {
-  Members axes_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "axes") axes_members = existing.as_object();
-  }
-  set_member(axes_members, key, JsonValue::make_number(value));
-  set_member(members, "axes", JsonValue::make_object(std::move(axes_members)));
-}
-
-/// Sets one key inside the spec's "async" sub-object (creating it if the
-/// base has none — an absent async block becomes the default
-/// quorum-or-deadline config) — the quorum / staleness_cap axes live a
-/// level down.
-void set_async_member(Members& members, std::string_view key, double value) {
-  Members async_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "async") async_members = existing.as_object();
-  }
-  set_member(async_members, key, JsonValue::make_number(value));
-  set_member(members, "async", JsonValue::make_object(std::move(async_members)));
-}
-
-/// Sets one key inside "aggregator"/"hierarchy" (creating both levels if
-/// absent — an absent base aggregator becomes a default hierarchy) — the
-/// shards axis lives two levels down.  parse_sweep has already rejected a
-/// non-object base aggregator.
-void set_hierarchy_member(Members& members, std::string_view key, double value) {
-  Members aggregator_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "aggregator") aggregator_members = existing.as_object();
-  }
-  Members hierarchy_members;
-  for (const auto& [name, existing] : aggregator_members) {
-    if (name == "hierarchy") hierarchy_members = existing.as_object();
-  }
-  set_member(hierarchy_members, key, JsonValue::make_number(value));
-  set_member(aggregator_members, "hierarchy",
-             JsonValue::make_object(std::move(hierarchy_members)));
-  set_member(members, "aggregator", JsonValue::make_object(std::move(aggregator_members)));
-}
-
-/// Sets "aggregator"/"reduction"/"coreset"/"size" (creating every level if
-/// absent — an absent base aggregator becomes a default-rule coreset
-/// reduction) — the coreset_size axis lives three levels down.  parse_sweep
-/// has already rejected a non-object base aggregator.  Existing aggregator
-/// members (e.g. a hierarchy block the shards axis writes) are preserved,
-/// so the two axes compose into per-shard coresets.
-void set_coreset_member(Members& members, double value) {
-  Members aggregator_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "aggregator") aggregator_members = existing.as_object();
-  }
-  Members reduction_members;
-  for (const auto& [name, existing] : aggregator_members) {
-    if (name == "reduction") reduction_members = existing.as_object();
-  }
-  Members coreset_members;
-  for (const auto& [name, existing] : reduction_members) {
-    if (name == "coreset") coreset_members = existing.as_object();
-  }
-  set_member(coreset_members, "size", JsonValue::make_number(value));
-  set_member(reduction_members, "coreset", JsonValue::make_object(std::move(coreset_members)));
-  set_member(aggregator_members, "reduction",
-             JsonValue::make_object(std::move(reduction_members)));
-  set_member(members, "aggregator", JsonValue::make_object(std::move(aggregator_members)));
-}
-
-/// Re-keys "aggregator"/"reduction" to {"<kind>": {inner config}} (creating
-/// every level if absent) — the reduction_kind axis.  The inner config
-/// object a coreset_size axis wrote earlier in the canonical order is
-/// carried over under the new key, so the two axes compose (the size axis
-/// picks k, the kind axis picks the construction).  parse_sweep has already
-/// rejected a non-object base aggregator and a base reduction block.
-void set_reduction_kind_member(Members& members, std::string_view kind) {
-  Members aggregator_members;
-  for (const auto& [name, existing] : members) {
-    if (name == "aggregator") aggregator_members = existing.as_object();
-  }
-  Members reduction_members;
-  for (const auto& [name, existing] : aggregator_members) {
-    if (name == "reduction") reduction_members = existing.as_object();
-  }
-  Members inner;
-  if (!reduction_members.empty()) inner = reduction_members.front().second.as_object();
-  Members rekeyed;
-  set_member(rekeyed, kind, JsonValue::make_object(std::move(inner)));
-  set_member(aggregator_members, "reduction", JsonValue::make_object(std::move(rekeyed)));
-  set_member(members, "aggregator", JsonValue::make_object(std::move(aggregator_members)));
-}
-
 std::string number_token(double value) { return util::format_json_number(value); }
 
 /// Run-id / CSV token: labels are free-form, ids must stay shell- and
@@ -290,6 +67,303 @@ std::string pad_index(std::size_t index, std::size_t total) {
   const std::size_t width = std::max<std::size_t>(3, digits.size());
   while (out.size() < width) out.insert(out.begin(), '0');
   return out;
+}
+
+// Entry parsers: one JSON list entry -> one element of a SweepSpec field,
+// validated early so a malformed grid fails at parse, not mid-sweep.
+
+std::string any_string(const JsonValue& entry, std::string_view) { return entry.as_string(); }
+
+std::string mode_name(const JsonValue& entry, std::string_view) {
+  agg::agg_mode_from_string(entry.as_string());
+  return entry.as_string();
+}
+
+std::string precision_name(const JsonValue& entry, std::string_view) {
+  agg::precision_from_string(entry.as_string());
+  return entry.as_string();
+}
+
+std::string reduction_kind_name(const JsonValue& entry, std::string_view) {
+  const std::string& kind = entry.as_string();
+  ABFT_REQUIRE(kind == "coreset" || kind == "sample",
+               "reduction_kind axis entries must be \"coreset\" or \"sample\"");
+  return kind;
+}
+
+double any_number(const JsonValue& entry, std::string_view) { return entry.as_number(); }
+
+/// An int (util::checked_int) of at least `Min`.
+template <int Min>
+int int_at_least(const JsonValue& entry, std::string_view axis) {
+  const int value =
+      util::checked_int(entry.as_number(), "sweep", std::string(axis) + " axis entry");
+  if (value < Min) {
+    std::ostringstream os;
+    os << "sweep: " << axis << " axis entries must be integers >= " << Min << ", got "
+       << value;
+    throw std::invalid_argument(os.str());
+  }
+  return value;
+}
+
+/// Seeds land in the spec as JSON numbers (doubles), which are exact only
+/// up to 2^53; a larger seed would silently alias its neighbour.
+constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;
+
+std::uint64_t checked_seed(double value) {
+  ABFT_REQUIRE(value >= 0.0 && value <= static_cast<double>(kMaxSeed) &&
+                   value == std::floor(value),
+               "sweep seeds must be integers in [0, 2^53]");
+  return static_cast<std::uint64_t>(value);
+}
+
+std::uint64_t seed_entry(const JsonValue& entry, std::string_view) {
+  return checked_seed(entry.as_number());
+}
+
+FaultPreset fault_preset(const JsonValue& entry, std::string_view) {
+  require_known_keys(entry, "fault preset", {"label", "faults"});
+  FaultPreset preset{entry.at("label").as_string(), entry.at("faults")};
+  ABFT_REQUIRE(preset.faults.is_array(), "a fault preset's faults must be an array");
+  return preset;
+}
+
+Variant variant(const JsonValue& entry, std::string_view) {
+  require_known_keys(entry, "variant", {"label", "patch"});
+  Variant parsed{entry.at("label").as_string(), entry.at("patch")};
+  ABFT_REQUIRE(parsed.patch.is_object(), "a variant's patch must be an object");
+  reject_duplicate_keys(parsed.patch, "variant patch \"" + parsed.label + "\"");
+  return parsed;
+}
+
+/// The generic list parser: every entry through `Entry` into `Field`.
+template <auto Field, auto Entry>
+void parse_each(const JsonValue& list, std::string_view axis, SweepSpec& spec) {
+  for (const auto& entry : list.as_array()) (spec.*Field).push_back(Entry(entry, axis));
+}
+
+/// Seeds: an explicit list, or a contiguous range {"from": s, "count": n}.
+void parse_seeds(const JsonValue& list, std::string_view axis, SweepSpec& spec) {
+  if (!list.is_object()) return parse_each<&SweepSpec::seed, seed_entry>(list, axis, spec);
+  require_known_keys(list, "seed range", {"from", "count"});
+  const std::uint64_t from = checked_seed(list.at("from").as_number());
+  const double count = list.at("count").as_number();
+  ABFT_REQUIRE(count >= 1.0 && count == std::floor(count) && count <= 1e6,
+               "seed range count must be an integer in [1, 1e6]");
+  const auto n = static_cast<std::uint64_t>(count);
+  ABFT_REQUIRE(from + (n - 1) <= kMaxSeed, "a seed range must end at or below 2^53");
+  for (std::uint64_t i = 0; i < n; ++i) spec.seed.push_back(from + i);
+}
+
+/// Shards rewrite the base's hierarchy block, so the base aggregator must
+/// be one (or be absent, defaulting to an all-cwtm tree).
+void parse_shards(const JsonValue& list, std::string_view axis, SweepSpec& spec) {
+  parse_each<&SweepSpec::shards, int_at_least<1>>(list, axis, spec);
+  const auto* aggregator = spec.base.find("aggregator");
+  ABFT_REQUIRE(aggregator == nullptr || aggregator->find("hierarchy") != nullptr,
+               "the shards axis needs the base aggregator to be a {\"hierarchy\": ...} "
+               "object (or absent, defaulting to one)");
+}
+
+// ------------------------------- paths --------------------------------------
+
+/// The last member named `key` (the JSON reader's last-wins rule).
+const JsonValue* find_member(const Members& members, std::string_view key) {
+  const JsonValue* found = nullptr;
+  for (const auto& [name, value] : members) {
+    if (name == key) found = &value;
+  }
+  return found;
+}
+
+void set_member(Members& members, std::string_view key, JsonValue value) {
+  for (auto& [name, existing] : members) {
+    if (name == key) {
+      existing = std::move(value);
+      return;
+    }
+  }
+  members.emplace_back(std::string(key), std::move(value));
+}
+
+/// The value at a dot-separated path below `members`; nullptr when any
+/// level is absent.
+const JsonValue* find_path(const Members& members, std::string_view path) {
+  std::size_t dot = path.find('.');
+  const JsonValue* node = find_member(members, path.substr(0, dot));
+  while (node != nullptr && dot != std::string_view::npos) {
+    path.remove_prefix(dot + 1);
+    dot = path.find('.');
+    node = node->find(path.substr(0, dot));
+  }
+  return node;
+}
+
+/// Writes `value` at a dot-separated path below `members`, creating every
+/// absent level and keeping the other members of the levels that exist.
+void set_path(Members& members, std::string_view path, const JsonValue& value) {
+  const std::size_t dot = path.find('.');
+  const std::string_view key = path.substr(0, dot);
+  if (dot == std::string_view::npos) return set_member(members, key, value);
+  Members level;
+  if (const auto* existing = find_member(members, key)) level = existing->as_object();
+  set_path(level, path.substr(dot + 1), value);
+  set_member(members, key, JsonValue::make_object(std::move(level)));
+}
+
+/// reduction_kind: re-keys the reduction object to {"<kind>": {inner}},
+/// carrying over the inner config a coreset_size axis wrote earlier in the
+/// canonical order (the size axis picks k, the kind axis the construction).
+void rekey_reduction(Members& members, std::string_view path, const JsonValue& kind) {
+  Members inner;
+  const auto* reduction = find_path(members, path);
+  if (reduction != nullptr && !reduction->as_object().empty()) {
+    inner = reduction->as_object().front().second.as_object();
+  }
+  set_path(members, path,
+           JsonValue::make_object({{kind.as_string(), JsonValue::make_object(std::move(inner))}}));
+}
+
+/// variants: every patch key replaces (or adds) a top-level spec key.
+void merge_patch(Members& members, std::string_view, const JsonValue& patch) {
+  for (const auto& [key, value] : patch.as_object()) set_member(members, key, value);
+}
+
+// ----------------------------- axis table -----------------------------------
+
+/// One value of a swept axis: its raw label (the AxisCell value — the CSV
+/// layer RFC-4180-quotes commas and quotes; only the run-id token is
+/// sanitized) and the JSON it writes into the spec.
+struct Cell {
+  std::string label;
+  JsonValue value;
+};
+
+Cell cell(const std::string& name) { return {name, JsonValue::make_string(name)}; }
+Cell cell(int value) { return {std::to_string(value), JsonValue::make_number(value)}; }
+Cell cell(std::uint64_t seed) {
+  return {std::to_string(seed), JsonValue::make_number(static_cast<double>(seed))};
+}
+Cell cell(double value) { return {number_token(value), JsonValue::make_number(value)}; }
+Cell cell(const FaultPreset& preset) { return {preset.label, preset.faults}; }
+Cell cell(const Variant& patch) { return {patch.label, patch.patch}; }
+
+template <auto Field>
+std::vector<Cell> cells_of(const SweepSpec& spec) {
+  std::vector<Cell> out;
+  out.reserve((spec.*Field).size());
+  for (const auto& value : spec.*Field) out.push_back(cell(value));
+  return out;
+}
+
+using ParseFn = void (*)(const JsonValue& list, std::string_view axis, SweepSpec& spec);
+using CellsFn = std::vector<Cell> (*)(const SweepSpec& spec);
+using ApplyFn = void (*)(Members& members, std::string_view path, const JsonValue& value);
+
+struct AxisRow {
+  std::string_view name;
+  /// Dot-separated key path the axis writes in the base spec ("" = the
+  /// spec root, which only the variants merge writes).
+  std::string_view path;
+  ParseFn parse;  // the "sweep" list -> the SweepSpec field
+  CellsFn cells;  // the SweepSpec field -> one Cell per value
+  ApplyFn apply;  // writes one Cell value onto the merged spec
+};
+
+template <auto Field, auto Entry>
+constexpr AxisRow axis(std::string_view name, std::string_view path,
+                       ApplyFn apply = set_path) {
+  return {name, path, parse_each<Field, Entry>, cells_of<Field>, apply};
+}
+
+/// Every sweep axis, in canonical order: expansion applies them in this
+/// order (so variants, last, override everything) and the grid's last axis
+/// varies fastest.  Adding an axis is one row here plus its SweepSpec field.
+///   shards          the base aggregator must be a hierarchy object or absent
+///   coreset_size    0 = the auto budget f+ceil(sqrt n); composes with shards
+///                   (per-shard coresets)
+///   reduction_kind  "coreset" | "sample"; re-keys the reduction object
+///   quorum,         create the "async" block when the base has none, so a
+///   staleness_cap   default quorum-or-deadline config applies
+///   faults          named presets; each replaces the base "faults" array
+///   variants        named free-form patches for rows that are not a single
+///                   key change (e.g. fig2's "fault-free")
+const AxisRow kAxes[] = {
+    axis<&SweepSpec::aggregator, any_string>("aggregator", "aggregator"),
+    axis<&SweepSpec::mode, mode_name>("mode", "mode"),
+    axis<&SweepSpec::precision, precision_name>("precision", "precision"),
+    axis<&SweepSpec::f, int_at_least<0>>("f", "f"),
+    {"shards", "aggregator.hierarchy.shards", parse_shards, cells_of<&SweepSpec::shards>,
+     set_path},
+    axis<&SweepSpec::coreset_size, int_at_least<0>>("coreset_size",
+                                                     "aggregator.reduction.coreset.size"),
+    axis<&SweepSpec::reduction_kind, reduction_kind_name>(
+        "reduction_kind", "aggregator.reduction", rekey_reduction),
+    axis<&SweepSpec::quorum, int_at_least<0>>("quorum", "async.quorum"),
+    axis<&SweepSpec::staleness_cap, int_at_least<0>>("staleness_cap", "async.staleness_cap"),
+    {"seed", "seed", parse_seeds, cells_of<&SweepSpec::seed>, set_path},
+    axis<&SweepSpec::drop_probability, any_number>("drop_probability", "drop_probability"),
+    axis<&SweepSpec::participation, any_number>("participation", "axes.participation"),
+    axis<&SweepSpec::straggler_probability, any_number>("straggler_probability",
+                                                        "axes.straggler_probability"),
+    axis<&SweepSpec::faults, fault_preset>("faults", "faults"),
+    axis<&SweepSpec::variants, variant>("variants", "", merge_patch),
+};
+
+/// Values are compared as run-id tokens: two that differ only in characters
+/// the tokens drop ("a b" vs "a-b"), or past the 12 digits a number token
+/// keeps, would emit indistinguishable axis cells and run ids.
+void reject_duplicate_labels(const std::vector<Cell>& cells, std::string_view axis) {
+  std::vector<std::string> tokens;
+  tokens.reserve(cells.size());
+  for (const auto& c : cells) tokens.push_back(sanitize_token(c.label));
+  std::sort(tokens.begin(), tokens.end());
+  const auto dup = std::adjacent_find(tokens.begin(), tokens.end());
+  if (dup != tokens.end()) {
+    std::ostringstream os;
+    os << "sweep: duplicate value \"" << *dup << "\" in the " << axis
+       << " axis (values are compared as run-id tokens)";
+    throw std::invalid_argument(os.str());
+  }
+}
+
+/// Walks the axis's path through the base: every level the base already
+/// has must be an object for the axis to write into, and the axis's own key
+/// must be absent — a swept key the base also sets is a spec contradicting
+/// itself.  Variants (the root path) are exempt: a patch exists to override.
+void reject_base_conflict(const Members& base, const AxisRow& row) {
+  if (row.path.empty()) return;
+  for (std::size_t dot = row.path.find('.'); dot != std::string_view::npos;
+       dot = row.path.find('.', dot + 1)) {
+    const auto* level = find_path(base, row.path.substr(0, dot));
+    if (level != nullptr && !level->is_object()) {
+      std::ostringstream os;
+      os << "sweep: the " << row.name << " axis writes base." << row.path << ", but base."
+         << row.path.substr(0, dot) << " is "
+         << (level->is_null() ? "" : level->is_array() ? "an " : "a ")
+         << util::kind_name(level->kind());
+      throw std::invalid_argument(os.str());
+    }
+  }
+  if (find_path(base, row.path) != nullptr) {
+    std::ostringstream os;
+    os << "sweep: axis \"" << row.name << "\" is also set in the base spec — remove one";
+    throw std::invalid_argument(os.str());
+  }
+}
+
+/// An earlier axis writing a parent of this axis's path (the aggregator
+/// string axis under shards, say) would clobber the object this axis writes
+/// into.
+void reject_clobbering_axis(const AxisRow& earlier, const AxisRow& row) {
+  if (row.path.starts_with(std::string(earlier.path) + '.')) {
+    std::ostringstream os;
+    os << "sweep: the " << row.name << " axis cannot combine with a " << earlier.name
+       << " axis — it replaces base." << earlier.path << ", which " << row.name
+       << " writes into; use variants instead";
+    throw std::invalid_argument(os.str());
+  }
 }
 
 // ------------------------------ output --------------------------------------
@@ -392,6 +466,12 @@ void set_base_member(SweepSpec* spec, std::string_view key, JsonValue value) {
   spec->base = JsonValue::make_object(std::move(members));
 }
 
+std::vector<std::string_view> axis_names() {
+  std::vector<std::string_view> names;
+  for (const auto& row : kAxes) names.push_back(row.name);
+  return names;
+}
+
 SweepSpec parse_sweep(const JsonValue& json) {
   require_known_keys(json, "sweep document", {"name", "threads", "base", "sweep"});
   reject_duplicate_keys(json, "sweep document");
@@ -405,138 +485,29 @@ SweepSpec parse_sweep(const JsonValue& json) {
 
   const JsonValue& sw = json.at("sweep");
   ABFT_REQUIRE(sw.is_object(), "the sweep block must be an object of axes");
-  require_known_keys(sw, "sweep block",
-                     {"aggregator", "mode", "precision", "f", "shards", "coreset_size",
-                      "reduction_kind", "quorum", "staleness_cap", "seed",
-                      "drop_probability", "participation", "straggler_probability", "faults",
-                      "variants"});
+  for (const auto& key : sw.keys()) {
+    if (std::none_of(std::begin(kAxes), std::end(kAxes),
+                     [&](const AxisRow& row) { return row.name == key; })) {
+      throw std::invalid_argument("sweep: unknown key \"" + key + "\" in sweep block");
+    }
+  }
   reject_duplicate_keys(sw, "sweep block");
 
-  if (const auto* axis = sw.find("aggregator")) {
-    spec.aggregator = parse_string_axis(*axis, "aggregator");
-  }
-  if (const auto* axis = sw.find("mode")) {
-    spec.mode = parse_string_axis(*axis, "mode");
-    for (const auto& mode : spec.mode) agg::agg_mode_from_string(mode);  // early validation
-  }
-  if (const auto* axis = sw.find("precision")) {
-    spec.precision = parse_string_axis(*axis, "precision");
-    for (const auto& precision : spec.precision) {
-      agg::precision_from_string(precision);  // early validation
+  std::vector<const AxisRow*> swept;
+  for (const auto& row : kAxes) {
+    const auto* list = sw.find(row.name);
+    if (list == nullptr) continue;
+    row.parse(*list, row.name, spec);
+    const auto cells = row.cells(spec);
+    if (cells.empty()) {
+      throw std::invalid_argument("sweep: the " + std::string(row.name) + " axis list is empty");
     }
+    reject_duplicate_labels(cells, row.name);
+    reject_base_conflict(spec.base.as_object(), row);
+    for (const auto* earlier : swept) reject_clobbering_axis(*earlier, row);
+    swept.push_back(&row);
   }
-  if (const auto* axis = sw.find("f")) {
-    spec.f = parse_int_axis(*axis, "f", 0, "f axis entries must be non-negative integers");
-  }
-  if (const auto* axis = sw.find("shards")) {
-    spec.shards =
-        parse_int_axis(*axis, "shards", 1, "shards axis entries must be integers >= 1");
-    ABFT_REQUIRE(spec.aggregator.empty(),
-                 "the shards axis cannot combine with an aggregator axis — the rule strings "
-                 "would clobber the hierarchy object; use variants instead");
-    const auto* base_aggregator = spec.base.find("aggregator");
-    ABFT_REQUIRE(base_aggregator == nullptr ||
-                     (base_aggregator->is_object() &&
-                      base_aggregator->find("hierarchy") != nullptr),
-                 "the shards axis needs the base aggregator to be a {\"hierarchy\": ...} "
-                 "object (or absent, defaulting to one)");
-  }
-  if (const auto* axis = sw.find("coreset_size")) {
-    spec.coreset_size = parse_int_axis(
-        *axis, "coreset_size", 0,
-        "coreset_size axis entries must be non-negative integers (0 = auto)");
-    ABFT_REQUIRE(spec.aggregator.empty(),
-                 "the coreset_size axis cannot combine with an aggregator axis — the rule "
-                 "strings would clobber the reduction object; use variants instead");
-    const auto* base_aggregator = spec.base.find("aggregator");
-    ABFT_REQUIRE(base_aggregator == nullptr || base_aggregator->is_object(),
-                 "the coreset_size axis needs the base aggregator to be an object "
-                 "(or absent, defaulting to the default rule)");
-  }
-  if (const auto* axis = sw.find("reduction_kind")) {
-    spec.reduction_kind = parse_string_axis(*axis, "reduction_kind");
-    for (const auto& kind : spec.reduction_kind) {
-      ABFT_REQUIRE(kind == "coreset" || kind == "sample",
-                   "reduction_kind axis entries must be \"coreset\" or \"sample\"");
-    }
-    ABFT_REQUIRE(spec.aggregator.empty(),
-                 "the reduction_kind axis cannot combine with an aggregator axis — the rule "
-                 "strings would clobber the reduction object; use variants instead");
-    const auto* base_aggregator = spec.base.find("aggregator");
-    ABFT_REQUIRE(base_aggregator == nullptr || base_aggregator->is_object(),
-                 "the reduction_kind axis needs the base aggregator to be an object "
-                 "(or absent, defaulting to the default rule)");
-  }
-  if (const auto* axis = sw.find("quorum")) {
-    spec.quorum = parse_int_axis(*axis, "quorum", 0,
-                                 "quorum axis entries must be non-negative integers (0 = full "
-                                 "roster)");
-  }
-  if (const auto* axis = sw.find("staleness_cap")) {
-    spec.staleness_cap = parse_int_axis(*axis, "staleness_cap", 0,
-                                        "staleness_cap axis entries must be non-negative "
-                                        "integers");
-  }
-  if (const auto* axis = sw.find("seed")) spec.seed = parse_seed_axis(*axis);
-  if (const auto* axis = sw.find("drop_probability")) {
-    spec.drop_probability = parse_number_axis(*axis);
-  }
-  if (const auto* axis = sw.find("participation")) {
-    spec.participation = parse_number_axis(*axis);
-  }
-  if (const auto* axis = sw.find("straggler_probability")) {
-    spec.straggler_probability = parse_number_axis(*axis);
-  }
-  if (const auto* axis = sw.find("faults")) {
-    std::vector<std::string> labels;
-    for (const auto& preset : axis->as_array()) {
-      require_known_keys(preset, "fault preset", {"label", "faults"});
-      FaultPreset parsed{preset.at("label").as_string(), preset.at("faults")};
-      ABFT_REQUIRE(parsed.faults.is_array(), "a fault preset's faults must be an array");
-      labels.push_back(parsed.label);
-      spec.faults.push_back(std::move(parsed));
-    }
-    ABFT_REQUIRE(!spec.faults.empty(), "sweep axis lists must be non-empty");
-    reject_duplicate_labels(labels, "faults");
-  }
-  if (const auto* axis = sw.find("variants")) {
-    std::vector<std::string> labels;
-    for (const auto& variant : axis->as_array()) {
-      require_known_keys(variant, "variant", {"label", "patch"});
-      Variant parsed{variant.at("label").as_string(), variant.at("patch")};
-      ABFT_REQUIRE(parsed.patch.is_object(), "a variant's patch must be an object");
-      reject_duplicate_keys(parsed.patch, "variant patch \"" + parsed.label + "\"");
-      labels.push_back(parsed.label);
-      spec.variants.push_back(std::move(parsed));
-    }
-    ABFT_REQUIRE(!spec.variants.empty(), "sweep axis lists must be non-empty");
-    reject_duplicate_labels(labels, "variants");
-  }
-
-  const bool any_axis = !spec.aggregator.empty() || !spec.mode.empty() ||
-                        !spec.precision.empty() || !spec.f.empty() ||
-                        !spec.shards.empty() || !spec.coreset_size.empty() ||
-                        !spec.reduction_kind.empty() ||
-                        !spec.quorum.empty() || !spec.staleness_cap.empty() ||
-                        !spec.seed.empty() || !spec.drop_probability.empty() ||
-                        !spec.participation.empty() || !spec.straggler_probability.empty() ||
-                        !spec.faults.empty() || !spec.variants.empty();
-  ABFT_REQUIRE(any_axis, "the sweep block must sweep at least one axis");
-
-  reject_base_conflict(spec, "aggregator", !spec.aggregator.empty());
-  reject_base_conflict(spec, "mode", !spec.mode.empty());
-  reject_base_conflict(spec, "precision", !spec.precision.empty());
-  reject_base_conflict(spec, "f", !spec.f.empty());
-  reject_base_conflict(spec, "shards", !spec.shards.empty());
-  reject_base_conflict(spec, "coreset_size", !spec.coreset_size.empty());
-  reject_base_conflict(spec, "reduction_kind", !spec.reduction_kind.empty());
-  reject_base_conflict(spec, "quorum", !spec.quorum.empty());
-  reject_base_conflict(spec, "staleness_cap", !spec.staleness_cap.empty());
-  reject_base_conflict(spec, "seed", !spec.seed.empty());
-  reject_base_conflict(spec, "drop_probability", !spec.drop_probability.empty());
-  reject_base_conflict(spec, "participation", !spec.participation.empty());
-  reject_base_conflict(spec, "straggler_probability", !spec.straggler_probability.empty());
-  reject_base_conflict(spec, "faults", !spec.faults.empty());
+  ABFT_REQUIRE(!swept.empty(), "the sweep block must sweep at least one axis");
   return spec;
 }
 
@@ -546,146 +517,49 @@ SweepSpec load_sweep_file(const std::string& path) {
 
 std::vector<ExpandedRun> expand_sweep(const SweepSpec& spec) {
   ABFT_REQUIRE(spec.base.is_object(), "sweep base must be a scenario object");
-
-  // Active axes in canonical order; each knows how to apply one position
-  // onto the merged member list and to name its value.  apply returns the
-  // RAW human-readable value: it lands verbatim in the AxisCell (the CSV
-  // layer quotes commas and quotes per RFC 4180), and the expansion loop
-  // sanitizes it separately for the run-id token.  Sanitizing here used to
-  // mangle comma-bearing fault/variant labels in the CSV cells themselves.
-  struct Axis {
-    std::string name;
-    std::size_t size;
-    std::function<std::string(std::size_t, Members&)> apply;  // returns raw value
+  struct SweptAxis {
+    const AxisRow* row;
+    std::vector<Cell> cells;
   };
-  std::vector<Axis> axes;
-  if (!spec.aggregator.empty()) {
-    axes.push_back({"aggregator", spec.aggregator.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "aggregator", JsonValue::make_string(spec.aggregator[i]));
-                      return spec.aggregator[i];
-                    }});
-  }
-  if (!spec.mode.empty()) {
-    axes.push_back({"mode", spec.mode.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "mode", JsonValue::make_string(spec.mode[i]));
-                      return spec.mode[i];
-                    }});
-  }
-  if (!spec.precision.empty()) {
-    axes.push_back({"precision", spec.precision.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "precision", JsonValue::make_string(spec.precision[i]));
-                      return spec.precision[i];
-                    }});
-  }
-  if (!spec.f.empty()) {
-    axes.push_back({"f", spec.f.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "f", JsonValue::make_number(spec.f[i]));
-                      return std::to_string(spec.f[i]);
-                    }});
-  }
-  if (!spec.shards.empty()) {
-    axes.push_back({"shards", spec.shards.size(), [&](std::size_t i, Members& m) {
-                      set_hierarchy_member(m, "shards", spec.shards[i]);
-                      return std::to_string(spec.shards[i]);
-                    }});
-  }
-  if (!spec.coreset_size.empty()) {
-    axes.push_back({"coreset_size", spec.coreset_size.size(), [&](std::size_t i, Members& m) {
-                      set_coreset_member(m, spec.coreset_size[i]);
-                      return std::to_string(spec.coreset_size[i]);
-                    }});
-  }
-  if (!spec.reduction_kind.empty()) {
-    axes.push_back(
-        {"reduction_kind", spec.reduction_kind.size(), [&](std::size_t i, Members& m) {
-           set_reduction_kind_member(m, spec.reduction_kind[i]);
-           return spec.reduction_kind[i];
-         }});
-  }
-  if (!spec.quorum.empty()) {
-    axes.push_back({"quorum", spec.quorum.size(), [&](std::size_t i, Members& m) {
-                      set_async_member(m, "quorum", spec.quorum[i]);
-                      return std::to_string(spec.quorum[i]);
-                    }});
-  }
-  if (!spec.staleness_cap.empty()) {
-    axes.push_back({"staleness_cap", spec.staleness_cap.size(), [&](std::size_t i, Members& m) {
-                      set_async_member(m, "staleness_cap", spec.staleness_cap[i]);
-                      return std::to_string(spec.staleness_cap[i]);
-                    }});
-  }
-  if (!spec.seed.empty()) {
-    axes.push_back({"seed", spec.seed.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "seed",
-                                 JsonValue::make_number(static_cast<double>(spec.seed[i])));
-                      return std::to_string(spec.seed[i]);
-                    }});
-  }
-  if (!spec.drop_probability.empty()) {
-    axes.push_back(
-        {"drop_probability", spec.drop_probability.size(), [&](std::size_t i, Members& m) {
-           set_member(m, "drop_probability", JsonValue::make_number(spec.drop_probability[i]));
-           return number_token(spec.drop_probability[i]);
-         }});
-  }
-  if (!spec.participation.empty()) {
-    axes.push_back({"participation", spec.participation.size(), [&](std::size_t i, Members& m) {
-                      set_axes_member(m, "participation", spec.participation[i]);
-                      return number_token(spec.participation[i]);
-                    }});
-  }
-  if (!spec.straggler_probability.empty()) {
-    axes.push_back({"straggler_probability", spec.straggler_probability.size(),
-                    [&](std::size_t i, Members& m) {
-                      set_axes_member(m, "straggler_probability",
-                                      spec.straggler_probability[i]);
-                      return number_token(spec.straggler_probability[i]);
-                    }});
-  }
-  if (!spec.faults.empty()) {
-    axes.push_back({"faults", spec.faults.size(), [&](std::size_t i, Members& m) {
-                      set_member(m, "faults", spec.faults[i].faults);
-                      return spec.faults[i].label;
-                    }});
-  }
-  if (!spec.variants.empty()) {
-    axes.push_back({"variants", spec.variants.size(), [&](std::size_t i, Members& m) {
-                      for (const auto& [key, value] : spec.variants[i].patch.as_object()) {
-                        set_member(m, key, value);
-                      }
-                      return spec.variants[i].label;
-                    }});
+  std::vector<SweptAxis> axes;
+  for (const auto& row : kAxes) {
+    auto cells = row.cells(spec);
+    if (!cells.empty()) axes.push_back({&row, std::move(cells)});
   }
   ABFT_REQUIRE(!axes.empty(), "the sweep block must sweep at least one axis");
 
   std::size_t total = 1;
   for (const auto& axis : axes) {
-    ABFT_REQUIRE(axis.size > 0 && total <= 1000000 / axis.size,
+    ABFT_REQUIRE(total <= 1000000 / axis.cells.size(),
                  "sweep grid exceeds 1e6 runs — split the spec");
-    total *= axis.size;
+    total *= axis.cells.size();
   }
 
   std::vector<ExpandedRun> runs;
   runs.reserve(total);
+  std::vector<const Cell*> picked(axes.size());
   for (std::size_t index = 0; index < total; ++index) {
     // Row-major decomposition: the LAST axis varies fastest.
-    std::vector<std::size_t> position(axes.size());
     std::size_t remainder = index;
     for (std::size_t a = axes.size(); a-- > 0;) {
-      position[a] = remainder % axes[a].size;
-      remainder /= axes[a].size;
+      picked[a] = &axes[a].cells[remainder % axes[a].cells.size()];
+      remainder /= axes[a].cells.size();
     }
 
     ExpandedRun run;
-    Members members = spec.base.as_object();
-    std::string run_id = pad_index(index, total);
+    run.run_id = pad_index(index, total);
+    run.axes.reserve(axes.size());
     for (std::size_t a = 0; a < axes.size(); ++a) {
-      std::string value = axes[a].apply(position[a], members);
-      run_id += '_' + axes[a].name + '=' + sanitize_token(value);
-      run.axes.push_back(AxisCell{axes[a].name, std::move(value)});
+      const std::string_view name = axes[a].row->name;
+      run.run_id.append(1, '_').append(name).append(1, '=');
+      run.run_id += sanitize_token(picked[a]->label);
+      run.axes.push_back(AxisCell{std::string(name), picked[a]->label});
     }
-    run.run_id = std::move(run_id);
     try {
+      Members members = spec.base.as_object();
+      for (std::size_t a = 0; a < axes.size(); ++a) {
+        axes[a].row->apply(members, axes[a].row->path, picked[a]->value);
+      }
       run.spec = scenario::parse_scenario(JsonValue::make_object(std::move(members)));
     } catch (const std::exception& error) {
       throw std::invalid_argument("sweep run " + run.run_id + ": " + error.what());

@@ -15,52 +15,20 @@
 //               pool worker, so sweep- and run-level parallelism compose
 //               safely but not multiplicatively
 //   base        a full ScenarioSpec object (scenario.hpp schema)
-//   sweep       list-valued axes, all optional, at least one required:
-//     aggregator             ["cwtm", "cge", ...]       registry rule names
-//     mode                   ["exact", "fast"]
-//     precision              ["f64", "f32"]    fast-lane compute precision;
-//                            rows pairing f32 with mode "exact" are
-//                            rejected by parse_scenario after the merge
-//     f                      [0, 1, 2]
-//     shards                 [1, 4, 16]        sets aggregator.hierarchy
-//                            .shards; the base aggregator must be (or be
-//                            absent and default to) a {"hierarchy": ...}
-//                            object, and combining with an aggregator axis
-//                            is rejected (the string axis would clobber
-//                            the hierarchy object)
-//     coreset_size           [16, 64, 0]       sets aggregator.reduction
-//                            .coreset.size (0 = the auto budget f+ceil(sqrt n));
-//                            the base aggregator must be an object or absent,
-//                            and an aggregator string axis is rejected for the
-//                            same clobbering reason as shards; composes with
-//                            the shards axis (per-shard coresets)
-//     reduction_kind         ["coreset", "sample"]    re-keys the reduction
-//                            object: {"reduction": {<kind>: {...}}} with the
-//                            inner config (size/strata where applicable)
-//                            carried over.  Same base-shape rules as
-//                            coreset_size, which it composes with (the size
-//                            axis writes the inner object first, the kind
-//                            axis re-keys it); the base must not already
-//                            set aggregator.reduction
-//     quorum                 [0, 3, 5]         sets async.quorum; the base
-//     staleness_cap          [0, 1, 2]         (resp. async.staleness_cap);
-//                            the base must run the async engine — either
-//                            axis creates the "async" sub-object if absent,
-//                            so a default quorum-or-deadline config applies
-//     seed                   [1, 2, 3] or {"from": s, "count": n}
-//     drop_probability       [0.0, 0.1]
-//     participation          [1.0, 0.8]        (spec "axes" sub-object keys)
-//     straggler_probability  [0.0, 0.1]
-//     faults                 [{"label": l, "faults": [fault objects]}, ...]
-//                            named fault presets; the whole preset replaces
-//                            the base "faults" array
-//     variants               [{"label": l, "patch": {spec keys}}, ...]
-//                            free-form spec patches for grid rows that are
-//                            not a single-key change (e.g. fig2's
-//                            "fault-free" = average + honest subset + f=0)
+//   sweep       list-valued axes, all optional, at least one required.
+//               The axis table kAxes in sweep.cpp is the one source of
+//               truth: each row names an axis, the dot-separated key path
+//               it writes in the base spec (e.g. quorum -> async.quorum,
+//               coreset_size -> aggregator.reduction.coreset.size), its
+//               entry parser and the SweepSpec field it fills; axis_names()
+//               lists them.  Each axis takes a JSON list of values, except
+//               seed, which also takes a range {"from": s, "count": n}.
+//               faults entries are {"label", "faults": [fault objects]}
+//               presets and variants entries {"label", "patch": {spec
+//               keys}} patches.
 //
 // Expansion contract: the grid is the cartesian product of the axes in the
-// canonical order above (aggregator outermost, variants innermost /
+// table's canonical order (aggregator outermost, variants innermost /
 // fastest-varying).  Each run starts from "base", applies one value per
 // axis in canonical order — variants last, so a variant patch overrides
 // both base keys and earlier axes (that is its purpose) — and is then
@@ -68,9 +36,10 @@
 // deterministic: a zero-padded grid index followed by axis=value tokens,
 // e.g. "003_aggregator=cge_faults=random".  Axis cells keep the author's
 // raw label (the CSV layer RFC-4180-quotes commas and quotes); only the
-// run-id token is sanitized.  An axis naming a key the base already sets
-// is rejected (the spec would silently contradict itself); unknown or
-// duplicate sweep keys are rejected.
+// run-id token is sanitized, and two values of one axis with the same
+// token are rejected.  An axis writing a key the base already sets, or
+// into a base level that is not an object, is rejected (the spec would
+// contradict itself); unknown or duplicate sweep keys are rejected.
 //
 // Determinism: expansion is a pure function of the spec, each expanded run
 // is bit-deterministic given its ScenarioSpec, and results land in
@@ -81,6 +50,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abft/scenario/scenario.hpp"
@@ -127,9 +97,12 @@ struct SweepSpec {
   std::vector<Variant> variants;
 };
 
+/// The sweep axis names, in canonical order.
+std::vector<std::string_view> axis_names();
+
 /// Parses a sweep document ({"name", "threads", "base", "sweep"}).  Throws
 /// std::invalid_argument naming unknown keys, duplicate keys, empty or
-/// base-conflicting axes, and malformed axis entries.
+/// base-conflicting axes, duplicate axis values and malformed axis entries.
 SweepSpec parse_sweep(const util::JsonValue& json);
 SweepSpec load_sweep_file(const std::string& path);
 

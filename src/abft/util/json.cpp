@@ -16,9 +16,8 @@ namespace abft::util {
 namespace {
 
 [[noreturn]] void kind_error(const char* wanted, JsonValue::Kind got) {
-  static const char* names[] = {"null", "bool", "number", "string", "array", "object"};
   std::ostringstream os;
-  os << "json: expected " << wanted << ", found " << names[static_cast<int>(got)];
+  os << "json: expected " << wanted << ", found " << kind_name(got);
   throw std::invalid_argument(os.str());
 }
 
@@ -39,9 +38,17 @@ class Parser {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Each level recurses once; a throw abandons the parser, so the
+        // depth needs no unwinding.
+        if (depth_ == kMaxJsonDepth) {
+          fail("arrays/objects nested deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"':
         return JsonValue::make_string(parse_string());
       case 't':
@@ -200,7 +207,7 @@ class Parser {
 
   [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
 
-  [[noreturn]] void fail(const char* message) const {
+  [[noreturn]] void fail(std::string_view message) const {
     std::size_t line = 1;
     std::size_t column = 1;
     for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
@@ -218,9 +225,15 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
+
+const char* kind_name(JsonValue::Kind kind) {
+  static const char* const names[] = {"null", "bool", "number", "string", "array", "object"};
+  return names[static_cast<int>(kind)];
+}
 
 bool JsonValue::as_bool() const {
   if (kind_ != Kind::kBool) kind_error("bool", kind_);

@@ -68,9 +68,17 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// "null", "bool", "number", "string", "array" or "object".
+const char* kind_name(JsonValue::Kind kind);
+
+/// Deepest array/object nesting parse_json accepts: the reader recurses once
+/// per level, so an unbounded depth would let a crafted file overflow the
+/// stack.  Committed specs nest at most 5 levels.
+inline constexpr int kMaxJsonDepth = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing content
 /// not).  Throws std::invalid_argument with a line:column position on
-/// malformed input.
+/// malformed input, including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// Reads and parses a JSON file; throws std::invalid_argument naming the

@@ -22,6 +22,17 @@ sweep::SweepSpec parse(const std::string& text) {
   return sweep::parse_sweep(util::parse_json(text));
 }
 
+/// The message parse(text) throws; fails the test when it does not throw.
+std::string parse_error(const std::string& text) {
+  try {
+    parse(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected a rejection: " << text;
+  return "";
+}
+
 const char* kQuadraticGrid = R"({
   "name": "grid",
   "base": {
@@ -261,6 +272,15 @@ TEST(SweepParse, RejectsUnknownAndDuplicateKeys) {
   EXPECT_THROW(parse(R"({"base": {}, "sweep": {"variants": [
     {"label": "a b", "patch": {"f": 1}}, {"label": "a-b", "patch": {"f": 2}}]}})"),
                std::invalid_argument);
+  // So are repeated values on every other axis, numbers compared after
+  // the 12 digits their token keeps.
+  for (const char* bad : {
+           R"({"base": {}, "sweep": {"seed": [1, 1]}})",
+           R"({"base": {}, "sweep": {"aggregator": ["cwtm", "cwtm"]}})",
+           R"({"base": {}, "sweep": {"participation": [0.5, 0.50000000000001]}})",
+       }) {
+    EXPECT_NE(parse_error(bad).find("duplicate value"), std::string::npos) << bad;
+  }
 }
 
 TEST(SweepParse, RejectsAxesConflictingWithBase) {
@@ -274,6 +294,11 @@ TEST(SweepParse, RejectsAxesConflictingWithBase) {
   EXPECT_THROW(parse(R"({"base": {"faults": [{"agent": 0, "kind": "zero"}]},
                          "sweep": {"faults": [{"label": "a", "faults": []}]}})"),
                std::invalid_argument);
+  // A non-object base block the axis writes into is named with the axis.
+  EXPECT_NE(parse_error(R"({"base": {"axes": "x"}, "sweep": {"participation": [0.5]}})")
+                .find("sweep: the participation axis writes base.axes.participation, but "
+                      "base.axes is a string"),
+            std::string::npos);
   // Variants are exempt: patches exist to override the base.
   EXPECT_NO_THROW(parse(R"({"base": {"aggregator": "cwtm"},
                             "sweep": {"variants": [{"label": "a",
@@ -319,6 +344,13 @@ TEST(SweepParse, CoresetSizeAxisValidates) {
   EXPECT_THROW(parse(R"({"base": {"aggregator": {"reduction": {"coreset": {"size": 4}}}},
                          "sweep": {"coreset_size": [8]}})"),
                std::invalid_argument);
+  // A non-object reduction block in the base is named with the axis.
+  EXPECT_NE(parse_error(R"({"base": {"aggregator": {"reduction": 5}},
+                           "sweep": {"coreset_size": [8]}})")
+                .find("sweep: the coreset_size axis writes "
+                      "base.aggregator.reduction.coreset.size, but base.aggregator.reduction "
+                      "is a number"),
+            std::string::npos);
   // An object base aggregator with just a rule is fine alongside the axis.
   EXPECT_NO_THROW(parse(R"({"base": {"aggregator": {"rule": "cge"}},
                             "sweep": {"coreset_size": [8]}})"));
@@ -358,6 +390,16 @@ TEST(SweepParse, RejectsMalformedAxes) {
   EXPECT_THROW(parse(R"({"base": {}, "sweep": {"seed": {"from": 1, "count": 0}}})"),
                std::invalid_argument);
   EXPECT_THROW(parse(R"({"base": {}, "sweep": {"seed": [1.5]}})"), std::invalid_argument);
+  // Seeds reach the spec as JSON numbers, exact only up to 2^53: a range
+  // running past it would alias neighbouring seeds onto one run.
+  EXPECT_NE(parse_error(R"({"base": {}, "sweep": {"seed": {"from": 9007199254740991,
+                                                            "count": 3}}})")
+                .find("2^53"),
+            std::string::npos);
+  EXPECT_EQ(parse(R"({"base": {}, "sweep": {"seed": {"from": 9007199254740991,
+                                                     "count": 2}}})")
+                .seed.back(),
+            9007199254740992u);
   // Non-integer f.
   EXPECT_THROW(parse(R"({"base": {}, "sweep": {"f": [0.5]}})"), std::invalid_argument);
   // Unknown mode spelling fails at parse, not mid-sweep.
@@ -387,6 +429,14 @@ TEST(SweepParse, RejectsMalformedAxes) {
     EXPECT_NE(std::string(error.what()).find("000_variants=bad"), std::string::npos)
         << error.what();
   }
+}
+
+TEST(SweepParse, AxisNamesAreTheCanonicalOrder) {
+  const std::vector<std::string_view> expected{
+      "aggregator", "mode", "precision", "f", "shards", "coreset_size", "reduction_kind",
+      "quorum", "staleness_cap", "seed", "drop_probability", "participation",
+      "straggler_probability", "faults", "variants"};
+  EXPECT_EQ(sweep::axis_names(), expected);
 }
 
 // Integer axes and the runner width are checked, not cast: a value past
@@ -430,6 +480,11 @@ TEST(SweepParse, AsyncAxesValidateAndRejectBaseConflicts) {
   EXPECT_THROW(parse(R"({"base": {"async": {"staleness_cap": 1}},
                          "sweep": {"staleness_cap": [2]}})"),
                std::invalid_argument);
+  // A non-object async block in the base is named with the axis.
+  EXPECT_NE(parse_error(R"({"base": {"async": 3}, "sweep": {"quorum": [2]}})")
+                .find("sweep: the quorum axis writes base.async.quorum, but base.async is a "
+                      "number"),
+            std::string::npos);
   // Other async keys in the base are fine alongside the axes.
   EXPECT_NO_THROW(parse(R"({"base": {"async": {"arrival": {"scale": 0.8}}},
                             "sweep": {"quorum": [2], "staleness_cap": [0, 1]}})"));

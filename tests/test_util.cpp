@@ -1,5 +1,6 @@
 // Unit tests for abft::util — RNG determinism and distribution sanity,
-// combinatorics, statistics, and table/CSV formatting.
+// combinatorics, statistics, table/CSV formatting and the JSON reader's
+// nesting cap.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,6 +9,7 @@
 #include "abft/util/check.hpp"
 #include "abft/util/combinatorics.hpp"
 #include "abft/util/csv.hpp"
+#include "abft/util/json.hpp"
 #include "abft/util/rng.hpp"
 #include "abft/util/stats.hpp"
 #include "abft/util/table.hpp"
@@ -262,6 +264,26 @@ TEST(Csv, RejectsWrongWidth) {
   std::ostringstream os;
   CsvWriter csv(os, {"a"});
   EXPECT_THROW(csv.add_row({"1", "2"}), std::invalid_argument);
+}
+
+// The reader recurses once per array/object level: a file of a million '['
+// must be rejected with a positioned parse error, not overflow the stack.
+TEST(Json, RejectsNestingPastTheDepthCap) {
+  try {
+    parse_json(std::string(1000000, '['));
+    FAIL() << "expected the nesting cap to reject the document";
+  } catch (const std::invalid_argument& error) {
+    const std::string where = "json parse error at 1:" + std::to_string(kMaxJsonDepth + 1);
+    EXPECT_NE(std::string(error.what()).find(where), std::string::npos) << error.what();
+  }
+  EXPECT_THROW(parse_json(std::string(kMaxJsonDepth + 1, '[') +
+                          std::string(kMaxJsonDepth + 1, ']')),
+               std::invalid_argument);
+  std::string deepest;
+  for (int i = 0; i < kMaxJsonDepth; ++i) deepest += i % 2 == 0 ? "[" : "{\"k\":";
+  deepest += "1";
+  for (int i = kMaxJsonDepth; i-- > 0;) deepest += i % 2 == 0 ? "]" : "}";
+  EXPECT_NO_THROW(parse_json(deepest));
 }
 
 }  // namespace

@@ -62,10 +62,10 @@ void print_list() {
                "  p2p_auth ds_strategy kinds: honest, equivocate, silent\n"
                "axes: participation, straggler_probability, perturbation_seed, churn\n"
                "async (dgd): quorum, deadline, staleness_cap, arrival {kind: uniform |\n"
-               "  exponential, scale} — event-driven quorum-or-deadline rounds\n"
-               "sweep axes: aggregator, mode, f, shards, quorum, staleness_cap, seed,\n"
-               "  drop_probability, participation, straggler_probability, faults (presets),\n"
-               "  variants (patches)\n";
+               "  exponential, scale} — event-driven quorum-or-deadline rounds\n";
+  std::cout << "sweep axes:";
+  for (const auto name : abft::sweep::axis_names()) std::cout << ' ' << name;
+  std::cout << '\n';
 }
 
 bool take_value(std::string_view arg, std::string_view flag, std::string* value) {
