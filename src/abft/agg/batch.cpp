@@ -26,157 +26,240 @@ std::size_t pair_row_start(int i, int n) {
   return static_cast<std::size_t>(i) * (2 * static_cast<std::size_t>(n) - i - 1) / 2;
 }
 
+/// Plain-C++ lane count of the scalar Gram kernels: one 512-bit vector of T
+/// (8 doubles, 16 floats).
+template <typename T>
+constexpr int kScalarLanes = static_cast<int>(64 / sizeof(T));
+
+/// Row i of a row-major n x d buffer.
+template <typename T>
+const T* row_ptr(const T* rows, int d, int i) {
+  return rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+}
+
 /// Accumulates partial dot products <row_i, row_j> over the full chunk
 /// [k0, k0 + kChunk) into the packed triangle of `pairdist` for i in
 /// [i_begin, i_end), j > i.  The fixed-size lane array makes the inner
 /// product vectorizable without -ffast-math (each lane is an independent
 /// partial sum), and the compile-time k extent is what lets the compiler
-/// schedule the vector loop well — a runtime bound here costs ~3x.
-void accumulate_pair_dots_chunk(const GradientBatch& batch, double* pairdist, int n,
-                                int i_begin, int i_end, int k0) {
-  constexpr int kLanes = 8;
+/// schedule the vector loop well — a runtime bound here costs ~3x.  This is
+/// exact mode's kernel, and both fast lanes' on CPUs without AVX-512 (each
+/// f32 lane sums kChunk / 16 = 64 products, far inside the f32 tolerance
+/// envelopes).
+template <typename T>
+void accumulate_pair_dots_chunk(const T* rows, T* pairdist, int n, int d, int i_begin,
+                                int i_end, int k0) {
+  constexpr int kLanes = kScalarLanes<T>;
   for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = batch.row(i).data();
-    double* prow = pairdist + pair_row_start(i, n);
+    const T* ri = row_ptr(rows, d, i);
+    T* prow = pairdist + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
-      const double* rj = batch.row(j).data();
-      double lanes[kLanes] = {0.0};
+      const T* rj = row_ptr(rows, d, j);
+      T lanes[kLanes] = {T(0)};
       for (int k = k0; k < k0 + kChunk; k += kLanes) {
         for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
       }
-      double dot = 0.0;
+      T dot = T(0);
       for (int b = 0; b < kLanes; ++b) dot += lanes[b];
       prow[j - i - 1] += dot;
     }
   }
+}
+
+/// <ri, rj> over [k, k1) in k order: the leftover past the last whole lane
+/// group of a partial chunk.  Both tail kernels call it, so they run one
+/// loop, which the compiler vectorizes and contracts the same way in both.
+template <typename T>
+T leftover_dot(const T* ri, const T* rj, int k, int k1) {
+  T dot = T(0);
+  for (; k < k1; ++k) dot += ri[k] * rj[k];
+  return dot;
 }
 
 /// Runtime-bound variant for the final partial chunk [k0, k1).
-void accumulate_pair_dots_tail(const GradientBatch& batch, double* pairdist, int n,
-                               int i_begin, int i_end, int k0, int k1) {
-  constexpr int kLanes = 8;
+template <typename T>
+void accumulate_pair_dots_tail(const T* rows, T* pairdist, int n, int d, int i_begin,
+                               int i_end, int k0, int k1) {
+  constexpr int kLanes = kScalarLanes<T>;
   for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = batch.row(i).data();
-    double* prow = pairdist + pair_row_start(i, n);
+    const T* ri = row_ptr(rows, d, i);
+    T* prow = pairdist + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
-      const double* rj = batch.row(j).data();
-      double lanes[kLanes] = {0.0};
+      const T* rj = row_ptr(rows, d, j);
+      T lanes[kLanes] = {T(0)};
       int k = k0;
       for (; k + kLanes <= k1; k += kLanes) {
         for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
       }
-      double dot = 0.0;
-      for (; k < k1; ++k) dot += ri[k] * rj[k];
+      T dot = leftover_dot(ri, rj, k, k1);
       for (int b = 0; b < kLanes; ++b) dot += lanes[b];
       prow[j - i - 1] += dot;
     }
   }
 }
 
-/// f32-lane full-chunk kernel: same chunk walk over the demoted rows, 16
-/// float lanes (one 512-bit vector) per group.  Lane accumulation stays in
-/// float — each lane sums kChunk / 16 = 64 products, far inside the f32
-/// tolerance envelopes — and the cross-lane reduction widens to float dot,
-/// accumulated across chunks in the f32 packed triangle.
-void accumulate_pair_dots_chunk_f32(const float* rows, float* pairdist, int n, int d,
-                                    int i_begin, int i_end, int k0) {
-  constexpr int kLanes = 16;
-  for (int i = i_begin; i < i_end; ++i) {
-    const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-    float* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-      float lanes[kLanes] = {0.0f};
-      for (int k = k0; k < k0 + kChunk; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
-      }
-      float dot = 0.0f;
-      for (int b = 0; b < kLanes; ++b) dot += lanes[b];
-      prow[j - i - 1] += dot;
-    }
-  }
-}
+/// Rows per side of the fast-mode Gram tile: a kTile x kTile block of pairs
+/// shares each pass over its 2 * kTile row segments.
+constexpr int kTile = 4;
 
-/// f32-lane runtime-bound variant for the final partial chunk [k0, k1).
-void accumulate_pair_dots_tail_f32(const float* rows, float* pairdist, int n, int d,
-                                   int i_begin, int i_end, int k0, int k1) {
-  constexpr int kLanes = 16;
-  for (int i = i_begin; i < i_end; ++i) {
-    const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-    float* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-      float lanes[kLanes] = {0.0f};
-      int k = k0;
-      for (; k + kLanes <= k1; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
-      }
-      float dot = 0.0f;
-      for (; k < k1; ++k) dot += ri[k] * rj[k];
-      for (int b = 0; b < kLanes; ++b) dot += lanes[b];
-      prow[j - i - 1] += dot;
-    }
-  }
-}
+/// Fewest columns at which the fast lanes take the tile.  Below it a pair's
+/// dot is one or two vector ops, and the pairs a tile computes only to drop
+/// (duplicate edge rows, the lower half of diagonal tiles) can cost more
+/// than the loads it saves (n = 10, d = 16: about 10% slower in either
+/// width; from d = 32 the tile is faster at every n measured).  Both paths
+/// give the same bits.
+constexpr int kTileMinCols = 32;
 
 #if defined(__AVX512F__)
-/// Relaxed-parity (AggMode::fast) AVX-512 variant of the full-chunk kernel:
-/// four independent zmm FMA accumulators (32 partial sums) cover the FMA
-/// latency chain, roughly doubling throughput over the auto-vectorized
-/// 8-lane scalar kernel.  The horizontal reduction order differs from the
-/// exact kernel's sequential lane sum, so this path is fast-mode only.
-void accumulate_pair_dots_chunk_avx512(const GradientBatch& batch, double* pairdist, int n,
-                                       int i_begin, int i_end, int k0) {
-  static_assert(kChunk % 32 == 0, "avx512 gram kernel consumes 32 doubles per step");
-  for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = batch.row(i).data();
-    double* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const double* rj = batch.row(j).data();
-      __m512d acc0 = _mm512_setzero_pd();
-      __m512d acc1 = _mm512_setzero_pd();
-      __m512d acc2 = _mm512_setzero_pd();
-      __m512d acc3 = _mm512_setzero_pd();
-      for (int k = k0; k < k0 + kChunk; k += 32) {
-        acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k), _mm512_loadu_pd(rj + k), acc0);
-        acc1 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k + 8), _mm512_loadu_pd(rj + k + 8), acc1);
-        acc2 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k + 16), _mm512_loadu_pd(rj + k + 16), acc2);
-        acc3 = _mm512_fmadd_pd(_mm512_loadu_pd(ri + k + 24), _mm512_loadu_pd(rj + k + 24), acc3);
-      }
-      const double dot = _mm512_reduce_add_pd(
-          _mm512_add_pd(_mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3)));
-      prow[j - i - 1] += dot;
+// GCC 12 flags the deliberately undefined register inside the
+// _mm512_reduce_add_* intrinsics once they are inlined into a loop
+// (-Wuninitialized); the value never reaches the result.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// The AVX-512 operations the fast Gram tile needs, per element type.
+template <typename T>
+struct Avx512;
+
+template <>
+struct Avx512<double> {
+  using Reg = __m512d;
+  static constexpr int kWidth = 8;
+  static Reg zero() { return _mm512_setzero_pd(); }
+  static Reg load(const double* p) { return _mm512_loadu_pd(p); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
+  static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
+  static double reduce(Reg a) { return _mm512_reduce_add_pd(a); }
+  static void store(double* p, Reg a) { _mm512_store_pd(p, a); }
+};
+
+template <>
+struct Avx512<float> {
+  using Reg = __m512;
+  static constexpr int kWidth = 16;
+  static Reg zero() { return _mm512_setzero_ps(); }
+  static Reg load(const float* p) { return _mm512_loadu_ps(p); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_ps(a, b, c); }
+  static Reg add(Reg a, Reg b) { return _mm512_add_ps(a, b); }
+  static float reduce(Reg a) { return _mm512_reduce_add_ps(a); }
+  static void store(float* p, Reg a) { _mm512_store_ps(p, a); }
+};
+
+/// Runs one accumulator chain per pair of a kTile x kTile tile:
+/// acc[p][q] = fma(ri[p][k..k+W), rj[q][k..k+W), acc[p][q]) for k = begin,
+/// begin + stride, ... while k + W <= end (W = vector width).  Each step
+/// loads 2 * kTile vectors for kTile^2 FMAs; the per-pair kernel this
+/// replaces loaded two vectors per FMA.
+template <typename T>
+void gram_tile_chain(const T* const* ri, const T* const* rj, int begin, int end, int stride,
+                     typename Avx512<T>::Reg (&acc)[kTile][kTile]) {
+  using V = Avx512<T>;
+  using Reg = typename V::Reg;
+  for (int p = 0; p < kTile; ++p) {
+    for (int q = 0; q < kTile; ++q) acc[p][q] = V::zero();
+  }
+  for (int k = begin; k + V::kWidth <= end; k += stride) {
+    Reg x[kTile];
+    Reg y[kTile];
+    for (int p = 0; p < kTile; ++p) x[p] = V::load(ri[p] + k);
+    for (int q = 0; q < kTile; ++q) y[q] = V::load(rj[q] + k);
+    for (int p = 0; p < kTile; ++p) {
+      for (int q = 0; q < kTile; ++q) acc[p][q] = V::fmadd(x[p], y[q], acc[p][q]);
     }
   }
 }
 
-/// f32 AVX-512 full-chunk kernel: four 16-float FMA accumulators (64 partial
-/// sums) — the same latency-covering shape as the f64 variant at half the
-/// memory traffic.  f32 lane only (fast mode by construction).
-void accumulate_pair_dots_chunk_avx512_f32(const float* rows, float* pairdist, int n,
-                                           int d, int i_begin, int i_end, int k0) {
-  static_assert(kChunk % 64 == 0, "avx512 f32 gram kernel consumes 64 floats per step");
-  for (int i = i_begin; i < i_end; ++i) {
-    const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-    float* prow = pairdist + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int k = k0; k < k0 + kChunk; k += 64) {
-        acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k), _mm512_loadu_ps(rj + k), acc0);
-        acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k + 16), _mm512_loadu_ps(rj + k + 16), acc1);
-        acc2 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k + 32), _mm512_loadu_ps(rj + k + 32), acc2);
-        acc3 = _mm512_fmadd_ps(_mm512_loadu_ps(ri + k + 48), _mm512_loadu_ps(rj + k + 48), acc3);
-      }
-      const float dot = _mm512_reduce_add_ps(
-          _mm512_add_ps(_mm512_add_ps(acc0, acc1), _mm512_add_ps(acc2, acc3)));
-      prow[j - i - 1] += dot;
+/// Relaxed-parity (AggMode::fast) AVX-512 Gram micro-kernel: the kTile x
+/// kTile dot products <ri[p], rj[q]> over the full chunk [k0, k0 + kChunk).
+/// Every pair owns kAccs chains: chain a sums, in increasing k, the vectors
+/// at k0 + a * W + s * kAccs * W, and the pair's dot is
+/// reduce((c0 + c1) + (c2 + c3)).  Four chains per pair cover the FMA
+/// latency, but 4 x 16 of them do not fit in 32 registers, so the tile runs
+/// the chains one after another and parks each finished one until the
+/// reduction.
+template <typename T>
+void gram_tile_chunk(const T* const* ri, const T* const* rj, int k0,
+                     T (&dots)[kTile][kTile]) {
+  using V = Avx512<T>;
+  constexpr int kAccs = 4;
+  static_assert(kChunk % (kAccs * V::kWidth) == 0, "a chunk holds whole chain steps");
+  typename V::Reg parked[kAccs][kTile][kTile];
+  for (int a = 0; a < kAccs; ++a) {
+    gram_tile_chain(ri, rj, k0 + a * V::kWidth, k0 + kChunk, kAccs * V::kWidth, parked[a]);
+  }
+  for (int p = 0; p < kTile; ++p) {
+    for (int q = 0; q < kTile; ++q) {
+      dots[p][q] = V::reduce(V::add(V::add(parked[0][p][q], parked[1][p][q]),
+                                    V::add(parked[2][p][q], parked[3][p][q])));
     }
   }
 }
+
+/// The tile over the final partial chunk [k0, k1), in the operation order
+/// of the scalar accumulate_pair_dots_tail: one W-lane chain per pair, the
+/// leftover past the last whole lane group summed by the shared
+/// leftover_dot, then the lanes added to it in lane order.  The explicit
+/// lane FMAs are what GCC contracts the scalar kernel's
+/// `lanes[b] += ri * rj` into at its default -ffp-contract=fast, so under
+/// this build's flags both kernels give the same bits.
+template <typename T>
+void gram_tile_tail(const T* const* ri, const T* const* rj, int k0, int k1,
+                    T (&dots)[kTile][kTile]) {
+  using V = Avx512<T>;
+  typename V::Reg acc[kTile][kTile];
+  gram_tile_chain(ri, rj, k0, k1, V::kWidth, acc);
+  const int leftover = k1 - (k1 - k0) % V::kWidth;
+  alignas(64) T lanes[V::kWidth];
+  for (int p = 0; p < kTile; ++p) {
+    for (int q = 0; q < kTile; ++q) {
+      V::store(lanes, acc[p][q]);
+      T dot = leftover_dot(ri[p], rj[q], leftover, k1);
+      for (int b = 0; b < V::kWidth; ++b) dot += lanes[b];
+      dots[p][q] = dot;
+    }
+  }
+}
+
+/// Fast walk for the row tiles [t_begin, t_end): every full chunk, then the
+/// partial one, of each tile of kTile rows against itself and every later
+/// tile.  A pair's operation sequence depends only on its two rows, never
+/// on the tile, its position in the tile or the thread that runs it, so the
+/// triangle is bit-identical at every thread count.  Rows past n are
+/// clamped to row n - 1: an edge tile runs the same micro-kernel on a
+/// duplicate row and drops the cells outside the strict upper triangle.
+template <typename T>
+void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d, int t_begin,
+                                       int t_end) {
+  const T* ri[kTile];
+  const T* rj[kTile];
+  T dots[kTile][kTile];
+  const auto scatter = [&](int i0, int j0) {
+    for (int p = 0; p < kTile && i0 + p < n; ++p) {
+      const int i = i0 + p;
+      T* prow = pairdist + pair_row_start(i, n);
+      for (int q = 0; q < kTile; ++q) {
+        const int j = j0 + q;
+        if (i < j && j < n) prow[j - i - 1] += dots[p][q];
+      }
+    }
+  };
+  for (int k0 = 0; k0 < d; k0 += kChunk) {
+    for (int t = t_begin; t < t_end; ++t) {
+      const int i0 = t * kTile;
+      for (int p = 0; p < kTile; ++p) ri[p] = row_ptr(rows, d, std::min(i0 + p, n - 1));
+      for (int j0 = i0; j0 < n; j0 += kTile) {
+        for (int q = 0; q < kTile; ++q) rj[q] = row_ptr(rows, d, std::min(j0 + q, n - 1));
+        if (k0 + kChunk <= d) {
+          gram_tile_chunk(ri, rj, k0, dots);
+        } else {
+          gram_tile_tail(ri, rj, k0, d, dots);
+        }
+        scatter(i0, j0);
+      }
+    }
+  }
+}
+#pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
 /// True when the fast-mode Gram kernel may use AVX-512: compile-time ISA
@@ -191,43 +274,32 @@ bool gram_avx512_available() {
 #endif
 }
 
-/// Walks all d-chunks for rows [i_begin, i_end): full chunks through the
-/// fixed-extent kernel (the AVX-512 variant in fast mode, when the CPU has
-/// it), the remainder through the tail kernel.
-void accumulate_pair_dots(const GradientBatch& batch, double* pairdist, int n, int d,
-                          int i_begin, int i_end, AggMode mode) {
-  const bool use_avx512 = mode == AggMode::fast && gram_avx512_available();
-  (void)use_avx512;
-  int k0 = 0;
-  for (; k0 + kChunk <= d; k0 += kChunk) {
+/// Accumulates every pair's dot product into the zeroed packed triangle.
+/// The fast lanes on AVX-512 CPUs partition over row tiles and run the tile
+/// micro-kernels; exact mode, CPUs without AVX-512 and rows shorter than
+/// kTileMinCols partition over rows and run the per-pair scalar kernels.
+/// Either way each packed cell has one writer and a fixed operation
+/// sequence.
+template <typename T>
+void accumulate_pair_dots(AggregatorWorkspace& ws, const T* rows, T* pairdist, int n, int d,
+                          bool fast) {
+  const int full = d - d % kChunk;
 #if defined(__AVX512F__)
-    if (use_avx512) {
-      accumulate_pair_dots_chunk_avx512(batch, pairdist, n, i_begin, i_end, k0);
-      continue;
-    }
-#endif
-    accumulate_pair_dots_chunk(batch, pairdist, n, i_begin, i_end, k0);
+  if (fast && d >= kTileMinCols && gram_avx512_available()) {
+    const int tiles = (n + kTile - 1) / kTile;
+    ws.run_parallel(0, tiles, [&](int t_begin, int t_end) {
+      accumulate_pair_dots_tiles_avx512(rows, pairdist, n, d, t_begin, t_end);
+    });
+    return;
   }
-  if (k0 < d) accumulate_pair_dots_tail(batch, pairdist, n, i_begin, i_end, k0, d);
-}
-
-/// f32-lane chunk walker (the lane implies fast mode, so AVX-512 is taken
-/// whenever the CPU has it).
-void accumulate_pair_dots_f32(const float* rows, float* pairdist, int n, int d,
-                              int i_begin, int i_end) {
-  const bool use_avx512 = gram_avx512_available();
-  (void)use_avx512;
-  int k0 = 0;
-  for (; k0 + kChunk <= d; k0 += kChunk) {
-#if defined(__AVX512F__)
-    if (use_avx512) {
-      accumulate_pair_dots_chunk_avx512_f32(rows, pairdist, n, d, i_begin, i_end, k0);
-      continue;
-    }
 #endif
-    accumulate_pair_dots_chunk_f32(rows, pairdist, n, d, i_begin, i_end, k0);
-  }
-  if (k0 < d) accumulate_pair_dots_tail_f32(rows, pairdist, n, d, i_begin, i_end, k0, d);
+  (void)fast;
+  ws.run_parallel(0, n, [&](int i_begin, int i_end) {
+    for (int k0 = 0; k0 < full; k0 += kChunk) {
+      accumulate_pair_dots_chunk(rows, pairdist, n, d, i_begin, i_end, k0);
+    }
+    if (full < d) accumulate_pair_dots_tail(rows, pairdist, n, d, i_begin, i_end, full, d);
+  });
 }
 
 /// Shared packed-row gather (diagonal 0, f32 values promoted on read).
@@ -407,12 +479,13 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   // whole batch is read from memory once instead of once per pair.  The
   // packed layout stores each unordered pair once: half the matrix memory,
   // no n^2 zero-assign, no mirror pass.
-  // Pair-level parallelism partitions the i range once per call (one thread
-  // team, not one per chunk); every packed cell is written by exactly one
-  // thread.  Each thread walks the d-chunks so its active row segments stay
-  // cache-resident across its pair sweep.
+  // Pair-level parallelism partitions the rows (the fast AVX-512 lane: the
+  // 4-row tiles) once per call (one thread team, not one per chunk); every
+  // packed cell is written by exactly one thread.  Each thread walks the
+  // d-chunks so its active row segments stay cache-resident across its
+  // pair sweep.
   if (f32_lane()) {
-    // Float32 lane: demote once, run the 16-wide f32 Gram kernels, convert
+    // Float32 lane: demote once, run the f32 Gram kernels, convert
     // in double and store the packed triangle in f32.  The wider relative
     // guard reflects the f32 dot's larger accumulation error — clustered
     // batches simply take the direct-difference path, which is the most
@@ -434,9 +507,7 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
       sqnorms_f32[static_cast<std::size_t>(i)] = sum;
     }
     pairdist_f32.assign(pairs, 0.0f);
-    run_parallel(0, n, [&](int i_begin, int i_end) {
-      accumulate_pair_dots_f32(rows, pairdist_f32.data(), n, d, i_begin, i_end);
-    });
+    accumulate_pair_dots(*this, rows, pairdist_f32.data(), n, d, /*fast=*/true);
     constexpr double kCancellationGuardF32 = 1e-3;
     float* packed = pairdist_f32.data();
     for (int i = 0; i < n; ++i) {
@@ -473,9 +544,7 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   }
   fill_sqnorms(batch);
   pairdist.assign(pairs, 0.0);
-  run_parallel(0, n, [&](int i_begin, int i_end) {
-    accumulate_pair_dots(batch, pairdist.data(), n, d, i_begin, i_end, mode);
-  });
+  accumulate_pair_dots(*this, batch.data(), pairdist.data(), n, d, mode == AggMode::fast);
   // Convert the accumulated dots to squared distances in place.  The Gram
   // identity cancels catastrophically when gradients share a large common
   // component (||xi - xj||^2 << ||xi||^2 + ||xj||^2) — exactly the clustered

@@ -54,7 +54,10 @@ enum class AggMode {
 /// mode ignores it entirely (workspaces reject the combination at the
 /// scenario layer).  Like fast/f64, the f32 lane is bit-identical across
 /// thread counts: every demoted value and every f32 reduction is computed
-/// by exactly one writer in a fixed order.
+/// by exactly one writer in a fixed order.  The fast Gram fill of both
+/// widths shares one AVX-512 micro-kernel templated on the element type: a
+/// 4 x 4 tile of pair dot products per pass over a column chunk (see
+/// fill_pairwise_sqdist).
 enum class Precision {
   f64,  ///< double-precision kernels (the default)
   f32,  ///< float inputs for the bandwidth-bound fast kernels
@@ -244,6 +247,14 @@ struct AggregatorWorkspace {
   /// the f32 lane is active) with squared Euclidean distances via the Gram
   /// identity ||xi - xj||^2 = ||xi||^2 + ||xj||^2 - 2 <xi, xj>, computing
   /// each unordered pair once.  Shared by Krum, Multi-Krum and Bulyan.
+  /// In fast mode on AVX-512 hosts the dot products come from a 4 x 4
+  /// register-blocked tile: one pass over a column chunk loads 8 row
+  /// vectors for 16 FMAs, where a per-pair kernel loads 2 per FMA.  Each
+  /// pair still runs its own fixed sequence of operations, which depends
+  /// only on its two rows, so a pair's bits do not depend on the tile, the
+  /// slot in the tile or the thread it lands in; edge tiles pad with a
+  /// duplicate row whose cells are dropped.  Exact mode keeps its per-pair
+  /// scalar kernel.
   void fill_pairwise_sqdist(const GradientBatch& batch);
 
   /// Demotes the batch rows into `rows_f32` (the f32 lane's one

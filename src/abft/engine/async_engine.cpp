@@ -131,13 +131,13 @@ int AsyncRoundEngine::collect(int round) {
   std::stable_sort(arrived_.begin(), arrived_.end(), [this](int x, int y) {
     return birth_round_[static_cast<std::size_t>(x)] < birth_round_[static_cast<std::size_t>(y)];
   });
-  core_.ingest.reshape(static_cast<int>(arrived_.size()), core_.dim);
+  ingest_.reshape(static_cast<int>(arrived_.size()), core_.dim);
   int kept = 0;
   for (const int agent : arrived_) {
     const auto a = static_cast<std::size_t>(agent);
     const int age = round - birth_round_[a];
     const auto src = core_.payload.row(agent);
-    const auto dst = core_.ingest.row(kept++);
+    const auto dst = ingest_.row(kept++);
     if (age <= 0) {
       std::copy(src.begin(), src.end(), dst.begin());
     } else {

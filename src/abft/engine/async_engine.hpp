@@ -155,10 +155,10 @@ class AsyncRoundEngine {
   /// policy as the synchronous engine (membership never shrinks, so the
   /// declared f stays the current f).  Returns false to hold position.
   bool aggregate(const agg::GradientAggregator& rule, Vector& out) {
-    return core_.aggregate(rule, declared_f_, declared_f_, kept_, roster_size(), out);
+    return core_.aggregate(rule, ingest_, declared_f_, declared_f_, kept_, roster_size(), out);
   }
 
-  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return core_.ingest; }
+  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return ingest_; }
   [[nodiscard]] const AsyncStats& stats() const noexcept { return stats_; }
 
  private:
@@ -168,8 +168,11 @@ class AsyncRoundEngine {
   [[nodiscard]] double draw_duration(int agent);
 
   /// core_.payload is a persistent n x d batch: row i is agent i's
-  /// in-flight gradient.
+  /// in-flight gradient.  Rows stay in flight across rounds, so a fire
+  /// copies the consumed ones into ingest_ rather than compacting the
+  /// payload in place as the synchronous engine does.
   EngineCore core_;
+  agg::GradientBatch ingest_;
   AsyncConfig config_;
   ArrivalKind arrival_kind_ = ArrivalKind::uniform;
   std::vector<util::Rng> arrival_rng_;  // virtual compute-time streams

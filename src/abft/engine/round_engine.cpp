@@ -28,12 +28,12 @@ EngineCore::EngineCore(std::vector<unsigned char> faulty_mask, int row_dim,
   workspace.precision = config.precision;
 }
 
-bool EngineCore::aggregate(const agg::GradientAggregator& rule, int declared_f, int current_f,
-                           int kept, int members_n, Vector& out) {
+bool EngineCore::aggregate(const agg::GradientAggregator& rule, const agg::GradientBatch& rows,
+                           int declared_f, int current_f, int kept, int members_n, Vector& out) {
   const int usable_f =
       usable_fault_bound(rule, declared_f, current_f, kept, members_n, roster_size());
   if (usable_f < 0) return false;
-  rule.aggregate_into(out, ingest, usable_f, workspace);
+  rule.aggregate_into(out, rows, usable_f, workspace);
   return true;
 }
 

@@ -1,19 +1,19 @@
-// RoundEngine — the shared double-buffered batch round loop under all three
+// RoundEngine — the shared batched round loop under all three
 // drivers (server-based DGD, D-SGD, peer-to-peer DGD).
 //
 // Before this layer each driver re-implemented the same machinery: split a
 // master rng into per-agent streams, stand up a persistent ThreadPool and a
 // mode-configured AggregatorWorkspace, reshape a payload GradientBatch per
-// round, partition honest/faulty rows, compact delivered messages into an
-// ingest batch, track eliminations and the shrinking fault bound, and clamp
+// round, partition honest/faulty rows, compact delivered messages for the
+// filter, track eliminations and the shrinking fault bound, and clamp
 // f before handing the batch to the gradient filter.  The engine owns all of
 // it once; a driver is reduced to its policies — a gradient producer (what
 // goes into a payload row), a delivery transport (how a row reaches the
-// ingest buffer), and an update rule (what happens to the estimate).
+// filter's input), and an update rule (what happens to the estimate).
 //
 // The part of that machinery which does not depend on how a round closes —
-// pool, workspace, fault streams, observer, payload/ingest batches, the
-// parallel produce loops and the clamped filter call — is the EngineCore
+// pool, workspace, fault streams, observer, payload batch, the parallel
+// produce loops and the clamped filter call — is the EngineCore
 // below, a plain member of both this engine and the event-driven
 // AsyncRoundEngine (async_engine.hpp).  The two engines differ only in which
 // rows a round produces and how it closes: deliver() here, collect() there.
@@ -40,12 +40,20 @@
 //   deliver(transport)            delivery phase (serial: transports own
 //                                 ordered rng streams): straggled messages
 //                                 are lost but keep membership, undelivered
-//                                 messages eliminate the sender (step S1)
+//                                 messages eliminate the sender (step S1).
+//                                 Survivors are compacted inside the
+//                                 payload batch, which the filter then
+//                                 reads: transport(agent, message, dst) gets
+//                                 a dst row that is either the message's own
+//                                 row (nothing to move) or an earlier,
+//                                 already consumed row — it never partly
+//                                 overlaps the message (use move_row)
 //   aggregate(rule, out)          filter phase: usable f clamped to the
 //                                 delivered row count; false when nothing
 //                                 was delivered (the driver holds position)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -110,6 +118,13 @@ using RoundObserver = std::function<void(int round, const Vector& estimate, cons
 int usable_fault_bound(const agg::GradientAggregator& rule, int declared_f, int current_f,
                        int kept, int members_n, int roster_n);
 
+/// Moves a delivered message into its destination row.  `dst` may be the
+/// message's own row (the sync engine compacts survivors in place), in which
+/// case there is nothing to move, but never partly overlaps it.
+inline void move_row(std::span<const double> message, std::span<double> dst) {
+  if (message.data() != dst.data()) std::copy(message.begin(), message.end(), dst.begin());
+}
+
 /// Refills `streams` with `count` independent streams split off a master
 /// seeded with `seed` — one per agent, so behaviour is invariant to roster
 /// order and to the thread count (each agent owns its stream outright).
@@ -166,11 +181,11 @@ struct EngineCore {
     });
   }
 
-  /// Filter phase over the first `kept` ingest rows under usable_fault_bound
+  /// Filter phase over the `kept` rows of `rows` under usable_fault_bound
   /// (judged against the configured roster).  Returns false, `out`
   /// untouched, when the round must hold position.
-  bool aggregate(const agg::GradientAggregator& rule, int declared_f, int current_f, int kept,
-                 int members_n, Vector& out);
+  bool aggregate(const agg::GradientAggregator& rule, const agg::GradientBatch& rows,
+                 int declared_f, int current_f, int kept, int members_n, Vector& out);
 
   std::vector<unsigned char> faulty;
   int dim = 0;
@@ -182,7 +197,6 @@ struct EngineCore {
   std::vector<util::Rng> agent_rng;
   RoundObserver observer;
   agg::GradientBatch payload;
-  agg::GradientBatch ingest;
 };
 
 class RoundEngine {
@@ -238,7 +252,9 @@ class RoundEngine {
   /// Whether a present agent's message misses this round's close.
   [[nodiscard]] bool straggles(int agent) const noexcept { return planner_.straggles(agent); }
 
-  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return core_.ingest; }
+  /// The filter's input rows: after deliver(), the delivered messages,
+  /// compacted in roster order at the front of the payload batch.
+  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return core_.payload; }
 
   /// Produce phase, honest agents: writer(agent, row) fills the agent's
   /// payload row (parallel over agents; each owns its row and rng stream).
@@ -272,33 +288,37 @@ class RoundEngine {
 
   /// Delivery phase (serial: transports own ordered streams).  For each
   /// present agent in roster order: a straggled message is lost but keeps
-  /// membership; otherwise transport(agent, payload, dst) moves the message
-  /// (payload is empty when the agent stayed silent) and returning false
-  /// eliminates the sender (step S1: silent => faulty; shrinks n and f).
-  /// Returns the number of ingest rows kept.
+  /// membership; otherwise transport(agent, message, dst) moves the message
+  /// (empty when the agent stayed silent) into the next kept row and
+  /// returning false eliminates the sender (step S1: silent => faulty;
+  /// shrinks n and f).  The kept rows are compacted in place: kept row
+  /// `kept` is payload row `kept` <= `row`, so dst is either the message's
+  /// own row or an earlier row whose message was already handled, and
+  /// nothing moves while no message is lost.  Once per round (it consumes
+  /// the payload).  Returns the number of rows kept.
   template <typename Transport>
   int deliver(Transport&& transport) {
+    ensure_payload();
     const int present = static_cast<int>(present_.size());
-    core_.ingest.reshape(present, core_.dim);
     int kept = 0;
     for (int row = 0; row < present; ++row) {
       const int agent = present_[static_cast<std::size_t>(row)];
       if (planner_.straggles(agent)) continue;
       std::span<const double> message;
       if (silent_[static_cast<std::size_t>(row)] == 0) message = core_.payload.row(row);
-      if (transport(agent, message, core_.ingest.row(kept))) {
+      if (transport(agent, message, core_.payload.row(kept))) {
         ++kept;
       } else {
         eliminate(agent);
       }
     }
-    core_.ingest.truncate_rows(kept);
+    core_.payload.truncate_rows(kept);
     ABFT_REQUIRE(!members_.empty(), "every agent was eliminated");
     kept_ = kept;
     return kept;
   }
 
-  /// Filter phase over the ingest batch: the usable fault bound is
+  /// Filter phase over the delivered rows: the usable fault bound is
   /// min(current_f, kept - 1, rule.max_usable_f(kept)) clamped at 0, so a
   /// thin round aggregates with the strongest f the rule tolerates.
   /// Returns false (out untouched) when no rows were delivered, the rule
@@ -308,7 +328,7 @@ class RoundEngine {
   /// even on the full roster is a misconfiguration and is NOT clamped: the
   /// rule's own precondition throws, as it always did.
   bool aggregate(const agg::GradientAggregator& rule, Vector& out) {
-    return core_.aggregate(rule, declared_f_, current_f_, kept_,
+    return core_.aggregate(rule, core_.payload, declared_f_, current_f_, kept_,
                            static_cast<int>(members_.size()), out);
   }
 

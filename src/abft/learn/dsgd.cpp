@@ -70,7 +70,7 @@ DsgdSeries run_dsgd(const Model& model, const Vector& initial_params,
   const Dataset honest_data = merge_honest(shards, faults);
 
   // The engine owns the round machinery: per-agent rng streams, the pool,
-  // the payload/ingest double-buffer and the scenario plan.  Every agent
+  // the payload batch the filter reads and the scenario plan.  Every agent
   // owns its stream, gradient scratch, momentum buffer and batch row, so
   // the series is bit-identical at every thread count.
   engine::RoundEngine eng(faulty_mask(faults), model.param_dim(),
@@ -113,7 +113,7 @@ DsgdSeries run_dsgd(const Model& model, const Vector& initial_params,
     });
     // No transport layer: every non-straggled message reaches the server.
     eng.deliver([](int /*agent*/, std::span<const double> payload, std::span<double> dst) {
-      std::copy(payload.begin(), payload.end(), dst.begin());
+      engine::move_row(payload, dst);
       return true;
     });
     if (eng.aggregate(aggregator, filtered)) {

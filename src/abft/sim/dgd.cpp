@@ -105,8 +105,8 @@ Trace DgdSimulation::run(const agg::GradientAggregator& aggregator) {
         return spec.fault->emit_into(row, context, eng.agent_rng(agent));
       });
 
-      // Close.  Sync: the network writes each surviving message into the
-      // next ingest row, and undelivered messages eliminate the sender
+      // Close.  Sync: the network moves each surviving message to the next
+      // kept payload row, and undelivered messages eliminate the sender
       // (step S1).  Async: fire on quorum-or-deadline over the
       // staleness-weighted rows; silence is indistinguishable from slowness
       // without a synchronous close, so the membership never shrinks.

@@ -10,12 +10,13 @@
 // that omniscient fault models can observe them (the strongest adversary the
 // model admits).
 //
-// The round loop itself — double-buffered payload/ingest batches, thread-pool
-// dispatch, honest/faulty row partition, elimination and f bookkeeping, the
-// scenario axes (partial participation, stragglers, churn) — lives in the
-// shared engine::RoundEngine; this driver supplies only its policies: the
-// honest gradient producer, the FaultModel emission, the SyncNetwork
-// transport, and the projected-descent update rule.  With the axes at their
+// The round loop itself — the payload batch (delivery compacts it in place
+// and the filter reads it there), thread-pool dispatch, honest/faulty row
+// partition, elimination and f bookkeeping, the scenario axes (partial
+// participation, stragglers, churn) — lives in the shared
+// engine::RoundEngine; this driver supplies only its policies: the honest
+// gradient producer, the FaultModel emission, the SyncNetwork transport, and
+// the projected-descent update rule.  With the axes at their
 // defaults the traces are bit-identical to the pre-engine driver at every
 // thread count.  The async mode swaps in engine::AsyncRoundEngine; one round
 // loop runs over either engine, differing only in how a round closes.

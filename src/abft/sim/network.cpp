@@ -33,7 +33,9 @@ bool SyncNetwork::transmit_row(int agent, int round, std::span<const double> pay
   }
   if (delivered) {
     ABFT_REQUIRE(payload.size() == dst.size(), "ingest row size mismatch");
-    std::memcpy(dst.data(), payload.data(), payload.size() * sizeof(double));
+    if (dst.data() != payload.data()) {
+      std::memcpy(dst.data(), payload.data(), payload.size() * sizeof(double));
+    }
   }
   if (recording_) {
     std::optional<Vector> copy;

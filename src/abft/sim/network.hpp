@@ -37,7 +37,9 @@ class SyncNetwork {
   /// silent (no drop draw — identical rng consumption to transmit with an
   /// empty optional).  Otherwise the drop coin is tossed and, when the
   /// message survives, the payload is copied into `dst` — the network writes
-  /// the gradient straight into the server's ingest-batch row.  Returns true
+  /// the gradient straight into the row the server's filter reads.  `dst`
+  /// may be `payload` itself (the round engine compacts survivors in place;
+  /// then nothing is copied) but must never partly overlap it.  Returns true
   /// iff the server received the message.  Bit-compatible with transmit().
   bool transmit_row(int agent, int round, std::span<const double> payload,
                     std::span<double> dst);

@@ -26,6 +26,7 @@
 #include "abft/p2p/p2p_dgd.hpp"
 #include "abft/regress/problem.hpp"
 #include "abft/sim/dgd.hpp"
+#include "abft/sim/network.hpp"
 
 namespace {
 
@@ -370,7 +371,7 @@ TEST(EngineDeliver, StragglingByzantineIsLostNotEliminated) {
     const bool straggled = eng.straggles(3);
     eng.deliver([](int, std::span<const double> message, std::span<double> dst) {
       if (message.empty()) return false;  // step S1: silence at the close
-      std::copy(message.begin(), message.end(), dst.begin());
+      engine::move_row(message, dst);
       return true;
     });
     if (straggled) {
@@ -403,7 +404,7 @@ TEST(EngineDeliver, SilentMarkDoesNotLeakIntoEmitPresentRounds) {
       silent_agents.push_back(agent);
       std::fill(dst.begin(), dst.end(), 0.0);
     } else {
-      std::copy(message.begin(), message.end(), dst.begin());
+      engine::move_row(message, dst);
     }
     return true;  // tolerate silence so the roster survives into round 1
   };
@@ -420,6 +421,131 @@ TEST(EngineDeliver, SilentMarkDoesNotLeakIntoEmitPresentRounds) {
   EXPECT_TRUE(silent_agents.empty()) << "round-0 silent mark leaked into round 1";
   for (int row = 0; row < 3; ++row) {
     EXPECT_EQ(eng.ingest().row(row)[0], 10.0 + row) << "row " << row;
+  }
+}
+
+TEST(EngineDeliver, InPlaceCompactionMatchesACopyingTransport) {
+  // deliver() compacts the survivors inside the payload batch.  Against a
+  // reference that receives every message into a separate buffer (the
+  // pre-compaction contract), drop injection, stragglers and a silent
+  // Byzantine agent in the middle of the roster must give the same filter
+  // rows, kept counts, eliminations and network transcript.
+  constexpr int kAgents = 12;
+  constexpr int kDim = 3;
+  std::vector<unsigned char> faulty(kAgents, 0);
+  faulty[5] = 1;
+  engine::RoundEngineConfig config;
+  config.seed = 31;
+  config.axes.straggler_probability = 0.2;
+  config.axes.perturbation_seed = 8;
+  engine::RoundEngine in_place(faulty, kDim, config);
+  engine::RoundEngine reference(faulty, kDim, config);
+  sim::SyncNetwork in_place_net(0.1, 11);
+  sim::SyncNetwork reference_net(0.1, 11);
+  in_place_net.record_transcript(true);
+  reference_net.record_transcript(true);
+  in_place.reset(2);
+  reference.reset(2);
+
+  int moved = 0;
+  for (int t = 0; t < 6; ++t) {
+    std::vector<std::vector<double>> received;
+    for (auto* eng : {&in_place, &reference}) {
+      eng->begin_round(t);
+      eng->emit_honest([t](int agent, std::span<double> row) {
+        for (int k = 0; k < kDim; ++k) {
+          row[static_cast<std::size_t>(k)] = 100.0 * t + 10.0 * agent + k;
+        }
+      });
+      eng->emit_faulty([](int, std::span<double>, const attack::HonestRowsView&) {
+        return false;  // silent
+      });
+    }
+    const int kept = in_place.deliver(
+        [&](int agent, std::span<const double> message, std::span<double> dst) {
+          if (in_place_net.transmit_row(agent, t, message, dst)) {
+            EXPECT_LE(dst.data(), message.data()) << "rows only move forward";
+            if (dst.data() != message.data()) ++moved;
+            return true;
+          }
+          return false;
+        });
+    const int reference_kept = reference.deliver(
+        [&](int agent, std::span<const double> message, std::span<double> dst) {
+          std::vector<double> copy(kDim);
+          if (!reference_net.transmit_row(agent, t, message, copy)) return false;
+          for (int k = 0; k < kDim; ++k) {
+            EXPECT_EQ(copy[static_cast<std::size_t>(k)], 100.0 * t + 10.0 * agent + k)
+                << "round " << t << " agent " << agent;
+          }
+          received.push_back(copy);
+          std::copy(copy.begin(), copy.end(), dst.begin());
+          return true;
+        });
+    ASSERT_EQ(kept, reference_kept) << "round " << t;
+    ASSERT_EQ(in_place.ingest().rows(), kept) << "round " << t;
+    for (int r = 0; r < kept; ++r) {
+      const auto row = in_place.ingest().row(r);
+      EXPECT_EQ(std::vector<double>(row.begin(), row.end()), received[static_cast<std::size_t>(r)])
+          << "round " << t << " row " << r;
+    }
+    EXPECT_EQ(in_place.eliminated_count(), reference.eliminated_count()) << "round " << t;
+    EXPECT_TRUE(std::ranges::equal(in_place.members(), reference.members())) << "round " << t;
+  }
+  // The seeds exercise what the test is about: the silent agent and some
+  // dropped messages were eliminated, and rows behind a lost message moved.
+  EXPECT_FALSE(in_place.is_member(5));
+  EXPECT_GT(in_place.eliminated_count(), 1);
+  EXPECT_GT(in_place_net.messages_dropped(), 0);
+  EXPECT_GT(moved, 0);
+
+  const auto& a = in_place_net.transcript();
+  const auto& b = reference_net.transcript();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t m = 0; m < a.size(); ++m) {
+    EXPECT_EQ(a[m].agent, b[m].agent) << "message " << m;
+    EXPECT_EQ(a[m].round, b[m].round) << "message " << m;
+    ASSERT_EQ(a[m].payload.has_value(), b[m].payload.has_value()) << "message " << m;
+    if (a[m].payload) {
+      EXPECT_EQ(*a[m].payload, *b[m].payload) << "message " << m;
+    }
+  }
+}
+
+TEST(EngineDeliver, MoveRowCopiesUnlessTheRowIsItsOwnDestination) {
+  std::vector<double> rows{1.0, 2.0, 3.0, 4.0};
+  const std::span<double> first(rows.data(), 2);
+  const std::span<double> second(rows.data() + 2, 2);
+  engine::move_row(second, first);
+  EXPECT_EQ(rows, (std::vector<double>{3.0, 4.0, 3.0, 4.0}));
+  engine::move_row(second, second);
+  EXPECT_EQ(rows, (std::vector<double>{3.0, 4.0, 3.0, 4.0}));
+}
+
+TEST(EngineDeliver, NothingMovesWhenNoMessageIsLost) {
+  // With every message delivered, kept row k is payload row k: the
+  // transport is handed each message's own row as its destination.
+  engine::RoundEngineConfig config;
+  config.seed = 3;
+  engine::RoundEngine eng({0, 0, 1, 0, 0}, 4, config);
+  eng.reset(1);
+  for (int t = 0; t < 3; ++t) {
+    eng.begin_round(t);
+    eng.emit_honest(
+        [](int agent, std::span<double> row) { std::fill(row.begin(), row.end(), agent); });
+    eng.emit_faulty([](int, std::span<double> row, const attack::HonestRowsView&) {
+      std::fill(row.begin(), row.end(), -1.0);
+      return true;
+    });
+    int calls = 0;
+    EXPECT_EQ(eng.deliver([&](int, std::span<const double> message, std::span<double> dst) {
+      ++calls;
+      EXPECT_EQ(dst.data(), message.data());
+      engine::move_row(message, dst);
+      return true;
+    }), 5);
+    EXPECT_EQ(calls, 5);
+    for (int r = 0; r < 5; ++r) EXPECT_EQ(eng.ingest().row(r)[0], r == 2 ? -1.0 : r) << "row " << r;
   }
 }
 

@@ -70,6 +70,40 @@ TEST(SyncNetworkEdge, TransmitRowMatchesLegacyTransmit) {
   EXPECT_EQ(row_net.messages_dropped(), legacy_net.messages_dropped());
 }
 
+TEST(SyncNetworkEdge, TransmitRowIntoItsOwnPayloadRow) {
+  // The round engine hands the network a destination that may be the
+  // message's own row.  Aliased, a message is delivered (left in place),
+  // dropped and recorded exactly as through a separate destination.
+  sim::SyncNetwork aliased(0.3, 5);
+  sim::SyncNetwork separate(0.3, 5);
+  aliased.record_transcript(true);
+  separate.record_transcript(true);
+  for (int k = 0; k < 40; ++k) {
+    const std::vector<double> message{1.0 * k, -2.0 * k, 0.5};
+    std::vector<double> row = message;
+    std::vector<double> dst(3, 0.0);
+    const bool delivered = aliased.transmit_row(0, k, row, row);
+    ASSERT_EQ(delivered, separate.transmit_row(0, k, message, dst)) << "round " << k;
+    EXPECT_EQ(row, message) << "round " << k;
+    if (delivered) {
+      EXPECT_EQ(dst, message) << "round " << k;
+    }
+  }
+  EXPECT_GT(aliased.messages_dropped(), 0);
+  EXPECT_LT(aliased.messages_dropped(), 40);
+  EXPECT_EQ(aliased.messages_dropped(), separate.messages_dropped());
+  const auto& a = aliased.transcript();
+  const auto& b = separate.transcript();
+  ASSERT_EQ(a.size(), 40u);
+  ASSERT_EQ(b.size(), 40u);
+  for (std::size_t m = 0; m < a.size(); ++m) {
+    ASSERT_EQ(a[m].payload.has_value(), b[m].payload.has_value()) << "message " << m;
+    if (a[m].payload) {
+      EXPECT_EQ(*a[m].payload, *b[m].payload) << "message " << m;
+    }
+  }
+}
+
 // ------------------------------ driver level --------------------------------
 
 std::vector<opt::SquaredDistanceCost> centers(int n) {
