@@ -16,7 +16,8 @@
 //
 // Paths: "legacy" (span API), "batched" (aggregate_into, AggMode::exact),
 // "fast" (aggregate_into, AggMode::fast — relaxed parity; measured at both
-// precision "f64" and, for the rules with an f32 kernel, precision "f32"),
+// precision "f64" and "f32", where rules without an f32 kernel rerun their
+// f64 fast path),
 // and optionally "pooled" (see --threads).  fast_speedup is
 // batched_ns / fast_ns: what the relaxed-parity mode buys over the exact
 // batched kernels; f32_speedup is fast_ns / f32_ns: what demoting the

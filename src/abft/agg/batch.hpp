@@ -45,19 +45,21 @@ enum class AggMode {
 /// Element width of the bandwidth-bound fast-mode kernels.
 ///
 /// `f64` (the default) keeps every kernel on doubles.  `f32` demotes the
-/// *inputs* of the distance/trim kernels — the Gram fill, the col-major
-/// coreset distance pass, the rank-count CWTM/CWMed columns, the laned
-/// Weiszfeld and centered-clipping distance loops — to float, halving the
-/// bytes those memory-bound passes move.  Selection and tie-breaking still
-/// run over a deterministic order, and the aggregate itself is accumulated
-/// and emitted in f64.  The knob only has effect under AggMode::fast; exact
-/// mode ignores it entirely (workspaces reject the combination at the
-/// scenario layer).  Like fast/f64, the f32 lane is bit-identical across
-/// thread counts: every demoted value and every f32 reduction is computed
-/// by exactly one writer in a fixed order.  The fast Gram fill of both
-/// widths shares one AVX-512 micro-kernel templated on the element type: a
-/// 4 x 4 tile of pair dot products per pass over a column chunk (see
-/// fill_pairwise_sqdist).
+/// *inputs* of the two distance kernels — the Gram fill behind Krum,
+/// Multi-Krum and Bulyan stage 1 (fill_pairwise_sqdist, pair_sqdist,
+/// gather_pair_row) and the col-major coreset k-center pass — to float,
+/// halving the bytes those memory-bound passes move.  Every other rule
+/// (CWTM, CWMed, GeoMed, GMoM, CClip, Bulyan stage 2, average, CGE,
+/// NormClip) ignores the knob: its f32 result is its fast/f64 result
+/// bit for bit.  Selection and tie-breaking still run over a deterministic
+/// order, and the aggregate itself is accumulated and emitted in f64.  The
+/// knob only has effect under AggMode::fast; exact mode ignores it entirely
+/// (workspaces reject the combination at the scenario layer).  Like
+/// fast/f64, the f32 lane is bit-identical across thread counts: every
+/// demoted value and every f32 reduction is computed by exactly one writer
+/// in a fixed order.  The fast Gram fill of both widths shares one AVX-512
+/// micro-kernel templated on the element type: a 4 x 4 tile of pair dot
+/// products per pass over a column chunk (see fill_pairwise_sqdist).
 enum class Precision {
   f64,  ///< double-precision kernels (the default)
   f32,  ///< float inputs for the bandwidth-bound fast kernels
@@ -170,16 +172,17 @@ struct AggregatorWorkspace {
   std::vector<double> scratch;   ///< misc n-sized scratch (dists, columns)
   std::vector<double> vecbuf;    ///< misc d-sized scratch (Weiszfeld, cclip)
   // --- float32 lane mirrors (see Precision) -------------------------------
-  // Filled only when f32_lane() is active: rows_f32 is the demote-on-ingest
-  // copy of the batch (n x d, row-major), colmajor_f32 its transpose,
-  // sqnorms_f32 the per-row squared norms of the demoted rows, pairdist_f32
-  // the packed triangular distances (same layout as pairdist), and
-  // vecbuf_f32 a d-sized scratch for demoted iterates (Weiszfeld, cclip).
+  // Filled only when f32_lane() is active, by the Gram fill and the coreset
+  // k-center pass: rows_f32 is the demote-on-ingest copy of the batch
+  // (n x d, row-major), colmajor_f32 its transpose (coreset), sqnorms_f32
+  // the per-row squared norms of the demoted rows and pairdist_f32 the
+  // packed triangular distances (same layout as pairdist; Gram fill), and
+  // vecbuf_f32 a d-sized scratch for the demoted coreset pivot.
   std::vector<float> rows_f32;      ///< demoted batch rows (n x d)
-  std::vector<float> colmajor_f32;  ///< d x n transpose of rows_f32
+  std::vector<float> colmajor_f32;  ///< d x n transpose of rows_f32 (coreset)
   std::vector<float> sqnorms_f32;   ///< squared norms of the demoted rows (n)
   std::vector<float> pairdist_f32;  ///< packed triangular distances, f32 lane
-  std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (demoted iterates)
+  std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (coreset pivot)
   std::vector<int> order;        ///< index permutation (n)
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
   // Certified Krum scorer (krum.hpp detail::krum_select): per-row score

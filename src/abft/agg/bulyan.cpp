@@ -236,12 +236,7 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
   // tie-free columns; only the winner among exactly-equidistant entries
   // (which the exact path's unstable second sort also picks arbitrarily)
   // and the summation order may differ.
-  const bool f32 = ws.f32_lane();
-  if (f32) {
-    ws.fill_colmajor_f32(batch);
-  } else {
-    ws.fill_colmajor(batch);
-  }
+  ws.fill_colmajor(batch);
   resize_output(out, d);
   auto result = out.coefficients();
   const int take = std::min(beta, theta);
@@ -257,22 +252,10 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
       column = local_column.data();
     }
     for (int k = k_begin; k < k_end; ++k) {
-      // f32 lane: columns stream from the demoted transpose (half the
-      // bandwidth of the dominant theta x d gather); the sort, median and
-      // window sweep run on promoted doubles, so tie-breaking is the same
-      // deterministic comparison as the f64 lane.
-      if (f32) {
-        const float* col =
-            ws.colmajor_f32.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-        for (int s = 0; s < theta; ++s) {
-          column[s] = static_cast<double>(col[ws.order[static_cast<std::size_t>(s)]]);
-        }
-      } else {
-        const double* col =
-            ws.colmajor.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-        for (int s = 0; s < theta; ++s) {
-          column[s] = col[ws.order[static_cast<std::size_t>(s)]];
-        }
+      const double* col =
+          ws.colmajor.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
+      for (int s = 0; s < theta; ++s) {
+        column[s] = col[ws.order[static_cast<std::size_t>(s)]];
       }
       double sum = 0.0;
       if (fast) {

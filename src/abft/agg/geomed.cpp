@@ -113,57 +113,6 @@ void weiszfeld_into(Vector& out, const GradientBatch& batch, AggregatorWorkspace
   }
 }
 
-/// Float32-lane Weiszfeld: the distance pass — the bandwidth-bound O(n d)
-/// read per iteration — runs on the demoted rows with 16-float lanes, and
-/// the iterate is demoted once per iteration (ws.vecbuf_f32) so both sqdist
-/// operands are float.  The numerator/denominator accumulation and the
-/// damped update stay f64 (LanedReduce::scale_update), so the emitted
-/// aggregate is a f64 fixed point of the f32-measured weights.  Same
-/// damping, tolerance and iteration schedule as the shared driver.
-void weiszfeld_into_f32(Vector& out, const GradientBatch& batch, AggregatorWorkspace& ws,
-                        double tolerance, int max_iterations) {
-  const int n = batch.rows();
-  const int d = batch.cols();
-  resize_output(out, d);
-  auto cur = out.coefficients();
-  // current = mean of the rows (same summation order as linalg::mean).
-  std::fill(cur.begin(), cur.end(), 0.0);
-  for (int i = 0; i < n; ++i) {
-    const double* row = batch.row(i).data();
-    for (int k = 0; k < d; ++k) cur[static_cast<std::size_t>(k)] += row[k];
-  }
-  const double inv_n = 1.0 / static_cast<double>(n);
-  double sq = 0.0;
-  for (int k = 0; k < d; ++k) {
-    cur[static_cast<std::size_t>(k)] *= inv_n;
-    sq += cur[static_cast<std::size_t>(k)] * cur[static_cast<std::size_t>(k)];
-  }
-  const double scale = std::max(1.0, std::sqrt(sq));
-  const double floor = 1e-12 * scale;
-
-  ws.fill_rows_f32(batch);
-  const float* rows = ws.rows_f32.data();
-  ws.vecbuf.resize(static_cast<std::size_t>(d));
-  ws.vecbuf_f32.resize(static_cast<std::size_t>(d));
-  double* num = ws.vecbuf.data();
-  float* curf = ws.vecbuf_f32.data();
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    for (int k = 0; k < d; ++k) curf[k] = static_cast<float>(cur[static_cast<std::size_t>(k)]);
-    std::fill(num, num + d, 0.0);
-    double denominator = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const float* row = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-      const double dist =
-          std::max(std::sqrt(detail::laned_sqdist_f32(curf, row, d)), floor);
-      const double w = 1.0 / dist;
-      for (int k = 0; k < d; ++k) num[k] += w * static_cast<double>(row[k]);
-      denominator += w;
-    }
-    const double moved_sq = LanedReduce::scale_update(num, 1.0 / denominator, cur.data(), d);
-    if (std::sqrt(moved_sq) <= tolerance * scale) break;
-  }
-}
-
 }  // namespace
 
 Vector geometric_median(std::span<const Vector> points, double tolerance, int max_iterations) {
@@ -210,9 +159,7 @@ void geometric_median_into(Vector& out, const GradientBatch& batch,
   // below that the exact path is already optimal, so fast mode routes tiny
   // dimensions back to it (still a valid "fast" result — exact is within
   // every tolerance bound).
-  if (ws.f32_lane() && d >= detail::kF32DistanceLaneMinDim) {
-    weiszfeld_into_f32(out, batch, ws, tolerance, max_iterations);
-  } else if (ws.mode == AggMode::fast && d >= 2 * detail::kReduceLanes) {
+  if (ws.mode == AggMode::fast && d >= 2 * detail::kReduceLanes) {
     weiszfeld_into<LanedReduce>(out, batch, ws, tolerance, max_iterations);
   } else {
     weiszfeld_into<ExactReduce>(out, batch, ws, tolerance, max_iterations);

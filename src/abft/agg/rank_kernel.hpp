@@ -23,47 +23,20 @@
 #include <immintrin.h>
 #endif
 
-#include "abft/agg/batch.hpp"
-
 namespace abft::agg::detail {
 
-/// Hard ceiling on the rank-kernel n: sizes the callers' stack buffers
-/// (count array + column tiles), so the calibrated cutoff can never exceed
-/// it.  512 keeps the largest tile (16 columns x 512 rows) at 64 KiB.
+/// Hard ceiling on the rank-kernel n: sizes smallest_k_sum's stack count
+/// array.  512 keeps it at 4 KiB.
 constexpr int kRankKernelCapacity = 512;
 
-/// The crossover AggMode::exact pins: the historical hard-coded value.
-/// Exact mode promises bit-reproducible output run-to-run, and CWTM's
-/// rank-classified trimmed sum adds kept entries in original column order
-/// while the nth_element fallback adds them in partition order — same
-/// multiset, different rounding — so exact mode must route by a constant,
-/// never by the timing-based calibration below.
-constexpr int kRankKernelExactCutoff = 256;
-
-/// Adaptive crossover for AggMode::fast: the largest n routed to the O(n^2)
-/// rank kernel before fast-mode callers fall back to O(n log n) nth_element
-/// selection.  Calibrated once per process by racing the two kernels at a
-/// few candidate sizes (see rank_kernel.cpp) — the crossover depends on the
-/// host's SIMD width, which is exactly the host-dependence fast mode's
-/// relaxed-parity contract permits.  kRankKernelExactCutoff is the fallback
-/// when calibration is inconclusive.  The result is the pure measurement,
-/// cached for the process lifetime; the ABFT_RANK_KERNEL_CUTOFF override is
-/// applied by effective_rank_cutoff, not baked into the cache.  Both routes
-/// reproduce sorted-position selection exactly for duplicate-free columns
-/// (duplicates take the fallback regardless); only the floating-point
-/// summation order of the kept entries differs, inside the fast tolerance
-/// contract.
-int rank_kernel_cutoff();
-
-/// The cutoff CWTM/CWMed routing actually uses for `mode`.  When the
-/// ABFT_RANK_KERNEL_CUTOFF environment variable is set it wins in BOTH
-/// modes (parsed per call so tests can flip it at runtime, clamped to
-/// [0, kRankKernelCapacity]; 0 forces the rank kernel off entirely);
-/// otherwise fast mode takes the cached per-process calibration and exact
-/// mode pins kRankKernelExactCutoff.  Within one run the override is a
-/// constant, so exact mode's run-to-run reproducibility contract holds for
-/// a fixed environment.
-int effective_rank_cutoff(AggMode mode);
+/// The largest column length CWTM and CWMed send to the O(n^2) rank kernel;
+/// longer columns take O(n log n) nth_element selection.  One constant for
+/// every mode and host: CWTM's rank route adds kept entries in column
+/// order while the selection route adds them in partition order (same
+/// multiset, different rounding), so a host-dependent crossover would make
+/// the output host-dependent too.
+constexpr int kRankKernelCutoff = 256;
+static_assert(kRankKernelCutoff <= kRankKernelCapacity);
 
 inline void rank_counts(const double* col, int n, std::int64_t* lt) {
 #if defined(__AVX512F__)
@@ -104,53 +77,6 @@ inline void rank_counts(const double* col, int n, std::int64_t* lt) {
   for (int j = 0; j < n; ++j) lt[j] = 0;
   for (int i = 0; i < n; ++i) {
     const double y = col[i];
-    for (int j = 0; j < n; ++j) lt[j] += y < col[j] ? 1 : 0;
-  }
-#endif
-}
-
-/// Float32-lane overload: same branchless rank counts over a demoted
-/// column, 16 entries per 512-bit register (twice the f64 throughput at
-/// half the traffic).  Counts fit int32 (n <= kRankKernelCapacity = 512).
-inline void rank_counts(const float* col, int n, std::int32_t* lt) {
-#if defined(__AVX512F__)
-  const __m512i ones = _mm512_set1_epi32(1);
-  for (int j0 = 0; j0 < n; j0 += 16) {
-    const int rem = n - j0;
-    const __mmask16 lane_mask =
-        rem >= 16 ? static_cast<__mmask16>(0xFFFF) : static_cast<__mmask16>((1u << rem) - 1);
-    const __m512 vx = _mm512_maskz_loadu_ps(lane_mask, col + j0);
-    __m512i vcnt = _mm512_setzero_si512();
-    for (int i = 0; i < n; ++i) {
-      const __m512 vy = _mm512_set1_ps(col[i]);
-      const __mmask16 is_lt = _mm512_cmp_ps_mask(vy, vx, _CMP_LT_OQ);
-      vcnt = _mm512_mask_add_epi32(vcnt, is_lt, vcnt, ones);
-    }
-    _mm512_mask_storeu_epi32(lt + j0, lane_mask, vcnt);
-  }
-#elif defined(__AVX2__)
-  int j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    const __m256 vx = _mm256_loadu_ps(col + j0);
-    __m256i vcnt = _mm256_setzero_si256();
-    for (int i = 0; i < n; ++i) {
-      const __m256 vy = _mm256_set1_ps(col[i]);
-      const __m256 is_lt = _mm256_cmp_ps(vy, vx, _CMP_LT_OQ);
-      // The compare mask is all-ones (-1) per true lane; subtracting counts.
-      vcnt = _mm256_sub_epi32(vcnt, _mm256_castps_si256(is_lt));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lt + j0), vcnt);
-  }
-  for (; j0 < n; ++j0) {
-    const float x = col[j0];
-    std::int32_t c = 0;
-    for (int i = 0; i < n; ++i) c += col[i] < x ? 1 : 0;
-    lt[j0] = c;
-  }
-#else
-  for (int j = 0; j < n; ++j) lt[j] = 0;
-  for (int i = 0; i < n; ++i) {
-    const float y = col[i];
     for (int j = 0; j < n; ++j) lt[j] += y < col[j] ? 1 : 0;
   }
 #endif

@@ -7,10 +7,12 @@
 // cover the FMA latency chain) so the compiler vectorizes them at -O2 and
 // the result is deterministic for a given (d, ISA) — just not bit-equal to
 // the sequential exact-mode order.  Exact-mode kernels must NOT call these.
-// (The coreset construction pass in agg/coreset.cpp vectorizes differently —
-// across rows on a column-major layout, which keeps each row's summation
-// sequential in k; only its runtime-dispatched AVX-512 colmajor variant
-// below, whose FMA contraction can round differently, is fast-mode-gated.)
+// The f64 reductions serve the fast Weiszfeld (GeoMed, GMoM), centered
+// clipping and Bulyan stage 2.  The f32 section at the bottom serves only
+// the coreset k-center pass (agg/coreset.cpp), which vectorizes across rows
+// on a column-major layout and keeps each row's summation sequential in k;
+// only its runtime-dispatched AVX-512 colmajor variants, whose FMA
+// contraction can round differently, are fast-mode-gated.
 #pragma once
 
 #include <cstddef>
@@ -55,26 +57,6 @@ inline double laned_sqdist(const double* a, const double* b, int d) {
 }
 
 #if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
-/// sum_k (a[k] - b[k])^2 with 8-wide FMA accumulation and a masked tail.
-/// Summation order differs from laned_sqdist, so callers must be under a
-/// tolerance contract (AggMode::fast), never exact mode.
-inline double avx512_sqdist(const double* a, const double* b, int d) {
-  __m512d acc = _mm512_setzero_pd();
-  int k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m512d diff = _mm512_sub_pd(_mm512_loadu_pd(a + k), _mm512_loadu_pd(b + k));
-    acc = _mm512_fmadd_pd(diff, diff, acc);
-  }
-  const int rem = d - k;
-  if (rem > 0) {
-    const __mmask8 mask = static_cast<__mmask8>((1u << rem) - 1u);
-    const __m512d diff = _mm512_sub_pd(_mm512_maskz_loadu_pd(mask, a + k),
-                                       _mm512_maskz_loadu_pd(mask, b + k));
-    acc = _mm512_fmadd_pd(diff, diff, acc);
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
 /// Column-major squared-distance block: out[i] = sum_k (cols[k*stride + i]
 /// - center[k])^2 for i in [lo, hi), vectorized 8 rows wide with the k loop
 /// innermost (one register accumulator per row group, scalar row tail).
@@ -118,25 +100,16 @@ inline bool sqdist_avx512_available() {
 #endif
 }
 
-// --- float32 lane (Precision::f32, fast mode only) -------------------------
+// --- float32 lane (Precision::f32, fast mode only; coreset k-center) -------
 // Same independent-partial-sum discipline as above, twice as wide: 16 float
 // lanes per group, so a 512-bit vector unit still retires one whole group
 // per FMA while moving half the bytes.  Lane accumulation stays in float
 // (each lane sums ~d/16 products — the sqrt(d/16) * 2^-24 relative error is
-// far inside every f32 tolerance envelope); only the final cross-lane
+// far inside the coreset's f32 envelope); only the final cross-lane
 // reduction widens to double.  f32 lane only — never exact mode, never the
 // f64 fast lane.
 
 inline constexpr int kReduceLanesF32 = 16;
-
-/// Minimum dimension for the f32 distance-pass lanes (Weiszfeld, CClip).
-/// Below this the per-row fixed costs of the f32 path — the iterate demotion
-/// and the wider horizontal reduction — outweigh the halved streaming
-/// traffic, and the f64 fast path is measurably quicker (breakeven sits near
-/// d = 300-500 for both kernels at n = 50); the knob is a documented no-op
-/// there.  Rank-kernel rules (cwtm, cwmed) and the Gram-based rules gate
-/// differently and do not use this constant.
-inline constexpr int kF32DistanceLaneMinDim = 512;
 
 /// sum_k (a[k] - b[k])^2 over demoted rows, laned, returned in double.
 inline double laned_sqdist_f32(const float* a, const float* b, int d) {
@@ -171,25 +144,6 @@ inline double laned_sqdist_f32(const float* a, const float* b, int d) {
 }
 
 #if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
-/// f32 counterpart of avx512_sqdist: 16-wide FMA accumulation, masked tail,
-/// double result.  Fast-mode f32 lane only.
-inline double avx512_sqdist_f32(const float* a, const float* b, int d) {
-  __m512 acc = _mm512_setzero_ps();
-  int k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 diff = _mm512_sub_ps(_mm512_loadu_ps(a + k), _mm512_loadu_ps(b + k));
-    acc = _mm512_fmadd_ps(diff, diff, acc);
-  }
-  const int rem = d - k;
-  if (rem > 0) {
-    const __mmask16 mask = static_cast<__mmask16>((1u << rem) - 1u);
-    const __m512 diff = _mm512_sub_ps(_mm512_maskz_loadu_ps(mask, a + k),
-                                      _mm512_maskz_loadu_ps(mask, b + k));
-    acc = _mm512_fmadd_ps(diff, diff, acc);
-  }
-  return static_cast<double>(_mm512_reduce_add_ps(acc));
-}
-
 /// f32 counterpart of avx512_colmajor_sqdist: 16 rows per register group,
 /// float accumulation, results widened into the caller's double buffer (the
 /// selection machinery stays f64 so tie-breaking is precision-agnostic).
@@ -255,19 +209,6 @@ inline void laned_colmajor_sqdist_f32(const float* cols, std::size_t stride,
     }
     out[i] = static_cast<double>(acc);
   }
-}
-
-/// sum_k a[k] over a float buffer, laned, returned in double.
-inline double laned_sum_f32(const float* a, int d) {
-  float l0[kReduceLanesF32] = {0.0f};
-  int k = 0;
-  for (; k + kReduceLanesF32 <= d; k += kReduceLanesF32) {
-    for (int t = 0; t < kReduceLanesF32; ++t) l0[t] += a[k + t];
-  }
-  double sum = 0.0;
-  for (; k < d; ++k) sum += static_cast<double>(a[k]);
-  for (int t = 0; t < kReduceLanesF32; ++t) sum += static_cast<double>(l0[t]);
-  return sum;
 }
 
 /// sum_k a[k], laned.

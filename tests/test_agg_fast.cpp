@@ -13,9 +13,9 @@
 // documented contract (see README "AggMode::exact vs fast"); they are ~100x
 // above the worst drift observed on these seeds, and orders of magnitude
 // below the eps-resilience envelope any workload cares about.  Rules whose
-// fast path is shared with the exact path (average, cge, normclip, cwmed at
-// rank-kernel sizes) get near-machine-epsilon bounds so an accidental fast
-// fork would fail loudly.
+// fast path is shared with the exact path (average, cge, normclip, cwtm,
+// cwmed) get near-machine-epsilon bounds so an accidental fast fork would
+// fail loudly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,8 +38,8 @@ const std::map<std::string, double>& rule_tolerances() {
   static const std::map<std::string, double> tol{
       {"average", 1e-12},    // no fast kernel: identical path
       {"cge", 1e-12},        // no fast kernel: identical path
-      {"cwtm", 1e-10},       // laned trimmed sums reorder additions
-      {"cwmed", 1e-12},      // selection is positional in both modes
+      {"cwtm", 1e-12},       // one path in every mode: identical
+      {"cwmed", 1e-12},      // one path in every mode: identical
       {"krum", 1e-9},        // AVX-512 Gram dots may flip only exact score ties
       {"multikrum", 1e-9},   // same Gram drift, then an exact average
       {"geomed", 1e-6},      // two Weiszfeld runs stopping near the same fixed point
@@ -198,23 +198,25 @@ TEST(FastParity, ExactModeIsTheDefault) {
 //
 //     ||f32(batch, f) - exact(batch, f)||_inf <= tol32(rule) * (1 + ||exact||_inf)
 //
-// Rules with no f32 kernel (average, cge, normclip) keep their f64 bounds:
-// the precision knob is a documented no-op there.
+// Only the distance kernels have an f32 lane: the Gram fill (krum,
+// multikrum, bulyan stage 1) and the coreset k-center pass.  Every other
+// rule ignores the knob, so its f32 bound is its fast bound (cwtm and
+// cwmed run one path in every mode, so theirs is near machine epsilon).
 
 /// Documented per-rule relative tolerance of the f32 lane vs exact mode.
 const std::map<std::string, double>& rule_tolerances_f32() {
   static const std::map<std::string, double> tol{
       {"average", 1e-12},    // no f32 kernel: identical to the f64 fast path
       {"cge", 1e-12},        // no f32 kernel: identical to the f64 fast path
-      {"cwtm", 2e-5},        // demoted columns, double keep-sums
-      {"cwmed", 2e-5},       // median entry of the demoted column
+      {"cwtm", 1e-12},       // no f32 kernel: identical to exact
+      {"cwmed", 1e-12},      // no f32 kernel: identical to exact
       {"krum", 1e-6},        // f32 Gram scores select an exact f64 row
       {"multikrum", 1e-6},   // same selection, f64 average
-      {"geomed", 5e-5},      // f32-measured Weiszfeld weights, f64 fixed point
-      {"gmom", 5e-5},        // geomed over exact f64 bucket means
-      {"bulyan", 2e-5},      // f32 stage-1 scores, demoted stage-2 columns
+      {"geomed", 1e-6},      // no f32 kernel: identical to the f64 fast path
+      {"gmom", 1e-6},        // no f32 kernel: identical to the f64 fast path
+      {"bulyan", 2e-5},      // f32 stage-1 scores, f64 stage-2 columns
       {"normclip", 1e-12},   // no f32 kernel: identical to the f64 fast path
-      {"cclip", 5e-5},       // f32 distance passes and row reads, f64 update
+      {"cclip", 1e-8},       // no f32 kernel: identical to the f64 fast path
   };
   return tol;
 }
@@ -242,8 +244,8 @@ TEST(F32Lane, AllRegistryRulesAcrossShapes) {
   struct Shape {
     int n, d, f;
   };
-  // The same routing-boundary shapes as the f64 suite: d = 1 (the laned f32
-  // kernels route back), d around the 16-float lane width, d past the Gram
+  // The same routing-boundary shapes as the f64 suite: d = 1, d around the
+  // 16-float lane width of the f32 Gram kernel, d past the Gram
   // chunk, f = 0, and thin-n minima.
   const Shape shapes[] = {{7, 1, 1},   {11, 8, 2},  {11, 48, 2},  {15, 33, 3},
                           {12, 16, 0}, {23, 200, 5}, {27, 1100, 4}, {50, 257, 10}};
@@ -345,6 +347,29 @@ TEST(F32Lane, ThreadCountInvariant) {
     rule->aggregate_into(serial, batch, 5, serial_ws);
     rule->aggregate_into(pooled, batch, 5, pooled_ws);
     EXPECT_EQ(serial, pooled) << name << ": f32-lane partition leaked into the result";
+  }
+}
+
+TEST(F32Lane, OnlyTheDistanceKernelsFork) {
+  // The rules without an f32 kernel must ignore the knob bit for bit in
+  // fast mode, at shapes where the f64 fast path runs its laned kernels.
+  util::Rng rng(303030);
+  for (const int d : {33, 700}) {
+    const auto batch = random_batch(rng, 21, d, 1.0);
+    for (const auto name : agg::aggregator_names()) {
+      if (name == "krum" || name == "multikrum" || name == "bulyan") continue;
+      const auto rule = agg::make_aggregator(name);
+      agg::AggregatorWorkspace f64_ws;
+      f64_ws.mode = agg::AggMode::fast;
+      agg::AggregatorWorkspace f32_ws;
+      f32_ws.mode = agg::AggMode::fast;
+      f32_ws.precision = agg::Precision::f32;
+      Vector f64_out;
+      Vector f32_out;
+      rule->aggregate_into(f64_out, batch, 4, f64_ws);
+      rule->aggregate_into(f32_out, batch, 4, f32_ws);
+      EXPECT_EQ(f64_out, f32_out) << name << " d=" << d << ": precision knob forked the rule";
+    }
   }
 }
 

@@ -1,23 +1,22 @@
 // Routing tests for the rank-kernel cutoff (rank_kernel.hpp).
 //
-// Two defects pinned here (both present before effective_rank_cutoff
-// existed): the ABFT_RANK_KERNEL_CUTOFF override was read once inside the
-// calibration path and baked into the per-process cache — so flipping it
-// after the first aggregate call was silently ignored — and exact mode
-// never consulted the override at all, so the documented "force the rank
-// kernel off" escape hatch (=0) only worked under fast mode.  The contract
-// now: the env var wins in BOTH modes, is parsed per call, clamps to
-// [0, kRankKernelCapacity], and 0 disables the rank kernel outright;
-// without it fast mode takes the cached pure-measurement calibration and
-// exact mode pins the historical constant.
+// CWTM and CWMed send a column to the O(n^2) rank kernel when
+// n <= kRankKernelCutoff and the column has no duplicate entries; longer
+// columns and columns with duplicates take nth_element selection.  The
+// cutoff is one constant for every mode, precision and host, so each rule
+// has one numeric path: its output must not depend on the mode, the
+// precision knob or the thread count, and CWMed (whose two routes pick the
+// same entries) must equal the sort-based span reference exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "abft/agg/rank_kernel.hpp"
 #include "abft/agg/registry.hpp"
+#include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
 
 namespace {
@@ -25,134 +24,74 @@ namespace {
 using namespace abft;
 using agg::Vector;
 
-/// Scoped override of ABFT_RANK_KERNEL_CUTOFF, restored on destruction so
-/// the suite cannot leak routing state into other tests.
-class ScopedCutoffEnv {
- public:
-  explicit ScopedCutoffEnv(const char* value) {
-    const char* old = std::getenv("ABFT_RANK_KERNEL_CUTOFF");
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv("ABFT_RANK_KERNEL_CUTOFF", value, 1);
-    } else {
-      ::unsetenv("ABFT_RANK_KERNEL_CUTOFF");
-    }
-  }
-  ~ScopedCutoffEnv() {
-    if (had_old_) {
-      ::setenv("ABFT_RANK_KERNEL_CUTOFF", old_.c_str(), 1);
-    } else {
-      ::unsetenv("ABFT_RANK_KERNEL_CUTOFF");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-TEST(RankKernelCutoff, DefaultsWithoutOverride) {
-  ScopedCutoffEnv env(nullptr);
-  // Exact mode pins the historical constant; fast mode takes the cached
-  // calibration, which by construction lies in [0, capacity].
-  EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::exact),
-            agg::detail::kRankKernelExactCutoff);
-  const int fast = agg::detail::effective_rank_cutoff(agg::AggMode::fast);
-  EXPECT_EQ(fast, agg::detail::rank_kernel_cutoff());
-  EXPECT_GE(fast, 0);
-  EXPECT_LE(fast, agg::detail::kRankKernelCapacity);
-}
-
-TEST(RankKernelCutoff, ZeroForcesRankKernelOffInBothModes) {
-  ScopedCutoffEnv env("0");
-  EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::exact), 0);
-  EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast), 0);
-}
-
-TEST(RankKernelCutoff, OverrideWinsInBothModesAndClamps) {
-  {
-    ScopedCutoffEnv env("100");
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::exact), 100);
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast), 100);
-  }
-  {
-    ScopedCutoffEnv env("999999");  // above capacity: clamps down
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::exact),
-              agg::detail::kRankKernelCapacity);
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast),
-              agg::detail::kRankKernelCapacity);
-  }
-  {
-    ScopedCutoffEnv env("-7");  // negative: clamps to "off"
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::exact), 0);
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast), 0);
-  }
-}
-
-TEST(RankKernelCutoff, ParsedPerCallNotBakedIntoTheCache) {
-  // Force the calibration cache to materialize with no override in scope,
-  // then flip the env var: the effective cutoff must follow immediately.
-  // Before the fix the first calibration consumed the env var and froze it
-  // for the process lifetime.
-  {
-    ScopedCutoffEnv env(nullptr);
-    (void)agg::detail::effective_rank_cutoff(agg::AggMode::fast);  // caches calibration
-  }
-  {
-    ScopedCutoffEnv env("0");
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast), 0);
-  }
-  {
-    ScopedCutoffEnv env(nullptr);
-    EXPECT_EQ(agg::detail::effective_rank_cutoff(agg::AggMode::fast),
-              agg::detail::rank_kernel_cutoff());
-  }
-}
-
 TEST(RankKernelCutoff, CwmedOutputInvariantUnderRouting) {
-  // The rank-classified median selects the same element(s) as nth_element,
-  // so forcing the rank kernel off must not change cwmed's exact-mode
-  // output at all — routing is a performance decision, never a semantic
-  // one.
+  // n straddles the cutoff, so both routes run; the planted duplicate (row
+  // 1 copies row 0) sends every rank-route column to the selection
+  // fallback as well.
+  constexpr int kCut = agg::detail::kRankKernelCutoff;
+  static_assert(kCut + 1 < 400, "the n list must reach past the cutoff");
+  struct Lane {
+    agg::AggMode mode;
+    agg::Precision precision;
+    const char* label;
+  };
+  const Lane lanes[] = {{agg::AggMode::exact, agg::Precision::f64, "exact"},
+                        {agg::AggMode::fast, agg::Precision::f64, "fast/f64"},
+                        {agg::AggMode::fast, agg::Precision::f32, "fast/f32"}};
+  agg::ThreadPool pool(4);
   util::Rng rng(20260802);
-  const int n = 21, d = 64;
-  agg::GradientBatch batch(n, d);
-  for (int i = 0; i < n; ++i) {
-    auto row = batch.row(i);
-    for (int k = 0; k < d; ++k) row[static_cast<std::size_t>(k)] = rng.normal();
+  const int d = 37;  // two full 16-column tiles and a tail
+  for (const int n : {3, 21, kCut - 1, kCut, kCut + 1, 400}) {
+    for (const bool duplicate : {false, true}) {
+      agg::GradientBatch batch(n, d);
+      for (int i = 0; i < n; ++i) {
+        auto row = batch.row(i);
+        for (int k = 0; k < d; ++k) row[static_cast<std::size_t>(k)] = rng.normal();
+      }
+      if (duplicate) batch.set_row(1, batch.unpack_row(0));
+      const int f = std::max(1, n / 5);
+      for (const std::string_view name : {"cwtm", "cwmed"}) {
+        const auto rule = agg::make_aggregator(name);
+        const std::string where = std::string(name) + " n=" + std::to_string(n) +
+                                  (duplicate ? " duplicate" : " distinct");
+        Vector reference;
+        {
+          agg::AggregatorWorkspace ws;
+          rule->aggregate_into(reference, batch, f, ws);
+        }
+        if (name == "cwmed") {
+          EXPECT_EQ(reference, rule->aggregate(batch.unpack(), f)) << where << " vs span";
+        }
+        for (const Lane& lane : lanes) {
+          for (const int threads : {1, 4}) {
+            agg::AggregatorWorkspace ws;
+            ws.mode = lane.mode;
+            ws.precision = lane.precision;
+            ws.parallel_threads = threads;
+            ws.pool = &pool;
+            Vector out;
+            rule->aggregate_into(out, batch, f, ws);
+            EXPECT_EQ(out, reference) << where << " " << lane.label << " threads=" << threads;
+          }
+        }
+      }
+    }
   }
-  const auto rule = agg::make_aggregator("cwmed");
-  Vector with_kernel;
-  Vector without_kernel;
-  {
-    ScopedCutoffEnv env(nullptr);
-    agg::AggregatorWorkspace ws;
-    rule->aggregate_into(with_kernel, batch, 3, ws);
-  }
-  {
-    ScopedCutoffEnv env("0");
-    agg::AggregatorWorkspace ws;
-    rule->aggregate_into(without_kernel, batch, 3, ws);
-  }
-  EXPECT_EQ(with_kernel, without_kernel);
 }
 
-TEST(RankKernelCutoff, F32RankCountsMatchPortable) {
-  // The 16-wide f32 rank kernel must agree with the scalar definition
+TEST(RankKernelCutoff, RankCountsMatchPortable) {
+  // The SIMD rank kernel must agree with the scalar definition
   // lt[j] = #{i : col[i] < col[j]} on duplicate-free and duplicate-heavy
-  // columns alike.
+  // columns alike, across full and masked-tail register blocks.
   util::Rng rng(778899);
   for (const int n : {1, 7, 16, 17, 33, 512}) {
-    std::vector<float> col(static_cast<std::size_t>(n));
-    for (auto& v : col) v = static_cast<float>(rng.normal());
+    std::vector<double> col(static_cast<std::size_t>(n));
+    for (auto& v : col) v = rng.normal();
     if (n >= 16) col[5] = col[11];  // plant a duplicate
-    std::vector<std::int32_t> lt(static_cast<std::size_t>(n));
+    std::vector<std::int64_t> lt(static_cast<std::size_t>(n));
     agg::detail::rank_counts(col.data(), n, lt.data());
     for (int j = 0; j < n; ++j) {
-      std::int32_t expected = 0;
+      std::int64_t expected = 0;
       for (int i = 0; i < n; ++i) expected += col[static_cast<std::size_t>(i)] <
                                               col[static_cast<std::size_t>(j)];
       EXPECT_EQ(lt[static_cast<std::size_t>(j)], expected) << "n=" << n << " j=" << j;
