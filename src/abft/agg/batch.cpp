@@ -1,6 +1,7 @@
 #include "abft/agg/batch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -260,6 +261,102 @@ void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d,
   }
 }
 #pragma GCC diagnostic pop
+#endif  // __AVX512F__
+
+/// ||ri - rj||^2 by direct differences: the cancellation-guard recompute of
+/// a pair whose Gram-identity distance is small next to its scale.
+double direct_sqdist(const double* ri, const double* rj, int d) {
+  constexpr int kLanes = 8;
+  double lanes[kLanes] = {0.0};
+  int k = 0;
+  for (; k + kLanes <= d; k += kLanes) {
+    for (int b = 0; b < kLanes; ++b) {
+      const double diff = ri[k + b] - rj[k + b];
+      lanes[b] += diff * diff;
+    }
+  }
+  double d2 = 0.0;
+  for (; k < d; ++k) {
+    const double diff = ri[k] - rj[k];
+    d2 += diff * diff;
+  }
+  for (int b = 0; b < kLanes; ++b) d2 += lanes[b];
+  return d2;
+}
+
+/// Relative cancellation guard of the f64 Gram fill (see
+/// fill_pairwise_sqdist).
+constexpr double kCancellationGuard = 1e-6;
+
+#if defined(__AVX512F__)
+/// Squared distances of rows [i_begin, i_end) to every later row, for
+/// 8 <= d < kTileMinCols, eight pairs per register: row i runs against
+/// rows j..j+7 read from the d x n column-major copy `cols`, so one
+/// broadcast + FMA advances eight pairs where the per-pair kernel advances
+/// one pair's eight lanes.  Each register lane repeats, for its own pair,
+/// the operations the per-pair path (accumulate_pair_dots_tail on the
+/// zeroed cell, then the conversion loop) runs under this build's
+/// contraction, so every cell gets the same bits:
+///   * lane b of the dot is an FMA chain over the whole lane groups,
+///     fma(ri[k], rj[k], lane_b), k = b, b + 8, ...;
+///   * the leftover past the last whole group comes from the shared
+///     leftover_dot (GCC vectorizes its products, so an FMA re-implementation
+///     would round differently whenever d mod 8 >= 2);
+///   * dot = leftover + lane 0 + ... + lane 7 in lane order, then 0.0 + dot
+///     (the zeroed cell's +=);
+///   * d2 = fnmadd(2, dot, scale) with scale = sqnorm_i + sqnorm_j, then
+///     0 < d2 ? d2 : 0 (std::max(0.0, d2), NaN included);
+///   * guard cells (d2 < kCancellationGuard * scale) take direct_sqdist.
+/// A cell depends only on its two rows, never on the lane it lands in or
+/// the thread that runs its row.
+void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
+                                const double* sqnorms, double* pairdist, int n, int d,
+                                int i_begin, int i_end) {
+  constexpr int kLanes = 8;
+  const int whole = d - d % kLanes;
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d two = _mm512_set1_pd(2.0);
+  const __m512d guard = _mm512_set1_pd(kCancellationGuard);
+  alignas(64) double leftover[kLanes] = {0.0};
+  for (int i = i_begin; i < i_end; ++i) {
+    const double* ri = row_ptr(rows, d, i);
+    double* prow = pairdist + pair_row_start(i, n);
+    const __m512d sqi = _mm512_set1_pd(sqnorms[i]);
+    for (int j0 = i + 1; j0 < n; j0 += kLanes) {
+      const int width = std::min(kLanes, n - j0);
+      const auto mask = static_cast<__mmask8>((1u << width) - 1);
+      __m512d lanes[kLanes];
+      for (int b = 0; b < kLanes; ++b) lanes[b] = zero;
+      for (int k0 = 0; k0 < whole; k0 += kLanes) {
+        for (int b = 0; b < kLanes; ++b) {
+          const double* col = cols + static_cast<std::size_t>(k0 + b) * n + j0;
+          lanes[b] = _mm512_fmadd_pd(_mm512_set1_pd(ri[k0 + b]),
+                                     _mm512_maskz_loadu_pd(mask, col), lanes[b]);
+        }
+      }
+      __m512d dot = zero;  // leftover_dot of an empty range is +0.0
+      if (whole < d) {
+        for (int t = 0; t < kLanes; ++t) {
+          leftover[t] = t < width ? leftover_dot(ri, row_ptr(rows, d, j0 + t), whole, d) : 0.0;
+        }
+        dot = _mm512_load_pd(leftover);
+      }
+      for (int b = 0; b < kLanes; ++b) dot = _mm512_add_pd(dot, lanes[b]);
+      dot = _mm512_add_pd(zero, dot);
+      const __m512d scale = _mm512_add_pd(sqi, _mm512_maskz_loadu_pd(mask, sqnorms + j0));
+      __m512d d2 = _mm512_fnmadd_pd(two, dot, scale);
+      d2 = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(zero, d2, _CMP_LT_OQ), d2);
+      double* cell = prow + (j0 - i - 1);
+      _mm512_mask_storeu_pd(cell, mask, d2);
+      auto recompute = static_cast<unsigned>(
+          _mm512_mask_cmp_pd_mask(mask, d2, _mm512_mul_pd(guard, scale), _CMP_LT_OQ));
+      for (; recompute != 0; recompute &= recompute - 1) {
+        const int t = std::countr_zero(recompute);
+        cell[t] = direct_sqdist(ri, row_ptr(rows, d, j0 + t), d);
+      }
+    }
+  }
+}
 #endif  // __AVX512F__
 
 /// True when the fast-mode Gram kernel may use AVX-512: compile-time ISA
@@ -543,6 +640,24 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
     return;
   }
   fill_sqnorms(batch);
+#if defined(__AVX512F__)
+  if (d >= 8 && d < kTileMinCols && gram_avx512_available()) {
+    // Small-d f64 rows (a Krum leaf): eight pairs per register, the
+    // conversion and the guard fused in (sqdist_rows_small_d_avx512), the
+    // same bits as the per-pair path below in either mode.
+    gram_colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+    for (int i = 0; i < n; ++i) {
+      const double* src = batch.row(i).data();
+      for (int k = 0; k < d; ++k) gram_colmajor[static_cast<std::size_t>(k) * n + i] = src[k];
+    }
+    pairdist.resize(pairs);
+    run_parallel(0, n, [&](int i_begin, int i_end) {
+      sqdist_rows_small_d_avx512(batch.data(), gram_colmajor.data(), sqnorms.data(),
+                                 pairdist.data(), n, d, i_begin, i_end);
+    });
+    return;
+  }
+#endif
   pairdist.assign(pairs, 0.0);
   accumulate_pair_dots(*this, batch.data(), pairdist.data(), n, d, mode == AggMode::fast);
   // Convert the accumulated dots to squared distances in place.  The Gram
@@ -551,7 +666,6 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   // regime where Krum-family selection matters — so pairs whose result is
   // small relative to the cancellation scale are recomputed directly.  On
   // well-separated data no pair trips the guard and nothing is recomputed.
-  constexpr double kCancellationGuard = 1e-6;
   for (int i = 0; i < n; ++i) {
     const double sqi = sqnorms[static_cast<std::size_t>(i)];
     double* prow = pairdist.data() + pair_row_start(i, n);
@@ -559,23 +673,7 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
       const double scale = sqi + sqnorms[static_cast<std::size_t>(j)];
       double d2 = std::max(0.0, scale - 2.0 * prow[j - i - 1]);
       if (d2 < kCancellationGuard * scale) {
-        constexpr int kLanes = 8;
-        const double* ri = batch.row(i).data();
-        const double* rj = batch.row(j).data();
-        double lanes[kLanes] = {0.0};
-        int k = 0;
-        for (; k + kLanes <= d; k += kLanes) {
-          for (int b = 0; b < kLanes; ++b) {
-            const double diff = ri[k + b] - rj[k + b];
-            lanes[b] += diff * diff;
-          }
-        }
-        d2 = 0.0;
-        for (; k < d; ++k) {
-          const double diff = ri[k] - rj[k];
-          d2 += diff * diff;
-        }
-        for (int b = 0; b < kLanes; ++b) d2 += lanes[b];
+        d2 = direct_sqdist(batch.row(i).data(), batch.row(j).data(), d);
       }
       prow[j - i - 1] = d2;
     }

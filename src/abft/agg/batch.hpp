@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <thread>
@@ -158,6 +159,9 @@ struct AggregatorWorkspace {
 
   // --- scratch buffers -----------------------------------------------------
   std::vector<double> colmajor;  ///< d x n transposed copy of the batch
+  /// d x n transposed copy the small-d f64 Gram fill reads (its own buffer:
+  /// `colmajor` belongs to CWTM, Bulyan and the coreset pass).
+  std::vector<double> gram_colmajor;
   std::vector<double> norms;     ///< per-gradient Euclidean norms (n)
   std::vector<double> sqnorms;   ///< per-gradient squared norms (n)
   /// Packed strictly-upper-triangular squared pairwise distances: entry
@@ -186,9 +190,10 @@ struct AggregatorWorkspace {
   std::vector<int> order;        ///< index permutation (n)
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
   // Certified Krum scorer (krum.hpp detail::krum_select): per-row score
-  // state (canonical / old / due for the old score) and the interval that
-  // holds each row's old score.
+  // state (canonical / old / due for the old score), the interval that
+  // holds each row's old score, and every active row's candidate distances.
   std::vector<unsigned char> krum_state;  ///< per-row score state (n)
+  std::vector<double> krum_cand;          ///< live x (live - 1) candidate rows
   std::vector<double> krum_lo;            ///< interval lower ends (n)
   std::vector<double> krum_hi;            ///< interval upper ends (n)
   // Bulyan fast-mode stage 1 (incremental iterated-Krum scores): per-row
@@ -212,6 +217,8 @@ struct AggregatorWorkspace {
   std::vector<Vector> hier_out;            ///< per-group shard output staging
   GradientBatch hier_root;                 ///< S x d shard outputs
   std::vector<int> hier_perm;              ///< seeded shard assignment (n)
+  int hier_perm_rows = -1;                 ///< n hier_perm was drawn for
+  std::uint64_t hier_perm_seed = 0;        ///< seed hier_perm was drawn with
   // Coreset pre-reduction scratch — agg/coreset.hpp.  The blocked k-center
   // pass keeps per-row nearest-center state in the n-sized buffers (its
   // column-major distance kernel runs on `colmajor` with `scratch` as the
@@ -257,7 +264,17 @@ struct AggregatorWorkspace {
   /// only on its two rows, so a pair's bits do not depend on the tile, the
   /// slot in the tile or the thread it lands in; edge tiles pad with a
   /// duplicate row whose cells are dropped.  Exact mode keeps its per-pair
-  /// scalar kernel.
+  /// scalar kernel, except at 8 <= d < 32 (a Krum leaf): there, in both
+  /// modes on AVX-512 hosts, the f64 fill runs eight pairs per register,
+  /// row i against rows j..j+7 of the d x n copy in `gram_colmajor`, with
+  /// the distance conversion and the cancellation guard fused in.  Its
+  /// contract is the per-pair path's bits, cell for cell: lane b of a dot
+  /// is an explicit FMA chain over the whole 8-lane groups, the leftover
+  /// comes from the shared scalar leftover_dot, the dot is leftover + lane
+  /// 0 + ... + lane 7 in lane order and then 0.0 + dot, d2 =
+  /// fnmadd(2, dot, scale) clamped as std::max(0.0, d2), and guard cells
+  /// are recomputed by the scalar direct-difference code.  Below d = 8 and
+  /// in the f32 lane the per-pair kernel still runs.
   void fill_pairwise_sqdist(const GradientBatch& batch);
 
   /// Demotes the batch rows into `rows_f32` (the f32 lane's one

@@ -177,17 +177,22 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
                "hierarchy: declared f exceeds the tree's tolerated bound "
                "(f_leaf+1)(f_root+1)-1 — lower f or raise f_leaf/shards");
 
-  // Seeded deterministic shard assignment, regenerated per call because the
-  // row count may change round to round (elimination, churn, stragglers).
-  ws.hier_perm.resize(static_cast<std::size_t>(n));
-  std::iota(ws.hier_perm.begin(), ws.hier_perm.end(), 0);
-  if (config_.assignment_seed != 0) {
-    util::Rng rng(config_.assignment_seed);
-    for (int i = n - 1; i > 0; --i) {
-      const int j = static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(i) + 1));
-      std::swap(ws.hier_perm[static_cast<std::size_t>(i)],
-                ws.hier_perm[static_cast<std::size_t>(j)]);
+  // Seeded deterministic shard assignment.  It depends only on (n, seed),
+  // so the workspace keeps the last one and redraws it only when the row
+  // count (elimination, churn, stragglers) or the seed changes.
+  if (ws.hier_perm_rows != n || ws.hier_perm_seed != config_.assignment_seed) {
+    ws.hier_perm.resize(static_cast<std::size_t>(n));
+    std::iota(ws.hier_perm.begin(), ws.hier_perm.end(), 0);
+    if (config_.assignment_seed != 0) {
+      util::Rng rng(config_.assignment_seed);
+      for (int i = n - 1; i > 0; --i) {
+        const int j = static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(i) + 1));
+        std::swap(ws.hier_perm[static_cast<std::size_t>(i)],
+                  ws.hier_perm[static_cast<std::size_t>(j)]);
+      }
     }
+    ws.hier_perm_rows = n;
+    ws.hier_perm_seed = config_.assignment_seed;
   }
 
   ws.hier_root.reshape(num_shards, d);

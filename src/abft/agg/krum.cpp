@@ -19,22 +19,44 @@ static_assert(kKrumRankSelectMaxRow <= kRankKernelCapacity,
               "smallest_k_sum sizes its stack buffer by kRankKernelCapacity");
 
 /// Row i's candidate distances (every other row, or every other active row)
-/// in ascending-j order — the buffer the old scorer partitioned.  Returns
-/// their count.
-int gather_candidates(AggregatorWorkspace& ws, int i, int n, const unsigned char* active,
-                      double* dst) {
+/// in ascending-j order — the buffer the old scorer partitioned.
+void gather_candidates(AggregatorWorkspace& ws, int i, int n, const unsigned char* active,
+                       double* dst) {
   double* row = ws.pairrow.data();
   ws.gather_pair_row(i, n, row);
   if (active == nullptr) {
     std::copy(row, row + i, dst);
     std::copy(row + i + 1, row + n, dst + i);
-    return n - 1;
+    return;
   }
   int m = 0;
   for (int j = 0; j < n; ++j) {
     if (j != i && active[j] != 0) dst[m++] = row[j];
   }
-  return m;
+}
+
+/// Every active row's candidates, built in one pass over the packed
+/// triangle: the p-th active row's list (the one gather_candidates makes)
+/// is cand[p * m, (p + 1) * m), m = live - 1.
+template <typename T>
+void build_candidates(const T* packed, int n, const unsigned char* active, int m,
+                      double* cand) {
+  const auto stride = static_cast<std::size_t>(m);
+  int pi = 0;  // active rows before i: i's slot, and i's place in later lists
+  for (int i = 0; i < n; ++i) {
+    if (active != nullptr && active[i] == 0) continue;
+    const T* run = packed + AggregatorWorkspace::pair_index(i, i + 1, n);
+    double* ci = cand + static_cast<std::size_t>(pi) * stride;
+    int pj = pi + 1;  // active rows before j
+    for (int j = i + 1; j < n; ++j) {
+      if (active != nullptr && active[j] == 0) continue;
+      const auto v = static_cast<double>(run[j - i - 1]);
+      ci[pj - 1] = v;
+      cand[static_cast<std::size_t>(pj) * stride + static_cast<std::size_t>(pi)] = v;
+      ++pj;
+    }
+    ++pi;
+  }
 }
 
 /// The old score: partition, then sum the kept prefix in partition order.
@@ -48,27 +70,30 @@ constexpr unsigned char kCanonical = 0;  ///< ws.scores holds the canonical sum
 constexpr unsigned char kOld = 1;        ///< ws.scores holds the old score
 constexpr unsigned char kDue = 2;        ///< the row still needs the old score
 
-/// Canonical scores of the active rows.  A tie at the k-th distance
-/// (kept != neighbors) makes the rank-selected sum over-count, so those
-/// rows take the old score at once.  Returns false if any score is not
-/// finite.
-bool score_canonically(AggregatorWorkspace& ws, int n, int neighbors,
+/// Canonical scores of the active rows from their candidate lists.  A tie
+/// at the k-th distance (kept != neighbors) makes the rank-selected sum
+/// over-count, so those rows take the old score at once.  Returns false if
+/// any score is not finite.
+bool score_canonically(AggregatorWorkspace& ws, int n, int m, int neighbors,
                        const unsigned char* active) {
-  double* dists = ws.scratch.data();
+  const double* cand = ws.krum_cand.data();
   bool finite = true;
   for (int i = 0; i < n; ++i) {
     if (active != nullptr && active[i] == 0) continue;
-    const int m = gather_candidates(ws, i, n, active, dists);
     int kept = 0;
-    double score = smallest_k_sum(dists, m, neighbors, &kept);
+    double score = smallest_k_sum(cand, m, neighbors, &kept);
     unsigned char state = kCanonical;
     if (kept != neighbors) {
+      // Partition a copy: the whole-call fallback may score this row again.
+      double* dists = ws.scratch.data();
+      std::copy(cand, cand + m, dists);
       score = nth_element_score(dists, m, neighbors);
       state = kOld;
     }
     ws.scores[static_cast<std::size_t>(i)] = score;
     ws.krum_state[static_cast<std::size_t>(i)] = state;
     finite = finite && std::isfinite(score);
+    cand += m;
   }
   return finite;
 }
@@ -126,10 +151,19 @@ int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned ch
 
   int live = 0;
   for (int i = 0; i < n; ++i) live += is_active(i) ? 1 : 0;
-  // Past the cutoff every row takes the old route (its rows start out
-  // kDue), and so does every call with a non-finite score anywhere.
-  if (live - 1 <= kKrumRankSelectMaxRow) {
-    if (!score_canonically(ws, n, neighbors, active)) {
+  // Past the cutoff every row takes the old route from its gathered row
+  // (its rows start out kDue), and so does every call with a non-finite
+  // score anywhere.
+  const int m = live - 1;
+  const bool rank_select = m <= kKrumRankSelectMaxRow;
+  if (rank_select) {
+    ws.krum_cand.resize(static_cast<std::size_t>(live) * static_cast<std::size_t>(m));
+    if (ws.f32_lane()) {
+      build_candidates(ws.pairdist_f32.data(), n, active, m, ws.krum_cand.data());
+    } else {
+      build_candidates(ws.pairdist.data(), n, active, m, ws.krum_cand.data());
+    }
+    if (!score_canonically(ws, n, m, neighbors, active)) {
       state.assign(nn, kDue);
     } else {
       mark_band(ws, n, neighbors, active);
@@ -137,13 +171,19 @@ int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned ch
   }
 
   double* dists = ws.scratch.data();
+  const double* cand = ws.krum_cand.data();
   int best = -1;
   for (int i = 0; i < n; ++i) {
     if (!is_active(i)) continue;
     if (state[static_cast<std::size_t>(i)] == kDue) {
-      const int m = gather_candidates(ws, i, n, active, dists);
+      if (rank_select) {
+        std::copy(cand, cand + m, dists);
+      } else {
+        gather_candidates(ws, i, n, active, dists);
+      }
       ws.scores[static_cast<std::size_t>(i)] = nth_element_score(dists, m, neighbors);
     }
+    if (rank_select) cand += m;
     const double score = ws.scores[static_cast<std::size_t>(i)];
     if (best < 0 || score < ws.scores[static_cast<std::size_t>(best)]) best = i;
   }

@@ -52,6 +52,14 @@ inline constexpr int kKrumRankSelectMaxRow = 16;
 /// than kKrumRankSelectMaxRow, and every call where a score is not finite
 /// (overflow, NaN input), take the old route for every row.
 ///
+/// On the rank-select route every active row's candidate list (its
+/// distances to the other active rows, ascending j) is built once from the
+/// packed triangle into ws.krum_cand; the canonical scores and the old-score
+/// recomputes both read it, and a recompute partitions a copy.  On
+/// AVX-512, smallest_k_sum keeps each 8-entry block's rank counts and
+/// masked sum in registers, with the lanes and reduction tree of its
+/// portable loop, so the canonical score has the same bits on every ISA.
+///
 /// Returns the first active row with the lowest score.
 int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active);
 

@@ -25,8 +25,9 @@
 
 namespace abft::agg::detail {
 
-/// Hard ceiling on the rank-kernel n: sizes smallest_k_sum's stack count
-/// array.  512 keeps it at 4 KiB.
+/// Hard ceiling on the rank-kernel n: sizes the stack count array of
+/// smallest_k_sum's portable loop (the AVX-512 one keeps its counts in
+/// registers).  512 keeps it at 4 KiB.
 constexpr int kRankKernelCapacity = 512;
 
 /// The largest column length CWTM and CWMed send to the O(n^2) rank kernel;
@@ -38,21 +39,32 @@ constexpr int kRankKernelCapacity = 512;
 constexpr int kRankKernelCutoff = 256;
 static_assert(kRankKernelCutoff <= kRankKernelCapacity);
 
+#if defined(__AVX512F__)
+/// Lanes [0, rem) of an 8-entry block that starts rem entries before the end.
+inline __mmask8 block_lanes(int rem) {
+  return rem >= 8 ? static_cast<__mmask8>(0xFF) : static_cast<__mmask8>((1u << rem) - 1);
+}
+
+/// Rank counts of the 8-entry block vx against col[0, n), in registers:
+/// lane t counts the col[i] < vx[t].
+inline __m512i block_rank_counts(const double* col, int n, __m512d vx) {
+  const __m512i ones = _mm512_set1_epi64(1);
+  __m512i vcnt = _mm512_setzero_si512();
+  for (int i = 0; i < n; ++i) {
+    const __m512d vy = _mm512_set1_pd(col[i]);
+    const __mmask8 is_lt = _mm512_cmp_pd_mask(vy, vx, _CMP_LT_OQ);
+    vcnt = _mm512_mask_add_epi64(vcnt, is_lt, vcnt, ones);
+  }
+  return vcnt;
+}
+#endif
+
 inline void rank_counts(const double* col, int n, std::int64_t* lt) {
 #if defined(__AVX512F__)
-  const __m512i ones = _mm512_set1_epi64(1);
   for (int j0 = 0; j0 < n; j0 += 8) {
-    const int rem = n - j0;
-    const __mmask8 lane_mask =
-        rem >= 8 ? static_cast<__mmask8>(0xFF) : static_cast<__mmask8>((1u << rem) - 1);
+    const __mmask8 lane_mask = block_lanes(n - j0);
     const __m512d vx = _mm512_maskz_loadu_pd(lane_mask, col + j0);
-    __m512i vcnt = _mm512_setzero_si512();
-    for (int i = 0; i < n; ++i) {
-      const __m512d vy = _mm512_set1_pd(col[i]);
-      const __mmask8 is_lt = _mm512_cmp_pd_mask(vy, vx, _CMP_LT_OQ);
-      vcnt = _mm512_mask_add_epi64(vcnt, is_lt, vcnt, ones);
-    }
-    _mm512_mask_storeu_epi64(lt + j0, lane_mask, vcnt);
+    _mm512_mask_storeu_epi64(lt + j0, lane_mask, block_rank_counts(col, n, vx));
   }
 #elif defined(__AVX2__)
   int j0 = 0;
@@ -96,12 +108,27 @@ inline void rank_counts(const double* col, int n, std::int64_t* lt) {
 /// it against one must allow for the rounding (see krum_select).
 inline double smallest_k_sum(const double* x, int m, int k, int* kept) {
   constexpr int kLanes = 8;
+  alignas(64) double lanes[kLanes] = {0.0};
+  std::int64_t count = 0;
+#if defined(__AVX512F__)
+  // Each block's rank counts and masked kept-sum stay in registers; an
+  // unkept entry adds +0.0 to its lane, as in the portable loop below.
+  const __m512i vk = _mm512_set1_epi64(k);
+  __m512d acc = _mm512_setzero_pd();
+  for (int j0 = 0; j0 < m; j0 += kLanes) {
+    const __mmask8 lane_mask = block_lanes(m - j0);
+    const __m512d vx = _mm512_maskz_loadu_pd(lane_mask, x + j0);
+    const __mmask8 keep =
+        _mm512_mask_cmplt_epi64_mask(lane_mask, block_rank_counts(x, m, vx), vk);
+    acc = _mm512_add_pd(acc, _mm512_maskz_mov_pd(keep, vx));
+    count += std::popcount(static_cast<unsigned>(keep));
+  }
+  _mm512_store_pd(lanes, acc);
+#else
   std::int64_t lt[kRankKernelCapacity];
   rank_counts(x, m, lt);
   // An all-ones/all-zeros bit mask selects x or +0.0 (x * keep would turn
   // an unkept +inf into NaN).
-  double lanes[kLanes] = {0.0};
-  std::int64_t count = 0;
   for (int j0 = 0; j0 < m; j0 += kLanes) {
     const int width = std::min(kLanes, m - j0);
     for (int t = 0; t < width; ++t) {
@@ -112,6 +139,7 @@ inline double smallest_k_sum(const double* x, int m, int k, int* kept) {
       count += keep;
     }
   }
+#endif
   *kept = static_cast<int>(count);
   return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
          ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));

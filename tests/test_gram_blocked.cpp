@@ -16,6 +16,14 @@
 //
 // Shapes straddle the tile (n around multiples of 4) and the chunk and lane
 // boundaries (d around 16 and 1024, and the wide workload's d = 10^4).
+//
+// The small-d f64 kernel (8 <= d < 32 on AVX-512 hosts, both modes: eight
+// pairs per register, the conversion and the guard fused in) has its own
+// sweep below.  It promises the bits of the per-pair path, so on top of the
+// checks above exact and fast f64 must agree bit for bit there, every
+// distance must lie within the envelope of the direct difference, and on
+// AVX-512 hosts the cells at d mod 8 <= 1 must equal a std::fma spelling
+// of the per-pair path's operations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,6 +198,144 @@ TEST(GramBlocked, ClusteredBatchTakesTheCancellationGuard) {
             }
             ASSERT_NEAR(fast.pair_sqdist(i, j, n), direct, rel * direct)
                 << label << " pair (" << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- the small-d f64 kernel -------------------------------------------------
+
+constexpr int kSmallRows[] = {2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 25, 33, 100};
+/// Around the 8-lane groups and kTileMinCols (32), where the fast lane
+/// switches to the tile.
+constexpr int kSmallCols[] = {7, 8, 9, 10, 15, 16, 17, 23, 24, 31, 32, 33};
+constexpr int kTileMinCols = 32;
+
+enum class Rows { random, clustered, zero_rows };
+
+/// Random rows; clustered rows (a common 100 per coordinate plus 1e-2
+/// deltas, so every pair takes the cancellation guard); or random rows with
+/// every third row zero (zero scale: no guard, distance 0 between them).
+agg::GradientBatch small_d_batch(util::Rng& rng, int n, int d, Rows kind) {
+  agg::GradientBatch batch(n, d);
+  for (int i = 0; i < n; ++i) {
+    for (auto& x : batch.row(i)) {
+      x = kind == Rows::clustered ? 100.0 + 1e-2 * rng.normal() : rng.normal();
+      if (kind == Rows::zero_rows && i % 3 == 0) x = 0.0;
+    }
+  }
+  return batch;
+}
+
+/// The per-pair path's bits on an AVX-512 host (where GCC contracts its
+/// lane updates into FMAs), spelled out with std::fma so no contraction
+/// choice of this file can move them: lane b an FMA chain over the whole
+/// 8-lane groups, then the leftover, lanes 0..7 in order, and (for the
+/// cell) 0.0 + dot.  Only for d mod 8 <= 1, whose leftover is at most one
+/// product, 0.0 + a * b == fma(a, b, 0.0); a longer leftover's rounding
+/// depends on how the compiler vectorizes the library's loop.
+double pinned_dot(const double* a, const double* b, int d) {
+  double lanes[8] = {0.0};
+  const int whole = d - d % 8;
+  for (int k = 0; k < whole; k += 8) {
+    for (int t = 0; t < 8; ++t) lanes[t] = std::fma(a[k + t], b[k + t], lanes[t]);
+  }
+  double dot = whole < d ? std::fma(a[whole], b[whole], 0.0) : 0.0;
+  for (int t = 0; t < 8; ++t) dot += lanes[t];
+  return dot;
+}
+
+/// The pinned distance: Gram identity, fnmadd(2, dot, scale), the
+/// std::max(0.0, .) clamp, and the guard's direct difference.
+double pinned_sqdist(const double* ri, const double* rj, int d) {
+  const double scale = pinned_dot(ri, ri, d) + pinned_dot(rj, rj, d);
+  const double dot = 0.0 + pinned_dot(ri, rj, d);
+  const double d2 = std::max(0.0, std::fma(-2.0, dot, scale));
+  if (!(d2 < 1e-6 * scale)) return d2;
+  std::vector<double> diff(static_cast<std::size_t>(d));
+  for (int k = 0; k < d; ++k) diff[static_cast<std::size_t>(k)] = ri[k] - rj[k];
+  return pinned_dot(diff.data(), diff.data(), d);
+}
+
+/// True where the small-d kernel runs and the pinned bits apply.
+bool avx512_host() {
+#if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f") != 0;
+#else
+  return false;
+#endif
+}
+
+std::vector<double> fill(const agg::GradientBatch& batch, agg::AggMode mode, int threads = 1,
+                         agg::ThreadPool* pool = nullptr) {
+  agg::AggregatorWorkspace ws;
+  ws.mode = mode;
+  ws.parallel_threads = threads;
+  ws.pool = pool;
+  ws.fill_pairwise_sqdist(batch);
+  return ws.pairdist;
+}
+
+TEST(GramBlocked, SmallDf64KeepsThePerPairBitsInBothModes) {
+  const bool pinned = avx512_host();
+  util::Rng rng(180);
+  agg::ThreadPool pool2(2);
+  agg::ThreadPool pool4(4);
+  for (const Rows kind : {Rows::random, Rows::clustered, Rows::zero_rows}) {
+    for (const int n : kSmallRows) {
+      for (const int d : kSmallCols) {
+        const auto batch = small_d_batch(rng, n, d, kind);
+        std::vector<double> sqnorms(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+          for (const double x : batch.row(i)) sqnorms[static_cast<std::size_t>(i)] += x * x;
+        }
+        for (const auto mode : {agg::AggMode::exact, agg::AggMode::fast}) {
+          const std::string label = std::string(mode == agg::AggMode::exact ? "exact" : "fast") +
+                                    " kind=" + std::to_string(static_cast<int>(kind)) +
+                                    " n=" + std::to_string(n) + " d=" + std::to_string(d);
+          const auto serial = fill(batch, mode);
+          ASSERT_EQ(serial.size(), static_cast<std::size_t>(n) * (n - 1) / 2) << label;
+          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 2))) << label << " spawn 2";
+          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 4))) << label << " spawn 4";
+          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 2, &pool2))) << label << " pool 2";
+          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 4, &pool4))) << label << " pool 4";
+          if (mode == agg::AggMode::fast && d < kTileMinCols) {
+            EXPECT_TRUE(bitwise_equal(serial, fill(batch, agg::AggMode::exact)))
+                << label << " fast vs exact";
+          }
+          agg::GradientBatch pair(2, d);
+          std::size_t cell = 0;
+          for (int i = 0; i < n; ++i) {
+            for (int j = i + 1; j < n; ++j, ++cell) {
+              pair.set_row(0, batch.row(i));
+              pair.set_row(1, batch.row(j));
+              const double got = serial[cell];
+              const double alone = fill(pair, mode)[0];
+              ASSERT_EQ(std::memcmp(&alone, &got, sizeof(double)), 0)
+                  << label << " pair (" << i << ", " << j << "): " << got << " vs " << alone;
+              if (pinned && d % 8 <= 1) {
+                const double expected =
+                    pinned_sqdist(batch.row(i).data(), batch.row(j).data(), d);
+                ASSERT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+                    << label << " pair (" << i << ", " << j << "): " << got << " vs pinned "
+                    << expected;
+              }
+              // The envelope of the direct difference: relative to the
+              // Gram scale off the guard, to the distance itself on it
+              // (clustered rows), and exact for two zero rows.
+              double direct = 0.0;
+              for (int k = 0; k < d; ++k) {
+                const double diff = batch.row(i)[static_cast<std::size_t>(k)] -
+                                    batch.row(j)[static_cast<std::size_t>(k)];
+                direct += diff * diff;
+              }
+              const double scale =
+                  sqnorms[static_cast<std::size_t>(i)] + sqnorms[static_cast<std::size_t>(j)];
+              const double tol = kind == Rows::clustered ? 1e-10 * direct : 1e-13 * scale;
+              ASSERT_NEAR(got, direct, tol) << label << " pair (" << i << ", " << j << ")";
+            }
           }
         }
       }

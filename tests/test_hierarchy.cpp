@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,35 @@ TEST(Hierarchy, AssignmentSeedIsDeterministicAndZeroIsIdentity) {
   // generic random batch almost surely selects different vectors.
   EXPECT_NE(a, aggregate_batched(other_seed, batch, 3));
   EXPECT_NE(a, aggregate_batched(identity, batch, 3));
+}
+
+// The workspace keeps the last shard permutation and redraws it only when
+// the row count or the seed changes: a reused workspace must match a fresh
+// one bit for bit as n moves 10^4 -> 10^4 - 1 -> 10^4 and the seed changes.
+TEST(Hierarchy, CachedShardPermutationMatchesAFreshWorkspace) {
+  constexpr int kRows = 10000;
+  constexpr int kFaults = 100;
+  const auto full = random_batch(kRows, 8, 11);
+  GradientBatch short_batch(kRows - 1, 8);
+  for (int i = 0; i < kRows - 1; ++i) short_batch.set_row(i, full.row(i));
+  const HierarchicalAggregator seeded({400, "krum", "cwtm", -1, 5, std::nullopt});
+  const HierarchicalAggregator reseeded({400, "krum", "cwtm", -1, 6, std::nullopt});
+  const auto bits = [](const Vector& v) {
+    const auto c = v.coefficients();
+    return std::vector<double>(c.begin(), c.end());
+  };
+  agg::AggregatorWorkspace reused;
+  const std::pair<const HierarchicalAggregator*, const GradientBatch*> calls[] = {
+      {&seeded, &full}, {&seeded, &short_batch}, {&seeded, &full}, {&reseeded, &full}};
+  for (const auto& [hier, batch] : calls) {
+    Vector out;
+    hier->aggregate_into(out, *batch, kFaults, reused);
+    const auto fresh = aggregate_batched(*hier, *batch, kFaults);
+    const auto a = bits(out);
+    const auto b = bits(fresh);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << hier->name() << " n=" << batch->rows();
+  }
 }
 
 // The per-level bookkeeping: explicit f_leaf, derived f_root, and the

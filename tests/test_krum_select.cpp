@@ -322,6 +322,33 @@ TEST(KrumSelect, KrumAndMultiKrumOutputsMatchTheOldScorer) {
   }
 }
 
+TEST(KrumSelect, AllOnesMaskMatchesNoMask) {
+  // An active mask that keeps every row builds the same candidate lists as
+  // no mask, so the scores and the selection agree bit for bit.
+  for (const int n : {3, 9, 25, 97, 98}) {
+    const int d = 8;
+    const std::vector<unsigned char> all(static_cast<std::size_t>(n), 1);
+    for (const auto& lane : kLanes) {
+      for (const auto& [label, batch] : batch_family(n, d, 5000 + static_cast<std::uint64_t>(n))) {
+        AggregatorWorkspace ws;
+        configure(ws, lane);
+        ws.fill_pairwise_sqdist(batch);
+        for (const int f : krum_fs(n, false)) {
+          const std::string where =
+              std::string(lane.name) + " " + label + " n=" + std::to_string(n) + " f=" +
+              std::to_string(f);
+          const int unmasked = agg::detail::krum_select(ws, n, n - f - 2, nullptr);
+          const auto scores = ws.scores;
+          EXPECT_EQ(agg::detail::krum_select(ws, n, n - f - 2, all.data()), unmasked) << where;
+          EXPECT_EQ(std::memcmp(ws.scores.data(), scores.data(), scores.size() * sizeof(double)),
+                    0)
+              << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(KrumSelect, OnlyOverflowingRowsTakeTheWholeCallFallback) {
   // At 1e150 the squared distances stay finite and the canonical route
   // runs; at 1e154 they overflow, so every row keeps its old (infinite)
@@ -336,6 +363,34 @@ TEST(KrumSelect, OnlyOverflowingRowsTakeTheWholeCallFallback) {
     const bool all_finite = std::all_of(ws.scores.begin(), ws.scores.end(),
                                         [](double s) { return std::isfinite(s); });
     EXPECT_EQ(all_finite, scale < 1e152) << scale;
+  }
+}
+
+TEST(KrumSelect, WholeCallFallbackScoresEveryRowTheOldWay) {
+  // Mimicked rows tie at the k-th distance, so they take the old score
+  // while the canonical pass runs; one row at 1e154 then overflows its
+  // distances and sends the whole call to the old route.  Every row's
+  // score must then be the old scorer's, bit for bit: the tied rows'
+  // recompute must partition their distances in ascending-j order again,
+  // not the order their first partition left.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const int n : {13, 25}) {
+      auto batch = random_batch(n, 8, 9000 + seed);
+      duplicate_rows(batch, 0, 1, n / 3);
+      for (auto& v : batch.row(n - 1)) v *= 1e154;
+      for (const auto& lane : kLanes) {
+        AggregatorWorkspace ws;
+        configure(ws, lane);
+        ws.fill_pairwise_sqdist(batch);
+        for (const int f : krum_fs(n, true)) {
+          const int neighbors = n - f - 2;
+          const auto old = old_scores(ws, n, neighbors);
+          EXPECT_EQ(agg::detail::krum_select(ws, n, neighbors, nullptr), old_argmin(old));
+          EXPECT_EQ(std::memcmp(ws.scores.data(), old.data(), old.size() * sizeof(double)), 0)
+              << lane.name << " seed=" << seed << " n=" << n << " f=" << f;
+        }
+      }
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,52 @@ TEST(RankKernelCutoff, RankCountsMatchPortable) {
       for (int i = 0; i < n; ++i) expected += col[static_cast<std::size_t>(i)] <
                                               col[static_cast<std::size_t>(j)];
       EXPECT_EQ(lt[static_cast<std::size_t>(j)], expected) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
+TEST(RankKernelCutoff, SmallestKSumMatchesPortable) {
+  // smallest_k_sum against its definition written out here: the rank
+  // counts above, lane j mod 8 adding x[j] or +0.0 in ascending j, and the
+  // fixed reduction tree.  The sum and `kept` must match bit for bit on
+  // full and partial register blocks, with ties, zeros, +-inf and NaN.
+  const auto portable = [](const std::vector<double>& x, int k, int* kept) {
+    const int m = static_cast<int>(x.size());
+    double lanes[8] = {0.0};
+    int count = 0;
+    for (int j = 0; j < m; ++j) {
+      int lt = 0;
+      for (int i = 0; i < m; ++i) lt += x[static_cast<std::size_t>(i)] < x[static_cast<std::size_t>(j)];
+      const bool keep = lt < k;
+      lanes[j % 8] += keep ? x[static_cast<std::size_t>(j)] : 0.0;
+      count += keep ? 1 : 0;
+    }
+    *kept = count;
+    return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
+           ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
+  util::Rng rng(20261017);
+  for (int m = 1; m <= 96; ++m) {
+    for (int trial = 0; trial < 24; ++trial) {
+      std::vector<double> x(static_cast<std::size_t>(m));
+      for (auto& v : x) {
+        // Trials 0-7: distinct values; 8-15: ties from a 4-value pool;
+        // 16-23: also zeros and one special value in about one entry of 8.
+        v = trial < 8 ? rng.uniform() : static_cast<double>(rng.uniform_index(4));
+        if (trial >= 16 && rng.uniform_index(8) == 0) v = specials[trial % 4];
+      }
+      for (const int k : {1, (m + 1) / 2, m}) {
+        int kept = -1;
+        int expected_kept = -1;
+        const double sum = agg::detail::smallest_k_sum(x.data(), m, k, &kept);
+        const double expected = portable(x, k, &expected_kept);
+        EXPECT_EQ(kept, expected_kept) << "m=" << m << " trial=" << trial << " k=" << k;
+        EXPECT_EQ(std::memcmp(&sum, &expected, sizeof(double)), 0)
+            << "m=" << m << " trial=" << trial << " k=" << k << ": " << sum << " vs "
+            << expected;
+      }
     }
   }
 }
