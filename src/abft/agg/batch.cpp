@@ -4,12 +4,22 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
 #include "abft/util/check.hpp"
+
+#if defined(__AVX512F__)
+// GCC 12 flags the deliberately undefined register inside several AVX-512
+// intrinsics (_mm512_reduce_add_*, the unpack and shuffle ops) once they
+// are inlined into a loop (-Wuninitialized); the value never reaches the
+// result.
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 
 namespace abft::agg {
 
@@ -111,13 +121,12 @@ constexpr int kTile = 4;
 /// give the same bits.
 constexpr int kTileMinCols = 32;
 
+/// Fewest columns at which the f64 fill runs eight pairs per register (the
+/// small-d kernels); below it, at grid's d = 3 say, eight pairs per register
+/// measured 0.7-0.8x the per-pair kernel's speed.
+constexpr int kPairLanesMinCols = 8;
+
 #if defined(__AVX512F__)
-// GCC 12 flags the deliberately undefined register inside the
-// _mm512_reduce_add_* intrinsics once they are inlined into a loop
-// (-Wuninitialized); the value never reaches the result.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 /// The AVX-512 operations the fast Gram tile needs, per element type.
 template <typename T>
 struct Avx512;
@@ -260,7 +269,6 @@ void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d,
     }
   }
 }
-#pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
 /// ||ri - rj||^2 by direct differences: the cancellation-guard recompute of
@@ -289,69 +297,126 @@ double direct_sqdist(const double* ri, const double* rj, int d) {
 constexpr double kCancellationGuard = 1e-6;
 
 #if defined(__AVX512F__)
-/// Squared distances of rows [i_begin, i_end) to every later row, for
-/// 8 <= d < kTileMinCols, eight pairs per register: row i runs against
-/// rows j..j+7 read from the d x n column-major copy `cols`, so one
-/// broadcast + FMA advances eight pairs where the per-pair kernel advances
-/// one pair's eight lanes.  Each register lane repeats, for its own pair,
-/// the operations the per-pair path (accumulate_pair_dots_tail on the
-/// zeroed cell, then the conversion loop) runs under this build's
-/// contraction, so every cell gets the same bits:
+/// Rows per register of the small-d f64 kernels.
+constexpr int kPairLanes = AggregatorWorkspace::kSqdistBlockRows;
+
+/// The per-pair operation sequence of the small-d f64 kernels, run for the
+/// eight pairs of one register.  operands(k) returns two registers whose
+/// lane t holds coordinate k of pair t's two rows; leftover(t, k0) is pair
+/// t's leftover_dot over [k0, d).  Each lane repeats, for its own pair, the
+/// operations the per-pair path (accumulate_pair_dots_tail on the zeroed
+/// cell, then the conversion loop) runs under this build's contraction, so
+/// every distance gets that path's bits:
 ///   * lane b of the dot is an FMA chain over the whole lane groups,
 ///     fma(ri[k], rj[k], lane_b), k = b, b + 8, ...;
 ///   * the leftover past the last whole group comes from the shared
 ///     leftover_dot (GCC vectorizes its products, so an FMA re-implementation
 ///     would round differently whenever d mod 8 >= 2);
 ///   * dot = leftover + lane 0 + ... + lane 7 in lane order, then 0.0 + dot
-///     (the zeroed cell's +=);
+///     (the zeroed cell's +=), less the adds noted below that only touch
+///     the sign of a zero;
 ///   * d2 = fnmadd(2, dot, scale) with scale = sqnorm_i + sqnorm_j, then
-///     0 < d2 ? d2 : 0 (std::max(0.0, d2), NaN included);
-///   * guard cells (d2 < kCancellationGuard * scale) take direct_sqdist.
-/// A cell depends only on its two rows, never on the lane it lands in or
-/// the thread that runs its row.
+///     0 < d2 ? d2 : 0 (std::max(0.0, d2), NaN included).
+/// Every step is symmetric in the pair's two rows (fma and mul commute, and
+/// so does the scale's sum), so a distance does not depend on which row
+/// is i.  Lanes outside `lanes` get a zero leftover and no guard; *guard
+/// receives the lanes of `lanes` whose distance is small next to its scale
+/// (d2 < kCancellationGuard * scale), which the caller recomputes with
+/// direct_sqdist (symmetric too: a negated difference squares the same).
+template <typename Operands, typename Leftover>
+inline __m512d small_d_sqdist(int d, __mmask8 lanes, __m512d scale, Operands&& operands,
+                              Leftover&& leftover, __mmask8* guard) {
+  const int whole = d - d % kPairLanes;
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d acc[kPairLanes];
+  for (int b = 0; b < kPairLanes; ++b) acc[b] = zero;
+  for (int k0 = 0; k0 < whole; k0 += kPairLanes) {
+    for (int b = 0; b < kPairLanes; ++b) {
+      const auto [x, y] = operands(k0 + b);
+      acc[b] = _mm512_fmadd_pd(x, y, acc[b]);
+    }
+  }
+  // Without a leftover the sum starts at lane 0, not at +0.0 + lane 0, and
+  // the closing 0.0 + dot is skipped too: both can change only the sign of
+  // a zero, and fnmadd against a scale >= +0 (or NaN) drops that sign.
+  __m512d dot = acc[0];
+  if (whole < d) {
+    alignas(64) double left[kPairLanes];
+    for (int t = 0; t < kPairLanes; ++t) left[t] = (lanes >> t) & 1 ? leftover(t, whole) : 0.0;
+    dot = _mm512_add_pd(_mm512_load_pd(left), acc[0]);
+  }
+  for (int b = 1; b < kPairLanes; ++b) dot = _mm512_add_pd(dot, acc[b]);
+  // max_pd(a, b) is a > b ? a : b, NaN included: the clamp in one op.
+  const __m512d d2 = _mm512_max_pd(_mm512_fnmadd_pd(_mm512_set1_pd(2.0), dot, scale), zero);
+  *guard = _mm512_mask_cmp_pd_mask(
+      lanes, d2, _mm512_mul_pd(_mm512_set1_pd(kCancellationGuard), scale), _CMP_LT_OQ);
+  return d2;
+}
+
+/// Lanes [0, rows) of a register, rows > 0.
+__mmask8 lane_mask(int rows) {
+  return rows >= kPairLanes ? static_cast<__mmask8>(0xFF)
+                            : static_cast<__mmask8>((1u << rows) - 1);
+}
+
+/// Transposes eight registers as an 8 x 8 tile in place: lane c of r[i]
+/// moves to lane i of r[c].
+void transpose8(__m512d (&r)[kPairLanes]) {
+  // Pairs of rows interleaved, then pairs of pairs, then the halves.
+  __m512d a[kPairLanes];
+  for (int i = 0; i < kPairLanes; i += 2) {
+    a[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);
+    a[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]);
+  }
+  const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  __m512d b[kPairLanes];
+  for (int i = 0; i < kPairLanes; i += 4) {
+    b[i] = _mm512_permutex2var_pd(a[i], even, a[i + 2]);
+    b[i + 1] = _mm512_permutex2var_pd(a[i], odd, a[i + 2]);
+    b[i + 2] = _mm512_permutex2var_pd(a[i + 1], even, a[i + 3]);
+    b[i + 3] = _mm512_permutex2var_pd(a[i + 1], odd, a[i + 3]);
+  }
+  // b[q] (q < 4) holds columns {0, 2, 1, 3}[q] and that + 4 of rows 0..3;
+  // b[q + 4] the same of rows 4..7.
+  constexpr int kColumn[4] = {0, 2, 1, 3};
+  for (int q = 0; q < 4; ++q) {
+    const int c = kColumn[q];
+    r[c] = _mm512_shuffle_f64x2(b[q], b[q + 4], 0x44);
+    r[c + 4] = _mm512_shuffle_f64x2(b[q], b[q + 4], 0xEE);
+  }
+}
+
+/// Squared distances of rows [i_begin, i_end) to every later row into the
+/// packed triangle, for 8 <= d < kTileMinCols, eight pairs per register:
+/// row i runs against rows j..j+7 read from the d x n column-major copy
+/// `cols`, so one broadcast + FMA advances eight pairs where the per-pair
+/// kernel advances one pair's eight lanes.  Each cell follows
+/// small_d_sqdist's contract and depends only on its two rows, never on the
+/// lane it lands in or the thread that runs its row.
 void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
                                 const double* sqnorms, double* pairdist, int n, int d,
                                 int i_begin, int i_end) {
-  constexpr int kLanes = 8;
-  const int whole = d - d % kLanes;
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d two = _mm512_set1_pd(2.0);
-  const __m512d guard = _mm512_set1_pd(kCancellationGuard);
-  alignas(64) double leftover[kLanes] = {0.0};
   for (int i = i_begin; i < i_end; ++i) {
     const double* ri = row_ptr(rows, d, i);
     double* prow = pairdist + pair_row_start(i, n);
     const __m512d sqi = _mm512_set1_pd(sqnorms[i]);
-    for (int j0 = i + 1; j0 < n; j0 += kLanes) {
-      const int width = std::min(kLanes, n - j0);
-      const auto mask = static_cast<__mmask8>((1u << width) - 1);
-      __m512d lanes[kLanes];
-      for (int b = 0; b < kLanes; ++b) lanes[b] = zero;
-      for (int k0 = 0; k0 < whole; k0 += kLanes) {
-        for (int b = 0; b < kLanes; ++b) {
-          const double* col = cols + static_cast<std::size_t>(k0 + b) * n + j0;
-          lanes[b] = _mm512_fmadd_pd(_mm512_set1_pd(ri[k0 + b]),
-                                     _mm512_maskz_loadu_pd(mask, col), lanes[b]);
-        }
-      }
-      __m512d dot = zero;  // leftover_dot of an empty range is +0.0
-      if (whole < d) {
-        for (int t = 0; t < kLanes; ++t) {
-          leftover[t] = t < width ? leftover_dot(ri, row_ptr(rows, d, j0 + t), whole, d) : 0.0;
-        }
-        dot = _mm512_load_pd(leftover);
-      }
-      for (int b = 0; b < kLanes; ++b) dot = _mm512_add_pd(dot, lanes[b]);
-      dot = _mm512_add_pd(zero, dot);
+    for (int j0 = i + 1; j0 < n; j0 += kPairLanes) {
+      const __mmask8 mask = lane_mask(n - j0);
       const __m512d scale = _mm512_add_pd(sqi, _mm512_maskz_loadu_pd(mask, sqnorms + j0));
-      __m512d d2 = _mm512_fnmadd_pd(two, dot, scale);
-      d2 = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(zero, d2, _CMP_LT_OQ), d2);
+      __mmask8 guard = 0;
+      const __m512d d2 = small_d_sqdist(
+          d, mask, scale,
+          [&](int k) {
+            const double* col = cols + static_cast<std::size_t>(k) * n + j0;
+            return std::pair{_mm512_set1_pd(ri[k]), _mm512_maskz_loadu_pd(mask, col)};
+          },
+          [&](int t, int k0) { return leftover_dot(ri, row_ptr(rows, d, j0 + t), k0, d); },
+          &guard);
       double* cell = prow + (j0 - i - 1);
       _mm512_mask_storeu_pd(cell, mask, d2);
-      auto recompute = static_cast<unsigned>(
-          _mm512_mask_cmp_pd_mask(mask, d2, _mm512_mul_pd(guard, scale), _CMP_LT_OQ));
-      for (; recompute != 0; recompute &= recompute - 1) {
-        const int t = std::countr_zero(recompute);
+      for (unsigned g = guard; g != 0; g &= g - 1) {
+        const int t = std::countr_zero(g);
         cell[t] = direct_sqdist(ri, row_ptr(rows, d, j0 + t), d);
       }
     }
@@ -639,17 +704,12 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
     }
     return;
   }
-  fill_sqnorms(batch);
 #if defined(__AVX512F__)
-  if (d >= 8 && d < kTileMinCols && gram_avx512_available()) {
+  if (small_d_kernels(d)) {
     // Small-d f64 rows (a Krum leaf): eight pairs per register, the
     // conversion and the guard fused in (sqdist_rows_small_d_avx512), the
     // same bits as the per-pair path below in either mode.
-    gram_colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
-    for (int i = 0; i < n; ++i) {
-      const double* src = batch.row(i).data();
-      for (int k = 0; k < d; ++k) gram_colmajor[static_cast<std::size_t>(k) * n + i] = src[k];
-    }
+    fill_small_d_operands(batch);
     pairdist.resize(pairs);
     run_parallel(0, n, [&](int i_begin, int i_end) {
       sqdist_rows_small_d_avx512(batch.data(), gram_colmajor.data(), sqnorms.data(),
@@ -658,6 +718,7 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
     return;
   }
 #endif
+  fill_sqnorms(batch);
   pairdist.assign(pairs, 0.0);
   accumulate_pair_dots(*this, batch.data(), pairdist.data(), n, d, mode == AggMode::fast);
   // Convert the accumulated dots to squared distances in place.  The Gram
@@ -678,6 +739,97 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
       prow[j - i - 1] = d2;
     }
   }
+}
+
+bool AggregatorWorkspace::small_d_kernels(int d) const noexcept {
+  return !f32_lane() && d >= kPairLanesMinCols && d < kTileMinCols && gram_avx512_available();
+}
+
+void AggregatorWorkspace::fill_small_d_operands(const GradientBatch& batch) {
+  const int n = batch.rows();
+  const int d = batch.cols();
+  fill_sqnorms(batch);
+  gram_colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+#if defined(__AVX512F__)
+  // 8 x 8 tiles: eight rows' segments in, eight columns' segments out.
+  for (int i0 = 0; i0 < n; i0 += kPairLanes) {
+    const __mmask8 rows = lane_mask(n - i0);
+    for (int k0 = 0; k0 < d; k0 += kPairLanes) {
+      const __mmask8 cols = lane_mask(d - k0);
+      __m512d r[kPairLanes];
+      for (int t = 0; t < kPairLanes; ++t) {
+        r[t] = _mm512_maskz_loadu_pd((rows >> t) & 1 ? cols : 0,
+                                     batch.data() + static_cast<std::size_t>(i0 + t) * d + k0);
+      }
+      transpose8(r);
+      for (int c = 0; c < kPairLanes && k0 + c < d; ++c) {
+        _mm512_mask_storeu_pd(gram_colmajor.data() + static_cast<std::size_t>(k0 + c) * n + i0,
+                              rows, r[c]);
+      }
+    }
+  }
+#else
+  for (int i = 0; i < n; ++i) {
+    const double* src = batch.row(i).data();
+    for (int k = 0; k < d; ++k) gram_colmajor[static_cast<std::size_t>(k) * n + i] = src[k];
+  }
+#endif
+}
+
+void AggregatorWorkspace::sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const {
+#if defined(__AVX512F__)
+  const int n = batch.rows();
+  const int d = batch.cols();
+  const double* rows = batch.data();
+  const auto block_regs = static_cast<std::size_t>(n) * kPairLanes;
+  for (int i0 = 0; i0 < n; i0 += kPairLanes) {
+    double* block = dist + static_cast<std::size_t>(i0 / kPairLanes) * block_regs;
+    const double* cols = gram_colmajor.data() + i0;
+    const __mmask8 valid = lane_mask(n - i0);
+    const __m512d sqi = _mm512_maskz_loadu_pd(valid, sqnorms.data() + i0);
+    // The block's own rows and every later row: one register per row j.
+    for (int j = i0; j < n; ++j) {
+      const double* rj = row_ptr(rows, d, j);
+      // The lane of row j itself is never a candidate: no guard recompute.
+      const auto self = static_cast<unsigned>(j - i0) < unsigned{kPairLanes} ? 1u << (j - i0) : 0u;
+      const auto lanes = static_cast<__mmask8>(valid & ~self);
+      __mmask8 guard = 0;
+      const __m512d d2 = small_d_sqdist(
+          d, lanes, _mm512_add_pd(sqi, _mm512_set1_pd(sqnorms[static_cast<std::size_t>(j)])),
+          [&](int k) {
+            return std::pair{_mm512_maskz_loadu_pd(valid, cols + static_cast<std::size_t>(k) * n),
+                             _mm512_set1_pd(rj[k])};
+          },
+          [&](int t, int k0) { return leftover_dot(row_ptr(rows, d, i0 + t), rj, k0, d); },
+          &guard);
+      double* cell = block + static_cast<std::size_t>(j) * kPairLanes;
+      _mm512_store_pd(cell, d2);
+      for (unsigned g = guard; g != 0; g &= g - 1) {
+        const int t = std::countr_zero(g);
+        cell[t] = direct_sqdist(row_ptr(rows, d, i0 + t), rj, d);
+      }
+    }
+    // Each earlier (full) block e already holds its distances to this
+    // block's rows, one register per row: transposed, they are this
+    // block's registers for e's rows.
+    for (int e0 = 0; e0 < i0; e0 += kPairLanes) {
+      const double* tile = dist + static_cast<std::size_t>(e0 / kPairLanes) * block_regs +
+                           static_cast<std::size_t>(i0) * kPairLanes;
+      __m512d r[kPairLanes];
+      for (int t = 0; t < kPairLanes; ++t) {
+        // Registers past the last row are not read.
+        r[t] = _mm512_maskz_loadu_pd((valid >> t) & 1 ? 0xFF : 0, tile + t * kPairLanes);
+      }
+      transpose8(r);
+      for (int c = 0; c < kPairLanes; ++c) {
+        _mm512_store_pd(block + static_cast<std::size_t>(e0 + c) * kPairLanes, r[c]);
+      }
+    }
+  }
+#else
+  (void)batch;
+  (void)dist;
+#endif
 }
 
 int validate_batch(const GradientBatch& batch, int f) {

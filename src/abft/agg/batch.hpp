@@ -159,7 +159,7 @@ struct AggregatorWorkspace {
 
   // --- scratch buffers -----------------------------------------------------
   std::vector<double> colmajor;  ///< d x n transposed copy of the batch
-  /// d x n transposed copy the small-d f64 Gram fill reads (its own buffer:
+  /// d x n transposed copy the small-d f64 kernels read (its own buffer:
   /// `colmajor` belongs to CWTM, Bulyan and the coreset pass).
   std::vector<double> gram_colmajor;
   std::vector<double> norms;     ///< per-gradient Euclidean norms (n)
@@ -189,11 +189,15 @@ struct AggregatorWorkspace {
   std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (coreset pivot)
   std::vector<int> order;        ///< index permutation (n)
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
-  // Certified Krum scorer (krum.hpp detail::krum_select): per-row score
-  // state (canonical / old / due for the old score), the interval that
-  // holds each row's old score, and every active row's candidate distances.
+  // Certified Krum scorer (krum.hpp detail::krum_select and its small-leaf
+  // route): per-row score state (canonical / old / due for the old score),
+  // the interval that holds each row's old score, and every active row's
+  // candidate distances.
   std::vector<unsigned char> krum_state;  ///< per-row score state (n)
   std::vector<double> krum_cand;          ///< live x (live - 1) candidate rows
+  /// The small-leaf route's candidate registers: per block of 8 rows, its
+  /// candidate x of every row at [8 x, 8 x + 8), padded to 8, 16, 24 or 32.
+  std::vector<double> krum_lanes;
   std::vector<double> krum_lo;            ///< interval lower ends (n)
   std::vector<double> krum_hi;            ///< interval upper ends (n)
   // Bulyan fast-mode stage 1 (incremental iterated-Krum scores): per-row
@@ -273,9 +277,44 @@ struct AggregatorWorkspace {
   /// comes from the shared scalar leftover_dot, the dot is leftover + lane
   /// 0 + ... + lane 7 in lane order and then 0.0 + dot, d2 =
   /// fnmadd(2, dot, scale) clamped as std::max(0.0, d2), and guard cells
-  /// are recomputed by the scalar direct-difference code.  Below d = 8 and
-  /// in the f32 lane the per-pair kernel still runs.
+  /// are recomputed by the scalar direct-difference code.  (The kernel
+  /// skips the +0.0 of an empty leftover and the closing 0.0 +: they can
+  /// change only the sign of a zero dot, and fnmadd against a scale >= +0
+  /// drops that sign.)  Below d = 8 and in the f32 lane the per-pair kernel
+  /// still runs.  The small-leaf Krum route runs the same per-lane sequence
+  /// transposed (sqdist_blocks_small_d).
   void fill_pairwise_sqdist(const GradientBatch& batch);
+
+  // --- the small-d f64 kernels ---------------------------------------------
+  /// Rows per register of the small-d f64 kernels (and per block of
+  /// sqdist_blocks_small_d).
+  static constexpr int kSqdistBlockRows = 8;
+
+  /// True when the small-d f64 kernels run for rows of d columns: the f64
+  /// lane (either mode), 8 <= d < 32 and AVX-512 at runtime.  Depends only
+  /// on d, the precision and the host.
+  [[nodiscard]] bool small_d_kernels(int d) const noexcept;
+
+  /// fill_sqnorms plus the d x n column-major copy in `gram_colmajor`: the
+  /// operands both small-d kernels read.
+  void fill_small_d_operands(const GradientBatch& batch);
+
+  /// The transposed small-d pass (the small-leaf Krum route, krum.hpp):
+  /// every row's squared distances in registers, by blocks of 8 rows.  Lane
+  /// t of register j of block b (dist[8 (b n + j), 8 (b n + j) + 8)) is
+  /// d(8 b + t, j), with the bits of the packed cell (min, max) that
+  /// fill_pairwise_sqdist writes: both kernels run one per-lane operation
+  /// sequence (FMA chains over the whole 8-lane groups, the shared scalar
+  /// leftover_dot, lane-order sum then 0.0 + dot, fnmadd and the std::max
+  /// clamp, guard cells recomputed by the direct difference; see
+  /// fill_pairwise_sqdist), and every step of it is symmetric in the two
+  /// rows.  Each pair is computed once:
+  /// a block computes its registers for its own and later rows, and takes
+  /// those for an earlier block's rows by transposing the 8 x 8 tile that
+  /// block computed.  Lanes past the last row hold junk, and so does lane t
+  /// of register 8 b + t.  dist holds 8 n ceil(n / 8) doubles, 64-byte
+  /// aligned.  Requires small_d_kernels(d) and fill_small_d_operands(batch).
+  void sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const;
 
   /// Demotes the batch rows into `rows_f32` (the f32 lane's one
   /// demote-on-ingest pass).

@@ -1,10 +1,15 @@
 #include "abft/agg/krum.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <limits>
 #include <numeric>
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "abft/agg/rank_kernel.hpp"
 #include "abft/util/check.hpp"
@@ -70,29 +75,33 @@ constexpr unsigned char kCanonical = 0;  ///< ws.scores holds the canonical sum
 constexpr unsigned char kOld = 1;        ///< ws.scores holds the old score
 constexpr unsigned char kDue = 2;        ///< the row still needs the old score
 
-/// Canonical scores of the active rows from their candidate lists.  A tie
-/// at the k-th distance (kept != neighbors) makes the rank-selected sum
-/// over-count, so those rows take the old score at once.  Returns false if
-/// any score is not finite.
+/// One row's score from its candidate list: the canonical sum, or, on a
+/// tie at the k-th distance (kept != neighbors, where the rank-selected sum
+/// over-counts), the old score at once.
+double score_row(AggregatorWorkspace& ws, const double* cand, int m, int neighbors,
+                 unsigned char* state) {
+  int kept = 0;
+  const double score = smallest_k_sum(cand, m, neighbors, &kept);
+  *state = kCanonical;
+  if (kept == neighbors) return score;
+  // Partition a copy: the whole-call fallback may score this row again.
+  double* dists = ws.scratch.data();
+  std::copy(cand, cand + m, dists);
+  *state = kOld;
+  return nth_element_score(dists, m, neighbors);
+}
+
+/// Scores of the active rows from their candidate lists (score_row).
+/// Returns false if any score is not finite.
 bool score_canonically(AggregatorWorkspace& ws, int n, int m, int neighbors,
                        const unsigned char* active) {
   const double* cand = ws.krum_cand.data();
   bool finite = true;
   for (int i = 0; i < n; ++i) {
     if (active != nullptr && active[i] == 0) continue;
-    int kept = 0;
-    double score = smallest_k_sum(cand, m, neighbors, &kept);
-    unsigned char state = kCanonical;
-    if (kept != neighbors) {
-      // Partition a copy: the whole-call fallback may score this row again.
-      double* dists = ws.scratch.data();
-      std::copy(cand, cand + m, dists);
-      score = nth_element_score(dists, m, neighbors);
-      state = kOld;
-    }
-    ws.scores[static_cast<std::size_t>(i)] = score;
-    ws.krum_state[static_cast<std::size_t>(i)] = state;
-    finite = finite && std::isfinite(score);
+    const auto at = static_cast<std::size_t>(i);
+    ws.scores[at] = score_row(ws, cand, m, neighbors, &ws.krum_state[at]);
+    finite = finite && std::isfinite(ws.scores[at]);
     cand += m;
   }
   return finite;
@@ -109,36 +118,171 @@ bool score_canonically(AggregatorWorkspace& ws, int n, int m, int neighbors,
 /// under either score, so the mixed vector keeps the old strict order and
 /// ties.
 void mark_band(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active) {
-  const auto nn = static_cast<std::size_t>(n);
-  ws.krum_lo.resize(nn);
-  ws.krum_hi.resize(nn);
+  // Padded to whole 8-row groups with empty intervals, which meet nothing,
+  // so the meet count below runs in whole vectors.
+  constexpr int kGroup = 8;
+  const int padded = (n + kGroup - 1) / kGroup * kGroup;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ws.krum_lo.assign(static_cast<std::size_t>(padded), kInf);
+  ws.krum_hi.assign(static_cast<std::size_t>(padded), -kInf);
   double* lo = ws.krum_lo.data();
   double* hi = ws.krum_hi.data();
   auto& state = ws.krum_state;
   const double gamma = 2.0 * static_cast<double>(neighbors) * DBL_EPSILON;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (int i = 0; i < n; ++i) {
+    if (active != nullptr && active[i] == 0) continue;
     const double s = ws.scores[static_cast<std::size_t>(i)];
     const bool old = state[static_cast<std::size_t>(i)] == kOld;
-    if (active != nullptr && active[i] == 0) {
-      lo[i] = kInf;
-      hi[i] = -kInf;
-    } else {
-      lo[i] = old ? s : s * (1.0 - 2.0 * gamma);
-      hi[i] = old ? s : s * (1.0 + 3.0 * gamma);
-    }
+    lo[i] = old ? s : s * (1.0 - 2.0 * gamma);
+    hi[i] = old ? s : s * (1.0 + 3.0 * gamma);
   }
   // Every active row meets itself.  O(n^2) compares, small next to the
   // rank counts' O(n^3 / lanes).
   for (int i = 0; i < n; ++i) {
     if (state[static_cast<std::size_t>(i)] != kCanonical) continue;
     int meets = 0;
+#if defined(__AVX512F__)
+    const __m512d lo_i = _mm512_set1_pd(lo[i]);
+    const __m512d hi_i = _mm512_set1_pd(hi[i]);
+    for (int j0 = 0; j0 < padded; j0 += kGroup) {
+      const __mmask8 below = _mm512_cmp_pd_mask(_mm512_loadu_pd(lo + j0), hi_i, _CMP_LE_OQ);
+      meets += std::popcount(static_cast<unsigned>(
+          _mm512_mask_cmp_pd_mask(below, _mm512_loadu_pd(hi + j0), lo_i, _CMP_GE_OQ)));
+    }
+#else
     for (int j = 0; j < n; ++j) meets += (lo[j] <= hi[i]) & (hi[j] >= lo[i]);
+#endif
     if (meets > 1) state[static_cast<std::size_t>(i)] = kDue;
   }
 }
 
+/// The band certification and final selection both scoring routes share.
+/// With `scored` (every active row holds a finite score and its state),
+/// mark_band picks the rows due for the old score; without it every row
+/// is.  candidates(i, p, dst) copies active row i's (the p-th active row's)
+/// m candidates, in ascending-j order, into dst; each due row's old score
+/// partitions that fresh copy.  Returns the first active row with the
+/// lowest score.
+template <typename Candidates>
+int certify_and_select(AggregatorWorkspace& ws, int n, int m, int neighbors,
+                       const unsigned char* active, bool scored, Candidates&& candidates) {
+  auto& state = ws.krum_state;
+  if (scored) {
+    mark_band(ws, n, neighbors, active);
+  } else {
+    state.assign(static_cast<std::size_t>(n), kDue);
+  }
+  double* dists = ws.scratch.data();
+  int best = -1;
+  int p = 0;
+  for (int i = 0; i < n; ++i) {
+    if (active != nullptr && active[i] == 0) continue;
+    const auto at = static_cast<std::size_t>(i);
+    if (state[at] == kDue) {
+      candidates(i, p, dists);
+      ws.scores[at] = nth_element_score(dists, m, neighbors);
+    }
+    ++p;
+    if (best < 0 || ws.scores[at] < ws.scores[static_cast<std::size_t>(best)]) best = i;
+  }
+  return best;
+}
+
+#if defined(__AVX512F__)
+constexpr int kBlockRows = AggregatorWorkspace::kSqdistBlockRows;
+constexpr int kSmallLeafMaxBlocks = (kSmallLeafMaxCandidates + kBlockRows) / kBlockRows;
+/// Fewest rows a block scores through the network.
+constexpr int kNetworkMinRows = 3;
+
+/// Scores the block of rows i0 .. i0 + 7 of an n-row leaf from `dist`, the
+/// block's distance registers (sqdist_blocks_small_d).  Register x of `cand`
+/// receives candidate x of every lane: lane t's distance to row x if
+/// x < i0 + t, else to row x + 1 (its candidate list, ascending j), and
+/// smallest_k_sum_lanes scores the eight lists together.  Lanes it cannot
+/// certify (a tie at the k-th distance, a NaN candidate), and every row of
+/// a block too small for the network, take score_row on their gathered
+/// list, as the packed route does, so every score and state is the packed
+/// route's.  Writes ws.scores and ws.krum_state for the block's rows;
+/// returns false if any of their scores is not finite.
+bool score_block(AggregatorWorkspace& ws, const double* dist, int n, int i0, int neighbors,
+                 double* cand) {
+  const int m = n - 1;
+  for (int x = 0; x < m; ++x) {
+    // Lanes t <= x - i0 take row x + 1.
+    const int shifted = x - i0 + 1;
+    const auto next = static_cast<__mmask8>(
+        shifted <= 0 ? 0u : shifted >= kBlockRows ? 0xFFu : (1u << shifted) - 1);
+    _mm512_storeu_pd(cand + x * kBlockRows,
+                     _mm512_mask_blend_pd(next, _mm512_load_pd(dist + x * kBlockRows),
+                                          _mm512_load_pd(dist + (x + 1) * kBlockRows)));
+  }
+  const int rows = std::min(kBlockRows, n - i0);
+  const auto valid = static_cast<__mmask8>((1u << rows) - 1);
+  // A block of one or two rows (the last one, say) runs score_row per row:
+  // that costs less than a network pass over eight lanes.
+  __mmask8 uncertified = valid;
+  __m512d sums = _mm512_setzero_pd();
+  if (rows >= kNetworkMinRows) sums = smallest_k_sum_lanes(cand, m, neighbors, &uncertified);
+  _mm512_mask_storeu_pd(ws.scores.data() + i0, valid, sums);
+  std::fill_n(ws.krum_state.data() + i0, rows, kCanonical);
+  double* row = ws.pairrow.data();
+  for (unsigned u = uncertified & valid; u != 0; u &= u - 1) {
+    const int lane = std::countr_zero(u);
+    for (int x = 0; x < m; ++x) row[x] = cand[x * kBlockRows + lane];
+    const auto at = static_cast<std::size_t>(i0 + lane);
+    ws.scores[at] = score_row(ws, row, m, neighbors, &ws.krum_state[at]);
+  }
+  bool finite = true;
+  for (int r = 0; r < rows; ++r) {
+    finite = finite && std::isfinite(ws.scores[static_cast<std::size_t>(i0 + r)]);
+  }
+  return finite;
+}
+#endif  // __AVX512F__
+
 }  // namespace
+
+bool krum_small_leaf(const AggregatorWorkspace& ws, int n, int d) {
+  return n >= 2 && n - 1 <= kSmallLeafMaxCandidates && ws.small_d_kernels(d);
+}
+
+int krum_select_small_leaf(AggregatorWorkspace& ws, const GradientBatch& batch, int neighbors) {
+  const int n = batch.rows();
+  ABFT_REQUIRE(krum_small_leaf(ws, n, batch.cols()), "not a small Krum leaf");
+  ABFT_REQUIRE(1 <= neighbors && neighbors < n, "krum neighbours must be in [1, n - 1]");
+#if defined(__AVX512F__)
+  const int m = n - 1;
+  const int stride = m * kBlockRows;
+  const auto nn = static_cast<std::size_t>(n);
+  ws.scores.resize(nn);
+  ws.pairrow.resize(nn);
+  ws.scratch.resize(nn);
+  ws.krum_state.resize(nn);
+  ws.krum_lanes.resize(static_cast<std::size_t>((n + kBlockRows - 1) / kBlockRows) *
+                       static_cast<std::size_t>(stride));
+  ws.fill_small_d_operands(batch);
+  alignas(64) double dist[kSmallLeafMaxBlocks * (kSmallLeafMaxCandidates + 1) * kBlockRows];
+  ws.sqdist_blocks_small_d(batch, dist);
+  // Block b's registers start at dist[b * n * 8], its candidates at
+  // krum_lanes[b * stride].
+  bool finite = true;
+  for (int i0 = 0; i0 < n; i0 += kBlockRows) {
+    const auto block = static_cast<std::size_t>(i0 / kBlockRows);
+    const bool block_finite =
+        score_block(ws, dist + block * nn * kBlockRows, n, i0, neighbors,
+                    ws.krum_lanes.data() + block * static_cast<std::size_t>(stride));
+    finite = finite && block_finite;
+  }
+  const double* lanes = ws.krum_lanes.data();
+  return certify_and_select(
+      ws, n, m, neighbors, nullptr, finite, [lanes, m, stride](int i, int, double* dst) {
+        const double* col = lanes + (i / kBlockRows) * stride + i % kBlockRows;
+        for (int x = 0; x < m; ++x) dst[x] = col[x * kBlockRows];
+      });
+#else
+  return -1;  // unreachable: krum_small_leaf never holds without AVX-512
+#endif
+}
 
 int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active) {
   const auto nn = static_cast<std::size_t>(n);
@@ -146,48 +290,30 @@ int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned ch
   ws.pairrow.resize(nn);
   ws.scratch.resize(nn);
   ws.krum_state.assign(nn, kDue);
-  const auto is_active = [active](int i) { return active == nullptr || active[i] != 0; };
-  auto& state = ws.krum_state;
-
   int live = 0;
-  for (int i = 0; i < n; ++i) live += is_active(i) ? 1 : 0;
-  // Past the cutoff every row takes the old route from its gathered row
-  // (its rows start out kDue), and so does every call with a non-finite
-  // score anywhere.
+  for (int i = 0; i < n; ++i) live += active == nullptr || active[i] != 0 ? 1 : 0;
+  // Past the cutoff every row takes the old route from its gathered row,
+  // and so does every call with a non-finite score anywhere.
   const int m = live - 1;
-  const bool rank_select = m <= kKrumRankSelectMaxRow;
-  if (rank_select) {
-    ws.krum_cand.resize(static_cast<std::size_t>(live) * static_cast<std::size_t>(m));
-    if (ws.f32_lane()) {
-      build_candidates(ws.pairdist_f32.data(), n, active, m, ws.krum_cand.data());
-    } else {
-      build_candidates(ws.pairdist.data(), n, active, m, ws.krum_cand.data());
-    }
-    if (!score_canonically(ws, n, m, neighbors, active)) {
-      state.assign(nn, kDue);
-    } else {
-      mark_band(ws, n, neighbors, active);
-    }
+  if (m > kKrumRankSelectMaxRow) {
+    return certify_and_select(ws, n, m, neighbors, active, false,
+                              [&ws, n, active](int i, int, double* dst) {
+                                gather_candidates(ws, i, n, active, dst);
+                              });
   }
-
-  double* dists = ws.scratch.data();
+  ws.krum_cand.resize(static_cast<std::size_t>(live) * static_cast<std::size_t>(m));
+  if (ws.f32_lane()) {
+    build_candidates(ws.pairdist_f32.data(), n, active, m, ws.krum_cand.data());
+  } else {
+    build_candidates(ws.pairdist.data(), n, active, m, ws.krum_cand.data());
+  }
+  const bool finite = score_canonically(ws, n, m, neighbors, active);
   const double* cand = ws.krum_cand.data();
-  int best = -1;
-  for (int i = 0; i < n; ++i) {
-    if (!is_active(i)) continue;
-    if (state[static_cast<std::size_t>(i)] == kDue) {
-      if (rank_select) {
-        std::copy(cand, cand + m, dists);
-      } else {
-        gather_candidates(ws, i, n, active, dists);
-      }
-      ws.scores[static_cast<std::size_t>(i)] = nth_element_score(dists, m, neighbors);
-    }
-    if (rank_select) cand += m;
-    const double score = ws.scores[static_cast<std::size_t>(i)];
-    if (best < 0 || score < ws.scores[static_cast<std::size_t>(best)]) best = i;
-  }
-  return best;
+  return certify_and_select(ws, n, m, neighbors, active, finite,
+                            [cand, m](int, int p, double* dst) {
+                              const double* row = cand + static_cast<std::size_t>(p) * m;
+                              std::copy(row, row + m, dst);
+                            });
 }
 
 }  // namespace detail
@@ -236,6 +362,9 @@ Vector KrumAggregator::aggregate(std::span<const Vector> gradients, int f) const
 int KrumAggregator::batched_scores(const GradientBatch& batch, int f, AggregatorWorkspace& ws) {
   const int n = batch.rows();
   ABFT_REQUIRE(n > 2 * f + 2, "krum needs n > 2f + 2");
+  if (detail::krum_small_leaf(ws, n, batch.cols())) {
+    return detail::krum_select_small_leaf(ws, batch, n - f - 2);
+  }
   ws.fill_pairwise_sqdist(batch);
   return detail::krum_select(ws, n, n - f - 2, nullptr);
 }

@@ -63,6 +63,34 @@ inline constexpr int kKrumRankSelectMaxRow = 16;
 /// Returns the first active row with the lowest score.
 int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active);
 
+/// Most candidates (n - 1) a small Krum leaf has: its rows pad to 8, 16, 24
+/// or 32 network inputs.
+inline constexpr int kSmallLeafMaxCandidates = 32;
+
+/// True when an unmasked Krum or Multi-Krum call on n rows of d columns
+/// takes the small-leaf route: 2 <= n <= kSmallLeafMaxCandidates + 1 and
+/// AggregatorWorkspace::small_d_kernels(d) (the f64 lane in either mode,
+/// 8 <= d < 32, AVX-512 at runtime).  Every other call, Bulyan's masked
+/// stage 1 included, fills the packed triangle and runs krum_select.
+bool krum_small_leaf(const AggregatorWorkspace& ws, int n, int d);
+
+/// krum_select over an unmasked small leaf without the packed triangle or
+/// ws.krum_cand.  For each block of 8 rows, sqdist_block_small_d puts every
+/// row's distances in registers (lane t of register j: d(i0 + t, j), with
+/// the packed cell's bits), the lanes' candidate lists are copied into
+/// ws.krum_lanes, and the eight rows are scored together: a Batcher
+/// network (sort_network.hpp) sorts a copy, its k-th and (k+1)-th entries
+/// decide whether exactly k entries are kept, and the entries <= the k-th
+/// are summed into lane x mod 8 and reduced with smallest_k_sum's tree.
+/// The bit contract: every ws.scores bit and every krum_state equals
+/// krum_select's over the packed triangle, so the returned row, the
+/// Multi-Krum stable order and the outputs do too.  Rows the network
+/// cannot certify (a tie at the k-th distance, a NaN candidate) take
+/// krum_select's own per-row scorer, and the band certification, the
+/// whole-call fallback and the final selection are krum_select's, reading
+/// the candidates back from ws.krum_lanes.  1 <= neighbors <= n - 1.
+int krum_select_small_leaf(AggregatorWorkspace& ws, const GradientBatch& batch, int neighbors);
+
 }  // namespace detail
 
 class KrumAggregator final : public GradientAggregator {
@@ -83,7 +111,9 @@ class KrumAggregator final : public GradientAggregator {
   /// detail::krum_select; returns the lowest-score row.  Fills the shared
   /// pairwise squared-distance matrix in workspace.pairdist via the Gram
   /// identity; Krum and Multi-Krum both score from it (Bulyan's exact stage
-  /// 1 runs krum_select over the same matrix with an active-row mask).
+  /// 1 runs krum_select over the same matrix with an active-row mask).  A
+  /// small leaf (detail::krum_small_leaf) skips the matrix and runs
+  /// detail::krum_select_small_leaf, with the same score bits.
   /// Selections equal the old nth_element scorer's: the returned row and
   /// the stable_sort order of workspace.scores.  Rows outside the rounding
   /// band hold canonical scores, which may differ from the old values in

@@ -13,15 +13,22 @@
 // broadcast + compare + masked-add per (i, j-block), processing a full SIMD
 // register of columns-entries per instruction on AVX-512/AVX2, with a
 // portable auto-vectorizable fallback elsewhere.
+//
+// smallest_k_sum_lanes (AVX-512) gives smallest_k_sum's bits for eight rows
+// at once from a sorting network instead of rank counts: the small-leaf
+// Krum route's scorer.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 #if defined(__AVX512F__) || defined(__AVX2__)
 #include <immintrin.h>
 #endif
+
+#include "abft/agg/sort_network.hpp"
 
 namespace abft::agg::detail {
 
@@ -144,5 +151,70 @@ inline double smallest_k_sum(const double* x, int m, int k, int* kept) {
   return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
          ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
 }
+
+#if defined(__AVX512F__)
+// GCC 12 flags the deliberately undefined register inside _mm512_min_pd and
+// _mm512_max_pd once they are inlined (-Wuninitialized); the value never
+// reaches the result.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// smallest_k_sum of eight rows at once, one row per lane, through Batcher's
+/// network on P = 8, 16, 24 or 32 inputs: register x of `cand` (doubles
+/// [8 x, 8 x + 8)) holds entry x of every row, x < m <= P, and the network
+/// sees +inf in registers m .. P - 1.  With s the sorted copy and
+/// t = s[k - 1], a row keeps exactly k entries iff k == m or s[k] != t, and
+/// then the entries x <= t are the k smallest_k_sum keeps: they are summed
+/// into lane x mod 8 in ascending x (an unkept entry adds +0.0) and reduced
+/// with smallest_k_sum's tree, so the row's sum has its bits.  Rows with a
+/// tie at the k-th entry or a NaN entry are set in *uncertified, and their
+/// sums are unspecified.  1 <= k <= m.
+template <int P>
+inline __m512d smallest_k_sum_network(const double* cand, int m, int k, __mmask8* uncertified) {
+  constexpr int kLanes = 8;
+  const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  __m512d s[P];
+#pragma GCC unroll 32
+  for (int x = 0; x < P; ++x) s[x] = x < m ? _mm512_loadu_pd(cand + x * kLanes) : inf;
+  sort_network<P>(s, [](__m512d& lo, __m512d& hi) {
+    const __m512d a = lo;
+    lo = _mm512_min_pd(a, hi);
+    hi = _mm512_max_pd(a, hi);
+  });
+  alignas(64) double sorted[P * kLanes];
+#pragma GCC unroll 32
+  for (int x = 0; x < P; ++x) _mm512_store_pd(sorted + x * kLanes, s[x]);
+  const __m512d t = _mm512_load_pd(sorted + (k - 1) * kLanes);
+  __mmask8 flagged =
+      k < m ? _mm512_cmp_pd_mask(_mm512_load_pd(sorted + k * kLanes), t, _CMP_EQ_OQ) : 0;
+  __m512d lanes[kLanes];
+  for (int b = 0; b < kLanes; ++b) lanes[b] = _mm512_setzero_pd();
+  for (int x0 = 0; x0 < m; x0 += kLanes) {
+#pragma GCC unroll 8
+    for (int b = 0; b < kLanes; ++b) {
+      if (x0 + b == m) break;
+      const __m512d c = _mm512_loadu_pd(cand + (x0 + b) * kLanes);
+      flagged |= _mm512_cmp_pd_mask(c, c, _CMP_UNORD_Q);
+      const __mmask8 keep = _mm512_cmp_pd_mask(c, t, _CMP_LE_OQ);
+      lanes[b] = _mm512_add_pd(lanes[b], _mm512_maskz_mov_pd(keep, c));
+    }
+  }
+  *uncertified = flagged;
+  return _mm512_add_pd(
+      _mm512_add_pd(_mm512_add_pd(lanes[0], lanes[4]), _mm512_add_pd(lanes[2], lanes[6])),
+      _mm512_add_pd(_mm512_add_pd(lanes[1], lanes[5]), _mm512_add_pd(lanes[3], lanes[7])));
+}
+
+/// smallest_k_sum_network at the smallest P >= m.  m <= 32.
+inline __m512d smallest_k_sum_lanes(const double* cand, int m, int k, __mmask8* uncertified) {
+  switch ((m + 7) / 8) {
+    case 1: return smallest_k_sum_network<8>(cand, m, k, uncertified);
+    case 2: return smallest_k_sum_network<16>(cand, m, k, uncertified);
+    case 3: return smallest_k_sum_network<24>(cand, m, k, uncertified);
+    default: return smallest_k_sum_network<32>(cand, m, k, uncertified);
+  }
+}
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace abft::agg::detail

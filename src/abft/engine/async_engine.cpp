@@ -13,6 +13,29 @@ constexpr std::uint64_t kArrivalSeedTag = 0xa11c10c4a55a1edULL;
 
 }  // namespace
 
+void order_by_birth(std::span<const int> agents, std::span<const int> birth_round,
+                    std::vector<int>& starts, std::vector<int>& out) {
+  out.resize(agents.size());
+  if (agents.empty()) return;
+  const auto birth = [&birth_round](int agent) {
+    return birth_round[static_cast<std::size_t>(agent)];
+  };
+  int oldest = birth(agents.front());
+  int newest = oldest;
+  for (const int agent : agents) {
+    oldest = std::min(oldest, birth(agent));
+    newest = std::max(newest, birth(agent));
+  }
+  // starts[b - oldest] ends up as the first slot of birth round b.
+  starts.assign(static_cast<std::size_t>(newest - oldest) + 2, 0);
+  for (const int agent : agents) ++starts[static_cast<std::size_t>(birth(agent) - oldest) + 1];
+  for (std::size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
+  for (const int agent : agents) {
+    out[static_cast<std::size_t>(starts[static_cast<std::size_t>(birth(agent) - oldest)]++)] =
+        agent;
+  }
+}
+
 AsyncRoundEngine::AsyncRoundEngine(std::vector<unsigned char> faulty, int dim,
                                    AsyncEngineConfig config)
     : core_(std::move(faulty), dim, config),
@@ -123,17 +146,15 @@ int AsyncRoundEngine::collect(int round) {
 
   // Consume every row arrived by the trigger, in (birth_round, agent) order,
   // scaled by its staleness weight; the rest stay in flight.  Births span at
-  // most staleness_cap + 1 rounds, and the stable sort keeps agent order
+  // most staleness_cap + 1 rounds, and the counting pass keeps agent order
   // within one birth round.
   std::erase_if(arrived_, [&](int agent) {
     return arrival_time_[static_cast<std::size_t>(agent)] > fire_time;
   });
-  std::stable_sort(arrived_.begin(), arrived_.end(), [this](int x, int y) {
-    return birth_round_[static_cast<std::size_t>(x)] < birth_round_[static_cast<std::size_t>(y)];
-  });
-  ingest_.reshape(static_cast<int>(arrived_.size()), core_.dim);
+  order_by_birth(arrived_, birth_round_, birth_starts_, consumed_);
+  ingest_.reshape(static_cast<int>(consumed_.size()), core_.dim);
   int kept = 0;
-  for (const int agent : arrived_) {
+  for (const int agent : consumed_) {
     const auto a = static_cast<std::size_t>(agent);
     const int age = round - birth_round_[a];
     const auto src = core_.payload.row(agent);

@@ -5,6 +5,7 @@
 // and thread-count/replay determinism through the scenario layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include "abft/engine/async_engine.hpp"
 #include "abft/scenario/scenario.hpp"
 #include "abft/util/json.hpp"
+#include "abft/util/rng.hpp"
 
 namespace {
 
@@ -290,6 +292,34 @@ TEST(AsyncEngine, ConsumeOrderIsBirthRoundThenAgent) {
   EXPECT_GT(mixed_batches, 0);
   EXPECT_GT(agent_order_differs, 0);
   EXPECT_GT(eng.stats().quorum_fires, 0);
+}
+
+TEST(AsyncEngine, CountingPassOrdersLikeAStableSortOnBirthRound) {
+  // collect's order_by_birth against std::stable_sort on birth round, over
+  // random agent subsets (ascending, as the roster scan yields them) whose
+  // births span staleness caps 0 to 3, with the scratch reused throughout.
+  util::Rng rng(19);
+  std::vector<int> starts;
+  std::vector<int> out;
+  for (int cap = 0; cap <= 3; ++cap) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const int roster = 1 + static_cast<int>(rng.uniform_index(40));
+      const int round = cap + static_cast<int>(rng.uniform_index(10));
+      std::vector<int> birth(static_cast<std::size_t>(roster));
+      std::vector<int> agents;
+      for (int a = 0; a < roster; ++a) {
+        birth[static_cast<std::size_t>(a)] =
+            round - static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(cap) + 1));
+        if (rng.uniform() < 0.7) agents.push_back(a);
+      }
+      auto expected = agents;
+      std::stable_sort(expected.begin(), expected.end(), [&birth](int x, int y) {
+        return birth[static_cast<std::size_t>(x)] < birth[static_cast<std::size_t>(y)];
+      });
+      engine::order_by_birth(agents, birth, starts, out);
+      EXPECT_EQ(out, expected) << "cap " << cap << " trial " << trial;
+    }
+  }
 }
 
 // A Byzantine starter whose emitter returns false stays silent: its row is

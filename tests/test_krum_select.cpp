@@ -426,6 +426,143 @@ TEST(KrumSelect, ExactBulyanMatchesTheOldStageOne) {
   }
 }
 
+// --- the small-leaf route ---------------------------------------------------
+
+/// True where the small-leaf route can run: AVX-512 at runtime (the route
+/// also needs an AVX-512 build, which krum_small_leaf checks).
+bool avx512_host() {
+#if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f") != 0;
+#else
+  return false;
+#endif
+}
+
+/// The small-leaf oracle's batches: random; clustered (a common 100 per
+/// coordinate, so every pair takes the cancellation guard); tied (a third
+/// of the rows copy row 0); duplicate (every row equal); zero rows; and
+/// non-finite ones: a NaN coordinate, one +inf row, two rows at +inf in the
+/// same coordinate (a NaN distance between them), and one row at 1e154
+/// (distances overflow to +inf, so the whole-call fallback fires).
+std::vector<std::pair<std::string, GradientBatch>> leaf_family(int n, int d, std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, GradientBatch>> family;
+  family.emplace_back("random", random_batch(n, d, seed));
+  auto clustered = random_batch(n, d, seed + 1, 1e-2);
+  for (int i = 0; i < n; ++i) {
+    for (auto& v : clustered.row(i)) v += 100.0;
+  }
+  family.emplace_back("clustered", std::move(clustered));
+  auto tied = random_batch(n, d, seed + 2);
+  duplicate_rows(tied, 0, 1, std::max(1, n / 3));
+  family.emplace_back("tied", std::move(tied));
+  auto equal = random_batch(n, d, seed + 3);
+  duplicate_rows(equal, 0, 1, n);
+  family.emplace_back("duplicate", std::move(equal));
+  auto zeros = random_batch(n, d, seed + 4);
+  for (int i = 0; i < n; i += 2) {
+    for (auto& v : zeros.row(i)) v = 0.0;
+  }
+  family.emplace_back("zero-rows", std::move(zeros));
+  auto nan = random_batch(n, d, seed + 5);
+  nan.row(n / 2)[1] = std::numeric_limits<double>::quiet_NaN();
+  family.emplace_back("nan-row", std::move(nan));
+  auto inf = random_batch(n, d, seed + 6);
+  inf.row(n - 1)[0] = kInf;
+  family.emplace_back("inf-row", std::move(inf));
+  auto inf_pair = random_batch(n, d, seed + 7);
+  inf_pair.row(0)[0] = kInf;
+  inf_pair.row(n - 1)[0] = kInf;
+  family.emplace_back("inf-pair", std::move(inf_pair));
+  auto huge = random_batch(n, d, seed + 8);
+  for (auto& v : huge.row(n / 3)) v *= 1e154;
+  family.emplace_back("row-1e154", std::move(huge));
+  return family;
+}
+
+TEST(KrumSmallLeaf, RouteTakesEveryUnmaskedF64SmallLeafAndNothingElse) {
+  for (const auto& lane : kLanes) {
+    AggregatorWorkspace ws;
+    configure(ws, lane);
+    for (const int n : {1, 2, 3, 25, 33, 34}) {
+      for (const int d : {3, 7, 8, 31, 32}) {
+        const bool expected = avx512_host() && lane.precision == Precision::f64 && n >= 2 &&
+                              n <= 33 && d >= 8 && d < 32;
+        EXPECT_EQ(agg::detail::krum_small_leaf(ws, n, d), expected)
+            << lane.name << " n=" << n << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(KrumSmallLeaf, ScoresAndSelectionsMatchThePackedRoute) {
+  // Every n the route takes (and one past it), every neighbour count, the
+  // d on both sides of 8 and 32 and around the 8-lane groups, both f64
+  // modes, threads 1 and 4.  The packed route (fill_pairwise_sqdist, then
+  // krum_select) is the oracle: ws.scores byte for byte, the row krum
+  // picks and the Multi-Krum stable order.  Where the whole-call fallback
+  // fires, the scores must also be the old scorer's.  Then the outputs of
+  // both rules at every usable f against the old scorer's.
+  agg::ThreadPool pool(4);
+  for (int n = 2; n <= 34; ++n) {
+    for (const int d : {7, 8, 9, 15, 16, 17, 24, 31, 32}) {
+      const auto seed = 100 * static_cast<std::uint64_t>(n) + static_cast<std::uint64_t>(d);
+      for (const auto& [label, batch] : leaf_family(n, d, seed)) {
+        for (const auto& lane : {kLanes[0], kLanes[1]}) {
+          AggregatorWorkspace packed;
+          configure(packed, lane);
+          packed.fill_pairwise_sqdist(batch);
+          for (const int threads : {1, 4}) {
+            AggregatorWorkspace ws;
+            configure(ws, lane);
+            ws.parallel_threads = threads;
+            ws.pool = &pool;
+            const bool route = agg::detail::krum_small_leaf(ws, n, d);
+            for (int k = 1; k < n; ++k) {
+              const std::string where = std::string(lane.name) + " " + label +
+                                        " n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                                        " k=" + std::to_string(k) +
+                                        " threads=" + std::to_string(threads);
+              const int expected = agg::detail::krum_select(packed, n, k, nullptr);
+              int got = -1;
+              if (route) {
+                got = agg::detail::krum_select_small_leaf(ws, batch, k);
+              } else {
+                ws.fill_pairwise_sqdist(batch);
+                got = agg::detail::krum_select(ws, n, k, nullptr);
+              }
+              ASSERT_EQ(got, expected) << where;
+              ASSERT_EQ(ws.scores.size(), packed.scores.size()) << where;
+              ASSERT_EQ(std::memcmp(ws.scores.data(), packed.scores.data(),
+                                    packed.scores.size() * sizeof(double)),
+                        0)
+                  << where;
+              EXPECT_EQ(stable_order(ws.scores), stable_order(packed.scores)) << where;
+              const bool fallback = !std::all_of(ws.scores.begin(), ws.scores.end(),
+                                                 [](double v) { return std::isfinite(v); });
+              if (fallback) {
+                const auto old = old_scores(packed, n, k);
+                EXPECT_EQ(std::memcmp(ws.scores.data(), old.data(), old.size() * sizeof(double)),
+                          0)
+                    << where << " fallback";
+              }
+            }
+            // The route writes neither the packed triangle nor krum_cand.
+            if (route) {
+              EXPECT_TRUE(ws.pairdist.empty() && ws.krum_cand.empty()) << label << " n=" << n;
+            }
+          }
+          if (n >= 3 && lane.precision == Precision::f64) {
+            expect_outputs_match(batch, krum_fs(n, true), lane,
+                                 std::string(lane.name) + " " + label + " n=" + std::to_string(n) +
+                                     " d=" + std::to_string(d));
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The committed near-tie fixture: rows 0 and 1 are x and -x, and rows
 /// 2..13 and 14..25 hold y_j and -y_j, so rows 0 and 1 see bitwise the same
 /// multiset of distances in a different order and share the lowest true
@@ -490,9 +627,9 @@ TEST(KrumSelect, NearTieFixturePicksTheOldRowWhereCanonicalScoresDisagree) {
   expect_outputs_match(batch, {kTieF}, kLanes[0], "near-tie");
 }
 
-/// A many-like tree: 80 shards of 25 rows, Krum leaves, CWTM root.  The
-/// library's hierarchy must equal a test-local composition of the old
-/// per-shard Krum and CwtmAggregator, at one thread and four.
+/// A many-like tree: Krum leaves, CWTM root.  The library's hierarchy must
+/// equal a test-local composition of the old per-shard Krum and
+/// CwtmAggregator, at one thread and four.
 Vector old_hierarchy(const GradientBatch& batch, int f, std::uint64_t assignment_seed,
                      const agg::HierarchicalAggregator& hier) {
   const int n = batch.rows();
@@ -530,20 +667,27 @@ Vector old_hierarchy(const GradientBatch& batch, int f, std::uint64_t assignment
 }
 
 TEST(KrumSelect, ManyLikeHierarchyMatchesTheOldComposition) {
-  constexpr int n = 2000;
-  constexpr int f = 20;
-  const auto batch = random_batch(n, 8, 4242);
+  // 80 shards of 25 rows (many's leaf), and 40 shards of 16, 17, 32 and 33
+  // rows: both ends of the network sizes of the small-leaf route.
   agg::ThreadPool pool(4);
-  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{77}}) {
-    const agg::HierarchicalAggregator hier({80, "krum", "cwtm", -1, seed});
-    const auto expected = old_hierarchy(batch, f, seed, hier);
-    for (const int threads : {1, 4}) {
-      AggregatorWorkspace ws;
-      ws.parallel_threads = threads;
-      ws.pool = &pool;
-      Vector out;
-      hier.aggregate_into(out, batch, f, ws);
-      EXPECT_TRUE(bitwise_equal(out, expected)) << "seed " << seed << " threads " << threads;
+  for (const auto& [shards, rows] :
+       {std::pair{80, 25}, std::pair{40, 16}, std::pair{40, 17}, std::pair{40, 32},
+        std::pair{40, 33}}) {
+    const int n = shards * rows;
+    const int f = n / 100;
+    const auto batch = random_batch(n, 8, 4242 + static_cast<std::uint64_t>(rows));
+    for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{77}}) {
+      const agg::HierarchicalAggregator hier({shards, "krum", "cwtm", -1, seed});
+      const auto expected = old_hierarchy(batch, f, seed, hier);
+      for (const int threads : {1, 4}) {
+        AggregatorWorkspace ws;
+        ws.parallel_threads = threads;
+        ws.pool = &pool;
+        Vector out;
+        hier.aggregate_into(out, batch, f, ws);
+        EXPECT_TRUE(bitwise_equal(out, expected))
+            << rows << "-row shards, seed " << seed << " threads " << threads;
+      }
     }
   }
 }

@@ -1,0 +1,167 @@
+// Batcher's odd-even merge network (agg/sort_network.hpp) and the eight-row
+// smallest-k sum the small-leaf Krum route scores with (rank_kernel.hpp
+// smallest_k_sum_lanes).
+//
+//   * the networks on 8 and 16 inputs sort every 0-1 input (by the 0-1
+//     principle, every input), and dropping any one comparator breaks that;
+//   * the pruned networks on 24 and 32 inputs sort random inputs full of
+//     ties;
+//   * on AVX-512 builds, smallest_k_sum_lanes certifies a row exactly when
+//     smallest_k_sum keeps k entries and the row has no NaN, and then its
+//     sum has smallest_k_sum's bits: m 1-32, every k, rows with ties, 0,
+//     +inf and NaN.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "abft/agg/rank_kernel.hpp"
+#include "abft/agg/sort_network.hpp"
+#include "abft/util/rng.hpp"
+
+namespace {
+
+using namespace abft;
+
+/// Runs the network on v, skipping comparator `skip` (-1: none).
+template <int Size>
+void run_network(double* v, int skip = -1) {
+  const auto& net = agg::detail::kBatcherNetwork<Size>;
+  for (int c = 0; c < static_cast<int>(net.size()); ++c) {
+    if (c == skip) continue;
+    auto& lo = v[net[static_cast<std::size_t>(c)].first];
+    auto& hi = v[net[static_cast<std::size_t>(c)].second];
+    const double a = lo;
+    lo = std::min(a, hi);
+    hi = std::max(a, hi);
+  }
+}
+
+/// True when the network (less comparator `skip`) sorts every 0-1 input.
+template <int Size>
+bool sorts_every_zero_one_input(int skip = -1) {
+  double v[Size];
+  for (std::uint32_t bits = 0; bits < (std::uint32_t{1} << Size); ++bits) {
+    for (int i = 0; i < Size; ++i) v[i] = static_cast<double>((bits >> i) & 1);
+    run_network<Size>(v, skip);
+    if (!std::is_sorted(v, v + Size)) return false;
+  }
+  return true;
+}
+
+TEST(SortNetwork, ComparatorCountsAreBatchers) {
+  EXPECT_EQ(agg::detail::kBatcherNetwork<8>.size(), 19u);
+  EXPECT_EQ(agg::detail::kBatcherNetwork<16>.size(), 63u);
+  EXPECT_EQ(agg::detail::kBatcherNetwork<32>.size(), 191u);
+  for (const auto& [a, b] : agg::detail::kBatcherNetwork<24>) {
+    EXPECT_LT(a, b);
+    EXPECT_LT(b, 24);
+  }
+}
+
+TEST(SortNetwork, SortsEveryZeroOneInputAtSizes8And16) {
+  EXPECT_TRUE(sorts_every_zero_one_input<8>());
+  EXPECT_TRUE(sorts_every_zero_one_input<16>());
+}
+
+TEST(SortNetwork, DroppingAnyComparatorBreaksSizes8And16) {
+  for (int c = 0; c < static_cast<int>(agg::detail::kBatcherNetwork<8>.size()); ++c) {
+    EXPECT_FALSE(sorts_every_zero_one_input<8>(c)) << "comparator " << c;
+  }
+  for (int c = 0; c < static_cast<int>(agg::detail::kBatcherNetwork<16>.size()); ++c) {
+    EXPECT_FALSE(sorts_every_zero_one_input<16>(c)) << "comparator " << c;
+  }
+}
+
+template <int Size>
+void expect_sorts_random_ties(util::Rng& rng) {
+  double v[Size];
+  for (int trial = 0; trial < 20000; ++trial) {
+    // Few distinct values, so most inputs hold ties.
+    const auto values = 1 + rng.uniform_index(6);
+    for (auto& x : v) x = static_cast<double>(rng.uniform_index(values));
+    std::vector<double> expected(v, v + Size);
+    std::sort(expected.begin(), expected.end());
+    run_network<Size>(v);
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), v)) << "size " << Size;
+  }
+}
+
+TEST(SortNetwork, SortsRandomInputsWithTiesAtEverySize) {
+  util::Rng rng(24);
+  expect_sorts_random_ties<8>(rng);
+  expect_sorts_random_ties<16>(rng);
+  expect_sorts_random_ties<24>(rng);
+  expect_sorts_random_ties<32>(rng);
+}
+
+TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
+#if defined(__AVX512F__)
+  if (__builtin_cpu_supports("avx512f") == 0) GTEST_SKIP() << "no AVX-512 on this host";
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(32);
+  alignas(64) double cand[32 * 8];
+  std::vector<double> row;
+  int certified = 0;
+  int uncertified = 0;
+  for (int m = 1; m <= 32; ++m) {
+    for (int k = 1; k <= m; ++k) {
+      for (int trial = 0; trial < 40; ++trial) {
+        // Per trial one of: distinct values, a few values (ties), or a
+        // few values plus 0, +inf and now and then a NaN.
+        const int kind = trial % 3;
+        for (int x = 0; x < m; ++x) {
+          for (int t = 0; t < 8; ++t) {
+            double v = rng.uniform();
+            if (kind >= 1) v = static_cast<double>(rng.uniform_index(4)) * 0.5;
+            if (kind == 2) {
+              const double u = rng.uniform();
+              if (u < 0.1) v = 0.0;
+              if (u > 0.9) v = kInf;
+              if (u > 0.99) v = kNan;
+            }
+            cand[x * 8 + t] = v;
+          }
+        }
+        __mmask8 flagged = 0;
+        alignas(64) double sums[8];
+        _mm512_store_pd(sums, agg::detail::smallest_k_sum_lanes(cand, m, k, &flagged));
+        for (int t = 0; t < 8; ++t) {
+          row.clear();
+          bool nan = false;
+          for (int x = 0; x < m; ++x) {
+            row.push_back(cand[x * 8 + t]);
+            nan = nan || row.back() != row.back();
+          }
+          int kept = 0;
+          const double expected = agg::detail::smallest_k_sum(row.data(), m, k, &kept);
+          const std::string where = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                                    " trial=" + std::to_string(trial) + " lane=" +
+                                    std::to_string(t);
+          const bool lane_certified = ((flagged >> t) & 1) == 0;
+          ASSERT_EQ(lane_certified, kept == k && !nan) << where;
+          if (lane_certified) {
+            ASSERT_EQ(std::memcmp(&sums[t], &expected, sizeof(double)), 0)
+                << where << ": " << sums[t] << " vs " << expected;
+            ++certified;
+          } else {
+            ++uncertified;
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes occur often, so neither side of the check is vacuous.
+  EXPECT_GT(certified, 10000);
+  EXPECT_GT(uncertified, 10000);
+#else
+  GTEST_SKIP() << "smallest_k_sum_lanes needs an AVX-512 build";
+#endif
+}
+
+}  // namespace
