@@ -12,15 +12,6 @@
 
 #include "abft/util/check.hpp"
 
-#if defined(__AVX512F__)
-// GCC 12 flags the deliberately undefined register inside several AVX-512
-// intrinsics (_mm512_reduce_add_*, the unpack and shuffle ops) once they
-// are inlined into a loop (-Wuninitialized); the value never reaches the
-// result.
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
 namespace abft::agg {
 
 namespace {
@@ -127,6 +118,12 @@ constexpr int kTileMinCols = 32;
 constexpr int kPairLanesMinCols = 8;
 
 #if defined(__AVX512F__)
+// GCC 12 flags the deliberately undefined register inside the
+// _mm512_reduce_add_* intrinsics once they are inlined into a loop
+// (-Wuninitialized); the value never reaches the result.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 /// The AVX-512 operations the fast Gram tile needs, per element type.
 template <typename T>
 struct Avx512;
@@ -269,6 +266,7 @@ void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d,
     }
   }
 }
+#pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
 /// ||ri - rj||^2 by direct differences: the cancellation-guard recompute of
@@ -297,6 +295,12 @@ double direct_sqdist(const double* ri, const double* rj, int d) {
 constexpr double kCancellationGuard = 1e-6;
 
 #if defined(__AVX512F__)
+// GCC 12 flags the deliberately undefined register inside the max, unpack
+// and shuffle intrinsics once they are inlined (-Wmaybe-uninitialized); the
+// value never reaches the result.  Scoped like the Gram tile's.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 /// Rows per register of the small-d f64 kernels.
 constexpr int kPairLanes = AggregatorWorkspace::kSqdistBlockRows;
 
@@ -422,6 +426,7 @@ void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
     }
   }
 }
+#pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
 /// True when the fast-mode Gram kernel may use AVX-512: compile-time ISA
@@ -750,34 +755,18 @@ void AggregatorWorkspace::fill_small_d_operands(const GradientBatch& batch) {
   const int d = batch.cols();
   fill_sqnorms(batch);
   gram_colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
-#if defined(__AVX512F__)
-  // 8 x 8 tiles: eight rows' segments in, eight columns' segments out.
-  for (int i0 = 0; i0 < n; i0 += kPairLanes) {
-    const __mmask8 rows = lane_mask(n - i0);
-    for (int k0 = 0; k0 < d; k0 += kPairLanes) {
-      const __mmask8 cols = lane_mask(d - k0);
-      __m512d r[kPairLanes];
-      for (int t = 0; t < kPairLanes; ++t) {
-        r[t] = _mm512_maskz_loadu_pd((rows >> t) & 1 ? cols : 0,
-                                     batch.data() + static_cast<std::size_t>(i0 + t) * d + k0);
-      }
-      transpose8(r);
-      for (int c = 0; c < kPairLanes && k0 + c < d; ++c) {
-        _mm512_mask_storeu_pd(gram_colmajor.data() + static_cast<std::size_t>(k0 + c) * n + i0,
-                              rows, r[c]);
-      }
-    }
-  }
-#else
   for (int i = 0; i < n; ++i) {
     const double* src = batch.row(i).data();
     for (int k = 0; k < d; ++k) gram_colmajor[static_cast<std::size_t>(k) * n + i] = src[k];
   }
-#endif
 }
 
-void AggregatorWorkspace::sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const {
 #if defined(__AVX512F__)
+// The small-d kernels' inlined intrinsics again (see above).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+void AggregatorWorkspace::sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const {
   const int n = batch.rows();
   const int d = batch.cols();
   const double* rows = batch.data();
@@ -826,11 +815,9 @@ void AggregatorWorkspace::sqdist_blocks_small_d(const GradientBatch& batch, doub
       }
     }
   }
-#else
-  (void)batch;
-  (void)dist;
-#endif
 }
+#pragma GCC diagnostic pop
+#endif  // __AVX512F__
 
 int validate_batch(const GradientBatch& batch, int f) {
   ABFT_REQUIRE(batch.rows() > 0, "aggregation needs at least one gradient");

@@ -313,8 +313,11 @@ struct AggregatorWorkspace {
   /// those for an earlier block's rows by transposing the 8 x 8 tile that
   /// block computed.  Lanes past the last row hold junk, and so does lane t
   /// of register 8 b + t.  dist holds 8 n ceil(n / 8) doubles, 64-byte
-  /// aligned.  Requires small_d_kernels(d) and fill_small_d_operands(batch).
+  /// aligned.  Requires small_d_kernels(d) and fill_small_d_operands(batch),
+  /// so it exists in AVX-512 builds only.
+#if defined(__AVX512F__)
   void sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const;
+#endif
 
   /// Demotes the batch rows into `rows_f32` (the f32 lane's one
   /// demote-on-ingest pass).

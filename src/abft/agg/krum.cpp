@@ -118,40 +118,31 @@ bool score_canonically(AggregatorWorkspace& ws, int n, int m, int neighbors,
 /// under either score, so the mixed vector keeps the old strict order and
 /// ties.
 void mark_band(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active) {
-  // Padded to whole 8-row groups with empty intervals, which meet nothing,
-  // so the meet count below runs in whole vectors.
-  constexpr int kGroup = 8;
-  const int padded = (n + kGroup - 1) / kGroup * kGroup;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  ws.krum_lo.assign(static_cast<std::size_t>(padded), kInf);
-  ws.krum_hi.assign(static_cast<std::size_t>(padded), -kInf);
+  const auto nn = static_cast<std::size_t>(n);
+  ws.krum_lo.resize(nn);
+  ws.krum_hi.resize(nn);
   double* lo = ws.krum_lo.data();
   double* hi = ws.krum_hi.data();
   auto& state = ws.krum_state;
   const double gamma = 2.0 * static_cast<double>(neighbors) * DBL_EPSILON;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (int i = 0; i < n; ++i) {
-    if (active != nullptr && active[i] == 0) continue;
     const double s = ws.scores[static_cast<std::size_t>(i)];
     const bool old = state[static_cast<std::size_t>(i)] == kOld;
-    lo[i] = old ? s : s * (1.0 - 2.0 * gamma);
-    hi[i] = old ? s : s * (1.0 + 3.0 * gamma);
+    if (active != nullptr && active[i] == 0) {
+      lo[i] = kInf;
+      hi[i] = -kInf;
+    } else {
+      lo[i] = old ? s : s * (1.0 - 2.0 * gamma);
+      hi[i] = old ? s : s * (1.0 + 3.0 * gamma);
+    }
   }
   // Every active row meets itself.  O(n^2) compares, small next to the
   // rank counts' O(n^3 / lanes).
   for (int i = 0; i < n; ++i) {
     if (state[static_cast<std::size_t>(i)] != kCanonical) continue;
     int meets = 0;
-#if defined(__AVX512F__)
-    const __m512d lo_i = _mm512_set1_pd(lo[i]);
-    const __m512d hi_i = _mm512_set1_pd(hi[i]);
-    for (int j0 = 0; j0 < padded; j0 += kGroup) {
-      const __mmask8 below = _mm512_cmp_pd_mask(_mm512_loadu_pd(lo + j0), hi_i, _CMP_LE_OQ);
-      meets += std::popcount(static_cast<unsigned>(
-          _mm512_mask_cmp_pd_mask(below, _mm512_loadu_pd(hi + j0), lo_i, _CMP_GE_OQ)));
-    }
-#else
     for (int j = 0; j < n; ++j) meets += (lo[j] <= hi[i]) & (hi[j] >= lo[i]);
-#endif
     if (meets > 1) state[static_cast<std::size_t>(i)] = kDue;
   }
 }
@@ -191,19 +182,16 @@ int certify_and_select(AggregatorWorkspace& ws, int n, int m, int neighbors,
 #if defined(__AVX512F__)
 constexpr int kBlockRows = AggregatorWorkspace::kSqdistBlockRows;
 constexpr int kSmallLeafMaxBlocks = (kSmallLeafMaxCandidates + kBlockRows) / kBlockRows;
-/// Fewest rows a block scores through the network.
-constexpr int kNetworkMinRows = 3;
 
 /// Scores the block of rows i0 .. i0 + 7 of an n-row leaf from `dist`, the
 /// block's distance registers (sqdist_blocks_small_d).  Register x of `cand`
 /// receives candidate x of every lane: lane t's distance to row x if
 /// x < i0 + t, else to row x + 1 (its candidate list, ascending j), and
 /// smallest_k_sum_lanes scores the eight lists together.  Lanes it cannot
-/// certify (a tie at the k-th distance, a NaN candidate), and every row of
-/// a block too small for the network, take score_row on their gathered
-/// list, as the packed route does, so every score and state is the packed
-/// route's.  Writes ws.scores and ws.krum_state for the block's rows;
-/// returns false if any of their scores is not finite.
+/// certify (a tie at the k-th distance, a NaN candidate) take score_row on
+/// their gathered list, as the packed route does, so every score and state
+/// is the packed route's.  Writes ws.scores and ws.krum_state for the
+/// block's rows; returns false if any of their scores is not finite.
 bool score_block(AggregatorWorkspace& ws, const double* dist, int n, int i0, int neighbors,
                  double* cand) {
   const int m = n - 1;
@@ -218,11 +206,8 @@ bool score_block(AggregatorWorkspace& ws, const double* dist, int n, int i0, int
   }
   const int rows = std::min(kBlockRows, n - i0);
   const auto valid = static_cast<__mmask8>((1u << rows) - 1);
-  // A block of one or two rows (the last one, say) runs score_row per row:
-  // that costs less than a network pass over eight lanes.
-  __mmask8 uncertified = valid;
-  __m512d sums = _mm512_setzero_pd();
-  if (rows >= kNetworkMinRows) sums = smallest_k_sum_lanes(cand, m, neighbors, &uncertified);
+  __mmask8 uncertified = 0;
+  const __m512d sums = smallest_k_sum_lanes(cand, m, neighbors, &uncertified);
   _mm512_mask_storeu_pd(ws.scores.data() + i0, valid, sums);
   std::fill_n(ws.krum_state.data() + i0, rows, kCanonical);
   double* row = ws.pairrow.data();

@@ -675,7 +675,9 @@ TEST(KrumSelect, ManyLikeHierarchyMatchesTheOldComposition) {
         std::pair{40, 33}}) {
     const int n = shards * rows;
     const int f = n / 100;
-    const auto batch = random_batch(n, 8, 4242 + static_cast<std::uint64_t>(rows));
+    // many's 25-row case keeps its original data (seed 4242).
+    const auto batch =
+        random_batch(n, 8, rows == 25 ? 4242 : 4242 + static_cast<std::uint64_t>(rows));
     for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{77}}) {
       const agg::HierarchicalAggregator hier({shards, "krum", "cwtm", -1, seed});
       const auto expected = old_hierarchy(batch, f, seed, hier);
