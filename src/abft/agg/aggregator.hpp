@@ -37,6 +37,18 @@ class GradientAggregator {
   virtual void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                               AggregatorWorkspace& workspace) const;
 
+  /// One hierarchy level's leaves in one call (agg/hierarchy.hpp): shard s
+  /// holds the batch rows ids[shard_begin(n, shards, s), shard_begin(n,
+  /// shards, s + 1)), n = ids.size(), and its aggregate at budget f goes to
+  /// row s of `outputs` (reshaped to shards x d).  The default gathers each
+  /// shard and runs aggregate_into on it, the shards split over up to
+  /// workspace.parallel_threads groups, each with one sub-workspace
+  /// (AggregatorWorkspace::shard_groups).  An override must write exactly
+  /// the rows the default writes, at every thread count.
+  virtual void aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,
+                                std::span<const int> ids, int shards, int f,
+                                AggregatorWorkspace& workspace) const;
+
   /// Convenience wrapper around aggregate_into for callers that want a fresh
   /// Vector (tests, examples); not for the hot path.
   [[nodiscard]] Vector aggregate_batched(const GradientBatch& batch, int f,
@@ -63,5 +75,12 @@ class GradientAggregator {
 
 /// Validates the shared preconditions; returns the common dimension.
 int validate_gradients(std::span<const Vector> gradients, int f);
+
+/// Balanced contiguous split of n items into `parts`: part p is
+/// [shard_begin(n, parts, p), shard_begin(n, parts, p + 1)), of n / parts
+/// or n / parts + 1 items.
+inline int shard_begin(int n, int parts, int p) {
+  return static_cast<int>(static_cast<long long>(n) * p / parts);
+}
 
 }  // namespace abft::agg

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #if defined(__AVX512F__)
@@ -269,6 +270,30 @@ void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d,
 #pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
+/// sum r[k]^2 over [k, d) in k order: the leftover of a squared norm past
+/// its last whole lane group (row_sqnorm, and the lane pass's per-lane
+/// leftover, so the two compile to one loop).
+double sqnorm_leftover(const double* r, int k, int d) {
+  double sum = 0.0;
+  for (; k < d; ++k) sum += r[k] * r[k];
+  return sum;
+}
+
+/// Row r's squared norm: fill_sqnorms' sum, which both small-d kernels'
+/// scales read.  Lane b is an FMA chain over the whole 8-lane groups, then
+/// leftover + lane 0 + ... + lane 7 in lane order.
+double row_sqnorm(const double* r, int d) {
+  constexpr int kLanes = 8;
+  double lanes[kLanes] = {0.0};
+  int k = 0;
+  for (; k + kLanes <= d; k += kLanes) {
+    for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
+  }
+  double sum = sqnorm_leftover(r, k, d);
+  for (int b = 0; b < kLanes; ++b) sum += lanes[b];
+  return sum;
+}
+
 /// ||ri - rj||^2 by direct differences: the cancellation-guard recompute of
 /// a pair whose Gram-identity distance is small next to its scale.
 double direct_sqdist(const double* ri, const double* rj, int d) {
@@ -302,7 +327,36 @@ constexpr double kCancellationGuard = 1e-6;
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 /// Rows per register of the small-d f64 kernels.
-constexpr int kPairLanes = AggregatorWorkspace::kSqdistBlockRows;
+constexpr int kPairLanes = AggregatorWorkspace::kSmallDLanes;
+
+/// leftover + lane 0 + ... + lane 7 in lane order, for eight pairs of
+/// rows at once: lane b is an FMA chain over the whole lane groups,
+/// fma(x[k], y[k], lane_b), k = b, b + 8, ..., with operands(k) giving
+/// registers x and y; leftover(t, 8 Groups) is pair t's sum past the last
+/// whole group, taken only for the lanes in `lanes` (the others add +0.0),
+/// and skipped when d has no leftover (the sum then starts at lane 0).
+/// Both the pair dots (small_d_sqdist) and the lane pass's squared norms
+/// (x = y) run it.
+template <int Groups, typename Operands, typename Leftover>
+inline __m512d small_d_dot(int d, __mmask8 lanes, Operands&& operands, Leftover&& leftover) {
+  constexpr int whole = Groups * kPairLanes;
+  __m512d acc[kPairLanes];
+  for (int b = 0; b < kPairLanes; ++b) acc[b] = _mm512_setzero_pd();
+  for (int k0 = 0; k0 < whole; k0 += kPairLanes) {
+    for (int b = 0; b < kPairLanes; ++b) {
+      const auto [x, y] = operands(k0 + b);
+      acc[b] = _mm512_fmadd_pd(x, y, acc[b]);
+    }
+  }
+  __m512d dot = acc[0];
+  if (whole < d) {
+    alignas(64) double left[kPairLanes];
+    for (int t = 0; t < kPairLanes; ++t) left[t] = (lanes >> t) & 1 ? leftover(t, whole) : 0.0;
+    dot = _mm512_add_pd(_mm512_load_pd(left), acc[0]);
+  }
+  for (int b = 1; b < kPairLanes; ++b) dot = _mm512_add_pd(dot, acc[b]);
+  return dot;
+}
 
 /// The per-pair operation sequence of the small-d f64 kernels, run for the
 /// eight pairs of one register.  operands(k) returns two registers whose
@@ -327,29 +381,15 @@ constexpr int kPairLanes = AggregatorWorkspace::kSqdistBlockRows;
 /// receives the lanes of `lanes` whose distance is small next to its scale
 /// (d2 < kCancellationGuard * scale), which the caller recomputes with
 /// direct_sqdist (symmetric too: a negated difference squares the same).
-template <typename Operands, typename Leftover>
+/// Groups is d / 8, so the whole-group loop unrolls.
+template <int Groups, typename Operands, typename Leftover>
 inline __m512d small_d_sqdist(int d, __mmask8 lanes, __m512d scale, Operands&& operands,
                               Leftover&& leftover, __mmask8* guard) {
-  const int whole = d - d % kPairLanes;
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d acc[kPairLanes];
-  for (int b = 0; b < kPairLanes; ++b) acc[b] = zero;
-  for (int k0 = 0; k0 < whole; k0 += kPairLanes) {
-    for (int b = 0; b < kPairLanes; ++b) {
-      const auto [x, y] = operands(k0 + b);
-      acc[b] = _mm512_fmadd_pd(x, y, acc[b]);
-    }
-  }
   // Without a leftover the sum starts at lane 0, not at +0.0 + lane 0, and
   // the closing 0.0 + dot is skipped too: both can change only the sign of
   // a zero, and fnmadd against a scale >= +0 (or NaN) drops that sign.
-  __m512d dot = acc[0];
-  if (whole < d) {
-    alignas(64) double left[kPairLanes];
-    for (int t = 0; t < kPairLanes; ++t) left[t] = (lanes >> t) & 1 ? leftover(t, whole) : 0.0;
-    dot = _mm512_add_pd(_mm512_load_pd(left), acc[0]);
-  }
-  for (int b = 1; b < kPairLanes; ++b) dot = _mm512_add_pd(dot, acc[b]);
+  const __m512d dot = small_d_dot<Groups>(d, lanes, operands, leftover);
+  const __m512d zero = _mm512_setzero_pd();
   // max_pd(a, b) is a > b ? a : b, NaN included: the clamp in one op.
   const __m512d d2 = _mm512_max_pd(_mm512_fnmadd_pd(_mm512_set1_pd(2.0), dot, scale), zero);
   *guard = _mm512_mask_cmp_pd_mask(
@@ -357,38 +397,21 @@ inline __m512d small_d_sqdist(int d, __mmask8 lanes, __m512d scale, Operands&& o
   return d2;
 }
 
+/// fn(std::integral_constant<int, d / 8>{}) for 8 <= d < 32: the Groups
+/// of small_d_sqdist.
+template <typename Fn>
+void with_groups(int d, Fn&& fn) {
+  switch (d / kPairLanes) {
+    case 1: fn(std::integral_constant<int, 1>{}); break;
+    case 2: fn(std::integral_constant<int, 2>{}); break;
+    default: fn(std::integral_constant<int, 3>{}); break;
+  }
+}
+
 /// Lanes [0, rows) of a register, rows > 0.
 __mmask8 lane_mask(int rows) {
   return rows >= kPairLanes ? static_cast<__mmask8>(0xFF)
                             : static_cast<__mmask8>((1u << rows) - 1);
-}
-
-/// Transposes eight registers as an 8 x 8 tile in place: lane c of r[i]
-/// moves to lane i of r[c].
-void transpose8(__m512d (&r)[kPairLanes]) {
-  // Pairs of rows interleaved, then pairs of pairs, then the halves.
-  __m512d a[kPairLanes];
-  for (int i = 0; i < kPairLanes; i += 2) {
-    a[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);
-    a[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]);
-  }
-  const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
-  const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
-  __m512d b[kPairLanes];
-  for (int i = 0; i < kPairLanes; i += 4) {
-    b[i] = _mm512_permutex2var_pd(a[i], even, a[i + 2]);
-    b[i + 1] = _mm512_permutex2var_pd(a[i], odd, a[i + 2]);
-    b[i + 2] = _mm512_permutex2var_pd(a[i + 1], even, a[i + 3]);
-    b[i + 3] = _mm512_permutex2var_pd(a[i + 1], odd, a[i + 3]);
-  }
-  // b[q] (q < 4) holds columns {0, 2, 1, 3}[q] and that + 4 of rows 0..3;
-  // b[q + 4] the same of rows 4..7.
-  constexpr int kColumn[4] = {0, 2, 1, 3};
-  for (int q = 0; q < 4; ++q) {
-    const int c = kColumn[q];
-    r[c] = _mm512_shuffle_f64x2(b[q], b[q + 4], 0x44);
-    r[c + 4] = _mm512_shuffle_f64x2(b[q], b[q + 4], 0xEE);
-  }
 }
 
 /// Squared distances of rows [i_begin, i_end) to every later row into the
@@ -398,6 +421,7 @@ void transpose8(__m512d (&r)[kPairLanes]) {
 /// kernel advances one pair's eight lanes.  Each cell follows
 /// small_d_sqdist's contract and depends only on its two rows, never on the
 /// lane it lands in or the thread that runs its row.
+template <int Groups>
 void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
                                 const double* sqnorms, double* pairdist, int n, int d,
                                 int i_begin, int i_end) {
@@ -409,7 +433,7 @@ void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
       const __mmask8 mask = lane_mask(n - j0);
       const __m512d scale = _mm512_add_pd(sqi, _mm512_maskz_loadu_pd(mask, sqnorms + j0));
       __mmask8 guard = 0;
-      const __m512d d2 = small_d_sqdist(
+      const __m512d d2 = small_d_sqdist<Groups>(
           d, mask, scale,
           [&](int k) {
             const double* col = cols + static_cast<std::size_t>(k) * n + j0;
@@ -423,6 +447,58 @@ void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
         const int t = std::countr_zero(g);
         cell[t] = direct_sqdist(ri, row_ptr(rows, d, j0 + t), d);
       }
+    }
+  }
+}
+/// sqdist_lanes_small_d for d in [8 Groups, 8 Groups + 8).  x and sq are
+/// the interleaved rows and norms, 64-byte aligned.
+template <int Groups>
+void lane_pass(const GradientBatch& batch, const int* const* ids, int lanes, int rows, double* x,
+               double* sq, double* cand) {
+  constexpr int kRegs = Groups * kPairLanes;
+  const int d = batch.cols();
+  const int m = rows - 1;
+  const __mmask8 valid = lane_mask(lanes);
+  const auto reg = [](int i) { return static_cast<std::size_t>(i) * kPairLanes; };
+  // Shard t's row i, for t < lanes.
+  const auto row = [&](int t, int i) { return batch.row(ids[t][i]).data(); };
+  // Row i of every shard, gathered coordinate by coordinate (zeros in the
+  // unused lanes), and its squared norm in row_sqnorm's order.
+  for (int i = 0; i < rows; ++i) {
+    alignas(64) std::int64_t offsets[kPairLanes] = {};
+    for (int t = 0; t < lanes; ++t) offsets[t] = static_cast<std::int64_t>(ids[t][i]) * d;
+    const __m512i at = _mm512_load_si512(offsets);
+    double* xi = x + reg(i * d);
+    for (int k = 0; k < d; ++k) {
+      _mm512_store_pd(xi + reg(k), _mm512_mask_i64gather_pd(_mm512_setzero_pd(), valid, at,
+                                                            batch.data() + k, 8));
+    }
+    const auto square = [&](int k) {
+      const __m512d v = _mm512_load_pd(xi + reg(k));
+      return std::pair{v, v};
+    };
+    const auto leftover = [&](int t, int k0) { return sqnorm_leftover(row(t, i), k0, d); };
+    _mm512_store_pd(sq + reg(i), small_d_dot<Groups>(d, valid, square, leftover));
+  }
+  // Each pair once; row i's registers stay loaded across its pairs.
+  for (int i = 0; i < rows; ++i) {
+    __m512d xi[kRegs];
+    for (int k = 0; k < kRegs; ++k) xi[k] = _mm512_load_pd(x + reg(i * d + k));
+    const __m512d sqi = _mm512_load_pd(sq + reg(i));
+    for (int j = i + 1; j < rows; ++j) {
+      const double* xj = x + reg(j * d);
+      __mmask8 guard = 0;
+      const __m512d d2 = small_d_sqdist<Groups>(
+          d, valid, _mm512_add_pd(sqi, _mm512_load_pd(sq + reg(j))),
+          [&](int k) { return std::pair{xi[k], _mm512_load_pd(xj + reg(k))}; },
+          [&](int t, int k0) { return leftover_dot(row(t, i), row(t, j), k0, d); }, &guard);
+      double* ci = cand + reg(i * m + j - 1);
+      _mm512_store_pd(ci, d2);
+      for (unsigned g = guard; g != 0; g &= g - 1) {
+        const int t = std::countr_zero(g);
+        ci[t] = direct_sqdist(row(t, i), row(t, j), d);
+      }
+      _mm512_store_pd(cand + reg(j * m + i), _mm512_load_pd(ci));
     }
   }
 }
@@ -567,19 +643,9 @@ void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
 void AggregatorWorkspace::fill_sqnorms(const GradientBatch& batch) {
   const int n = batch.rows();
   const int d = batch.cols();
-  constexpr int kLanes = 8;
   sqnorms.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const double* r = batch.row(i).data();
-    double lanes[kLanes] = {0.0};
-    int k = 0;
-    for (; k + kLanes <= d; k += kLanes) {
-      for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
-    }
-    double sum = 0.0;
-    for (; k < d; ++k) sum += r[k] * r[k];
-    for (int b = 0; b < kLanes; ++b) sum += lanes[b];
-    sqnorms[static_cast<std::size_t>(i)] = sum;
+    sqnorms[static_cast<std::size_t>(i)] = row_sqnorm(batch.row(i).data(), d);
   }
 }
 
@@ -716,9 +782,11 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
     // same bits as the per-pair path below in either mode.
     fill_small_d_operands(batch);
     pairdist.resize(pairs);
-    run_parallel(0, n, [&](int i_begin, int i_end) {
-      sqdist_rows_small_d_avx512(batch.data(), gram_colmajor.data(), sqnorms.data(),
-                                 pairdist.data(), n, d, i_begin, i_end);
+    with_groups(d, [&](auto groups) {
+      run_parallel(0, n, [&](int i_begin, int i_end) {
+        sqdist_rows_small_d_avx512<groups()>(batch.data(), gram_colmajor.data(), sqnorms.data(),
+                                             pairdist.data(), n, d, i_begin, i_end);
+      });
     });
     return;
   }
@@ -762,62 +830,32 @@ void AggregatorWorkspace::fill_small_d_operands(const GradientBatch& batch) {
 }
 
 #if defined(__AVX512F__)
-// The small-d kernels' inlined intrinsics again (see above).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-void AggregatorWorkspace::sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const {
-  const int n = batch.rows();
-  const int d = batch.cols();
-  const double* rows = batch.data();
-  const auto block_regs = static_cast<std::size_t>(n) * kPairLanes;
-  for (int i0 = 0; i0 < n; i0 += kPairLanes) {
-    double* block = dist + static_cast<std::size_t>(i0 / kPairLanes) * block_regs;
-    const double* cols = gram_colmajor.data() + i0;
-    const __mmask8 valid = lane_mask(n - i0);
-    const __m512d sqi = _mm512_maskz_loadu_pd(valid, sqnorms.data() + i0);
-    // The block's own rows and every later row: one register per row j.
-    for (int j = i0; j < n; ++j) {
-      const double* rj = row_ptr(rows, d, j);
-      // The lane of row j itself is never a candidate: no guard recompute.
-      const auto self = static_cast<unsigned>(j - i0) < unsigned{kPairLanes} ? 1u << (j - i0) : 0u;
-      const auto lanes = static_cast<__mmask8>(valid & ~self);
-      __mmask8 guard = 0;
-      const __m512d d2 = small_d_sqdist(
-          d, lanes, _mm512_add_pd(sqi, _mm512_set1_pd(sqnorms[static_cast<std::size_t>(j)])),
-          [&](int k) {
-            return std::pair{_mm512_maskz_loadu_pd(valid, cols + static_cast<std::size_t>(k) * n),
-                             _mm512_set1_pd(rj[k])};
-          },
-          [&](int t, int k0) { return leftover_dot(row_ptr(rows, d, i0 + t), rj, k0, d); },
-          &guard);
-      double* cell = block + static_cast<std::size_t>(j) * kPairLanes;
-      _mm512_store_pd(cell, d2);
-      for (unsigned g = guard; g != 0; g &= g - 1) {
-        const int t = std::countr_zero(g);
-        cell[t] = direct_sqdist(row_ptr(rows, d, i0 + t), rj, d);
-      }
-    }
-    // Each earlier (full) block e already holds its distances to this
-    // block's rows, one register per row: transposed, they are this
-    // block's registers for e's rows.
-    for (int e0 = 0; e0 < i0; e0 += kPairLanes) {
-      const double* tile = dist + static_cast<std::size_t>(e0 / kPairLanes) * block_regs +
-                           static_cast<std::size_t>(i0) * kPairLanes;
-      __m512d r[kPairLanes];
-      for (int t = 0; t < kPairLanes; ++t) {
-        // Registers past the last row are not read.
-        r[t] = _mm512_maskz_loadu_pd((valid >> t) & 1 ? 0xFF : 0, tile + t * kPairLanes);
-      }
-      transpose8(r);
-      for (int c = 0; c < kPairLanes; ++c) {
-        _mm512_store_pd(block + static_cast<std::size_t>(e0 + c) * kPairLanes, r[c]);
-      }
-    }
-  }
+void AggregatorWorkspace::sqdist_lanes_small_d(const GradientBatch& batch, const int* const* ids,
+                                               int lanes, int rows, double* cand) {
+  const auto regs = static_cast<std::size_t>(rows) * kPairLanes;
+  double* x = aligned_doubles(gram_colmajor, regs * static_cast<std::size_t>(batch.cols()));
+  double* sq = aligned_doubles(sqnorms, regs);
+  with_groups(batch.cols(), [&](auto groups) {
+    lane_pass<groups()>(batch, ids, lanes, rows, x, sq, cand);
+  });
 }
-#pragma GCC diagnostic pop
 #endif  // __AVX512F__
+
+int AggregatorWorkspace::shard_groups(int units) {
+  const int width = std::max(1, std::min(parallel_threads, units));
+  const auto w = static_cast<std::size_t>(width);
+  while (hier_groups.size() < w) hier_groups.push_back(std::make_unique<AggregatorWorkspace>());
+  if (hier_gather.size() < w) hier_gather.resize(w);
+  if (hier_out.size() < w) hier_out.resize(w);
+  for (std::size_t g = 0; g < w; ++g) {
+    AggregatorWorkspace& sub = *hier_groups[g];
+    sub.mode = mode;
+    sub.precision = precision;
+    sub.parallel_threads = 1;
+    sub.pool = nullptr;
+  }
+  return width;
+}
 
 int validate_batch(const GradientBatch& batch, int f) {
   ABFT_REQUIRE(batch.rows() > 0, "aggregation needs at least one gradient");

@@ -159,7 +159,8 @@ struct AggregatorWorkspace {
 
   // --- scratch buffers -----------------------------------------------------
   std::vector<double> colmajor;  ///< d x n transposed copy of the batch
-  /// d x n transposed copy the small-d f64 kernels read (its own buffer:
+  /// The rows the small-d f64 kernels read, transposed: the packed fill's
+  /// d x n copy, or the lane pass's interleaved shards (its own buffer:
   /// `colmajor` belongs to CWTM, Bulyan and the coreset pass).
   std::vector<double> gram_colmajor;
   std::vector<double> norms;     ///< per-gradient Euclidean norms (n)
@@ -187,17 +188,15 @@ struct AggregatorWorkspace {
   std::vector<float> sqnorms_f32;   ///< squared norms of the demoted rows (n)
   std::vector<float> pairdist_f32;  ///< packed triangular distances, f32 lane
   std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (coreset pivot)
-  std::vector<int> order;        ///< index permutation (n)
+  std::vector<int> order;        ///< index permutation (n); Krum lane route: shard order
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
-  // Certified Krum scorer (krum.hpp detail::krum_select and its small-leaf
-  // route): per-row score state (canonical / old / due for the old score),
-  // the interval that holds each row's old score, and every active row's
-  // candidate distances.
+  // Certified Krum scorer (krum.hpp detail::krum_select and the shard-lane
+  // route detail::krum_select_lanes): per-row score state (canonical / old /
+  // due for the old score), the interval that holds each row's old score,
+  // and every active row's candidate distances.  The lane route keeps all
+  // of them per row register, lane t for shard t (8 entries per row).
   std::vector<unsigned char> krum_state;  ///< per-row score state (n)
   std::vector<double> krum_cand;          ///< live x (live - 1) candidate rows
-  /// The small-leaf route's candidate registers: per block of 8 rows, its
-  /// candidate x of every row at [8 x, 8 x + 8), padded to 8, 16, 24 or 32.
-  std::vector<double> krum_lanes;
   std::vector<double> krum_lo;            ///< interval lower ends (n)
   std::vector<double> krum_hi;            ///< interval upper ends (n)
   // Bulyan fast-mode stage 1 (incremental iterated-Krum scores): per-row
@@ -245,6 +244,13 @@ struct AggregatorWorkspace {
   std::vector<std::pair<double, double>> coreset_pairs;  ///< (value, weight)
   GradientBatch coreset_batch;         ///< m x d packed coreset rows
 
+  /// Readies the worker groups a hierarchy level splits `units` items over:
+  /// width = max(1, min(parallel_threads, units)) single-threaded
+  /// sub-workspaces in hier_groups (this workspace's mode and precision, no
+  /// pool: the group IS the parallel unit), with a gather batch and an
+  /// output vector each.  Returns the width.
+  int shard_groups(int units);
+
   // --- fill helpers --------------------------------------------------------
   /// Transposes the batch into `colmajor` (cache-blocked), so per-coordinate
   /// kernels see each column as a contiguous run of n doubles.  The copy is
@@ -281,14 +287,14 @@ struct AggregatorWorkspace {
   /// skips the +0.0 of an empty leftover and the closing 0.0 +: they can
   /// change only the sign of a zero dot, and fnmadd against a scale >= +0
   /// drops that sign.)  Below d = 8 and in the f32 lane the per-pair kernel
-  /// still runs.  The small-leaf Krum route runs the same per-lane sequence
-  /// transposed (sqdist_blocks_small_d).
+  /// still runs.  The shard-lane pass of a hierarchy's Krum leaves runs the
+  /// same per-lane sequence with one shard per lane (sqdist_lanes_small_d).
   void fill_pairwise_sqdist(const GradientBatch& batch);
 
   // --- the small-d f64 kernels ---------------------------------------------
-  /// Rows per register of the small-d f64 kernels (and per block of
-  /// sqdist_blocks_small_d).
-  static constexpr int kSqdistBlockRows = 8;
+  /// Pairs (the packed fill) or shards (the lane pass) per register of the
+  /// small-d f64 kernels.
+  static constexpr int kSmallDLanes = 8;
 
   /// True when the small-d f64 kernels run for rows of d columns: the f64
   /// lane (either mode), 8 <= d < 32 and AVX-512 at runtime.  Depends only
@@ -296,27 +302,28 @@ struct AggregatorWorkspace {
   [[nodiscard]] bool small_d_kernels(int d) const noexcept;
 
   /// fill_sqnorms plus the d x n column-major copy in `gram_colmajor`: the
-  /// operands both small-d kernels read.
+  /// operands of the packed small-d fill.
   void fill_small_d_operands(const GradientBatch& batch);
 
-  /// The transposed small-d pass (the small-leaf Krum route, krum.hpp):
-  /// every row's squared distances in registers, by blocks of 8 rows.  Lane
-  /// t of register j of block b (dist[8 (b n + j), 8 (b n + j) + 8)) is
-  /// d(8 b + t, j), with the bits of the packed cell (min, max) that
-  /// fill_pairwise_sqdist writes: both kernels run one per-lane operation
-  /// sequence (FMA chains over the whole 8-lane groups, the shared scalar
-  /// leftover_dot, lane-order sum then 0.0 + dot, fnmadd and the std::max
-  /// clamp, guard cells recomputed by the direct difference; see
-  /// fill_pairwise_sqdist), and every step of it is symmetric in the two
-  /// rows.  Each pair is computed once:
-  /// a block computes its registers for its own and later rows, and takes
-  /// those for an earlier block's rows by transposing the 8 x 8 tile that
-  /// block computed.  Lanes past the last row hold junk, and so does lane t
-  /// of register 8 b + t.  dist holds 8 n ceil(n / 8) doubles, 64-byte
-  /// aligned.  Requires small_d_kernels(d) and fill_small_d_operands(batch),
-  /// so it exists in AVX-512 builds only.
 #if defined(__AVX512F__)
-  void sqdist_blocks_small_d(const GradientBatch& batch, double* dist) const;
+  /// The shard-lane small-d pass (the Krum shard route, krum.hpp): `lanes`
+  /// (1..8) shards of `rows` rows each, shard t's row i being batch row
+  /// ids[t][i].  Interleaves the rows into `gram_colmajor` (register (i, k)
+  /// holds coordinate k of row i of every shard, lane t for shard t; unused
+  /// lanes hold zeros), fills `sqnorms` with register i's squared norms
+  /// (fill_sqnorms' per-row sum, so its bits), then computes every pair
+  /// i < j once per register and stores it as candidate j - 1 of row i and
+  /// candidate i of row j: register x of row i (cand[8 (i (rows - 1) + x),
+  /// + 8)) holds d(i, x < i ? x : x + 1) of every shard, its candidate
+  /// list in ascending j.  Each lane runs the packed fill's per-pair
+  /// operation sequence (see fill_pairwise_sqdist) on its own rows, so
+  /// lane t equals the packed cell of shard t's gathered rows bit for bit:
+  /// FMA chains over the whole 8-lane groups, the shared scalar
+  /// leftover_dot of that lane's two rows, the lane-order sum, fnmadd and
+  /// the clamp, and guard lanes recomputed by the direct difference.
+  /// Requires small_d_kernels(d); exists in AVX-512 builds only.
+  void sqdist_lanes_small_d(const GradientBatch& batch, const int* const* ids, int lanes,
+                            int rows, double* cand);
 #endif
 
   /// Demotes the batch rows into `rows_f32` (the f32 lane's one
@@ -348,6 +355,17 @@ struct AggregatorWorkspace {
   /// diagonal 0, promoting f32-lane values.  dst must hold n doubles.
   void gather_pair_row(int i, int n, double* dst) const noexcept;
 };
+
+/// Grows v to hold `count` doubles from a 64-byte boundary on and returns
+/// that boundary, so the register rows of the lane kernels never straddle
+/// a cache line.  The offset may move when v grows: use the returned
+/// pointer, not v.data().
+inline double* aligned_doubles(std::vector<double>& v, std::size_t count) {
+  constexpr std::size_t kLine = 64;
+  v.resize(count + kLine / sizeof(double) - 1);
+  const auto at = reinterpret_cast<std::uintptr_t>(v.data()) % kLine;
+  return v.data() + (at == 0 ? 0 : (kLine - at) / sizeof(double));
+}
 
 /// Validates the shared batched preconditions (non-empty, equal-dimension by
 /// construction, 0 <= f < n); returns the common dimension d.

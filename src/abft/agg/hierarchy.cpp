@@ -12,16 +12,6 @@ namespace abft::agg {
 
 namespace {
 
-/// Balanced contiguous split: shard s holds rows [boundary(s), boundary(s+1))
-/// of the assignment permutation, sizes n/S or n/S + 1.
-int shard_boundary(int n, int num_shards, int shard) {
-  return static_cast<int>(static_cast<long long>(n) * shard / num_shards);
-}
-
-}  // namespace
-
-namespace {
-
 /// Leaf factory: the plain registry rule, or the coreset-wrapped rule when
 /// per-shard reduction is configured.  CoresetReducer forwards
 /// max_usable_f/min_usable_f to the inner rule, so every piece of the
@@ -152,7 +142,7 @@ Vector HierarchicalAggregator::aggregate(std::span<const Vector> gradients, int 
 
 void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                             AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f);
+  validate_batch(batch, f);
   const int n = batch.rows();
   const int num_shards = std::min(config_.shards, n);
   if (num_shards <= 1) {
@@ -195,51 +185,14 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
     ws.hier_perm_seed = config_.assignment_seed;
   }
 
-  ws.hier_root.reshape(num_shards, d);
-  // Shards are partitioned over up to parallel_threads worker groups; each
-  // group reuses ONE sub-workspace/gather-batch across its shards, so the
-  // scratch footprint is width * O((n/S)^2), never S * O((n/S)^2).  Shard
-  // results do not depend on the grouping (kernels recompute all derived
-  // state per call), so the output is bit-identical at every width.
-  const int width = std::max(1, std::min(ws.parallel_threads, num_shards));
-  while (static_cast<int>(ws.hier_groups.size()) < width) {
-    ws.hier_groups.push_back(std::make_unique<AggregatorWorkspace>());
-  }
-  if (static_cast<int>(ws.hier_gather.size()) < width) {
-    ws.hier_gather.resize(static_cast<std::size_t>(width));
-  }
-  if (static_cast<int>(ws.hier_out.size()) < width) {
-    ws.hier_out.resize(static_cast<std::size_t>(width));
-  }
-  ws.run_parallel(0, width, [&](int group_begin, int group_end) {
-    for (int g = group_begin; g < group_end; ++g) {
-      AggregatorWorkspace& sub = *ws.hier_groups[static_cast<std::size_t>(g)];
-      sub.mode = ws.mode;
-      sub.precision = ws.precision;
-      sub.parallel_threads = 1;  // the group IS the parallel unit
-      sub.pool = nullptr;
-      GradientBatch& gather = ws.hier_gather[static_cast<std::size_t>(g)];
-      Vector& shard_out = ws.hier_out[static_cast<std::size_t>(g)];
-      const int shards_begin = shard_boundary(num_shards, width, g);
-      const int shards_end = shard_boundary(num_shards, width, g + 1);
-      for (int s = shards_begin; s < shards_end; ++s) {
-        const int row_begin = shard_boundary(n, num_shards, s);
-        const int rows = shard_boundary(n, num_shards, s + 1) - row_begin;
-        gather.reshape(rows, d);
-        for (int r = 0; r < rows; ++r) {
-          gather.set_row(r, batch.row(ws.hier_perm[static_cast<std::size_t>(row_begin + r)]));
-        }
-        // This shard may hold one row more than shard_rows_min; never hand
-        // the leaf a weaker budget than the tree accounted for, only a
-        // stronger one where the extra row allows it.
-        const int shard_f = std::max(std::min(b.f_leaf, leaf_->max_usable_f(rows)),
-                                     leaf_->min_usable_f());
-        leaf_->aggregate_into(shard_out, gather, shard_f, sub);
-        const auto coeffs = shard_out.coefficients();
-        ws.hier_root.set_row(s, std::span<const double>(coeffs.data(), coeffs.size()));
-      }
-    }
-  });
+  // Shard s holds rows [shard_begin(n, S, s), shard_begin(n, S, s + 1)) of
+  // the assignment permutation, and every shard runs with b.f_leaf:
+  // bounds() clamps it into the smallest shard's range, and max_usable_f
+  // never falls as rows grow, so every shard supports it.
+  ABFT_ENSURE(leaf_->min_usable_f() <= b.f_leaf &&
+                  b.f_leaf <= leaf_->max_usable_f(b.shard_rows_min),
+              "hierarchy: the smallest shard cannot run the leaf budget");
+  leaf_->aggregate_shards(ws.hier_root, batch, ws.hier_perm, num_shards, b.f_leaf, ws);
   // The root draws scratch from the caller's workspace; kernels never touch
   // the hier_* members, so ws.hier_root is stable input for the duration.
   root_->aggregate_into(out, ws.hier_root, b.f_root, ws);

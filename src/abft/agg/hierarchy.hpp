@@ -19,10 +19,12 @@
 // 2f/n < 1 - mu/lambda approximation condition.
 //
 // Determinism: shard assignment is a seeded Fisher-Yates permutation of the
-// row ids (assignment_seed = 0 keeps the identity order), each shard's rows
-// are gathered contiguously, and per-shard outputs land in fixed root-batch
-// rows — so the result is a pure function of (batch, f, config), bit
-// identical at every thread count.  An S = 1 tree delegates to the leaf
+// row ids (assignment_seed = 0 keeps the identity order), the leaf rule
+// gets every shard in one call (GradientAggregator::aggregate_shards: by
+// default each shard's rows gathered contiguously; Krum and Multi-Krum
+// may score eight shards per register), and per-shard outputs land in fixed
+// root-batch rows — so the result is a pure function of (batch, f, config),
+// bit identical at every thread count.  An S = 1 tree delegates to the leaf
 // rule with the same clamped f_leaf budget bounds() reports — bit-identical
 // to flat aggregation whenever the declared f is already in the leaf's
 // usable range, and still runnable (budget clamped up to the leaf's floor)

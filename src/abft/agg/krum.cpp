@@ -147,7 +147,8 @@ void mark_band(AggregatorWorkspace& ws, int n, int neighbors, const unsigned cha
   }
 }
 
-/// The band certification and final selection both scoring routes share.
+/// The band certification and final selection of krum_select's two routes
+/// (krum_select_lanes runs the same steps lane by lane).
 /// With `scored` (every active row holds a finite score and its state),
 /// mark_band picks the rows due for the old score; without it every row
 /// is.  candidates(i, p, dst) copies active row i's (the p-th active row's)
@@ -180,92 +181,120 @@ int certify_and_select(AggregatorWorkspace& ws, int n, int m, int neighbors,
 }
 
 #if defined(__AVX512F__)
-constexpr int kBlockRows = AggregatorWorkspace::kSqdistBlockRows;
-constexpr int kSmallLeafMaxBlocks = (kSmallLeafMaxCandidates + kBlockRows) / kBlockRows;
+constexpr int kLanes = AggregatorWorkspace::kSmallDLanes;
 
-/// Scores the block of rows i0 .. i0 + 7 of an n-row leaf from `dist`, the
-/// block's distance registers (sqdist_blocks_small_d).  Register x of `cand`
-/// receives candidate x of every lane: lane t's distance to row x if
-/// x < i0 + t, else to row x + 1 (its candidate list, ascending j), and
-/// smallest_k_sum_lanes scores the eight lists together.  Lanes it cannot
-/// certify (a tie at the k-th distance, a NaN candidate) take score_row on
-/// their gathered list, as the packed route does, so every score and state
-/// is the packed route's.  Writes ws.scores and ws.krum_state for the
-/// block's rows; returns false if any of their scores is not finite.
-bool score_block(AggregatorWorkspace& ws, const double* dist, int n, int i0, int neighbors,
-                 double* cand) {
-  const int m = n - 1;
-  for (int x = 0; x < m; ++x) {
-    // Lanes t <= x - i0 take row x + 1.
-    const int shifted = x - i0 + 1;
-    const auto next = static_cast<__mmask8>(
-        shifted <= 0 ? 0u : shifted >= kBlockRows ? 0xFFu : (1u << shifted) - 1);
-    _mm512_storeu_pd(cand + x * kBlockRows,
-                     _mm512_mask_blend_pd(next, _mm512_load_pd(dist + x * kBlockRows),
-                                          _mm512_load_pd(dist + (x + 1) * kBlockRows)));
+/// Lane t's candidate list of row i (register x of row i holds candidate x
+/// of every lane) into dst.
+void lane_candidates(const double* cand, int m, int i, int t, double* dst) {
+  const double* regs = cand + static_cast<std::size_t>(i) * m * kLanes;
+  for (int x = 0; x < m; ++x) dst[x] = regs[x * kLanes + t];
+}
+
+/// The lanes of a row whose state is `want`.
+__mmask8 lanes_in_state(const unsigned char* state, unsigned char want) {
+  unsigned mask = 0;
+  for (int t = 0; t < kLanes; ++t) mask |= static_cast<unsigned>(state[t] == want) << t;
+  return static_cast<__mmask8>(mask);
+}
+
+/// mark_band for the lanes in `lanes`, each lane a leaf of its own: the
+/// same intervals, built from the same products, and the same meet count
+/// over the lane's rows.
+void mark_band_lanes(AggregatorWorkspace& ws, int rows, int neighbors, __mmask8 lanes) {
+  const double gamma = 2.0 * static_cast<double>(neighbors) * DBL_EPSILON;
+  const __m512d lo_scale = _mm512_set1_pd(1.0 - 2.0 * gamma);
+  const __m512d hi_scale = _mm512_set1_pd(1.0 + 3.0 * gamma);
+  const auto regs = static_cast<std::size_t>(rows) * kLanes;
+  double* lo = aligned_doubles(ws.krum_lo, regs);
+  double* hi = aligned_doubles(ws.krum_hi, regs);
+  unsigned char* state = ws.krum_state.data();
+  for (int i = 0; i < rows; ++i) {
+    const __m512d s = _mm512_loadu_pd(ws.scores.data() + i * kLanes);
+    const __mmask8 old = lanes_in_state(state + i * kLanes, kOld);
+    _mm512_store_pd(lo + i * kLanes, _mm512_mask_blend_pd(old, _mm512_mul_pd(s, lo_scale), s));
+    _mm512_store_pd(hi + i * kLanes, _mm512_mask_blend_pd(old, _mm512_mul_pd(s, hi_scale), s));
   }
-  const int rows = std::min(kBlockRows, n - i0);
-  const auto valid = static_cast<__mmask8>((1u << rows) - 1);
-  __mmask8 uncertified = 0;
-  const __m512d sums = smallest_k_sum_lanes(cand, m, neighbors, &uncertified);
-  _mm512_mask_storeu_pd(ws.scores.data() + i0, valid, sums);
-  std::fill_n(ws.krum_state.data() + i0, rows, kCanonical);
-  double* row = ws.pairrow.data();
-  for (unsigned u = uncertified & valid; u != 0; u &= u - 1) {
-    const int lane = std::countr_zero(u);
-    for (int x = 0; x < m; ++x) row[x] = cand[x * kBlockRows + lane];
-    const auto at = static_cast<std::size_t>(i0 + lane);
-    ws.scores[at] = score_row(ws, row, m, neighbors, &ws.krum_state[at]);
+  const __m512i one = _mm512_set1_epi64(1);
+  for (int i = 0; i < rows; ++i) {
+    const __mmask8 canonical = lanes & lanes_in_state(state + i * kLanes, kCanonical);
+    if (canonical == 0) continue;
+    const __m512d lo_i = _mm512_load_pd(lo + i * kLanes);
+    const __m512d hi_i = _mm512_load_pd(hi + i * kLanes);
+    __m512i meets = _mm512_setzero_si512();
+    for (int j = 0; j < rows; ++j) {
+      const __mmask8 meet =
+          _mm512_cmp_pd_mask(_mm512_load_pd(lo + j * kLanes), hi_i, _CMP_LE_OQ) &
+          _mm512_cmp_pd_mask(_mm512_load_pd(hi + j * kLanes), lo_i, _CMP_GE_OQ);
+      meets = _mm512_mask_add_epi64(meets, meet, meets, one);
+    }
+    const __mmask8 due = _mm512_mask_cmpgt_epi64_mask(canonical, meets, one);
+    for (unsigned u = due; u != 0; u &= u - 1) state[i * kLanes + std::countr_zero(u)] = kDue;
   }
-  bool finite = true;
-  for (int r = 0; r < rows; ++r) {
-    finite = finite && std::isfinite(ws.scores[static_cast<std::size_t>(i0 + r)]);
-  }
-  return finite;
 }
 #endif  // __AVX512F__
 
 }  // namespace
 
-bool krum_small_leaf(const AggregatorWorkspace& ws, int n, int d) {
-  return n >= 2 && n - 1 <= kSmallLeafMaxCandidates && ws.small_d_kernels(d);
+bool krum_shard_lanes(const AggregatorWorkspace& ws, int max_rows, int d) {
+  return max_rows <= kLaneShardMaxRows && ws.small_d_kernels(d);
 }
 
-int krum_select_small_leaf(AggregatorWorkspace& ws, const GradientBatch& batch, int neighbors) {
-  const int n = batch.rows();
-  ABFT_REQUIRE(krum_small_leaf(ws, n, batch.cols()), "not a small Krum leaf");
-  ABFT_REQUIRE(1 <= neighbors && neighbors < n, "krum neighbours must be in [1, n - 1]");
+void krum_select_lanes(AggregatorWorkspace& ws, const GradientBatch& batch,
+                       const int* const* ids, int lanes, int rows, int neighbors, int* best) {
+  ABFT_REQUIRE(krum_shard_lanes(ws, rows, batch.cols()), "not a shard-lane Krum call");
+  ABFT_REQUIRE(1 <= lanes && lanes <= AggregatorWorkspace::kSmallDLanes,
+               "a shard-lane call takes 1 to 8 shards");
+  ABFT_REQUIRE(1 <= neighbors && neighbors < rows, "krum neighbours must be in [1, rows - 1]");
 #if defined(__AVX512F__)
-  const int m = n - 1;
-  const int stride = m * kBlockRows;
-  const auto nn = static_cast<std::size_t>(n);
-  ws.scores.resize(nn);
-  ws.pairrow.resize(nn);
-  ws.scratch.resize(nn);
-  ws.krum_state.resize(nn);
-  ws.krum_lanes.resize(static_cast<std::size_t>((n + kBlockRows - 1) / kBlockRows) *
-                       static_cast<std::size_t>(stride));
-  ws.fill_small_d_operands(batch);
-  alignas(64) double dist[kSmallLeafMaxBlocks * (kSmallLeafMaxCandidates + 1) * kBlockRows];
-  ws.sqdist_blocks_small_d(batch, dist);
-  // Block b's registers start at dist[b * n * 8], its candidates at
-  // krum_lanes[b * stride].
-  bool finite = true;
-  for (int i0 = 0; i0 < n; i0 += kBlockRows) {
-    const auto block = static_cast<std::size_t>(i0 / kBlockRows);
-    const bool block_finite =
-        score_block(ws, dist + block * nn * kBlockRows, n, i0, neighbors,
-                    ws.krum_lanes.data() + block * static_cast<std::size_t>(stride));
-    finite = finite && block_finite;
+  const int m = rows - 1;
+  const auto regs = static_cast<std::size_t>(rows) * kLanes;
+  double* cand = aligned_doubles(ws.krum_cand, regs * static_cast<std::size_t>(m));
+  ws.scores.resize(regs);
+  ws.krum_state.resize(regs);
+  ws.pairrow.resize(static_cast<std::size_t>(rows));
+  ws.scratch.resize(static_cast<std::size_t>(rows));
+  ws.sqdist_lanes_small_d(batch, ids, lanes, rows, cand);
+  const auto valid = static_cast<__mmask8>((1u << lanes) - 1);
+  double* scores = ws.scores.data();
+  unsigned char* state = ws.krum_state.data();
+  double* list = ws.pairrow.data();
+  // Canonical scores, row by row for the eight lanes; lanes the network
+  // cannot certify take score_row on their list, as krum_select's rows do.
+  const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  __mmask8 finite = valid;
+  for (int i = 0; i < rows; ++i) {
+    double* si = scores + i * kLanes;
+    __mmask8 uncertified = 0;
+    _mm512_storeu_pd(si, smallest_k_sum_lanes(cand + static_cast<std::size_t>(i) * m * kLanes,
+                                              m, neighbors, &uncertified));
+    std::fill_n(state + i * kLanes, kLanes, kCanonical);
+    for (unsigned u = uncertified & valid; u != 0; u &= u - 1) {
+      const int t = std::countr_zero(u);
+      lane_candidates(cand, m, i, t, list);
+      si[t] = score_row(ws, list, m, neighbors, &state[i * kLanes + t]);
+    }
+    finite &= _mm512_cmp_pd_mask(_mm512_abs_pd(_mm512_loadu_pd(si)), inf, _CMP_LT_OQ);
   }
-  const double* lanes = ws.krum_lanes.data();
-  return certify_and_select(
-      ws, n, m, neighbors, nullptr, finite, [lanes, m, stride](int i, int, double* dst) {
-        const double* col = lanes + (i / kBlockRows) * stride + i % kBlockRows;
-        for (int x = 0; x < m; ++x) dst[x] = col[x * kBlockRows];
-      });
+  // certify_and_select per lane: a lane with a non-finite score rescores
+  // every row the old way, the others their rows in the band.
+  mark_band_lanes(ws, rows, neighbors, finite);
+  const __mmask8 fallback = valid & ~finite;
+  for (unsigned u = valid; u != 0; u &= u - 1) {
+    const int t = std::countr_zero(u);
+    const bool whole = ((fallback >> t) & 1) != 0;
+    int b = -1;
+    for (int i = 0; i < rows; ++i) {
+      double& score = scores[i * kLanes + t];
+      if (whole || state[i * kLanes + t] == kDue) {
+        lane_candidates(cand, m, i, t, list);
+        score = nth_element_score(list, m, neighbors);
+      }
+      if (b < 0 || score < scores[b * kLanes + t]) b = i;
+    }
+    best[t] = b;
+  }
 #else
-  return -1;  // unreachable: krum_small_leaf never holds without AVX-512
+  (void)batch, (void)ids, (void)best;  // unreachable: krum_shard_lanes needs AVX-512
 #endif
 }
 
@@ -304,6 +333,84 @@ int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned ch
 }  // namespace detail
 
 namespace {
+
+/// The shard-lane route of both rules' aggregate_shards: equal-size shards
+/// in groups of eight (the smaller size first, each size in shard order,
+/// so a last group may be partial), the groups split over the worker
+/// groups of ws.shard_groups.  emit(sub, lane_ids, rows, t, best, out)
+/// writes shard t's output row from sub.scores and its pick.  Returns false,
+/// writing nothing, where detail::krum_shard_lanes does not hold.
+template <typename Emit>
+bool aggregate_shard_lanes(GradientBatch& outputs, const GradientBatch& batch,
+                           std::span<const int> ids, int shards, int f, AggregatorWorkspace& ws,
+                           Emit&& emit) {
+  constexpr int kLanes = AggregatorWorkspace::kSmallDLanes;
+  const int n = static_cast<int>(ids.size());
+  const int d = batch.cols();
+  const int small = n / shards;
+  if (!detail::krum_shard_lanes(ws, small + (n % shards != 0 ? 1 : 0), d)) return false;
+  ABFT_REQUIRE(f >= 0, "fault bound f must be non-negative");
+  ABFT_REQUIRE(small > 2 * f + 2, "krum needs n > 2f + 2");
+  outputs.reshape(shards, d);
+  const auto rows_of = [n, shards](int s) {
+    return shard_begin(n, shards, s + 1) - shard_begin(n, shards, s);
+  };
+  auto& order = ws.order;  // the shards by size; the leaves draw on sub-workspaces
+  order.clear();
+  for (int s = 0; s < shards; ++s) {
+    if (rows_of(s) == small) order.push_back(s);
+  }
+  const int small_shards = static_cast<int>(order.size());
+  for (int s = 0; s < shards; ++s) {
+    if (rows_of(s) != small) order.push_back(s);
+  }
+  const int small_groups = (small_shards + kLanes - 1) / kLanes;
+  const int groups = small_groups + (shards - small_shards + kLanes - 1) / kLanes;
+  const int width = ws.shard_groups(groups);
+  ws.run_parallel(0, width, [&](int worker_begin, int worker_end) {
+    for (int w = worker_begin; w < worker_end; ++w) {
+      AggregatorWorkspace& sub = *ws.hier_groups[static_cast<std::size_t>(w)];
+      for (int g = shard_begin(groups, width, w); g < shard_begin(groups, width, w + 1); ++g) {
+        const int begin = g < small_groups ? g * kLanes
+                                           : small_shards + (g - small_groups) * kLanes;
+        const int end = std::min(begin + kLanes, g < small_groups ? small_shards : shards);
+        const int lanes = end - begin;
+        const int* shard = order.data() + begin;
+        const int* lane_ids[kLanes];
+        for (int t = 0; t < lanes; ++t) lane_ids[t] = ids.data() + shard_begin(n, shards, shard[t]);
+        const int rows = rows_of(shard[0]);
+        int best[kLanes] = {};
+        detail::krum_select_lanes(sub, batch, lane_ids, lanes, rows, rows - f - 2, best);
+        for (int t = 0; t < lanes; ++t) {
+          emit(sub, lane_ids[t], rows, t, best[t], outputs.row(shard[t]));
+        }
+      }
+    }
+  });
+  return true;
+}
+
+/// Multi-Krum's output: the mean of the m rows with the lowest scores in
+/// their stable order, summed in that order, then scaled by 1 / m.  Row
+/// i's score is scores[i * stride]; it is batch row ids[i], or row i
+/// without ids.
+void mean_of_lowest(std::vector<int>& order, const double* scores, int stride, int n, int m,
+                    const GradientBatch& batch, const int* ids, std::span<double> out) {
+  order.resize(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [scores, stride](int a, int b) {
+    return scores[a * stride] < scores[b * stride];
+  });
+  const int d = batch.cols();
+  std::fill(out.begin(), out.end(), 0.0);
+  for (int s = 0; s < m; ++s) {
+    const int i = order[static_cast<std::size_t>(s)];
+    const double* row = batch.row(ids != nullptr ? ids[i] : i).data();
+    for (int k = 0; k < d; ++k) out[static_cast<std::size_t>(k)] += row[k];
+  }
+  const double inv = 1.0 / static_cast<double>(m);
+  for (int k = 0; k < d; ++k) out[static_cast<std::size_t>(k)] *= inv;
+}
 
 std::vector<double> scores_with_neighbors(std::span<const Vector> gradients, int num_neighbors) {
   std::vector<double> score(gradients.size(), 0.0);
@@ -347,9 +454,6 @@ Vector KrumAggregator::aggregate(std::span<const Vector> gradients, int f) const
 int KrumAggregator::batched_scores(const GradientBatch& batch, int f, AggregatorWorkspace& ws) {
   const int n = batch.rows();
   ABFT_REQUIRE(n > 2 * f + 2, "krum needs n > 2f + 2");
-  if (detail::krum_small_leaf(ws, n, batch.cols())) {
-    return detail::krum_select_small_leaf(ws, batch, n - f - 2);
-  }
   ws.fill_pairwise_sqdist(batch);
   return detail::krum_select(ws, n, n - f - 2, nullptr);
 }
@@ -361,6 +465,19 @@ void KrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int
   resize_output(out, d);
   const auto row = batch.row(best);
   std::copy(row.begin(), row.end(), out.coefficients().begin());
+}
+
+void KrumAggregator::aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,
+                                      std::span<const int> ids, int shards, int f,
+                                      AggregatorWorkspace& ws) const {
+  const bool lanes = aggregate_shard_lanes(
+      outputs, batch, ids, shards, f, ws,
+      [&batch](AggregatorWorkspace&, const int* rows, int, int, int best,
+               std::span<double> out) {
+        const auto row = batch.row(rows[best]);
+        std::copy(row.begin(), row.end(), out.begin());
+      });
+  if (!lanes) GradientAggregator::aggregate_shards(outputs, batch, ids, shards, f, ws);
 }
 
 MultiKrumAggregator::MultiKrumAggregator(int m) : m_(m) {
@@ -390,20 +507,23 @@ void MultiKrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch
   const int m = m_ > 0 ? m_ : n - f;
   ABFT_REQUIRE(m <= n, "multi-krum m must be at most n");
   KrumAggregator::batched_scores(batch, f, ws);
-  ws.order.resize(static_cast<std::size_t>(n));
-  std::iota(ws.order.begin(), ws.order.end(), 0);
-  std::stable_sort(ws.order.begin(), ws.order.end(), [&ws](int a, int b) {
-    return ws.scores[static_cast<std::size_t>(a)] < ws.scores[static_cast<std::size_t>(b)];
-  });
   resize_output(out, d);
-  auto acc = out.coefficients();
-  std::fill(acc.begin(), acc.end(), 0.0);
-  for (int s = 0; s < m; ++s) {
-    const double* row = batch.row(ws.order[static_cast<std::size_t>(s)]).data();
-    for (int k = 0; k < d; ++k) acc[static_cast<std::size_t>(k)] += row[k];
-  }
-  const double inv = 1.0 / static_cast<double>(m);
-  for (int k = 0; k < d; ++k) acc[static_cast<std::size_t>(k)] *= inv;
+  mean_of_lowest(ws.order, ws.scores.data(), 1, n, m, batch, nullptr, out.coefficients());
+}
+
+void MultiKrumAggregator::aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,
+                                           std::span<const int> ids, int shards, int f,
+                                           AggregatorWorkspace& ws) const {
+  // Every shard has at least n / shards rows, so m_ fits every shard.
+  ABFT_REQUIRE(m_ <= static_cast<int>(ids.size()) / shards, "multi-krum m must be at most n");
+  const bool lanes = aggregate_shard_lanes(
+      outputs, batch, ids, shards, f, ws,
+      [&batch, f, this](AggregatorWorkspace& sub, const int* rows, int n, int t, int,
+                        std::span<double> out) {
+        mean_of_lowest(sub.order, sub.scores.data() + t, AggregatorWorkspace::kSmallDLanes, n,
+                       m_ > 0 ? m_ : n - f, batch, rows, out);
+      });
+  if (!lanes) GradientAggregator::aggregate_shards(outputs, batch, ids, shards, f, ws);
 }
 
 }  // namespace abft::agg

@@ -63,33 +63,38 @@ inline constexpr int kKrumRankSelectMaxRow = 16;
 /// Returns the first active row with the lowest score.
 int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active);
 
-/// Most candidates (n - 1) a small Krum leaf has: its rows pad to 8, 16, 24
-/// or 32 network inputs.
-inline constexpr int kSmallLeafMaxCandidates = 32;
+/// Most rows a shard may have on the shard-lane route: its candidates
+/// (rows - 1) pad to 8, 16, 24 or 32 sorting-network inputs.
+inline constexpr int kLaneShardMaxRows = 33;
 
-/// True when an unmasked Krum or Multi-Krum call on n rows of d columns
-/// takes the small-leaf route: 2 <= n <= kSmallLeafMaxCandidates + 1 and
-/// AggregatorWorkspace::small_d_kernels(d) (the f64 lane in either mode,
-/// 8 <= d < 32, AVX-512 at runtime).  Every other call, Bulyan's masked
-/// stage 1 included, fills the packed triangle and runs krum_select.
-bool krum_small_leaf(const AggregatorWorkspace& ws, int n, int d);
+/// True when Krum and Multi-Krum score a hierarchy level's shards by lanes
+/// (aggregate_shards): its largest shard has at most kLaneShardMaxRows rows
+/// and AggregatorWorkspace::small_d_kernels(d) holds (the f64 lane in
+/// either mode, 8 <= d < 32, AVX-512 at runtime).  Every other level, and
+/// every flat call, fills the packed triangle and runs krum_select.
+bool krum_shard_lanes(const AggregatorWorkspace& ws, int max_rows, int d);
 
-/// krum_select over an unmasked small leaf without the packed triangle or
-/// ws.krum_cand.  For each block of 8 rows, sqdist_block_small_d puts every
-/// row's distances in registers (lane t of register j: d(i0 + t, j), with
-/// the packed cell's bits), the lanes' candidate lists are copied into
-/// ws.krum_lanes, and the eight rows are scored together: a Batcher
-/// network (sort_network.hpp) sorts a copy, its k-th and (k+1)-th entries
-/// decide whether exactly k entries are kept, and the entries <= the k-th
-/// are summed into lane x mod 8 and reduced with smallest_k_sum's tree.
-/// The bit contract: every ws.scores bit and every krum_state equals
-/// krum_select's over the packed triangle, so the returned row, the
-/// Multi-Krum stable order and the outputs do too.  Rows the network
-/// cannot certify (a tie at the k-th distance, a NaN candidate) take
-/// krum_select's own per-row scorer, and the band certification, the
-/// whole-call fallback and the final selection are krum_select's, reading
-/// the candidates back from ws.krum_lanes.  1 <= neighbors <= n - 1.
-int krum_select_small_leaf(AggregatorWorkspace& ws, const GradientBatch& batch, int neighbors);
+/// krum_select over `lanes` (1..8) shards of `rows` rows at once, lane t
+/// for shard t, whose row i is batch row ids[t][i]; writes no packed
+/// triangle.  sqdist_lanes_small_d puts every row's candidate list in
+/// registers (in ws.krum_cand, register x of row i holding candidate x of
+/// every shard), and smallest_k_sum_lanes scores each row of the eight
+/// shards together through a Batcher network (sort_network.hpp).  Then
+/// each lane keeps krum_select's per-call semantics on its own: rows the
+/// network cannot certify (a tie at the k-th distance, a NaN candidate)
+/// take its per-row scorer; a lane with any non-finite score rescores
+/// every row the old way (the whole-call fallback); otherwise the band
+/// test marks the lane's rows due for the old score, which partitions a
+/// fresh copy of the row's candidates.  Shard t's row i score lands in
+/// ws.scores[8 i + t], and best[t] receives the shard's first row with the
+/// lowest score; unused lanes (t >= lanes) hold zero rows, decide nothing
+/// and get no best[t].  The bit contract: every score
+/// and every pick equals krum_select's over the shard's gathered rows and
+/// their packed triangle, whatever the lane and the other shards, so the
+/// Multi-Krum stable order and both rules' outputs do too.  Requires
+/// krum_shard_lanes(ws, rows, d) and 1 <= neighbors <= rows - 1.
+void krum_select_lanes(AggregatorWorkspace& ws, const GradientBatch& batch,
+                       const int* const* ids, int lanes, int rows, int neighbors, int* best);
 
 }  // namespace detail
 
@@ -98,6 +103,11 @@ class KrumAggregator final : public GradientAggregator {
   [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
+  /// Scores the shards by lanes (detail::krum_select_lanes) where
+  /// detail::krum_shard_lanes holds; the base route otherwise.
+  void aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,
+                        std::span<const int> ids, int shards, int f,
+                        AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "krum"; }
   /// n > 2f + 2; below n = 3 the rule cannot run at all (-1).
   [[nodiscard]] int max_usable_f(int n) const noexcept override {
@@ -111,9 +121,7 @@ class KrumAggregator final : public GradientAggregator {
   /// detail::krum_select; returns the lowest-score row.  Fills the shared
   /// pairwise squared-distance matrix in workspace.pairdist via the Gram
   /// identity; Krum and Multi-Krum both score from it (Bulyan's exact stage
-  /// 1 runs krum_select over the same matrix with an active-row mask).  A
-  /// small leaf (detail::krum_small_leaf) skips the matrix and runs
-  /// detail::krum_select_small_leaf, with the same score bits.
+  /// 1 runs krum_select over the same matrix with an active-row mask).
   /// Selections equal the old nth_element scorer's: the returned row and
   /// the stable_sort order of workspace.scores.  Rows outside the rounding
   /// band hold canonical scores, which may differ from the old values in
@@ -136,6 +144,10 @@ class MultiKrumAggregator final : public GradientAggregator {
   [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
+  /// Krum's shard lanes, then each shard's stable order and mean.
+  void aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,
+                        std::span<const int> ids, int shards, int f,
+                        AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "multikrum"; }
   /// n > 2f + 2 (same scoring precondition as Krum); -1 below n = 3.
   [[nodiscard]] int max_usable_f(int n) const noexcept override {
