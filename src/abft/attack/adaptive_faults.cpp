@@ -37,6 +37,33 @@ std::optional<Vector> emit_via_rows(const FaultModel& fault, const AttackContext
   return out;
 }
 
+/// Calls tile.template operator()<W>(base) over the coordinates [0, dim) in
+/// tiles of a compile-time width W: kHonestTileWidth while that many
+/// coordinates remain, then kHonestNarrowTileWidth, then 1.  A fixed width
+/// lets the compiler keep a tile's accumulators in registers.
+template <typename Tile>
+void sweep_tiles(std::size_t dim, Tile&& tile) {
+  std::size_t base = 0;
+  for (; base + kHonestTileWidth <= dim; base += kHonestTileWidth) {
+    tile.template operator()<kHonestTileWidth>(base);
+  }
+  for (; base + kHonestNarrowTileWidth <= dim; base += kHonestNarrowTileWidth) {
+    tile.template operator()<kHonestNarrowTileWidth>(base);
+  }
+  for (; base < dim; ++base) tile.template operator()<1>(base);
+}
+
+/// sums[j] = the sum over the honest rows, in row order, of coordinate
+/// base + j: the tile is swept row by row (contiguous reads).
+template <std::size_t W>
+void column_sums(const HonestRowsView& honest, std::size_t base, double (&sums)[W]) {
+  for (std::size_t j = 0; j < W; ++j) sums[j] = 0.0;
+  for (int i = 0; i < honest.count(); ++i) {
+    const double* row = honest.row(i).data() + base;
+    for (std::size_t j = 0; j < W; ++j) sums[j] += row[j];
+  }
+}
+
 }  // namespace
 
 LittleIsEnoughFault::LittleIsEnoughFault(double z) : z_(z) {
@@ -56,34 +83,24 @@ bool LittleIsEnoughFault::emit_into(std::span<double> out, const RowAttackContex
     return true;
   }
   // Per coordinate: mean(honest) - z * population-stddev(honest).  The mean
-  // accumulates in row order and scales by the reciprocal, matching
-  // linalg::mean exactly.  Each tile of coordinates is swept row by row
-  // (contiguous reads) into stack accumulators; every coordinate still sums
-  // its rows in honest order, so the result is the per-coordinate loop's.
+  // scales the row-order sum by the reciprocal, matching linalg::mean
+  // exactly, and the squared deviations sum in row order too.
   const auto count = static_cast<double>(honest.count());
   const double inv_count = 1.0 / count;
-  for (std::size_t base = 0; base < out.size(); base += kHonestTileWidth) {
-    const std::size_t width = std::min(kHonestTileWidth, out.size() - base);
-    double mu[kHonestTileWidth];
-    double sigma[kHonestTileWidth];
-    std::fill_n(mu, width, 0.0);
-    std::fill_n(sigma, width, 0.0);
+  sweep_tiles(out.size(), [&]<std::size_t W>(std::size_t base) {
+    double mu[W];
+    column_sums<W>(honest, base, mu);
+    for (std::size_t j = 0; j < W; ++j) mu[j] *= inv_count;
+    double sigma[W] = {};
     for (int i = 0; i < honest.count(); ++i) {
       const double* row = honest.row(i).data() + base;
-      for (std::size_t j = 0; j < width; ++j) mu[j] += row[j];
-    }
-    for (std::size_t j = 0; j < width; ++j) mu[j] *= inv_count;
-    for (int i = 0; i < honest.count(); ++i) {
-      const double* row = honest.row(i).data() + base;
-      for (std::size_t j = 0; j < width; ++j) {
+      for (std::size_t j = 0; j < W; ++j) {
         const double diff = row[j] - mu[j];
         sigma[j] += diff * diff;
       }
     }
-    for (std::size_t j = 0; j < width; ++j) {
-      out[base + j] = mu[j] - z_ * std::sqrt(sigma[j] / count);
-    }
-  }
+    for (std::size_t j = 0; j < W; ++j) out[base + j] = mu[j] - z_ * std::sqrt(sigma[j] / count);
+  });
   return true;
 }
 
@@ -103,18 +120,12 @@ bool MeanReverseFault::emit_into(std::span<double> out, const RowAttackContext& 
     for (std::size_t k = 0; k < out.size(); ++k) out[k] = context.true_gradient[k] * scale;
     return true;
   }
-  // Row-major over coordinate tiles, as in LittleIsEnoughFault::emit_into.
   const double inv_count = 1.0 / static_cast<double>(honest.count());
-  for (std::size_t base = 0; base < out.size(); base += kHonestTileWidth) {
-    const std::size_t width = std::min(kHonestTileWidth, out.size() - base);
-    double mu[kHonestTileWidth];
-    std::fill_n(mu, width, 0.0);
-    for (int i = 0; i < honest.count(); ++i) {
-      const double* row = honest.row(i).data() + base;
-      for (std::size_t j = 0; j < width; ++j) mu[j] += row[j];
-    }
-    for (std::size_t j = 0; j < width; ++j) out[base + j] = (mu[j] * inv_count) * scale;
-  }
+  sweep_tiles(out.size(), [&]<std::size_t W>(std::size_t base) {
+    double mu[W];
+    column_sums<W>(honest, base, mu);
+    for (std::size_t j = 0; j < W; ++j) out[base + j] = (mu[j] * inv_count) * scale;
+  });
   return true;
 }
 

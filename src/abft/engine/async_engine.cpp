@@ -13,29 +13,6 @@ constexpr std::uint64_t kArrivalSeedTag = 0xa11c10c4a55a1edULL;
 
 }  // namespace
 
-void order_by_birth(std::span<const int> agents, std::span<const int> birth_round,
-                    std::vector<int>& starts, std::vector<int>& out) {
-  out.resize(agents.size());
-  if (agents.empty()) return;
-  const auto birth = [&birth_round](int agent) {
-    return birth_round[static_cast<std::size_t>(agent)];
-  };
-  int oldest = birth(agents.front());
-  int newest = oldest;
-  for (const int agent : agents) {
-    oldest = std::min(oldest, birth(agent));
-    newest = std::max(newest, birth(agent));
-  }
-  // starts[b - oldest] ends up as the first slot of birth round b.
-  starts.assign(static_cast<std::size_t>(newest - oldest) + 2, 0);
-  for (const int agent : agents) ++starts[static_cast<std::size_t>(birth(agent) - oldest) + 1];
-  for (std::size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
-  for (const int agent : agents) {
-    out[static_cast<std::size_t>(starts[static_cast<std::size_t>(birth(agent) - oldest)]++)] =
-        agent;
-  }
-}
-
 AsyncRoundEngine::AsyncRoundEngine(std::vector<unsigned char> faulty, int dim,
                                    AsyncEngineConfig config)
     : core_(std::move(faulty), dim, config),
@@ -71,6 +48,9 @@ void AsyncRoundEngine::reset(int declared_f) {
   computing_.assign(n, 0);
   birth_round_.assign(n, 0);
   arrival_time_.assign(n, 0.0);
+  arrived_.resize(n);
+  arrived_times_.resize(n);
+  consumed_.resize(n + 1);  // a pass after the last due row writes one past it
   declared_f_ = declared_f;
   kept_ = 0;
   stats_ = AsyncStats{};
@@ -95,23 +75,42 @@ void AsyncRoundEngine::begin_round(int round) {
   // drop it and send its agent back to work.  Every idle agent starts
   // computing against the current estimate; its virtual completion time
   // comes from its own arrival stream, so the (serial, roster-order) draw
-  // order never affects another agent's stream.
-  starting_.clear();
-  starting_honest_.clear();
-  starting_faulty_.clear();
-  const double window_open = static_cast<double>(round) * config_.deadline;
-  for (int agent = 0; agent < roster_size(); ++agent) {
+  // order never affects another agent's stream.  The scans compact without
+  // a branch: each writes its candidate at the cursor and advances the
+  // cursor by the predicate, into a buffer with room for every candidate.
+  const int n = roster_size();
+  starting_.resize(static_cast<std::size_t>(n));
+  int starting = 0;
+  long long stale = 0;
+  for (int agent = 0; agent < n; ++agent) {
     const auto a = static_cast<std::size_t>(agent);
-    if (computing_[a] != 0) {
-      if (round - birth_round_[a] <= config_.staleness_cap) continue;
-      ++stats_.stale_dropped;
-    }
+    const bool busy = computing_[a] != 0;
+    const bool expired = round - birth_round_[a] > config_.staleness_cap;
+    stale += static_cast<int>(busy & expired);
+    starting_[static_cast<std::size_t>(starting)] = agent;
+    starting += static_cast<int>(!busy | expired);
+  }
+  starting_.resize(static_cast<std::size_t>(starting));
+  stats_.stale_dropped += stale;
+
+  const double window_open = static_cast<double>(round) * config_.deadline;
+  starting_honest_.resize(starting_.size());
+  starting_faulty_.resize(starting_.size());
+  std::size_t honest = 0;
+  std::size_t faulty = 0;
+  for (const int agent : starting_) {
+    const auto a = static_cast<std::size_t>(agent);
     computing_[a] = 1;
     birth_round_[a] = round;
     arrival_time_[a] = window_open + draw_duration(agent);
-    starting_.push_back(agent);
-    (core_.faulty[a] != 0 ? starting_faulty_ : starting_honest_).push_back(agent);
+    const bool byzantine = core_.faulty[a] != 0;
+    starting_honest_[honest] = agent;
+    starting_faulty_[faulty] = agent;
+    honest += static_cast<std::size_t>(!byzantine);
+    faulty += static_cast<std::size_t>(byzantine);
   }
+  starting_honest_.resize(honest);
+  starting_faulty_.resize(faulty);
   kept_ = 0;
 }
 
@@ -119,25 +118,23 @@ int AsyncRoundEngine::collect(int round) {
   // The round window is half-open, [t*D, (t+1)*D): a row arriving exactly at
   // the close belongs to the NEXT window — it neither counts toward this
   // round's quorum nor gets consumed at the deadline fire.
+  const int n = roster_size();
   const double window_close = static_cast<double>(round + 1) * config_.deadline;
-  arrived_.clear();
-  arrived_times_.clear();
-  for (int agent = 0; agent < roster_size(); ++agent) {
+  int arrived = 0;
+  for (int agent = 0; agent < n; ++agent) {
     const auto a = static_cast<std::size_t>(agent);
-    if (computing_[a] != 0 && arrival_time_[a] < window_close) {
-      arrived_.push_back(agent);
-      arrived_times_.push_back(arrival_time_[a]);
-    }
+    arrived_[static_cast<std::size_t>(arrived)] = agent;
+    arrived_times_[static_cast<std::size_t>(arrived)] = arrival_time_[a];
+    arrived += static_cast<int>((computing_[a] != 0) & (arrival_time_[a] < window_close));
   }
 
-  const int quorum =
-      config_.quorum == 0 ? roster_size() : std::min(config_.quorum, roster_size());
+  const int quorum = config_.quorum == 0 ? n : std::min(config_.quorum, n);
   double fire_time = window_close;
-  if (static_cast<int>(arrived_.size()) >= quorum) {
+  if (arrived >= quorum) {
     // The quorum-th earliest arrival.  Only its value matters, so ties
     // between agents cannot change what fires.
     const auto nth = arrived_times_.begin() + (quorum - 1);
-    std::nth_element(arrived_times_.begin(), nth, arrived_times_.end());
+    std::nth_element(arrived_times_.begin(), nth, arrived_times_.begin() + arrived);
     fire_time = *nth;
     ++stats_.quorum_fires;
   } else {
@@ -145,20 +142,35 @@ int AsyncRoundEngine::collect(int round) {
   }
 
   // Consume every row arrived by the trigger, in (birth_round, agent) order,
-  // scaled by its staleness weight; the rest stay in flight.  Births span at
-  // most staleness_cap + 1 rounds, and the counting pass keeps agent order
-  // within one birth round.
-  std::erase_if(arrived_, [&](int agent) {
-    return arrival_time_[static_cast<std::size_t>(agent)] > fire_time;
-  });
-  order_by_birth(arrived_, birth_round_, birth_starts_, consumed_);
-  ingest_.reshape(static_cast<int>(consumed_.size()), core_.dim);
-  int kept = 0;
-  for (const int agent : consumed_) {
+  // scaled by its staleness weight; the rest stay in flight.  The rows due
+  // are compacted in agent order, then one compaction pass per birth round
+  // from the oldest due (at most staleness_cap + 1 passes) lays them out
+  // oldest first.
+  int due = 0;
+  int oldest = round;
+  for (int k = 0; k < arrived; ++k) {
+    const int agent = arrived_[static_cast<std::size_t>(k)];
     const auto a = static_cast<std::size_t>(agent);
+    const bool fired = arrival_time_[a] <= fire_time;
+    arrived_[static_cast<std::size_t>(due)] = agent;
+    due += static_cast<int>(fired);
+    oldest = std::min(oldest, fired ? birth_round_[a] : round);
+  }
+  int kept = 0;
+  for (int birth = oldest; birth <= round; ++birth) {
+    for (int k = 0; k < due; ++k) {
+      const int agent = arrived_[static_cast<std::size_t>(k)];
+      consumed_[static_cast<std::size_t>(kept)] = agent;
+      kept += static_cast<int>(birth_round_[static_cast<std::size_t>(agent)] == birth);
+    }
+  }
+
+  ingest_.reshape(kept, core_.dim);
+  for (int row = 0; row < kept; ++row) {
+    const auto a = static_cast<std::size_t>(consumed_[static_cast<std::size_t>(row)]);
     const int age = round - birth_round_[a];
-    const auto src = core_.payload.row(agent);
-    const auto dst = ingest_.row(kept++);
+    const auto src = core_.payload.row(static_cast<int>(a));
+    const auto dst = ingest_.row(row);
     if (age <= 0) {
       std::copy(src.begin(), src.end(), dst.begin());
     } else {

@@ -35,8 +35,8 @@
 // row i is agent i's row.  begin_round fixes every birth round and arrival
 // time serially; the parallel produce phase only fills payload rows (and a
 // silent Byzantine agent clears its own computing_ slot).  collect() scans
-// the agents in roster order, so consumption is in (birth_round, agent)
-// order: a stable counting pass on birth round after the agent-order scan.
+// the agents in roster order and lays the consumed rows out in
+// (birth_round, agent) order with one compaction pass per birth round.
 //
 // Determinism contract: arrivals are ordered by the virtual clock — seeded
 // per-agent arrival streams, never wall time — and nothing the thread
@@ -58,15 +58,6 @@
 #include "abft/util/rng.hpp"
 
 namespace abft::engine {
-
-/// The stable counting pass behind AsyncRoundEngine::collect: writes
-/// `agents` to `out` ordered by birth_round[agent], oldest first, keeping
-/// their input order within one birth round (the order std::stable_sort on
-/// birth round gives).  O(agents + span) for span = newest - oldest birth
-/// + 1, which the staleness cap bounds by staleness_cap + 1; `starts` holds
-/// the per-birth slots, and neither vector allocates once it has grown.
-void order_by_birth(std::span<const int> agents, std::span<const int> birth_round,
-                    std::vector<int>& starts, std::vector<int>& out);
 
 /// Per-agent virtual compute-time model.
 struct ArrivalModel {
@@ -196,10 +187,11 @@ class AsyncRoundEngine {
   std::vector<int> birth_round_;
   std::vector<double> arrival_time_;
 
-  std::vector<int> arrived_;           // scratch: this window's arrivals
-  std::vector<double> arrived_times_;  // scratch: their arrival times
-  std::vector<int> birth_starts_;      // scratch: order_by_birth's slots
-  std::vector<int> consumed_;          // scratch: the rows consumed, in order
+  // Scratch of collect's branch-free scans, sized once per run; each scan's
+  // local count says how many entries are live.
+  std::vector<int> arrived_;           // this window's arrivals, then those due
+  std::vector<double> arrived_times_;  // their arrival times
+  std::vector<int> consumed_;          // the rows consumed, in order
 
   std::vector<int> starting_;
   std::vector<int> starting_honest_;

@@ -57,6 +57,7 @@ void RoundEngine::reset(int declared_f) {
   eliminated_ = 0;
   departed_ = 0;
   kept_ = 0;
+  plan_reusable_ = false;
 }
 
 void RoundEngine::begin_round(int round) {
@@ -66,17 +67,20 @@ void RoundEngine::begin_round(int round) {
   }
   ABFT_REQUIRE(!members_.empty(), "every agent has left the system");
 
-  present_.clear();
-  honest_rows_.clear();
-  faulty_rows_.clear();
-  std::fill(payload_row_.begin(), payload_row_.end(), -1);
-  for (const int agent : members_) {
-    if (!planner_.participates(agent)) continue;
-    const int row = static_cast<int>(present_.size());
-    payload_row_[static_cast<std::size_t>(agent)] = row;
-    present_.push_back(agent);
-    (core_.faulty[static_cast<std::size_t>(agent)] != 0 ? faulty_rows_ : honest_rows_)
-        .push_back(row);
+  if (!plan_reusable_) {
+    present_.clear();
+    honest_rows_.clear();
+    faulty_rows_.clear();
+    std::fill(payload_row_.begin(), payload_row_.end(), -1);
+    for (const int agent : members_) {
+      if (!planner_.participates(agent)) continue;
+      const int row = static_cast<int>(present_.size());
+      payload_row_[static_cast<std::size_t>(agent)] = row;
+      present_.push_back(agent);
+      (core_.faulty[static_cast<std::size_t>(agent)] != 0 ? faulty_rows_ : honest_rows_)
+          .push_back(row);
+    }
+    plan_reusable_ = !planner_.axes().enabled();
   }
   // The payload buffer itself is shaped lazily on the first emit_* call:
   // drivers that run their own produce buffers (p2p) never pay for the
@@ -140,6 +144,7 @@ void RoundEngine::remove_member(int agent) {
   ABFT_ENSURE(it != members_.end(), "removing an agent that is not a member");
   members_.erase(it);
   member_mask_[static_cast<std::size_t>(agent)] = 0;
+  plan_reusable_ = false;
 }
 
 }  // namespace abft::engine

@@ -242,7 +242,9 @@ class RoundEngine {
 
   // --- round lifecycle -----------------------------------------------------
   /// Applies due churn, draws this round's plan, reshapes the payload batch
-  /// over the present agents and partitions their rows honest/faulty.
+  /// over the present agents and partitions their rows honest/faulty.  With
+  /// every axis off the plan only changes when a member leaves, so until then
+  /// the previous round's plan is kept as it is.
   void begin_round(int round);
 
   /// Whether a member participates this round.
@@ -300,10 +302,11 @@ class RoundEngine {
   int deliver(Transport&& transport) {
     ensure_payload();
     const int present = static_cast<int>(present_.size());
+    const bool straggling = planner_.axes().straggler_probability > 0.0;
     int kept = 0;
     for (int row = 0; row < present; ++row) {
       const int agent = present_[static_cast<std::size_t>(row)];
-      if (planner_.straggles(agent)) continue;
+      if (straggling && planner_.straggles(agent)) continue;
       std::span<const double> message;
       if (silent_[static_cast<std::size_t>(row)] == 0) message = core_.payload.row(row);
       if (transport(agent, message, core_.payload.row(kept))) {
@@ -357,6 +360,9 @@ class RoundEngine {
   std::vector<int> honest_rows_;
   std::vector<int> faulty_rows_;
   std::vector<unsigned char> silent_;
+  /// The plan above still holds: every axis is off and no member has left
+  /// since it was built (remove_member and reset clear it).
+  bool plan_reusable_ = false;
   bool payload_shaped_ = false;
   int kept_ = 0;
 };

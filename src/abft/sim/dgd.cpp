@@ -107,13 +107,18 @@ Trace DgdSimulation::run(const agg::GradientAggregator& aggregator) {
 
       // Close.  Sync: the network moves each surviving message to the next
       // kept payload row, and undelivered messages eliminate the sender
-      // (step S1).  Async: fire on quorum-or-deadline over the
+      // (step S1); the round's messages are counted once, after the loop.
+      // Async: fire on quorum-or-deadline over the
       // staleness-weighted rows; silence is indistinguishable from slowness
       // without a synchronous close, so the membership never shrinks.
       if constexpr (std::is_same_v<std::decay_t<decltype(eng)>, engine::RoundEngine>) {
-        eng.deliver([&](int agent, std::span<const double> payload, std::span<double> dst) {
-          return network_.transmit_row(agent, t, payload, dst);
-        });
+        // Every message either fills a kept row or eliminates its sender.
+        const int eliminated_before = eng.eliminated_count();
+        const int kept =
+            eng.deliver([&](int agent, std::span<const double> payload, std::span<double> dst) {
+              return network_.deliver_row(agent, t, payload, dst);
+            });
+        network_.count_sent(kept + eng.eliminated_count() - eliminated_before);
         trace.eliminated_agents = eng.eliminated_count();
         trace.departed_agents = eng.departed_count();
       } else {

@@ -1,7 +1,5 @@
 #include "abft/sim/network.hpp"
 
-#include <cstring>
-
 #include "abft/util/check.hpp"
 
 namespace abft::sim {
@@ -23,20 +21,14 @@ std::optional<Vector> SyncNetwork::transmit(int agent, int round,
   return payload;
 }
 
-bool SyncNetwork::transmit_row(int agent, int round, std::span<const double> payload,
-                               std::span<double> dst) {
-  ++messages_sent_;
+bool SyncNetwork::deliver_lossy(int agent, int round, std::span<const double> payload,
+                                std::span<double> dst) {
   bool delivered = !payload.empty();
   if (delivered && drop_probability_ > 0.0 && rng_.uniform() < drop_probability_) {
     delivered = false;
     ++messages_dropped_;
   }
-  if (delivered) {
-    ABFT_REQUIRE(payload.size() == dst.size(), "ingest row size mismatch");
-    if (dst.data() != payload.data()) {
-      std::memcpy(dst.data(), payload.data(), payload.size() * sizeof(double));
-    }
-  }
+  if (delivered) move_payload(payload, dst);
   if (recording_) {
     std::optional<Vector> copy;
     if (delivered) copy = Vector(std::vector<double>(payload.begin(), payload.end()));

@@ -6,11 +6,13 @@
 // under crash-style faults too, and can record a transcript for inspection.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "abft/linalg/vector.hpp"
+#include "abft/util/check.hpp"
 #include "abft/util/rng.hpp"
 
 namespace abft::sim {
@@ -42,7 +44,26 @@ class SyncNetwork {
   /// then nothing is copied) but must never partly overlap it.  Returns true
   /// iff the server received the message.  Bit-compatible with transmit().
   bool transmit_row(int agent, int round, std::span<const double> payload,
-                    std::span<double> dst);
+                    std::span<double> dst) {
+    ++messages_sent_;
+    return deliver_row(agent, round, payload, dst);
+  }
+
+  /// transmit_row without the message count, for a round loop that adds
+  /// its messages at once with count_sent.  On a lossless network (no drop
+  /// probability, no transcript) this is an inline row move that draws
+  /// nothing; otherwise the drop coin and the transcript entry are taken
+  /// out of line, one message at a time.
+  bool deliver_row(int agent, int round, std::span<const double> payload,
+                   std::span<double> dst) {
+    if (drop_probability_ > 0.0 || recording_) return deliver_lossy(agent, round, payload, dst);
+    if (payload.empty()) return false;
+    move_payload(payload, dst);
+    return true;
+  }
+
+  /// Adds `count` messages handed to deliver_row to messages_sent().
+  void count_sent(long count) noexcept { messages_sent_ += count; }
 
   /// Enables transcript recording (off by default: long learning runs would
   /// otherwise retain every gradient).
@@ -56,6 +77,13 @@ class SyncNetwork {
   [[nodiscard]] long messages_dropped() const noexcept { return messages_dropped_; }
 
  private:
+  bool deliver_lossy(int agent, int round, std::span<const double> payload,
+                     std::span<double> dst);
+  static void move_payload(std::span<const double> payload, std::span<double> dst) {
+    ABFT_REQUIRE(payload.size() == dst.size(), "ingest row size mismatch");
+    if (dst.data() != payload.data()) std::copy(payload.begin(), payload.end(), dst.begin());
+  }
+
   double drop_probability_;
   util::Rng rng_;
   bool recording_ = false;

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/engine/async_engine.hpp"
@@ -294,32 +297,204 @@ TEST(AsyncEngine, ConsumeOrderIsBirthRoundThenAgent) {
   EXPECT_GT(eng.stats().quorum_fires, 0);
 }
 
-TEST(AsyncEngine, CountingPassOrdersLikeAStableSortOnBirthRound) {
-  // collect's order_by_birth against std::stable_sort on birth round, over
-  // random agent subsets (ascending, as the roster scan yields them) whose
-  // births span staleness caps 0 to 3, with the scratch reused throughout.
-  util::Rng rng(19);
-  std::vector<int> starts;
-  std::vector<int> out;
-  for (int cap = 0; cap <= 3; ++cap) {
-    for (int trial = 0; trial < 200; ++trial) {
-      const int roster = 1 + static_cast<int>(rng.uniform_index(40));
-      const int round = cap + static_cast<int>(rng.uniform_index(10));
-      std::vector<int> birth(static_cast<std::size_t>(roster));
-      std::vector<int> agents;
-      for (int a = 0; a < roster; ++a) {
-        birth[static_cast<std::size_t>(a)] =
-            round - static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(cap) + 1));
-        if (rng.uniform() < 0.7) agents.push_back(a);
+/// A test-local copy of the engine's window open and close as they were
+/// written before the scans became branch-free: push_back roster scans, an
+/// erase of the rows arrived after the fire, and std::stable_sort on birth
+/// round.  The arrival streams are derived as the engine derives them.
+class BranchyAsyncReference {
+ public:
+  BranchyAsyncReference(std::vector<unsigned char> faulty, std::uint64_t seed,
+                        engine::AsyncConfig config)
+      : faulty_(std::move(faulty)), config_(std::move(config)) {
+    const std::size_t n = faulty_.size();
+    engine::split_streams(seed ^ 0xa11c10c4a55a1edULL, n, arrival_rng_);
+    computing_.assign(n, 0);
+    birth_round_.assign(n, 0);
+    arrival_time_.assign(n, 0.0);
+  }
+
+  void begin_round(int round) {
+    starting.clear();
+    starting_honest.clear();
+    starting_faulty.clear();
+    const double window_open = static_cast<double>(round) * config_.deadline;
+    for (int agent = 0; agent < roster(); ++agent) {
+      const auto a = static_cast<std::size_t>(agent);
+      if (computing_[a] != 0) {
+        if (round - birth_round_[a] <= config_.staleness_cap) continue;
+        ++stats.stale_dropped;
       }
-      auto expected = agents;
-      std::stable_sort(expected.begin(), expected.end(), [&birth](int x, int y) {
-        return birth[static_cast<std::size_t>(x)] < birth[static_cast<std::size_t>(y)];
-      });
-      engine::order_by_birth(agents, birth, starts, out);
-      EXPECT_EQ(out, expected) << "cap " << cap << " trial " << trial;
+      computing_[a] = 1;
+      birth_round_[a] = round;
+      arrival_time_[a] = window_open + draw_duration(agent);
+      starting.push_back(agent);
+      (faulty_[a] != 0 ? starting_faulty : starting_honest).push_back(agent);
     }
   }
+
+  void silence(int agent) { computing_[static_cast<std::size_t>(agent)] = 0; }
+
+  /// The consumed agents in order, with their staleness ages.
+  std::vector<std::pair<int, int>> collect(int round) {
+    const double window_close = static_cast<double>(round + 1) * config_.deadline;
+    std::vector<int> arrived;
+    std::vector<double> times;
+    for (int agent = 0; agent < roster(); ++agent) {
+      const auto a = static_cast<std::size_t>(agent);
+      if (computing_[a] != 0 && arrival_time_[a] < window_close) {
+        arrived.push_back(agent);
+        times.push_back(arrival_time_[a]);
+      }
+    }
+    const int quorum =
+        config_.quorum == 0 ? roster() : std::min(config_.quorum, roster());
+    double fire_time = window_close;
+    if (static_cast<int>(arrived.size()) >= quorum) {
+      std::sort(times.begin(), times.end());
+      fire_time = times[static_cast<std::size_t>(quorum - 1)];
+      ++stats.quorum_fires;
+    } else {
+      ++stats.deadline_fires;
+    }
+    std::erase_if(arrived, [&](int agent) {
+      return arrival_time_[static_cast<std::size_t>(agent)] > fire_time;
+    });
+    std::stable_sort(arrived.begin(), arrived.end(), [&](int x, int y) {
+      return birth_round_[static_cast<std::size_t>(x)] < birth_round_[static_cast<std::size_t>(y)];
+    });
+    std::vector<std::pair<int, int>> consumed;
+    for (const int agent : arrived) {
+      const int age = round - birth_round_[static_cast<std::size_t>(agent)];
+      if (age > 0) ++stats.late_rows;
+      computing_[static_cast<std::size_t>(agent)] = 0;
+      consumed.emplace_back(agent, age);
+    }
+    return consumed;
+  }
+
+  std::vector<int> starting;
+  std::vector<int> starting_honest;
+  std::vector<int> starting_faulty;
+  engine::AsyncStats stats;
+
+ private:
+  [[nodiscard]] int roster() const { return static_cast<int>(faulty_.size()); }
+
+  double draw_duration(int agent) {
+    if (config_.arrival.kind == "fixed") return config_.arrival.scale;
+    const double u = arrival_rng_[static_cast<std::size_t>(agent)].uniform();
+    if (config_.arrival.kind == "exponential") return -config_.arrival.scale * std::log(1.0 - u);
+    return config_.arrival.scale * (0.5 + u);
+  }
+
+  std::vector<unsigned char> faulty_;
+  engine::AsyncConfig config_;
+  std::vector<util::Rng> arrival_rng_;
+  std::vector<unsigned char> computing_;
+  std::vector<int> birth_round_;
+  std::vector<double> arrival_time_;
+};
+
+void expect_same_stats(const engine::AsyncStats& a, const engine::AsyncStats& b,
+                       const std::string& label) {
+  EXPECT_EQ(a.quorum_fires, b.quorum_fires) << label;
+  EXPECT_EQ(a.deadline_fires, b.deadline_fires) << label;
+  EXPECT_EQ(a.stale_dropped, b.stale_dropped) << label;
+  EXPECT_EQ(a.late_rows, b.late_rows) << label;
+}
+
+TEST(AsyncEngine, BranchFreeScansMatchTheBranchyScanAndStableSort) {
+  // Per round: the starters, their honest/faulty split, the consumed rows
+  // (agent, birth round and weighted bits, read back from ingest()) and the
+  // stats, against the reference above, over staleness caps 0-3, every
+  // arrival kind, full and partial quorums and Byzantine agents that stay
+  // silent on a pseudo-random schedule.
+  constexpr int kAgents = 37;
+  constexpr int kRounds = 30;
+  std::vector<unsigned char> faulty(kAgents, 0);
+  for (const int agent : {0, 5, 6, 17, 30, 36}) faulty[static_cast<std::size_t>(agent)] = 1;
+  const auto silent = [](int agent, int round) { return (agent * 7 + round * 3) % 5 == 0; };
+  struct Arrival {
+    const char* kind;
+    double scale;
+  };
+  int late_rows = 0;
+  int stale_dropped = 0;
+  int mixed_births = 0;
+  for (const Arrival arrival : {Arrival{"uniform", 0.9}, Arrival{"exponential", 0.9},
+                                Arrival{"fixed", 1.3}, Arrival{"fixed", 0.5}}) {
+    for (const int quorum : {0, 12, 30}) {
+      for (int cap = 0; cap <= 3; ++cap) {
+        engine::AsyncEngineConfig config;
+        config.seed = 23;
+        config.async.quorum = quorum;
+        config.async.staleness_cap = cap;
+        config.async.arrival.kind = arrival.kind;
+        config.async.arrival.scale = arrival.scale;
+        engine::AsyncRoundEngine eng(faulty, 2, config);
+        BranchyAsyncReference reference(faulty, config.seed, config.async);
+        eng.reset(3);
+        for (int t = 0; t < kRounds; ++t) {
+          const std::string label = std::string(arrival.kind) + " scale " +
+                                    std::to_string(arrival.scale) + " quorum " +
+                                    std::to_string(quorum) + " cap " + std::to_string(cap) +
+                                    " round " + std::to_string(t);
+          eng.begin_round(t);
+          reference.begin_round(t);
+          const auto starting = eng.starting_agents();
+          ASSERT_EQ(std::vector<int>(starting.begin(), starting.end()), reference.starting)
+              << label;
+          std::vector<int> honest;
+          std::vector<int> byzantine;
+          eng.emit_honest([&](int agent, std::span<double> row) {
+            honest.push_back(agent);
+            row[0] = agent;
+            row[1] = t;
+          });
+          eng.emit_faulty([&](int agent, std::span<double> row, const attack::HonestRowsView&) {
+            byzantine.push_back(agent);
+            row[0] = agent;
+            row[1] = t;
+            return !silent(agent, t);
+          });
+          ASSERT_EQ(honest, reference.starting_honest) << label;
+          ASSERT_EQ(byzantine, reference.starting_faulty) << label;
+          for (const int agent : byzantine) {
+            if (silent(agent, t)) reference.silence(agent);
+          }
+
+          const int kept = eng.collect(t);
+          const auto consumed = reference.collect(t);
+          ASSERT_EQ(kept, static_cast<int>(consumed.size())) << label;
+          ASSERT_EQ(eng.ingest().rows(), kept) << label;
+          int previous_birth = t;
+          for (int r = 0; r < kept; ++r) {
+            const auto [agent, age] = consumed[static_cast<std::size_t>(r)];
+            const std::vector<double> written{static_cast<double>(agent),
+                                              static_cast<double>(t - age)};
+            std::vector<double> expected = written;
+            if (age > 0) {
+              const double weight = 1.0 / (1.0 + static_cast<double>(age));
+              for (double& v : expected) v = weight * v;
+            }
+            const auto row = eng.ingest().row(r);
+            ASSERT_EQ(std::vector<double>(row.begin(), row.end()), expected)
+                << label << " row " << r << " (agent " << agent << ", age " << age << ")";
+            if (r > 0 && t - age != previous_birth) ++mixed_births;
+            previous_birth = t - age;
+          }
+          expect_same_stats(eng.stats(), reference.stats, label);
+        }
+        late_rows += static_cast<int>(eng.stats().late_rows);
+        stale_dropped += static_cast<int>(eng.stats().stale_dropped);
+      }
+    }
+  }
+  // The grid reaches what it is about: late and stale rows, and batches
+  // that mix birth rounds.
+  EXPECT_GT(late_rows, 0);
+  EXPECT_GT(stale_dropped, 0);
+  EXPECT_GT(mixed_births, 0);
 }
 
 // A Byzantine starter whose emitter returns false stays silent: its row is

@@ -137,12 +137,13 @@ TEST(AttackParity, MimicSmallestNoHonest) {
   expect_parity(attack::MimicSmallestFault{}, /*honest_count=*/0);
 }
 
-// The mean-based omniscient faults sweep the honest rows in coordinate tiles.
-// Dimensions on both sides of the tile width (and many tiles, with a ragged
-// last one), at 1, 4 and 45 honest rows, must still give the per-coordinate
-// column walk below bit for bit, and emit must still equal emit_into.
-constexpr auto kTile = static_cast<int>(attack::kHonestTileWidth);
-const int kTileDims[] = {1, kTile - 1, kTile, kTile + 1, 1000};
+// The mean-based omniscient faults sweep the honest rows in coordinate tiles
+// of 64, then 8, then 1.  Dimensions on both sides of each tile width (and
+// many tiles, with a ragged last one: 72 = 64 + 8, 1000 = 15 * 64 + 5 * 8),
+// at 1, 4 and 45 honest rows, must still give the per-coordinate column walk
+// below bit for bit, and emit must still equal emit_into.
+static_assert(attack::kHonestTileWidth == 64 && attack::kHonestNarrowTileWidth == 8);
+const int kTileDims[] = {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 1000};
 const int kHonestCounts[] = {1, 4, 45};
 
 /// The per-coordinate column walks the tiled kernels replaced, honest rows in

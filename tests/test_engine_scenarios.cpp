@@ -512,6 +512,113 @@ TEST(EngineDeliver, InPlaceCompactionMatchesACopyingTransport) {
   }
 }
 
+/// One round's plan as the produce and deliver phases see it: the agents
+/// handed to emit_honest and emit_faulty, the honest agents behind the
+/// faulty phase's view rows, and the agents the transport is called for.
+struct SeenPlan {
+  std::vector<int> honest;
+  std::vector<int> faulty;
+  std::vector<int> view;
+  std::vector<int> delivered;
+};
+
+/// Runs round t: every row carries its agent id, `silent` agents stay quiet
+/// and the transport refuses `refused` agents (both eliminate the sender).
+SeenPlan run_plan_round(engine::RoundEngine& eng, int t, const std::vector<int>& silent,
+                        const std::vector<int>& refused) {
+  SeenPlan seen;
+  eng.begin_round(t);
+  eng.emit_honest([&](int agent, std::span<double> row) {
+    seen.honest.push_back(agent);
+    std::fill(row.begin(), row.end(), agent);
+  });
+  eng.emit_faulty([&](int agent, std::span<double> row, const attack::HonestRowsView& view) {
+    seen.faulty.push_back(agent);
+    if (seen.view.empty()) {
+      for (int k = 0; k < view.count(); ++k) seen.view.push_back(static_cast<int>(view.row(k)[0]));
+    }
+    std::fill(row.begin(), row.end(), agent);
+    return std::ranges::find(silent, agent) == silent.end();
+  });
+  eng.deliver([&](int agent, std::span<const double> message, std::span<double> dst) {
+    seen.delivered.push_back(agent);
+    if (message.empty() || std::ranges::find(refused, agent) != refused.end()) return false;
+    EXPECT_EQ(message[0], agent);
+    engine::move_row(message, dst);
+    return true;
+  });
+  return seen;
+}
+
+TEST(EnginePlan, EliminatedAgentsLeaveTheNextRoundsPlan) {
+  // With every axis off the engine keeps its plan across rounds; an
+  // elimination must still take the agent out of the very next round and
+  // re-partition the honest and faulty rows.  Round 0 eliminates Byzantine
+  // agent 4 (silent), round 2 honest agent 2 (message refused).
+  engine::RoundEngineConfig config;
+  config.seed = 13;
+  engine::RoundEngine eng({0, 1, 0, 0, 1, 0}, 2, config);
+  eng.reset(2);
+  const std::vector<int> all{0, 1, 2, 3, 4, 5};
+  auto seen = run_plan_round(eng, 0, {4}, {});
+  EXPECT_EQ(seen.honest, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(seen.faulty, (std::vector<int>{1, 4}));
+  EXPECT_EQ(seen.delivered, all);
+  EXPECT_FALSE(eng.is_member(4));
+  EXPECT_EQ(eng.current_f(), 1);
+
+  for (int t = 1; t <= 2; ++t) {
+    seen = run_plan_round(eng, t, {}, t == 2 ? std::vector<int>{2} : std::vector<int>{});
+    EXPECT_FALSE(eng.is_present(4)) << "round " << t;
+    EXPECT_EQ(seen.honest, (std::vector<int>{0, 2, 3, 5})) << "round " << t;
+    EXPECT_EQ(seen.faulty, std::vector<int>{1}) << "round " << t;
+    EXPECT_EQ(seen.view, (std::vector<int>{0, 2, 3, 5})) << "round " << t;
+    EXPECT_EQ(seen.delivered, (std::vector<int>{0, 1, 2, 3, 5})) << "round " << t;
+  }
+  EXPECT_FALSE(eng.is_member(2));
+  seen = run_plan_round(eng, 3, {}, {});
+  EXPECT_FALSE(eng.is_present(2));
+  EXPECT_EQ(seen.honest, (std::vector<int>{0, 3, 5}));
+  EXPECT_EQ(seen.faulty, std::vector<int>{1});
+  EXPECT_EQ(seen.view, (std::vector<int>{0, 3, 5}));
+  EXPECT_EQ(seen.delivered, (std::vector<int>{0, 1, 3, 5}));
+  EXPECT_EQ(eng.ingest().rows(), 4);
+
+  // reset restores the full plan.
+  eng.reset(2);
+  seen = run_plan_round(eng, 0, {}, {});
+  EXPECT_EQ(seen.honest, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(seen.faulty, (std::vector<int>{1, 4}));
+  EXPECT_EQ(seen.delivered, all);
+}
+
+TEST(EnginePlan, ChurnDeparturesLeaveTheNextRoundsPlan) {
+  // The same for churn: Byzantine agent 1 leaves at round 1 and honest
+  // agent 3 at round 2, and each is gone from its round's plan on.
+  engine::RoundEngineConfig config;
+  config.seed = 13;
+  config.axes.churn = {{1, 1}, {2, 3}};
+  engine::RoundEngine eng({0, 1, 0, 0, 1, 0}, 2, config);
+  eng.reset(2);
+  auto seen = run_plan_round(eng, 0, {}, {});
+  EXPECT_EQ(seen.faulty, (std::vector<int>{1, 4}));
+  seen = run_plan_round(eng, 1, {}, {});
+  EXPECT_FALSE(eng.is_present(1));
+  EXPECT_EQ(seen.honest, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(seen.faulty, std::vector<int>{4});
+  EXPECT_EQ(seen.delivered, (std::vector<int>{0, 2, 3, 4, 5}));
+  EXPECT_EQ(eng.current_f(), 1);
+  for (int t = 2; t <= 3; ++t) {
+    seen = run_plan_round(eng, t, {}, {});
+    EXPECT_FALSE(eng.is_present(3)) << "round " << t;
+    EXPECT_EQ(seen.honest, (std::vector<int>{0, 2, 5})) << "round " << t;
+    EXPECT_EQ(seen.faulty, std::vector<int>{4}) << "round " << t;
+    EXPECT_EQ(seen.view, (std::vector<int>{0, 2, 5})) << "round " << t;
+    EXPECT_EQ(seen.delivered, (std::vector<int>{0, 2, 4, 5})) << "round " << t;
+  }
+  EXPECT_EQ(eng.departed_count(), 2);
+}
+
 TEST(EngineDeliver, MoveRowCopiesUnlessTheRowIsItsOwnDestination) {
   std::vector<double> rows{1.0, 2.0, 3.0, 4.0};
   const std::span<double> first(rows.data(), 2);

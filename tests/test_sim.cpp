@@ -3,6 +3,11 @@
 // callbacks, determinism, and trace series.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "abft/agg/average.hpp"
 #include "abft/agg/cge.hpp"
 #include "abft/attack/simple_faults.hpp"
@@ -130,6 +135,90 @@ TEST(Dgd, DropInjectionEliminatesHonestAgents) {
   sim::DgdSimulation simulation(fx.roster(), std::move(config));
   const agg::AverageAggregator average;
   EXPECT_THROW(simulation.run(average), std::invalid_argument);
+}
+
+// A lossy or recording network must keep taking its drop coins and writing
+// its transcript message by message, exactly as before the lossless deliver
+// fast path existed.  The expected values were recorded on these fixed seeds
+// with the per-message transmit_row loop; the transcript digest covers every
+// message's agent, round, delivery and payload bits (the drop sequence).
+struct LossyRun {
+  long sent = 0;
+  long dropped = 0;
+  int eliminated = 0;
+  std::size_t messages = 0;
+  std::uint64_t estimates = 0;
+  std::uint64_t transcript = 0;
+};
+
+std::uint64_t mix(std::uint64_t hash, std::uint64_t value) {
+  return (hash ^ value) * 0x100000001b3ULL;
+}
+
+std::uint64_t mix_bits(std::uint64_t hash, std::span<const double> values) {
+  for (const double v : values) hash = mix(hash, std::bit_cast<std::uint64_t>(v));
+  return hash;
+}
+
+LossyRun run_lossy(double drop_probability, bool record) {
+  constexpr int kAgents = 12;
+  constexpr int kDim = 3;
+  std::vector<opt::SquaredDistanceCost> costs;
+  for (int i = 0; i < kAgents; ++i) costs.emplace_back(Vector{1.0 * i, -1.0 * i, 0.5 * i});
+  std::vector<const opt::CostFunction*> cost_ptrs;
+  for (const auto& cost : costs) cost_ptrs.push_back(&cost);
+  auto roster = sim::honest_roster(cost_ptrs);
+  const attack::SilentFault silent;
+  const attack::RandomGaussianFault noisy(3.0);
+  sim::assign_fault(roster, 4, silent);
+  sim::assign_fault(roster, 9, noisy);
+  const opt::HarmonicSchedule schedule(0.5);
+  sim::DgdConfig config{Vector{5.0, -5.0, 1.0}, opt::Box::centered_cube(kDim, 10.0), &schedule,
+                        12, 2, 77};
+  config.drop_probability = drop_probability;
+  config.record_transcript = record;
+  sim::DgdSimulation simulation(std::move(roster), std::move(config));
+  const auto trace = simulation.run(agg::CgeAggregator{});
+
+  LossyRun run;
+  run.sent = simulation.network().messages_sent();
+  run.dropped = simulation.network().messages_dropped();
+  run.eliminated = trace.eliminated_agents;
+  run.estimates = 0xcbf29ce484222325ULL;
+  for (const auto& x : trace.estimates) run.estimates = mix_bits(run.estimates, x.coefficients());
+  const auto& transcript = simulation.network().transcript();
+  run.messages = transcript.size();
+  run.transcript = 0xcbf29ce484222325ULL;
+  for (const auto& message : transcript) {
+    run.transcript = mix(run.transcript, static_cast<std::uint64_t>(message.agent));
+    run.transcript = mix(run.transcript, static_cast<std::uint64_t>(message.round));
+    run.transcript = mix(run.transcript, message.payload.has_value() ? 1 : 0);
+    if (message.payload) run.transcript = mix_bits(run.transcript, message.payload->coefficients());
+  }
+  return run;
+}
+
+void expect_recorded(const LossyRun& run, const LossyRun& recorded, const char* label) {
+  EXPECT_EQ(run.sent, recorded.sent) << label;
+  EXPECT_EQ(run.dropped, recorded.dropped) << label;
+  EXPECT_EQ(run.eliminated, recorded.eliminated) << label;
+  EXPECT_EQ(run.messages, recorded.messages) << label;
+  EXPECT_EQ(run.estimates, recorded.estimates) << label;
+  EXPECT_EQ(run.transcript, recorded.transcript) << label;
+}
+
+TEST(Dgd, LossyAndRecordingNetworksDrawAndCountAsRecorded) {
+  constexpr std::uint64_t kNoTranscript = 0xcbf29ce484222325ULL;
+  expect_recorded(run_lossy(0.04, false),
+                  LossyRun{101, 5, 6, 0, 4989839340839946024ULL, kNoTranscript}, "drop 0.04");
+  expect_recorded(run_lossy(0.0, true),
+                  LossyRun{133, 0, 1, 133, 11412599242320469972ULL, 10812590001751541662ULL},
+                  "transcript");
+  expect_recorded(run_lossy(0.04, true),
+                  LossyRun{101, 5, 6, 101, 4989839340839946024ULL, 13801639363827219430ULL},
+                  "drop 0.04 + transcript");
+  // The lossless network counts the same messages as the recording one.
+  EXPECT_EQ(run_lossy(0.0, false).sent, run_lossy(0.0, true).sent);
 }
 
 TEST(Dgd, ObserverSeesEveryRound) {
