@@ -11,6 +11,7 @@
 #include <immintrin.h>
 #endif
 
+#include "abft/agg/rank_kernel.hpp"
 #include "abft/util/check.hpp"
 
 namespace abft::agg {
@@ -496,7 +497,7 @@ void lane_pass(const GradientBatch& batch, const int* const* ids, int lanes, int
       _mm512_store_pd(ci, d2);
       for (unsigned g = guard; g != 0; g &= g - 1) {
         const int t = std::countr_zero(g);
-        ci[t] = direct_sqdist(row(t, i), row(t, j), d);
+        ci[t] = detail::nan_as_inf(direct_sqdist(row(t, i), row(t, j), d));
       }
       _mm512_store_pd(cand + reg(j * m + i), _mm512_load_pd(ci));
     }

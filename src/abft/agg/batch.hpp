@@ -190,15 +190,10 @@ struct AggregatorWorkspace {
   std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (coreset pivot)
   std::vector<int> order;        ///< index permutation (n); Krum lane route: shard order
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
-  // Certified Krum scorer (krum.hpp detail::krum_select and the shard-lane
-  // route detail::krum_select_lanes): per-row score state (canonical / old /
-  // due for the old score), the interval that holds each row's old score,
-  // and every active row's candidate distances.  The lane route keeps all
-  // of them per row register, lane t for shard t (8 entries per row).
-  std::vector<unsigned char> krum_state;  ///< per-row score state (n)
-  std::vector<double> krum_cand;          ///< live x (live - 1) candidate rows
-  std::vector<double> krum_lo;            ///< interval lower ends (n)
-  std::vector<double> krum_hi;            ///< interval upper ends (n)
+  /// Every active row's Krum candidate distances (krum.hpp
+  /// detail::krum_select: live x (live - 1)); the shard-lane route keeps
+  /// them per row register, lane t for shard t (8 entries per candidate).
+  std::vector<double> krum_cand;
   // Bulyan fast-mode stage 1 (incremental iterated-Krum scores): per-row
   // distance-sorted neighbour ids, their inverse permutation, and the
   // per-row selection-prefix cursor / selected count.
@@ -320,8 +315,11 @@ struct AggregatorWorkspace {
   /// lane t equals the packed cell of shard t's gathered rows bit for bit:
   /// FMA chains over the whole 8-lane groups, the shared scalar
   /// leftover_dot of that lane's two rows, the lane-order sum, fnmadd and
-  /// the clamp, and guard lanes recomputed by the direct difference.
-  /// Requires small_d_kernels(d); exists in AVX-512 builds only.
+  /// the clamp, and guard lanes recomputed by the direct difference.  The
+  /// one difference: a NaN distance (the direct difference of two rows at
+  /// +inf in one coordinate) is stored as +inf (nan_as_inf), as
+  /// krum_select's candidate builder maps it.  Requires small_d_kernels(d);
+  /// exists in AVX-512 builds only.
   void sqdist_lanes_small_d(const GradientBatch& batch, const int* const* ids, int lanes,
                             int rows, double* cand);
 #endif

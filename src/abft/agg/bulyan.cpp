@@ -207,11 +207,10 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
   if (ws.mode == AggMode::fast) {
     select_stage1_incremental(ws, n, f, theta);
   } else {
-    // Each round scores the active rows with the certified Krum scorer
-    // (krum.hpp): rank-selected canonical sums, with the old nth_element +
-    // accumulate score recomputed for the rows whose rounding interval
-    // meets another's, so every round picks the row the old per-row
-    // nth_element scan picked.
+    // Each round scores the active rows with krum_select (krum.hpp): each
+    // keeps its `neighbors` smallest distances to active rows, ties going to
+    // the lower row index, which is the (distance, index) prefix the fast
+    // stage 1 above keeps.
     int pool = n;
     for (int round = 0; round < theta; ++round) {
       // The span path's relaxed_scores rejects a pool of fewer than two

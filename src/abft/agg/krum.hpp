@@ -15,14 +15,15 @@ namespace abft::agg {
 namespace detail {
 
 /// Longest candidate row (n - 1 distances for Krum, pool - 1 for a Bulyan
-/// round) that krum_select rank-selects; longer rows take the per-row
-/// nth_element route, because rank counting costs O(m^2 / lanes) per row
-/// against nth_element's O(m).  Measured once per ISA (per-row time of the
-/// two routes on uniform rows, k = m / 2, 4-vCPU AVX-512 guest): the rank
-/// route breaks even near m = 160 with AVX-512, 96 with AVX2 and 20 with
-/// SSE2, and is still 1.8x / 2.4x / 1.4x faster at the cutoffs below, which
-/// leaves room for the band recompute.  A constant, not a calibration: both
-/// routes select the same rows, so the cutoff only moves time.
+/// round) that krum_select scores by rank counts (smallest_k_sum); longer
+/// rows take smallest_k_sum_select (nth_element, then one keep pass),
+/// because rank counting costs O(m^2 / lanes) per row against O(m).
+/// Measured once per ISA (per-row time of the two routes on uniform rows,
+/// k = m / 2, GCC 12 -O3, 4-vCPU AVX-512 guest): the rank route breaks even
+/// near m = 200 with AVX-512, 96 with AVX2 and 30 with SSE2, and is 2.3x /
+/// 1.6x / 1.9x faster at the cutoffs below.  A constant, not a
+/// calibration: both routes give the same bits, so the cutoff only moves
+/// time.
 #if defined(__AVX512F__)
 inline constexpr int kKrumRankSelectMaxRow = 96;
 #elif defined(__AVX2__)
@@ -31,34 +32,18 @@ inline constexpr int kKrumRankSelectMaxRow = 48;
 inline constexpr int kKrumRankSelectMaxRow = 16;
 #endif
 
-/// Certified batched Krum scoring of rows [0, n) over the packed pairdist
-/// the workspace already holds (fill_pairwise_sqdist).  Row i's score sums
-/// its `neighbors` smallest distances to the other rows (to the other
-/// *active* rows when `active` is non-null; inactive rows get no score).
-///
-/// The old scorer partitioned each row with nth_element and summed the kept
-/// prefix with std::accumulate; its rounding depends on the partition
-/// order.  Here each row is first scored canonically (smallest_k_sum: rank
-/// counts and a laned masked sum, no partition, the same bits on every
-/// ISA).  Both sums add the same `neighbors` non-negative terms, so each
-/// lies within a relative neighbors * DBL_EPSILON / 2 of the exact sum, and
-/// an interval around the canonical score holds the old one.  Only rows
-/// whose interval meets another row's, plus rows with a tie at the k-th
-/// distance, get the old nth_element + accumulate score.  The mixed scores
-/// in ws.scores then have exactly the old strict order and ties, so a
-/// min_element scan, a strict-< scan or a stable_sort over them picks the
-/// rows the old scores picked; rows outside the band hold the canonical
-/// value, which can differ from the old one in the last bits.  Rows longer
-/// than kKrumRankSelectMaxRow, and every call where a score is not finite
-/// (overflow, NaN input), take the old route for every row.
-///
-/// On the rank-select route every active row's candidate list (its
-/// distances to the other active rows, ascending j) is built once from the
-/// packed triangle into ws.krum_cand; the canonical scores and the old-score
-/// recomputes both read it, and a recompute partitions a copy.  On
-/// AVX-512, smallest_k_sum keeps each 8-entry block's rank counts and
-/// masked sum in registers, with the lanes and reduction tree of its
-/// portable loop, so the canonical score has the same bits on every ISA.
+/// Batched Krum scoring of rows [0, n) over the packed pairdist the
+/// workspace already holds (fill_pairwise_sqdist).  Row i's score, written
+/// to ws.scores[i], is Krum's score (rank_kernel.hpp) of its candidate
+/// list: its distances to the other rows (to the other *active* rows when
+/// `active` is non-null; inactive rows get no score) in ascending j, a NaN
+/// distance as +inf.  That is the sum of its `neighbors` smallest
+/// distances, ties at the k-th broken toward the lower row index, in a
+/// fixed lane order and reduction tree: the same bits on every ISA and on
+/// both sides of kKrumRankSelectMaxRow, and never NaN.  Rows up to the
+/// cutoff have their lists built at once from the packed triangle into
+/// ws.krum_cand and scored by rank counts; longer rows are gathered one at
+/// a time and scored by selection.
 ///
 /// Returns the first active row with the lowest score.
 int krum_select(AggregatorWorkspace& ws, int n, int neighbors, const unsigned char* active);
@@ -79,20 +64,14 @@ bool krum_shard_lanes(const AggregatorWorkspace& ws, int max_rows, int d);
 /// triangle.  sqdist_lanes_small_d puts every row's candidate list in
 /// registers (in ws.krum_cand, register x of row i holding candidate x of
 /// every shard), and smallest_k_sum_lanes scores each row of the eight
-/// shards together through a Batcher network (sort_network.hpp).  Then
-/// each lane keeps krum_select's per-call semantics on its own: rows the
-/// network cannot certify (a tie at the k-th distance, a NaN candidate)
-/// take its per-row scorer; a lane with any non-finite score rescores
-/// every row the old way (the whole-call fallback); otherwise the band
-/// test marks the lane's rows due for the old score, which partitions a
-/// fresh copy of the row's candidates.  Shard t's row i score lands in
-/// ws.scores[8 i + t], and best[t] receives the shard's first row with the
-/// lowest score; unused lanes (t >= lanes) hold zero rows, decide nothing
-/// and get no best[t].  The bit contract: every score
-/// and every pick equals krum_select's over the shard's gathered rows and
-/// their packed triangle, whatever the lane and the other shards, so the
-/// Multi-Krum stable order and both rules' outputs do too.  Requires
-/// krum_shard_lanes(ws, rows, d) and 1 <= neighbors <= rows - 1.
+/// shards together through a Batcher network (sort_network.hpp).  Shard
+/// t's row i score lands in ws.scores[8 i + t], and best[t] receives the
+/// shard's first row with the lowest score; unused lanes (t >= lanes) hold
+/// zero rows, decide nothing and get no best[t].  The bit contract: every
+/// score and every pick equals krum_select's over the shard's gathered
+/// rows and their packed triangle, whatever the lane and the other shards,
+/// so the Multi-Krum stable order and both rules' outputs do too.
+/// Requires krum_shard_lanes(ws, rows, d) and 1 <= neighbors <= rows - 1.
 void krum_select_lanes(AggregatorWorkspace& ws, const GradientBatch& batch,
                        const int* const* ids, int lanes, int rows, int neighbors, int* best);
 
@@ -114,7 +93,8 @@ class KrumAggregator final : public GradientAggregator {
     return n < 3 ? -1 : (n - 3) / 2;
   }
 
-  /// Krum scores for all gradients (exposed for tests and Bulyan).
+  /// Krum scores for all gradients (exposed for tests and Bulyan): squared
+  /// linalg::distance candidates, scored with krum_select's definition.
   [[nodiscard]] static std::vector<double> scores(std::span<const Vector> gradients, int f);
 
   /// Batched Krum scores, written into workspace.scores by
@@ -122,10 +102,6 @@ class KrumAggregator final : public GradientAggregator {
   /// pairwise squared-distance matrix in workspace.pairdist via the Gram
   /// identity; Krum and Multi-Krum both score from it (Bulyan's exact stage
   /// 1 runs krum_select over the same matrix with an active-row mask).
-  /// Selections equal the old nth_element scorer's: the returned row and
-  /// the stable_sort order of workspace.scores.  Rows outside the rounding
-  /// band hold canonical scores, which may differ from the old values in
-  /// the last bits.
   static int batched_scores(const GradientBatch& batch, int f, AggregatorWorkspace& workspace);
 
   /// Scores with the neighbour count clamped to at least one — used by

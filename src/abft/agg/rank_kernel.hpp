@@ -1,6 +1,6 @@
 // Internal: branchless rank-count kernel shared by the coordinate-wise
-// filters (CWTM, CWMed) and, through smallest_k_sum, the certified Krum
-// scorer (krum.hpp).  For a contiguous column of n doubles it computes
+// filters (CWTM, CWMed) and, through smallest_k_sum, the Krum scorer
+// (krum.hpp).  For a contiguous column of n doubles it computes
 //
 //   lt[j] = #{ i : col[i] < col[j] }        for every j in [0, n)
 //
@@ -14,9 +14,17 @@
 // register of columns-entries per instruction on AVX-512/AVX2, with a
 // portable auto-vectorizable fallback elsewhere.
 //
-// smallest_k_sum_lanes (AVX-512) gives smallest_k_sum's bits for eight rows
-// at once from a sorting network instead of rank counts: the small-leaf
-// Krum route's scorer.
+// Krum's score of a candidate row x[0, m) is defined here, once: the sum of
+// its k smallest entries, ties at the k-th broken toward the lower index (so
+// exactly k are kept), added into lane j mod 8 in ascending j and reduced
+// with lane_tree.  Krum's candidates are squared distances, >= 0 or +inf
+// (the candidate builders map a NaN distance to +inf with nan_as_inf), so
+// the score is never NaN; it is the same on every ISA.  Three routes
+// compute it with the same bits:
+// smallest_k_sum (rank counts with an index tie-break, short rows),
+// smallest_k_sum_select (nth_element finds the k-th value, long rows) and
+// smallest_k_sum_lanes (AVX-512: eight rows at once from a sorting
+// network, the small-leaf Krum route).
 #pragma once
 
 #include <algorithm>
@@ -52,17 +60,38 @@ inline __mmask8 block_lanes(int rem) {
   return rem >= 8 ? static_cast<__mmask8>(0xFF) : static_cast<__mmask8>((1u << rem) - 1);
 }
 
+/// Adds to lane t of vcnt the i in [begin, end) with col[i] `Cmp` vx[t].
+template <int Cmp>
+inline __m512i count_where(const double* col, int begin, int end, __m512d vx, __m512i vcnt) {
+  const __m512i ones = _mm512_set1_epi64(1);
+  for (int i = begin; i < end; ++i) {
+    const __mmask8 hit = _mm512_cmp_pd_mask(_mm512_set1_pd(col[i]), vx, Cmp);
+    vcnt = _mm512_mask_add_epi64(vcnt, hit, vcnt, ones);
+  }
+  return vcnt;
+}
+
 /// Rank counts of the 8-entry block vx against col[0, n), in registers:
 /// lane t counts the col[i] < vx[t].
 inline __m512i block_rank_counts(const double* col, int n, __m512d vx) {
+  return count_where<_CMP_LT_OQ>(col, 0, n, vx, _mm512_setzero_si512());
+}
+
+/// block_rank_counts of the block col[j0, j0 + 8) with ties broken by
+/// index: lane t also counts the i < j0 + t with col[i] == vx[t], so a
+/// NaN-free column's counts are a permutation of 0..n-1.
+inline __m512i block_stable_ranks(const double* col, int n, int j0, __m512d vx) {
   const __m512i ones = _mm512_set1_epi64(1);
-  __m512i vcnt = _mm512_setzero_si512();
-  for (int i = 0; i < n; ++i) {
+  __m512i vcnt = count_where<_CMP_LE_OQ>(col, 0, j0, vx, _mm512_setzero_si512());
+  const int end = std::min(j0 + 8, n);
+  for (int i = j0; i < end; ++i) {
     const __m512d vy = _mm512_set1_pd(col[i]);
-    const __mmask8 is_lt = _mm512_cmp_pd_mask(vy, vx, _CMP_LT_OQ);
-    vcnt = _mm512_mask_add_epi64(vcnt, is_lt, vcnt, ones);
+    const auto later = static_cast<__mmask8>(0xFFu << (i - j0 + 1));  // lanes past i's own
+    const __mmask8 hit = _mm512_cmp_pd_mask(vy, vx, _CMP_LT_OQ) |
+                         _mm512_mask_cmp_pd_mask(later, vy, vx, _CMP_EQ_OQ);
+    vcnt = _mm512_mask_add_epi64(vcnt, hit, vcnt, ones);
   }
-  return vcnt;
+  return count_where<_CMP_LT_OQ>(col, end, n, vx, vcnt);
 }
 #endif
 
@@ -101,55 +130,75 @@ inline void rank_counts(const double* col, int n, std::int64_t* lt) {
 #endif
 }
 
-/// Sum of the entries of x[0, m) that have fewer than k strictly smaller
-/// entries, computed from the rank counts without a branch or a partition;
-/// *kept receives how many entries were summed.  kept == k exactly when the
-/// k-th and (k+1)-th smallest entries differ, and then the summed entries
-/// are the k smallest (a multiset of values, so any selection of them sums
-/// the same terms).  A NaN entry has no strictly smaller entries and is
-/// always kept, so the sum is NaN.  m <= kRankKernelCapacity.
-///
-/// Entry j goes to lane j mod 8, lanes add in ascending j, and the eight
-/// lanes reduce as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), so the sum is
-/// the same on every ISA; it is not a sequential sum, so a caller comparing
-/// it against one must allow for the rounding (see krum_select).
-inline double smallest_k_sum(const double* x, int m, int k, int* kept) {
+/// A candidate distance as Krum's score counts it: NaN (the direct
+/// difference of two rows at +inf in one coordinate) is +inf.
+inline double nan_as_inf(double v) {
+  return v == v ? v : std::numeric_limits<double>::infinity();
+}
+
+/// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)): the reduction of the
+/// Krum score's eight lanes.
+inline double lane_tree(const double* l) {
+  return ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+}
+
+/// Krum's score of x[0, m) (see the top of this file) by rank counts:
+/// entry j is kept when fewer than k entries precede it in (value, index)
+/// order, with no branch or partition; an unkept entry adds +0.0 to its
+/// lane.  No NaN entries; 1 <= k <= m <= kRankKernelCapacity.
+inline double smallest_k_sum(const double* x, int m, int k) {
   constexpr int kLanes = 8;
   alignas(64) double lanes[kLanes] = {0.0};
-  std::int64_t count = 0;
 #if defined(__AVX512F__)
-  // Each block's rank counts and masked kept-sum stay in registers; an
-  // unkept entry adds +0.0 to its lane, as in the portable loop below.
+  // Each block's rank counts and masked kept-sum stay in registers.
   const __m512i vk = _mm512_set1_epi64(k);
   __m512d acc = _mm512_setzero_pd();
   for (int j0 = 0; j0 < m; j0 += kLanes) {
     const __mmask8 lane_mask = block_lanes(m - j0);
     const __m512d vx = _mm512_maskz_loadu_pd(lane_mask, x + j0);
     const __mmask8 keep =
-        _mm512_mask_cmplt_epi64_mask(lane_mask, block_rank_counts(x, m, vx), vk);
+        _mm512_mask_cmplt_epi64_mask(lane_mask, block_stable_ranks(x, m, j0, vx), vk);
     acc = _mm512_add_pd(acc, _mm512_maskz_mov_pd(keep, vx));
-    count += std::popcount(static_cast<unsigned>(keep));
   }
   _mm512_store_pd(lanes, acc);
 #else
-  std::int64_t lt[kRankKernelCapacity];
-  rank_counts(x, m, lt);
+  // rank[j] = #{i < j : x[i] <= x[j]} + #{i > j : x[i] < x[j]}; the inner
+  // loops vectorize.
+  std::int64_t rank[kRankKernelCapacity];
+  for (int j = 0; j < m; ++j) rank[j] = 0;
+  for (int i = 0; i < m; ++i) {
+    const double y = x[i];
+    for (int j = 0; j < i; ++j) rank[j] += y < x[j] ? 1 : 0;
+    for (int j = i + 1; j < m; ++j) rank[j] += y <= x[j] ? 1 : 0;
+  }
   // An all-ones/all-zeros bit mask selects x or +0.0 (x * keep would turn
   // an unkept +inf into NaN).
-  for (int j0 = 0; j0 < m; j0 += kLanes) {
-    const int width = std::min(kLanes, m - j0);
-    for (int t = 0; t < width; ++t) {
-      const std::int64_t keep = lt[j0 + t] < k ? 1 : 0;
-      const auto bits = std::bit_cast<std::uint64_t>(x[j0 + t]) &
-                        (std::uint64_t{0} - static_cast<std::uint64_t>(keep));
-      lanes[t] += std::bit_cast<double>(bits);
-      count += keep;
-    }
+  for (int j = 0; j < m; ++j) {
+    const auto keep = static_cast<std::uint64_t>(rank[j] < k ? 1 : 0);
+    lanes[j % kLanes] +=
+        std::bit_cast<double>(std::bit_cast<std::uint64_t>(x[j]) & (std::uint64_t{0} - keep));
   }
 #endif
-  *kept = static_cast<int>(count);
-  return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
-         ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+  return lane_tree(lanes);
+}
+
+/// Krum's score of x[0, m), any m, in O(m): nth_element on a copy in
+/// scratch[0, m) finds t, the k-th smallest entry, then one pass in
+/// ascending j keeps the entries < t and the first k - #{< t} entries equal
+/// to t.  smallest_k_sum's bits; no NaN entries, 1 <= k <= m.
+inline double smallest_k_sum_select(const double* x, int m, int k, double* scratch) {
+  std::copy(x, x + m, scratch);
+  std::nth_element(scratch, scratch + (k - 1), scratch + m);
+  const double t = scratch[k - 1];
+  int ties = k;  // entries equal to t still to keep; every entry < t precedes the k-th
+  for (int j = 0; j + 1 < k; ++j) ties -= scratch[j] < t ? 1 : 0;
+  double lanes[8] = {0.0};
+  for (int j = 0; j < m; ++j) {
+    const bool tie = x[j] == t && ties > 0;
+    ties -= tie ? 1 : 0;
+    if (x[j] < t || tie) lanes[j % 8] += x[j];
+  }
+  return lane_tree(lanes);
 }
 
 #if defined(__AVX512F__)
@@ -159,18 +208,16 @@ inline double smallest_k_sum(const double* x, int m, int k, int* kept) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-/// smallest_k_sum of eight rows at once, one row per lane, through Batcher's
+/// Krum's score of eight rows at once, one row per lane, through Batcher's
 /// network on P = 8, 16, 24 or 32 inputs: register x of `cand` (doubles
 /// [8 x, 8 x + 8)) holds entry x of every row, x < m <= P, and the network
-/// sees +inf in registers m .. P - 1.  With s the sorted copy and
-/// t = s[k - 1], a row keeps exactly k entries iff k == m or s[k] != t, and
-/// then the entries x <= t are the k smallest_k_sum keeps: they are summed
-/// into lane x mod 8 in ascending x (an unkept entry adds +0.0) and reduced
-/// with smallest_k_sum's tree, so the row's sum has its bits.  Rows with a
-/// tie at the k-th entry or a NaN entry are set in *uncertified, and their
-/// sums are unspecified.  1 <= k <= m.
+/// sees +inf in registers m .. P - 1.  With t = s[k - 1] of the sorted copy
+/// s, each lane keeps the entries < t and the first k - #{< t} entries
+/// equal to t in ascending x, sums them into lane x mod 8 (an unkept entry
+/// adds +0.0) and reduces with lane_tree's tree: smallest_k_sum's bits for
+/// every row.  No NaN entries; 1 <= k <= m.
 template <int P>
-inline __m512d smallest_k_sum_network(const double* cand, int m, int k, __mmask8* uncertified) {
+inline __m512d smallest_k_sum_network(const double* cand, int m, int k) {
   constexpr int kLanes = 8;
   const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
   __m512d s[P];
@@ -185,8 +232,15 @@ inline __m512d smallest_k_sum_network(const double* cand, int m, int k, __mmask8
 #pragma GCC unroll 32
   for (int x = 0; x < P; ++x) _mm512_store_pd(sorted + x * kLanes, s[x]);
   const __m512d t = _mm512_load_pd(sorted + (k - 1) * kLanes);
-  __mmask8 flagged =
-      k < m ? _mm512_cmp_pd_mask(_mm512_load_pd(sorted + k * kLanes), t, _CMP_EQ_OQ) : 0;
+  const __m512i one = _mm512_set1_epi64(1);
+  // Per lane, the entries equal to t to keep (every entry < t precedes the
+  // k-th), and how many the pass has met so far.
+  __m512i ties = _mm512_set1_epi64(k);
+  for (int x = 0; x + 1 < k; ++x) {
+    const __mmask8 below = _mm512_cmp_pd_mask(_mm512_load_pd(sorted + x * kLanes), t, _CMP_LT_OQ);
+    ties = _mm512_mask_sub_epi64(ties, below, ties, one);
+  }
+  __m512i seen = _mm512_setzero_si512();
   __m512d lanes[kLanes];
   for (int b = 0; b < kLanes; ++b) lanes[b] = _mm512_setzero_pd();
   for (int x0 = 0; x0 < m; x0 += kLanes) {
@@ -194,24 +248,25 @@ inline __m512d smallest_k_sum_network(const double* cand, int m, int k, __mmask8
     for (int b = 0; b < kLanes; ++b) {
       if (x0 + b == m) break;
       const __m512d c = _mm512_loadu_pd(cand + (x0 + b) * kLanes);
-      flagged |= _mm512_cmp_pd_mask(c, c, _CMP_UNORD_Q);
-      const __mmask8 keep = _mm512_cmp_pd_mask(c, t, _CMP_LE_OQ);
+      const __mmask8 tie = _mm512_cmp_pd_mask(c, t, _CMP_EQ_OQ);
+      seen = _mm512_mask_add_epi64(seen, tie, seen, one);
+      const __mmask8 keep = _mm512_cmp_pd_mask(c, t, _CMP_LT_OQ) |
+                            _mm512_mask_cmple_epi64_mask(tie, seen, ties);
       lanes[b] = _mm512_add_pd(lanes[b], _mm512_maskz_mov_pd(keep, c));
     }
   }
-  *uncertified = flagged;
   return _mm512_add_pd(
       _mm512_add_pd(_mm512_add_pd(lanes[0], lanes[4]), _mm512_add_pd(lanes[2], lanes[6])),
       _mm512_add_pd(_mm512_add_pd(lanes[1], lanes[5]), _mm512_add_pd(lanes[3], lanes[7])));
 }
 
 /// smallest_k_sum_network at the smallest P >= m.  m <= 32.
-inline __m512d smallest_k_sum_lanes(const double* cand, int m, int k, __mmask8* uncertified) {
+inline __m512d smallest_k_sum_lanes(const double* cand, int m, int k) {
   switch ((m + 7) / 8) {
-    case 1: return smallest_k_sum_network<8>(cand, m, k, uncertified);
-    case 2: return smallest_k_sum_network<16>(cand, m, k, uncertified);
-    case 3: return smallest_k_sum_network<24>(cand, m, k, uncertified);
-    default: return smallest_k_sum_network<32>(cand, m, k, uncertified);
+    case 1: return smallest_k_sum_network<8>(cand, m, k);
+    case 2: return smallest_k_sum_network<16>(cand, m, k);
+    case 3: return smallest_k_sum_network<24>(cand, m, k);
+    default: return smallest_k_sum_network<32>(cand, m, k);
   }
 }
 #pragma GCC diagnostic pop

@@ -7,8 +7,10 @@
 // scores, pick, Multi-Krum order and output equal the per-leaf packed
 // route's bit for bit: the shard's rows gathered into their own batch, the
 // packed triangle filled, then krum_select.  That route is the oracle here,
-// and every comparison is bitwise.  A lane must not depend on the lane it
-// lands in, on the other shards of its group, or on the thread count.
+// and every comparison is bitwise; the packed leaf's scores are in turn
+// checked against the scalar reference of Krum's score
+// (krum_reference.hpp).  A lane must not depend on the lane it lands in, on
+// the other shards of its group, or on the thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "abft/agg/krum.hpp"
 #include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
+#include "krum_reference.hpp"
 
 namespace {
 
@@ -66,8 +69,8 @@ void duplicate_rows(GradientBatch& batch, int from, int first, int last) {
 /// every pair takes the cancellation guard); tied (a third of the rows copy
 /// row 0); duplicate (every row equal); zero rows; and non-finite ones: a
 /// NaN coordinate, one +inf row, two rows at +inf in the same coordinate (a
-/// NaN distance between them), and one row at 1e154 (its distances
-/// overflow to +inf, so the shard takes the whole-leaf fallback).
+/// NaN distance between them, counted as +inf), and one row at 1e154 (its
+/// distances overflow to +inf).
 std::vector<std::pair<std::string, GradientBatch>> shard_kinds(int n, int d, std::uint64_t seed) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::pair<std::string, GradientBatch>> kinds;
@@ -130,9 +133,11 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// The per-leaf packed route on one gathered shard: its scores and pick.
+/// The per-leaf packed route on one gathered shard: its scores and pick,
+/// and the reference scores of its packed triangle.
 struct LeafResult {
   std::vector<double> scores;
+  std::vector<double> reference;
   int best = -1;
 };
 
@@ -140,9 +145,17 @@ LeafResult packed_leaf(const GradientBatch& shard, AggMode mode, int neighbors) 
   AggregatorWorkspace ws;
   ws.mode = mode;
   ws.fill_pairwise_sqdist(shard);
+  const int n = shard.rows();
   LeafResult r;
-  r.best = agg::detail::krum_select(ws, shard.rows(), neighbors, nullptr);
+  r.best = agg::detail::krum_select(ws, n, neighbors, nullptr);
   r.scores = ws.scores;
+  std::vector<double> row(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ws.gather_pair_row(i, n, row.data());
+    std::vector<double> cand(row);
+    cand.erase(cand.begin() + i);
+    r.reference.push_back(krum_reference::score(cand, neighbors));
+  }
   return r;
 }
 
@@ -216,6 +229,7 @@ TEST(KrumLanes, EveryShardMatchesThePackedLeafInAnyLane) {
                     std::to_string(rows) + " d=" + std::to_string(d) + " k=" + std::to_string(k) +
                     " lane=" + std::to_string(t) + " of " + std::to_string(lanes);
                 ASSERT_TRUE(same_bytes(got, expected.scores)) << where;
+                ASSERT_TRUE(same_bytes(got, expected.reference)) << where;
                 ASSERT_EQ(best[t], expected.best) << where;
                 ASSERT_EQ(stable_order(got), stable_order(expected.scores)) << where;
               }

@@ -1,19 +1,23 @@
-// Oracle tests for the certified Krum scorer (krum.hpp detail::krum_select).
+// Reference tests for the batched Krum scorer (krum.hpp detail::krum_select).
 //
-// The batched Krum, Multi-Krum and exact Bulyan stage-1 paths used to score
-// every row by nth_element + std::accumulate over its gathered distances.
-// krum_select scores rows canonically (rank counts + masked sum) and
-// recomputes that old score only for rows whose order the rounding could
-// change.  Its contract is that every selection stays bit-identical, so the
-// oracle here is a test-local copy of the old scorer run over the library's
-// own packed pairdist, and every comparison is bitwise: the selected row,
-// the Multi-Krum order, and the aggregate output.
+// Krum's score has one definition (rank_kernel.hpp): the sum of a row's k
+// smallest candidate distances, ties at the k-th broken toward the lower
+// index, a NaN candidate counted as +inf, added into lane j mod 8 in
+// ascending j and reduced with a fixed tree.  The oracle here is a scalar
+// copy of that definition (krum_reference.hpp) run over the library's own
+// packed pairdist, and every comparison is bitwise: each row's score, the
+// selected row, the Multi-Krum order and the aggregate output, in all
+// three lanes and on both sides of kKrumRankSelectMaxRow.  A second check
+// ties the definition to the exact sums: wherever two reference scores
+// differ by more than the rounding band, they order as the sorted
+// long-double sums do.
 //
 // Bulyan is compared in exact mode only: its fast-mode stage 1 is the
-// incremental scorer, which krum_select does not touch.
+// incremental scorer, which krum_select does not run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -26,9 +30,10 @@
 #include "abft/agg/cwtm.hpp"
 #include "abft/agg/hierarchy.hpp"
 #include "abft/agg/krum.hpp"
-#include "abft/agg/rank_kernel.hpp"
 #include "abft/agg/threads.hpp"
+#include "abft/linalg/vector.hpp"
 #include "abft/util/rng.hpp"
+#include "krum_reference.hpp"
 
 namespace {
 
@@ -56,33 +61,33 @@ void configure(AggregatorWorkspace& ws, const Lane& lane) {
   ws.precision = lane.precision;
 }
 
-// --- the old scorer --------------------------------------------------------
+// --- the reference ---------------------------------------------------------
 
-/// Row i's distances to the other (active) rows in ascending-j order, then
-/// nth_element + accumulate: the score every batched path computed before.
-double old_score(const AggregatorWorkspace& ws, int i, int n, int neighbors,
-                 const std::vector<unsigned char>* active) {
+/// Row i's candidates: its distances to the other (active) rows in
+/// ascending j, from the filled workspace.
+std::vector<double> candidates(const AggregatorWorkspace& ws, int i, int n,
+                               const std::vector<unsigned char>* active) {
   std::vector<double> row(static_cast<std::size_t>(n));
   ws.gather_pair_row(i, n, row.data());
-  std::vector<double> dists;
+  std::vector<double> cand;
   for (int j = 0; j < n; ++j) {
     if (j != i && (active == nullptr || (*active)[static_cast<std::size_t>(j)] != 0)) {
-      dists.push_back(row[static_cast<std::size_t>(j)]);
+      cand.push_back(row[static_cast<std::size_t>(j)]);
     }
   }
-  std::nth_element(dists.begin(), dists.begin() + (neighbors - 1), dists.end());
-  return std::accumulate(dists.begin(), dists.begin() + neighbors, 0.0);
+  return cand;
 }
 
-std::vector<double> old_scores(const AggregatorWorkspace& ws, int n, int neighbors) {
+std::vector<double> reference_scores(const AggregatorWorkspace& ws, int n, int neighbors) {
   std::vector<double> scores(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    scores[static_cast<std::size_t>(i)] = old_score(ws, i, n, neighbors, nullptr);
+    scores[static_cast<std::size_t>(i)] =
+        krum_reference::score(candidates(ws, i, n, nullptr), neighbors);
   }
   return scores;
 }
 
-int old_argmin(const std::vector<double>& scores) {
+int first_lowest(const std::vector<double>& scores) {
   return static_cast<int>(std::min_element(scores.begin(), scores.end()) - scores.begin());
 }
 
@@ -95,22 +100,22 @@ std::vector<int> stable_order(const std::vector<double>& scores) {
   return order;
 }
 
-Vector old_krum(const GradientBatch& batch, int f, const Lane& lane) {
+Vector reference_krum(const GradientBatch& batch, int f, const Lane& lane) {
   AggregatorWorkspace ws;
   configure(ws, lane);
   ws.fill_pairwise_sqdist(batch);
   const int n = batch.rows();
-  return batch.unpack_row(old_argmin(old_scores(ws, n, n - f - 2)));
+  return batch.unpack_row(first_lowest(reference_scores(ws, n, n - f - 2)));
 }
 
-Vector old_multikrum(const GradientBatch& batch, int f, const Lane& lane) {
+Vector reference_multikrum(const GradientBatch& batch, int f, const Lane& lane) {
   AggregatorWorkspace ws;
   configure(ws, lane);
   ws.fill_pairwise_sqdist(batch);
   const int n = batch.rows();
   const int d = batch.cols();
   const int m = n - f;
-  const auto order = stable_order(old_scores(ws, n, n - f - 2));
+  const auto order = stable_order(reference_scores(ws, n, n - f - 2));
   std::vector<double> acc(static_cast<std::size_t>(d), 0.0);
   for (int s = 0; s < m; ++s) {
     const auto row = batch.row(order[static_cast<std::size_t>(s)]);
@@ -123,9 +128,10 @@ Vector old_multikrum(const GradientBatch& batch, int f, const Lane& lane) {
   return Vector(std::move(acc));
 }
 
-/// The old exact Bulyan: iterated old-score argmin over the active rows,
-/// then the exact stage 2 (sort, median, sort by distance to it).
-Vector old_bulyan_exact(const GradientBatch& batch, int f) {
+/// Exact Bulyan from the reference: iterated first-lowest reference score
+/// over the active rows, then the exact stage 2 (sort, median, sort by
+/// distance to it).
+Vector reference_bulyan_exact(const GradientBatch& batch, int f) {
   AggregatorWorkspace ws;
   ws.fill_pairwise_sqdist(batch);
   const int n = batch.rows();
@@ -141,7 +147,7 @@ Vector old_bulyan_exact(const GradientBatch& batch, int f) {
     double best_score = 0.0;
     for (int i = 0; i < n; ++i) {
       if (active[static_cast<std::size_t>(i)] == 0) continue;
-      const double score = old_score(ws, i, n, neighbors, &active);
+      const double score = krum_reference::score(candidates(ws, i, n, &active), neighbors);
       if (best < 0 || score < best_score) {
         best = i;
         best_score = score;
@@ -189,19 +195,24 @@ Vector run_rule(const Rule& rule, const GradientBatch& batch, int f, const Lane&
   return out;
 }
 
-/// krum_select against the old scorer on one filled workspace, for every
-/// f in `fs`: the argmin it returns and the stable_sort order of its
-/// scores.
-void expect_selections_match(AggregatorWorkspace& ws, int n, const std::vector<int>& fs,
-                             const std::string& where) {
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// krum_select against the reference on one filled workspace, for every f
+/// in `fs`: every score bit for bit (none of them NaN) and the row it
+/// returns.
+void expect_scores_match(AggregatorWorkspace& ws, int n, const std::vector<int>& fs,
+                         const std::string& where) {
   for (const int f : fs) {
     const int neighbors = n - f - 2;
-    const auto old = old_scores(ws, n, neighbors);
-    const int old_best = old_argmin(old);
-    const auto old_order = stable_order(old);
-    EXPECT_EQ(agg::detail::krum_select(ws, n, neighbors, nullptr), old_best)
+    const auto expected = reference_scores(ws, n, neighbors);
+    EXPECT_EQ(agg::detail::krum_select(ws, n, neighbors, nullptr), first_lowest(expected))
         << where << " f=" << f;
-    EXPECT_EQ(stable_order(ws.scores), old_order) << where << " f=" << f;
+    EXPECT_TRUE(same_bytes(ws.scores, expected)) << where << " f=" << f;
+    EXPECT_TRUE(std::none_of(ws.scores.begin(), ws.scores.end(),
+                             [](double s) { return std::isnan(s); }))
+        << where << " f=" << f;
   }
 }
 
@@ -210,15 +221,16 @@ void expect_outputs_match(const GradientBatch& batch, const std::vector<int>& fs
   const agg::KrumAggregator krum;
   const agg::MultiKrumAggregator multikrum;
   for (const int f : fs) {
-    EXPECT_TRUE(bitwise_equal(run_rule(krum, batch, f, lane), old_krum(batch, f, lane)))
+    EXPECT_TRUE(bitwise_equal(run_rule(krum, batch, f, lane), reference_krum(batch, f, lane)))
         << where << " krum f=" << f;
-    EXPECT_TRUE(bitwise_equal(run_rule(multikrum, batch, f, lane), old_multikrum(batch, f, lane)))
+    EXPECT_TRUE(
+        bitwise_equal(run_rule(multikrum, batch, f, lane), reference_multikrum(batch, f, lane)))
         << where << " multikrum f=" << f;
   }
 }
 
-/// Every usable Krum f at n, or (for the rows past the rank-select cutoff,
-/// where both routes run the same nth_element code) a spread of them.
+/// Every usable Krum f at n, or (for the large sizes, where a full sweep is
+/// slow) a spread of them.
 std::vector<int> krum_fs(int n, bool every) {
   const int max_f = (n - 3) / 2;
   std::vector<int> fs;
@@ -226,7 +238,7 @@ std::vector<int> krum_fs(int n, bool every) {
     for (int f = 0; f <= max_f; ++f) fs.push_back(f);
   } else {
     for (const int f : {0, 1, max_f / 3, max_f / 2, max_f - 1, max_f}) {
-      if (f >= 0 && (fs.empty() || fs.back() < f)) fs.push_back(f);
+      if (f >= 0 && f <= max_f && (fs.empty() || fs.back() < f)) fs.push_back(f);
     }
   }
   return fs;
@@ -251,9 +263,13 @@ void duplicate_rows(GradientBatch& batch, int from, int first, int last) {
   }
 }
 
-/// The batches every size runs through: generic, mimicked, degenerate and
-/// huge (1e150 keeps the canonical route; 1e154 overflows the distances to
-/// +inf and takes the old route for the whole call).
+/// The batches every size runs through: generic, mimicked, degenerate,
+/// huge (at 1e150 the distances stay finite; at 1e154 they overflow to
+/// +inf, and mimicked rows next to one row at 1e200 mix tied, finite and
+/// infinite scores) and non-finite: two rows at +inf in one coordinate
+/// (the guard's direct difference inf - inf gives their distance NaN, which
+/// Krum counts as +inf) and a NaN coordinate (the distance clamp maps its
+/// distances to 0; screening such rows is outside the scorer).
 std::vector<std::pair<std::string, GradientBatch>> batch_family(int n, int d, std::uint64_t seed) {
   std::vector<std::pair<std::string, GradientBatch>> family;
   family.emplace_back("random", random_batch(n, d, seed));
@@ -270,6 +286,17 @@ std::vector<std::pair<std::string, GradientBatch>> batch_family(int n, int d, st
   family.emplace_back("zero-rows", std::move(zeros));
   family.emplace_back("scale-1e150", random_batch(n, d, seed + 4, 1e150));
   family.emplace_back("scale-1e154", random_batch(n, d, seed + 5, 1e154));
+  auto mimic_huge = random_batch(n, d, seed + 8);
+  duplicate_rows(mimic_huge, 0, 1, std::max(1, n / 3));
+  for (auto& v : mimic_huge.row(n - 1)) v = 1e200;
+  family.emplace_back("mimic-huge", std::move(mimic_huge));
+  auto inf_pair = random_batch(n, d, seed + 6);
+  inf_pair.row(0)[0] = std::numeric_limits<double>::infinity();
+  inf_pair.row(n - 1)[0] = std::numeric_limits<double>::infinity();
+  family.emplace_back("inf-pair", std::move(inf_pair));
+  auto nan = random_batch(n, d, seed + 7);
+  nan.row(n / 2)[d - 1] = std::numeric_limits<double>::quiet_NaN();
+  family.emplace_back("nan-row", std::move(nan));
   return family;
 }
 
@@ -285,29 +312,37 @@ std::vector<int> test_sizes() {
 
 // --- tests -----------------------------------------------------------------
 
-TEST(KrumSelect, SelectionsMatchTheOldScorerOnEveryBatchAndLane) {
+TEST(KrumSelect, ScoresMatchTheReferenceOnEveryBatchAndLane) {
   for (const int n : test_sizes()) {
-    // Rows past the cutoff take the old route row for row; a spread of f
-    // and one generic batch cover them without the full quadratic sweep.
+    // Past the cutoff a spread of f covers the long-row route without the
+    // full quadratic sweep.
     const bool past_cutoff = n > agg::detail::kKrumRankSelectMaxRow + 2;
     const auto fs = krum_fs(n, !past_cutoff);
     const int d = n < 30 ? 3 : 17;
     for (const auto& lane : kLanes) {
-      auto family = batch_family(n, d, 1000 + static_cast<std::uint64_t>(n));
-      if (past_cutoff) family.resize(1);
-      for (const auto& [label, batch] : family) {
+      for (const auto& [label, batch] : batch_family(n, d, 1000 + static_cast<std::uint64_t>(n))) {
         AggregatorWorkspace ws;
         configure(ws, lane);
         ws.fill_pairwise_sqdist(batch);
-        expect_selections_match(ws, n, fs,
-                                std::string(lane.name) + " " + label + " n=" + std::to_string(n));
+        const std::string where = std::string(lane.name) + " " + label + " n=" + std::to_string(n);
+        // The family really feeds the scorer a NaN and an overflow.
+        if (label == "inf-pair") {
+          ASSERT_TRUE(std::isnan(ws.pair_sqdist(0, n - 1, n))) << where;
+        }
+        expect_scores_match(ws, n, fs, where);
+        if (label == "mimic-huge") {
+          EXPECT_EQ(ws.scores[static_cast<std::size_t>(n - 1)],
+                    std::numeric_limits<double>::infinity())
+              << where;
+        }
       }
     }
   }
 }
 
 TEST(KrumSelect, KrumAndMultiKrumOutputsMatchTheOldScorer) {
-  // The selections are swept above; this checks the wiring from
+  // The name predates the score definition: the oracle is now the
+  // reference.  The scores are swept above; this checks the wiring from
   // aggregate_into to them, over every f at small n and a spread beyond.
   for (const int n : test_sizes()) {
     const auto fs = krum_fs(n, n <= 26);
@@ -340,71 +375,16 @@ TEST(KrumSelect, AllOnesMaskMatchesNoMask) {
           const int unmasked = agg::detail::krum_select(ws, n, n - f - 2, nullptr);
           const auto scores = ws.scores;
           EXPECT_EQ(agg::detail::krum_select(ws, n, n - f - 2, all.data()), unmasked) << where;
-          EXPECT_EQ(std::memcmp(ws.scores.data(), scores.data(), scores.size() * sizeof(double)),
-                    0)
-              << where;
+          EXPECT_TRUE(same_bytes(ws.scores, scores)) << where;
         }
       }
-    }
-  }
-}
-
-TEST(KrumSelect, OnlyOverflowingRowsTakeTheWholeCallFallback) {
-  // At 1e150 the squared distances stay finite and the canonical route
-  // runs; at 1e154 they overflow, so every row keeps its old (infinite)
-  // score.  Selections match the old scorer on both routes.
-  constexpr int n = 25;
-  constexpr int f = 4;
-  for (const double scale : {1e150, 1e154}) {
-    const auto batch = random_batch(n, 3, 77, scale);
-    AggregatorWorkspace ws;
-    ws.fill_pairwise_sqdist(batch);
-    expect_selections_match(ws, n, {f}, "scale " + std::to_string(scale));
-    const bool all_finite = std::all_of(ws.scores.begin(), ws.scores.end(),
-                                        [](double s) { return std::isfinite(s); });
-    EXPECT_EQ(all_finite, scale < 1e152) << scale;
-  }
-}
-
-TEST(KrumSelect, WholeCallFallbackScoresEveryRowTheOldWay) {
-  // Mimicked rows tie at the k-th distance, so they take the old score
-  // while the canonical pass runs; one row at 1e154 then overflows its
-  // distances and sends the whole call to the old route.  Every row's
-  // score must then be the old scorer's, bit for bit: the tied rows'
-  // recompute must partition their distances in ascending-j order again,
-  // not the order their first partition left.
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    for (const int n : {13, 25}) {
-      auto batch = random_batch(n, 8, 9000 + seed);
-      duplicate_rows(batch, 0, 1, n / 3);
-      for (auto& v : batch.row(n - 1)) v *= 1e154;
-      for (const auto& lane : kLanes) {
-        AggregatorWorkspace ws;
-        configure(ws, lane);
-        ws.fill_pairwise_sqdist(batch);
-        for (const int f : krum_fs(n, true)) {
-          const int neighbors = n - f - 2;
-          const auto old = old_scores(ws, n, neighbors);
-          EXPECT_EQ(agg::detail::krum_select(ws, n, neighbors, nullptr), old_argmin(old));
-          EXPECT_EQ(std::memcmp(ws.scores.data(), old.data(), old.size() * sizeof(double)), 0)
-              << lane.name << " seed=" << seed << " n=" << n << " f=" << f;
-        }
-      }
-    }
-  }
-}
-
-TEST(KrumSelect, NanRowKeepsTheOldBehaviour) {
-  for (const int n : {7, 25}) {
-    auto batch = random_batch(n, 4, 31);
-    batch.row(2)[1] = std::numeric_limits<double>::quiet_NaN();
-    for (const auto& lane : kLanes) {
-      expect_outputs_match(batch, krum_fs(n, true), lane, std::string(lane.name) + " nan");
     }
   }
 }
 
 TEST(KrumSelect, ExactBulyanMatchesTheOldStageOne) {
+  // The name predates the score definition: stage 1 now runs against the
+  // reference's iterated first-lowest scan.
   const agg::BulyanAggregator bulyan;
   const Lane& exact = kLanes[0];
   for (const int n : test_sizes()) {
@@ -419,23 +399,21 @@ TEST(KrumSelect, ExactBulyanMatchesTheOldStageOne) {
     }
     for (const auto& [label, batch] : batch_family(n, 3, 3000 + static_cast<std::uint64_t>(n))) {
       for (const int f : fs) {
-        EXPECT_TRUE(bitwise_equal(run_rule(bulyan, batch, f, exact), old_bulyan_exact(batch, f)))
+        EXPECT_TRUE(
+            bitwise_equal(run_rule(bulyan, batch, f, exact), reference_bulyan_exact(batch, f)))
             << label << " n=" << n << " f=" << f;
       }
     }
   }
 }
 
-/// The committed near-tie fixture: rows 0 and 1 are x and -x, and rows
-/// 2..13 and 14..25 hold y_j and -y_j, so rows 0 and 1 see bitwise the same
-/// multiset of distances in a different order and share the lowest true
-/// score.  The seed comes from a search over seeds 1..5000 for batches
-/// whose canonical and old score vectors pick different rows; seed 13 does
-/// in -march=native (AVX-512), -march=haswell (AVX2 + FMA) and portable
-/// builds.
+/// A near-tie batch: rows 0 and 1 are x and -x, and rows 2..13 and 14..25
+/// hold y_j and -y_j, so rows 0 and 1 see bitwise the same multiset of
+/// distances in a different order and share the lowest true score.  Seed 13
+/// made the scores of rows 0 and 1 round in opposite orders under two
+/// summation orders.
 constexpr int kTieRows = 26;
 constexpr int kTieF = 5;
-constexpr std::uint64_t kTieSeed = 13;
 
 GradientBatch near_tie_batch(std::uint64_t seed) {
   constexpr int d = 3;
@@ -457,44 +435,148 @@ GradientBatch near_tie_batch(std::uint64_t seed) {
   return batch;
 }
 
-/// Canonical scores (smallest_k_sum, as krum_select computes them before
-/// any recompute).
-std::vector<double> canonical_scores(const AggregatorWorkspace& ws, int n, int neighbors) {
-  std::vector<double> scores(static_cast<std::size_t>(n));
-  std::vector<double> row(static_cast<std::size_t>(n));
+/// Every pair of rows whose reference scores lie further apart than the
+/// rounding band orders as their sorted long-double sums do, and so does
+/// krum_select's pick against every such row.  Both double sums add the
+/// same `neighbors` non-negative terms, each within a relative
+/// (neighbors - 1) * DBL_EPSILON / 2 of the exact sum; the band is four
+/// times that, so outside it the exact sums are ordered like the scores,
+/// and the long-double sums (64-bit significands) round far less.  Returns
+/// how many pairs lay apart.
+int expect_order_follows_exact_sums(AggregatorWorkspace& ws, int n, int neighbors,
+                                     const std::string& where) {
+  const auto scores = reference_scores(ws, n, neighbors);
+  std::vector<long double> exact(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    ws.gather_pair_row(i, n, row.data());
-    row.erase(row.begin() + i);
-    int kept = 0;
-    scores[static_cast<std::size_t>(i)] =
-        agg::detail::smallest_k_sum(row.data(), n - 1, neighbors, &kept);
-    row.resize(static_cast<std::size_t>(n));
+    auto cand = candidates(ws, i, n, nullptr);
+    for (auto& v : cand) v = std::isnan(v) ? std::numeric_limits<double>::infinity() : v;
+    std::sort(cand.begin(), cand.end());
+    long double sum = 0.0L;
+    for (int s = 0; s < neighbors; ++s) sum += cand[static_cast<std::size_t>(s)];
+    exact[static_cast<std::size_t>(i)] = sum;
   }
-  return scores;
+  const double gamma = 2.0 * static_cast<double>(neighbors) * DBL_EPSILON;
+  const auto apart = [&](int a, int b) {
+    const double sa = scores[static_cast<std::size_t>(a)];
+    const double sb = scores[static_cast<std::size_t>(b)];
+    return std::isfinite(sa) && std::isfinite(sb) && std::abs(sa - sb) > gamma * std::max(sa, sb);
+  };
+  int separated = 0;
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      if (!apart(a, b)) continue;
+      ++separated;
+      EXPECT_EQ(scores[static_cast<std::size_t>(a)] < scores[static_cast<std::size_t>(b)],
+                exact[static_cast<std::size_t>(a)] < exact[static_cast<std::size_t>(b)])
+          << where << " rows " << a << ", " << b;
+    }
+  }
+  const int best = agg::detail::krum_select(ws, n, neighbors, nullptr);
+  for (int a = 0; a < n; ++a) {
+    if (a != best && apart(a, best)) {
+      EXPECT_LT(exact[static_cast<std::size_t>(best)], exact[static_cast<std::size_t>(a)])
+          << where << " pick " << best << " vs row " << a;
+    }
+  }
+  return separated;
 }
 
-TEST(KrumSelect, NearTieFixturePicksTheOldRowWhereCanonicalScoresDisagree) {
-  const auto batch = near_tie_batch(kTieSeed);
-  const int neighbors = kTieRows - kTieF - 2;
-  AggregatorWorkspace ws;
-  ws.fill_pairwise_sqdist(batch);
-  const auto old = old_scores(ws, kTieRows, neighbors);
-  const auto canonical = canonical_scores(ws, kTieRows, neighbors);
-  // The fixture is only a fixture while the two vectors pick different
-  // rows: then a scorer that skipped the recompute would pick the wrong one.
-  ASSERT_NE(old_argmin(canonical), old_argmin(old))
-      << "canonical " << canonical[0] << " " << canonical[1] << ", old " << old[0] << " "
-      << old[1];
-  ASSERT_NE(stable_order(canonical), stable_order(old));
-  expect_selections_match(ws, kTieRows, {kTieF}, "near-tie");
-  expect_outputs_match(batch, {kTieF}, kLanes[0], "near-tie");
+TEST(KrumSelect, OrderFollowsLongDoubleSumsOutsideTheBand) {
+  for (const auto& lane : kLanes) {
+    int separated = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      AggregatorWorkspace ws;
+      configure(ws, lane);
+      ws.fill_pairwise_sqdist(near_tie_batch(seed));
+      separated += expect_order_follows_exact_sums(ws, kTieRows, kTieRows - kTieF - 2,
+                                      std::string(lane.name) + " near-tie seed=" +
+                                          std::to_string(seed));
+    }
+    for (const int n : {7, 25, agg::detail::kKrumRankSelectMaxRow + 3}) {
+      for (const auto& [label, batch] : batch_family(n, 5, 6000 + static_cast<std::uint64_t>(n))) {
+        AggregatorWorkspace ws;
+        configure(ws, lane);
+        ws.fill_pairwise_sqdist(batch);
+        for (const int f : krum_fs(n, false)) {
+          separated += expect_order_follows_exact_sums(
+              ws, n, n - f - 2,
+              std::string(lane.name) + " " + label + " n=" + std::to_string(n) + " f=" +
+                  std::to_string(f));
+        }
+      }
+    }
+    // Most pairs of the generic batches lie apart, so the check is not vacuous.
+    EXPECT_GT(separated, 10000) << lane.name;
+  }
+}
+
+TEST(KrumSelect, SpanScoresMatchTheReference) {
+  // KrumAggregator::scores and relaxed_scores: squared linalg::distance
+  // candidates (NaN as +inf) under the same definition, on both sides of
+  // the cutoff, with a NaN coordinate and a shared +inf coordinate too.
+  const int cut = agg::detail::kKrumRankSelectMaxRow;
+  for (const int n : {5, 9, 25, cut + 4}) {
+    for (const auto& [label, batch] : batch_family(n, 4, 8000 + static_cast<std::uint64_t>(n))) {
+      const auto grads = batch.unpack();
+      for (const int f : krum_fs(n, false)) {
+        std::vector<double> expected(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+          std::vector<double> cand;
+          for (int j = 0; j < n; ++j) {
+            if (j == i) continue;
+            const double d = linalg::distance(grads[static_cast<std::size_t>(i)],
+                                              grads[static_cast<std::size_t>(j)]);
+            cand.push_back(d * d);
+          }
+          expected[static_cast<std::size_t>(i)] = krum_reference::score(cand, n - f - 2);
+        }
+        const std::string where = label + " n=" + std::to_string(n) + " f=" + std::to_string(f);
+        EXPECT_TRUE(same_bytes(agg::KrumAggregator::scores(grads, f), expected)) << where;
+        EXPECT_TRUE(same_bytes(agg::KrumAggregator::relaxed_scores(grads, f), expected)) << where;
+      }
+    }
+  }
+}
+
+bool all_finite(const Vector& v) {
+  const auto c = v.coefficients();
+  return std::all_of(c.begin(), c.end(), [](double x) { return std::isfinite(x); });
+}
+
+TEST(KrumSelect, SpanPathsNeverSelectANanRow) {
+  // Up to f rows carry a NaN coordinate.  Their distances are NaN, counted
+  // as +inf, so each such row scores +inf while every other row keeps
+  // finite candidates enough for its k: the span Krum, Multi-Krum (m =
+  // n - f) and Bulyan outputs stay finite.
+  const agg::KrumAggregator krum;
+  const agg::MultiKrumAggregator multikrum;
+  const agg::BulyanAggregator bulyan;
+  for (const int n : {7, 11, 25, agg::detail::kKrumRankSelectMaxRow + 4}) {
+    for (int f = 1; 2 * f + 2 < n; f += std::max(1, n / 10)) {
+      for (int bad = 1; bad <= f; ++bad) {
+        auto batch = random_batch(n, 3, 400 + static_cast<std::uint64_t>(n * f + bad));
+        for (int r = 0; r < bad; ++r) {
+          batch.row((r * 7 + 3) % n)[static_cast<std::size_t>(r % 3)] =
+              std::numeric_limits<double>::quiet_NaN();
+        }
+        const auto grads = batch.unpack();
+        const std::string where = "n=" + std::to_string(n) + " f=" + std::to_string(f) +
+                                  " nan rows=" + std::to_string(bad);
+        EXPECT_TRUE(all_finite(krum.aggregate(grads, f))) << where;
+        EXPECT_TRUE(all_finite(multikrum.aggregate(grads, f))) << where;
+        if (n >= 4 * f + 3) {
+          EXPECT_TRUE(all_finite(bulyan.aggregate(grads, f))) << where;
+        }
+      }
+    }
+  }
 }
 
 /// A many-like tree: Krum leaves, CWTM root.  The library's hierarchy must
-/// equal a test-local composition of the old per-shard Krum and
+/// equal a test-local composition of the reference per-shard Krum and
 /// CwtmAggregator, at one thread and four.
-Vector old_hierarchy(const GradientBatch& batch, int f, std::uint64_t assignment_seed,
-                     const agg::HierarchicalAggregator& hier) {
+Vector reference_hierarchy(const GradientBatch& batch, int f, std::uint64_t assignment_seed,
+                           const agg::HierarchicalAggregator& hier) {
   const int n = batch.rows();
   const int d = batch.cols();
   const int shards = hier.config().shards;
@@ -520,7 +602,7 @@ Vector old_hierarchy(const GradientBatch& batch, int f, std::uint64_t assignment
     }
     const int shard_f =
         std::max(std::min(bounds.f_leaf, leaf.max_usable_f(end - begin)), leaf.min_usable_f());
-    const auto out = old_krum(shard, shard_f, kLanes[0]);
+    const auto out = reference_krum(shard, shard_f, kLanes[0]);
     root.set_row(s, out);
   }
   AggregatorWorkspace ws;
@@ -530,6 +612,8 @@ Vector old_hierarchy(const GradientBatch& batch, int f, std::uint64_t assignment
 }
 
 TEST(KrumSelect, ManyLikeHierarchyMatchesTheOldComposition) {
+  // The name predates the score definition: the composition's leaves are
+  // now the reference Krum.
   // 80 shards of 25 rows (many's leaf), and 40 shards of 16, 17, 32 and 33
   // rows: both ends of the network sizes of the shard-lane route.
   agg::ThreadPool pool(4);
@@ -543,7 +627,7 @@ TEST(KrumSelect, ManyLikeHierarchyMatchesTheOldComposition) {
         random_batch(n, 8, rows == 25 ? 4242 : 4242 + static_cast<std::uint64_t>(rows));
     for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{77}}) {
       const agg::HierarchicalAggregator hier({shards, "krum", "cwtm", -1, seed});
-      const auto expected = old_hierarchy(batch, f, seed, hier);
+      const auto expected = reference_hierarchy(batch, f, seed, hier);
       for (const int threads : {1, 4}) {
         AggregatorWorkspace ws;
         ws.parallel_threads = threads;

@@ -20,6 +20,7 @@
 #include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
+#include "krum_reference.hpp"
 
 namespace {
 
@@ -102,46 +103,37 @@ TEST(RankKernelCutoff, RankCountsMatchPortable) {
 }
 
 TEST(RankKernelCutoff, SmallestKSumMatchesPortable) {
-  // smallest_k_sum against its definition written out here: the rank
-  // counts above, lane j mod 8 adding x[j] or +0.0 in ascending j, and the
-  // fixed reduction tree.  The sum and `kept` must match bit for bit on
-  // full and partial register blocks, with ties, zeros, +-inf and NaN.
-  const auto portable = [](const std::vector<double>& x, int k, int* kept) {
-    const int m = static_cast<int>(x.size());
-    double lanes[8] = {0.0};
-    int count = 0;
-    for (int j = 0; j < m; ++j) {
-      int lt = 0;
-      for (int i = 0; i < m; ++i) lt += x[static_cast<std::size_t>(i)] < x[static_cast<std::size_t>(j)];
-      const bool keep = lt < k;
-      lanes[j % 8] += keep ? x[static_cast<std::size_t>(j)] : 0.0;
-      count += keep ? 1 : 0;
-    }
-    *kept = count;
-    return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
-           ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-  };
+  // smallest_k_sum (rank counts with the index tie-break) and
+  // smallest_k_sum_select (nth_element and a keep pass) against the scalar
+  // reference of Krum's score (krum_reference.hpp), bit for bit, on full
+  // and partial register blocks and on both sides of the Krum rank-select
+  // cutoff, with ties, zeros, -0.0, +inf and NaN (mapped to +inf, as the
+  // Krum candidate builders do).
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double specials[] = {0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
+  const double specials[] = {0.0, kInf, -0.0, std::numeric_limits<double>::quiet_NaN()};
   util::Rng rng(20261017);
-  for (int m = 1; m <= 96; ++m) {
+  std::vector<double> scratch;
+  for (int m = 1; m <= 200; m += m < 100 ? 1 : 33) {
     for (int trial = 0; trial < 24; ++trial) {
       std::vector<double> x(static_cast<std::size_t>(m));
       for (auto& v : x) {
         // Trials 0-7: distinct values; 8-15: ties from a 4-value pool;
-        // 16-23: also zeros and one special value in about one entry of 8.
+        // 16-23: also one special value in about one entry of 8.
         v = trial < 8 ? rng.uniform() : static_cast<double>(rng.uniform_index(4));
         if (trial >= 16 && rng.uniform_index(8) == 0) v = specials[trial % 4];
+        v = agg::detail::nan_as_inf(v);
       }
+      scratch.resize(x.size());
       for (const int k : {1, (m + 1) / 2, m}) {
-        int kept = -1;
-        int expected_kept = -1;
-        const double sum = agg::detail::smallest_k_sum(x.data(), m, k, &kept);
-        const double expected = portable(x, k, &expected_kept);
-        EXPECT_EQ(kept, expected_kept) << "m=" << m << " trial=" << trial << " k=" << k;
+        const std::string where = "m=" + std::to_string(m) + " trial=" + std::to_string(trial) +
+                                  " k=" + std::to_string(k);
+        const double expected = krum_reference::score(x, k);
+        const double select = agg::detail::smallest_k_sum_select(x.data(), m, k, scratch.data());
+        EXPECT_EQ(std::memcmp(&select, &expected, sizeof(double)), 0)
+            << where << ": " << select << " vs " << expected;
+        const double sum = agg::detail::smallest_k_sum(x.data(), m, k);
         EXPECT_EQ(std::memcmp(&sum, &expected, sizeof(double)), 0)
-            << "m=" << m << " trial=" << trial << " k=" << k << ": " << sum << " vs "
-            << expected;
+            << where << ": " << sum << " vs " << expected;
       }
     }
   }

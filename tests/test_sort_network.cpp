@@ -6,10 +6,10 @@
 //     principle, every input), and dropping any one comparator breaks that;
 //   * the pruned networks on 24 and 32 inputs sort random inputs full of
 //     ties;
-//   * on AVX-512 builds, smallest_k_sum_lanes certifies a row exactly when
-//     smallest_k_sum keeps k entries and the row has no NaN, and then its
-//     sum has smallest_k_sum's bits: m 1-32, every k, rows with ties, 0,
-//     +inf and NaN.
+//   * on AVX-512 builds, every row's smallest_k_sum_lanes sum has the bits
+//     of smallest_k_sum and of the scalar reference of Krum's score
+//     (krum_reference.hpp): m 1-32, every k, rows with ties, 0, +inf and
+//     NaN mapped to +inf.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "abft/agg/rank_kernel.hpp"
 #include "abft/agg/sort_network.hpp"
 #include "abft/util/rng.hpp"
+#include "krum_reference.hpp"
 
 namespace {
 
@@ -100,6 +101,8 @@ TEST(SortNetwork, SortsRandomInputsWithTiesAtEverySize) {
 }
 
 TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
+  // Every row is certified now: each lane's sum must equal smallest_k_sum's
+  // and the scalar reference's bit for bit, ties at the k-th included.
 #if defined(__AVX512F__)
   if (__builtin_cpu_supports("avx512f") == 0) GTEST_SKIP() << "no AVX-512 on this host";
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -107,13 +110,13 @@ TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
   util::Rng rng(32);
   alignas(64) double cand[32 * 8];
   std::vector<double> row;
-  int certified = 0;
-  int uncertified = 0;
+  int tied = 0;
   for (int m = 1; m <= 32; ++m) {
     for (int k = 1; k <= m; ++k) {
       for (int trial = 0; trial < 40; ++trial) {
         // Per trial one of: distinct values, a few values (ties), or a
-        // few values plus 0, +inf and now and then a NaN.
+        // few values plus 0, +inf and now and then a NaN, which the Krum
+        // candidate builders map to +inf before scoring.
         const int kind = trial % 3;
         for (int x = 0; x < m; ++x) {
           for (int t = 0; t < 8; ++t) {
@@ -125,40 +128,33 @@ TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
               if (u > 0.9) v = kInf;
               if (u > 0.99) v = kNan;
             }
-            cand[x * 8 + t] = v;
+            cand[x * 8 + t] = agg::detail::nan_as_inf(v);
           }
         }
-        __mmask8 flagged = 0;
         alignas(64) double sums[8];
-        _mm512_store_pd(sums, agg::detail::smallest_k_sum_lanes(cand, m, k, &flagged));
+        _mm512_store_pd(sums, agg::detail::smallest_k_sum_lanes(cand, m, k));
         for (int t = 0; t < 8; ++t) {
           row.clear();
-          bool nan = false;
-          for (int x = 0; x < m; ++x) {
-            row.push_back(cand[x * 8 + t]);
-            nan = nan || row.back() != row.back();
-          }
-          int kept = 0;
-          const double expected = agg::detail::smallest_k_sum(row.data(), m, k, &kept);
+          for (int x = 0; x < m; ++x) row.push_back(cand[x * 8 + t]);
+          const double expected = agg::detail::smallest_k_sum(row.data(), m, k);
+          const double reference = krum_reference::score(row, k);
           const std::string where = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
                                     " trial=" + std::to_string(trial) + " lane=" +
                                     std::to_string(t);
-          const bool lane_certified = ((flagged >> t) & 1) == 0;
-          ASSERT_EQ(lane_certified, kept == k && !nan) << where;
-          if (lane_certified) {
-            ASSERT_EQ(std::memcmp(&sums[t], &expected, sizeof(double)), 0)
-                << where << ": " << sums[t] << " vs " << expected;
-            ++certified;
-          } else {
-            ++uncertified;
-          }
+          ASSERT_EQ(std::memcmp(&sums[t], &expected, sizeof(double)), 0)
+              << where << ": " << sums[t] << " vs " << expected;
+          ASSERT_EQ(std::memcmp(&sums[t], &reference, sizeof(double)), 0)
+              << where << ": " << sums[t] << " vs reference " << reference;
+          auto sorted = row;
+          std::sort(sorted.begin(), sorted.end());
+          tied += k < m && sorted[static_cast<std::size_t>(k)] ==
+                               sorted[static_cast<std::size_t>(k - 1)];
         }
       }
     }
   }
-  // Both outcomes occur often, so neither side of the check is vacuous.
-  EXPECT_GT(certified, 10000);
-  EXPECT_GT(uncertified, 10000);
+  // Ties at the k-th entry occur often, so the tie-break is exercised.
+  EXPECT_GT(tied, 10000);
 #else
   GTEST_SKIP() << "smallest_k_sum_lanes needs an AVX-512 build";
 #endif
