@@ -17,8 +17,8 @@ never a crash.  Only an unreadable or structurally invalid file (no usable
 
 Gating: by default the script is warn-only (exit 0).  With --fail-threshold
 set, regressions at or beyond that percentage on the gated paths (default
-"legacy,batched" — the exact-mode kernels with stable semantics) fail the
-run with exit 1.  The relaxed-parity "fast" path and the host-dependent
+"batched" — the exact-mode kernels with stable semantics) fail the run with
+exit 1.  The relaxed-parity "fast" path and the host-dependent
 "pooled" path are never gated: their numbers are reported for the log only.
 
 The gate is normalized for host speed: the raw new/old ratios of the gated
@@ -88,7 +88,7 @@ def main(argv=None):
     parser.add_argument("--fail-threshold", type=float, default=None,
                         help="exit 1 when a gated-path regression reaches this "
                              "percentage (default: warn-only)")
-    parser.add_argument("--gate-paths", default="legacy,batched",
+    parser.add_argument("--gate-paths", default="batched",
                         help="comma-separated result paths the fail gate applies "
                              "to (default: the exact-mode kernels)")
     args = parser.parse_args(argv)

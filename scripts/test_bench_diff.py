@@ -101,11 +101,11 @@ class BenchDiffTest(unittest.TestCase):
         base = write_doc(self.tmp.name, "base.json",
                          [result("bulyan", "batched", 50, 10000, 10, 100.0),
                           result("geomed", "batched", 50, 10000, 10, 100.0),
-                          result("cwtm", "legacy", 50, 10000, 10, 100.0)])
+                          result("cwtm", "batched", 50, 10000, 10, 100.0)])
         cur = write_doc(self.tmp.name, "cur.json",
                         [result("bulyan", "batched", 50, 10000, 10, 140.0),
                          result("geomed", "batched", 50, 10000, 10, 101.0),
-                         result("cwtm", "legacy", 50, 10000, 10, 99.0)])
+                         result("cwtm", "batched", 50, 10000, 10, 99.0)])
         code, out = run([base, cur, "--fail-threshold", "25"])
         self.assertEqual(code, 1)
         self.assertIn("FAIL", out)
@@ -119,7 +119,7 @@ class BenchDiffTest(unittest.TestCase):
         # trip the gate: the median normalization absorbs the common factor.
         results = [result("bulyan", "batched", 50, 10000, 10, 100.0),
                    result("geomed", "batched", 50, 10000, 10, 100.0),
-                   result("cwtm", "legacy", 50, 10000, 10, 100.0)]
+                   result("cwtm", "batched", 50, 10000, 10, 100.0)]
         base = write_doc(self.tmp.name, "base.json", results)
         slow = [dict(r, ns_per_op=r["ns_per_op"] * 2.0) for r in results]
         cur = write_doc(self.tmp.name, "cur.json", slow)
@@ -140,9 +140,9 @@ class BenchDiffTest(unittest.TestCase):
 
     def test_improvements_are_reported_not_failed(self):
         base = write_doc(self.tmp.name, "base.json",
-                         [result("cwtm", "legacy", 10, 10, 2, 200.0)])
+                         [result("cwtm", "batched", 10, 10, 2, 200.0)])
         cur = write_doc(self.tmp.name, "cur.json",
-                        [result("cwtm", "legacy", 10, 10, 2, 100.0)])
+                        [result("cwtm", "batched", 10, 10, 2, 100.0)])
         code, out = run([base, cur, "--fail-threshold", "25"])
         self.assertEqual(code, 0)
         self.assertIn("improved", out)
@@ -153,10 +153,10 @@ class BenchDiffTest(unittest.TestCase):
         # nothing but a one-sided nan ALSO passed — see the next test.
         base = write_doc(self.tmp.name, "base.json",
                          [result("cge", "batched", 10, 10, 2, float("nan")),
-                          result("cwtm", "legacy", 10, 10, 2, 100.0)])
+                          result("cwtm", "batched", 10, 10, 2, 100.0)])
         cur = write_doc(self.tmp.name, "cur.json",
                         [result("cge", "batched", 10, 10, 2, float("nan")),
-                         result("cwtm", "legacy", 10, 10, 2, 100.0)])
+                         result("cwtm", "batched", 10, 10, 2, 100.0)])
         code, out = run([base, cur, "--fail-threshold", "25"])
         self.assertEqual(code, 0)
         self.assertNotIn("FAIL", out)
@@ -188,12 +188,12 @@ class BenchDiffTest(unittest.TestCase):
                          [result("cge", "batched", 10, 10, 2, float("nan")),
                           result("bulyan", "batched", 50, 10000, 10, 100.0),
                           result("geomed", "batched", 50, 10000, 10, 100.0),
-                          result("cwtm", "legacy", 50, 10000, 10, 100.0)])
+                          result("cwtm", "batched", 50, 10000, 10, 100.0)])
         cur = write_doc(self.tmp.name, "cur.json",
                         [result("cge", "batched", 10, 10, 2, float("nan")),
                          result("bulyan", "batched", 50, 10000, 10, 140.0),
                          result("geomed", "batched", 50, 10000, 10, 101.0),
-                         result("cwtm", "legacy", 50, 10000, 10, 99.0)])
+                         result("cwtm", "batched", 50, 10000, 10, 99.0)])
         code, out = run([base, cur, "--fail-threshold", "25"])
         self.assertEqual(code, 1)
         self.assertIn("bulyan", out)

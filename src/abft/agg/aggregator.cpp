@@ -1,27 +1,12 @@
 #include "abft/agg/aggregator.hpp"
 
-#include "abft/util/check.hpp"
-
 namespace abft::agg {
 
-int validate_gradients(std::span<const Vector> gradients, int f) {
-  ABFT_REQUIRE(!gradients.empty(), "aggregation needs at least one gradient");
-  ABFT_REQUIRE(f >= 0, "fault bound f must be non-negative");
-  ABFT_REQUIRE(f < static_cast<int>(gradients.size()),
-               "fault bound f must be smaller than the number of gradients");
-  const int dim = gradients.front().dim();
-  ABFT_REQUIRE(dim > 0, "gradients must be non-empty vectors");
-  for (const auto& g : gradients) {
-    ABFT_REQUIRE(g.dim() == dim, "all gradients must share a dimension");
-  }
-  return dim;
-}
-
-void GradientAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
-                                        AggregatorWorkspace& /*workspace*/) const {
-  validate_batch(batch, f);
-  const auto gradients = batch.unpack();
-  out = aggregate(gradients, f);
+Vector GradientAggregator::aggregate(std::span<const Vector> gradients, int f) const {
+  GradientBatch batch;
+  batch.pack(gradients);
+  AggregatorWorkspace workspace;
+  return aggregate_batched(batch, f, workspace);
 }
 
 void GradientAggregator::aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,

@@ -2,13 +2,11 @@
 // GradFilter : R^{d x n} -> R^d.  The server hands the filter all n received
 // gradients plus the fault-tolerance parameter f.
 //
-// Two entry points:
-//   aggregate(span, f)                      — the original allocating API.
-//   aggregate_into(out, batch, f, ws)       — the batched hot path: gradients
-//     arrive packed in a contiguous GradientBatch, every rule draws scratch
-//     from the caller's AggregatorWorkspace, and the steady state performs
-//     no heap allocation.  The base class provides an adapter so rules that
-//     only implement the span API keep working.
+// Each rule has one implementation, aggregate_into(out, batch, f, ws): the
+// gradients arrive packed in a contiguous GradientBatch, the rule draws
+// scratch from the caller's AggregatorWorkspace, and the steady state
+// performs no heap allocation.  aggregate(span, f) is a convenience adapter
+// over it for callers holding a family of Vectors.
 #pragma once
 
 #include <span>
@@ -25,17 +23,17 @@ class GradientAggregator {
  public:
   virtual ~GradientAggregator() = default;
 
-  /// Aggregates n received gradients assuming at most f of them are faulty.
-  /// Preconditions (checked): gradients non-empty and equal-dimension,
-  /// 0 <= f, and f small enough for the specific rule (documented per rule).
-  [[nodiscard]] virtual Vector aggregate(std::span<const Vector> gradients, int f) const = 0;
+  /// Aggregates n received gradients assuming at most f of them are faulty:
+  /// packs them into a GradientBatch and runs aggregate_into with a fresh
+  /// exact-mode workspace (allocates; not for the hot path).  Preconditions
+  /// (checked): gradients non-empty and equal-dimension, 0 <= f < n, and f
+  /// small enough for the specific rule (documented per rule).
+  [[nodiscard]] virtual Vector aggregate(std::span<const Vector> gradients, int f) const;
 
-  /// Batched aggregation into a caller-owned output vector.  The default
-  /// implementation adapts through the span API (unpacking the batch, which
-  /// allocates); every registry rule overrides it with an allocation-free
-  /// kernel.  `out` is resized to the batch dimension.
+  /// Aggregates the rows of `batch` into a caller-owned output vector,
+  /// resized to the batch dimension, drawing all scratch from `workspace`.
   virtual void aggregate_into(Vector& out, const GradientBatch& batch, int f,
-                              AggregatorWorkspace& workspace) const;
+                              AggregatorWorkspace& workspace) const = 0;
 
   /// One hierarchy level's leaves in one call (agg/hierarchy.hpp): shard s
   /// holds the batch rows ids[shard_begin(n, shards, s), shard_begin(n,
@@ -72,9 +70,6 @@ class GradientAggregator {
   /// Stable identifier, e.g. "cge"; used by the registry and bench labels.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
-
-/// Validates the shared preconditions; returns the common dimension.
-int validate_gradients(std::span<const Vector> gradients, int f);
 
 /// Balanced contiguous split of n items into `parts`: part p is
 /// [shard_begin(n, parts, p), shard_begin(n, parts, p + 1)), of n / parts

@@ -375,13 +375,14 @@ inline __m512d small_d_dot(int d, __mmask8 lanes, Operands&& operands, Leftover&
 ///     (the zeroed cell's +=), less the adds noted below that only touch
 ///     the sign of a zero;
 ///   * d2 = fnmadd(2, dot, scale) with scale = sqnorm_i + sqnorm_j, then
-///     0 < d2 ? d2 : 0 (std::max(0.0, d2), NaN included).
+///     d2 < 0 ? 0 : d2 (std::max(d2, 0.0): a NaN survives).
 /// Every step is symmetric in the pair's two rows (fma and mul commute, and
 /// so does the scale's sum), so a distance does not depend on which row
 /// is i.  Lanes outside `lanes` get a zero leftover and no guard; *guard
 /// receives the lanes of `lanes` whose distance is small next to its scale
-/// (d2 < kCancellationGuard * scale), which the caller recomputes with
-/// direct_sqdist (symmetric too: a negated difference squares the same).
+/// or NaN (!(d2 >= kCancellationGuard * scale)), which the caller
+/// recomputes with direct_sqdist (symmetric too: a negated difference
+/// squares the same).
 /// Groups is d / 8, so the whole-group loop unrolls.
 template <int Groups, typename Operands, typename Leftover>
 inline __m512d small_d_sqdist(int d, __mmask8 lanes, __m512d scale, Operands&& operands,
@@ -391,10 +392,10 @@ inline __m512d small_d_sqdist(int d, __mmask8 lanes, __m512d scale, Operands&& o
   // a zero, and fnmadd against a scale >= +0 (or NaN) drops that sign.
   const __m512d dot = small_d_dot<Groups>(d, lanes, operands, leftover);
   const __m512d zero = _mm512_setzero_pd();
-  // max_pd(a, b) is a > b ? a : b, NaN included: the clamp in one op.
-  const __m512d d2 = _mm512_max_pd(_mm512_fnmadd_pd(_mm512_set1_pd(2.0), dot, scale), zero);
+  // max_pd(a, b) is a > b ? a : b, so a NaN b survives: the clamp in one op.
+  const __m512d d2 = _mm512_max_pd(zero, _mm512_fnmadd_pd(_mm512_set1_pd(2.0), dot, scale));
   *guard = _mm512_mask_cmp_pd_mask(
-      lanes, d2, _mm512_mul_pd(_mm512_set1_pd(kCancellationGuard), scale), _CMP_LT_OQ);
+      lanes, d2, _mm512_mul_pd(_mm512_set1_pd(kCancellationGuard), scale), _CMP_NGE_UQ);
   return d2;
 }
 
@@ -751,8 +752,8 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
         const double scale =
             sqi + static_cast<double>(sqnorms_f32[static_cast<std::size_t>(j)]);
         double d2 =
-            std::max(0.0, scale - 2.0 * static_cast<double>(prow[j - i - 1]));
-        if (d2 < kCancellationGuardF32 * scale) {
+            std::max(scale - 2.0 * static_cast<double>(prow[j - i - 1]), 0.0);
+        if (!(d2 >= kCancellationGuardF32 * scale)) {
           constexpr int kLanes = 16;
           const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
           const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
@@ -801,13 +802,15 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   // regime where Krum-family selection matters — so pairs whose result is
   // small relative to the cancellation scale are recomputed directly.  On
   // well-separated data no pair trips the guard and nothing is recomputed.
+  // The clamp keeps a NaN and the guard sends it to the recompute, so a
+  // row with a NaN coordinate gets NaN distances, never a clamped 0.
   for (int i = 0; i < n; ++i) {
     const double sqi = sqnorms[static_cast<std::size_t>(i)];
     double* prow = pairdist.data() + pair_row_start(i, n);
     for (int j = i + 1; j < n; ++j) {
       const double scale = sqi + sqnorms[static_cast<std::size_t>(j)];
-      double d2 = std::max(0.0, scale - 2.0 * prow[j - i - 1]);
-      if (d2 < kCancellationGuard * scale) {
+      double d2 = std::max(scale - 2.0 * prow[j - i - 1], 0.0);
+      if (!(d2 >= kCancellationGuard * scale)) {
         d2 = direct_sqdist(batch.row(i).data(), batch.row(j).data(), d);
       }
       prow[j - i - 1] = d2;

@@ -27,9 +27,11 @@ using linalg::Vector;
 
 /// Numerical contract of the batched kernels.
 ///
-/// `exact` (the default) keeps every kernel bit-compatible with the legacy
-/// span path: same selection tie-breaking, same floating-point summation
-/// order, same convergence schedule.  `fast` relaxes that to *tolerance*
+/// `exact` (the default) fixes every kernel's arithmetic: sequential
+/// summation in row order, the rule's own selection tie-breaking and
+/// convergence schedule, the same bits on every host and at every thread
+/// count (the exact goldens), within 1e-12 of the naive reference rules in
+/// tests/reference_rules.cpp.  `fast` relaxes that to *tolerance*
 /// parity — kernels may vectorize reductions (independent partial sums),
 /// replace full sorts with nth_element-style partial selection, and take
 /// runtime-dispatched AVX-512 paths.  The (f, eps)-resilience guarantees of
@@ -39,7 +41,7 @@ using linalg::Vector;
 /// <= tol(rule, n, d)) and end-to-end by the fast-mode goldens in
 /// tests/test_golden_e2e.cpp.
 enum class AggMode {
-  exact,  ///< bit-compatible with the span path (the default)
+  exact,  ///< fixed sequential arithmetic (the default)
   fast,   ///< relaxed parity: vectorized/partial-selection kernels
 };
 
@@ -128,7 +130,7 @@ struct AggregatorWorkspace {
   // --- configuration -------------------------------------------------------
   /// Numerical mode of every kernel drawing scratch from this workspace (see
   /// AggMode).  Drivers thread their config flag through here; the default
-  /// keeps the bit-exact legacy behaviour.
+  /// is AggMode::exact.
   AggMode mode = AggMode::exact;
 
   /// Element width of the bandwidth-bound fast-mode kernels (see Precision).
@@ -202,7 +204,6 @@ struct AggregatorWorkspace {
   std::vector<int> heads;        ///< one past the selection prefix (n)
   std::vector<int> counts;       ///< selected neighbours in the prefix (n)
   GradientBatch aux_batch;       ///< secondary batch (GMoM buckets, Bulyan)
-  GradientBatch clip_batch;      ///< clipped copy for ClippedInputAggregator
   // Hierarchical (aggregate-of-aggregates) scratch — agg/hierarchy.hpp.  One
   // sub-workspace / gather batch / output staging vector per parallel worker
   // group, so the footprint scales with the worker width, not the shard
@@ -262,6 +263,10 @@ struct AggregatorWorkspace {
   /// the f32 lane is active) with squared Euclidean distances via the Gram
   /// identity ||xi - xj||^2 = ||xi||^2 + ||xj||^2 - 2 <xi, xj>, computing
   /// each unordered pair once.  Shared by Krum, Multi-Krum and Bulyan.
+  /// Every route clamps a negative distance to 0 but keeps a NaN, and
+  /// recomputes by direct difference each pair whose distance is small next
+  /// to ||xi||^2 + ||xj||^2 (cancellation) or NaN, so a row with a NaN
+  /// coordinate is at distance NaN from every row.
   /// In fast mode on AVX-512 hosts the dot products come from a 4 x 4
   /// register-blocked tile: one pass over a column chunk loads 8 row
   /// vectors for 16 FMAs, where a per-pair kernel loads 2 per FMA.  Each
@@ -277,7 +282,7 @@ struct AggregatorWorkspace {
   /// is an explicit FMA chain over the whole 8-lane groups, the leftover
   /// comes from the shared scalar leftover_dot, the dot is leftover + lane
   /// 0 + ... + lane 7 in lane order and then 0.0 + dot, d2 =
-  /// fnmadd(2, dot, scale) clamped as std::max(0.0, d2), and guard cells
+  /// fnmadd(2, dot, scale) clamped as std::max(d2, 0.0), and guard cells
   /// are recomputed by the scalar direct-difference code.  (The kernel
   /// skips the +0.0 of an empty leftover and the closing 0.0 +: they can
   /// change only the sign of a zero dot, and fnmadd against a scale >= +0
@@ -316,8 +321,8 @@ struct AggregatorWorkspace {
   /// FMA chains over the whole 8-lane groups, the shared scalar
   /// leftover_dot of that lane's two rows, the lane-order sum, fnmadd and
   /// the clamp, and guard lanes recomputed by the direct difference.  The
-  /// one difference: a NaN distance (the direct difference of two rows at
-  /// +inf in one coordinate) is stored as +inf (nan_as_inf), as
+  /// one difference: a NaN distance (a row with a NaN coordinate, or two
+  /// rows at +inf in one coordinate) is stored as +inf (nan_as_inf), as
   /// krum_select's candidate builder maps it.  Requires small_d_kernels(d);
   /// exists in AVX-512 builds only.
   void sqdist_lanes_small_d(const GradientBatch& batch, const int* const* ids, int lanes,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "abft/agg/krum.hpp"
+#include "abft/agg/rank_kernel.hpp"
 #include "abft/agg/simd_util.hpp"
 #include "abft/util/check.hpp"
 
@@ -34,6 +35,11 @@ namespace {
 /// deviation the fast stage 2 already admits, bounded by the Bulyan
 /// tolerance suite.
 ///
+/// A NaN distance counts as +inf, as in Krum's score, and so does a NaN
+/// running score (an +inf term subtracted from a sum holding one): the
+/// neighbour sort and the pick stay total, and a row with a NaN coordinate
+/// is never picked while a row with a finite score is left.
+///
 /// Preconditions match aggregate_into (caller validated); fills ws.order
 /// with the theta picks and leaves ws.active marking the unselected rows.
 void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta) {
@@ -43,6 +49,9 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
   ws.heads.resize(static_cast<std::size_t>(n));
   ws.counts.resize(static_cast<std::size_t>(n));
   ws.scores.resize(static_cast<std::size_t>(n));
+  const auto dist_of = [&ws, n](int i, int j) {
+    return detail::nan_as_inf(ws.pair_sqdist(i, j, n));
+  };
 
   // Per-row neighbour order (ascending distance, ties by id so the order is
   // deterministic), plus its inverse for O(1) "is j inside i's prefix?".
@@ -61,6 +70,7 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
       const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
       int* ids = ws.sorted_ids.data() + base;
       ws.gather_pair_row(i, n, dist);
+      for (int j = 0; j < n; ++j) dist[j] = detail::nan_as_inf(dist[j]);
       int m = 0;
       for (int j = 0; j < n; ++j) {
         if (j != i) ids[m++] = j;
@@ -83,7 +93,7 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
       const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
       const int* ids = ws.sorted_ids.data() + base;
       double sum = 0.0;
-      for (int s = 0; s < k0; ++s) sum += ws.pair_sqdist(i, ids[s], n);
+      for (int s = 0; s < k0; ++s) sum += dist_of(i, ids[s]);
       ws.scores[static_cast<std::size_t>(i)] = sum;
       ws.heads[static_cast<std::size_t>(i)] = k0;
       ws.counts[static_cast<std::size_t>(i)] = k0;
@@ -92,8 +102,8 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
 
   int removed = -1;
   for (int round = 0; round < theta; ++round) {
-    // The span path's relaxed_scores rejects a pool of fewer than two
-    // gradients (which f = 0 reaches on the final round); mirror it.
+    // A pool of fewer than two gradients (which f = 0 reaches on the final
+    // round) leaves a row no neighbour to score against.
     ABFT_REQUIRE(pool >= 2, "relaxed krum scores need at least two gradients");
     const int neighbors = std::max(1, pool - f - 2);
     int best = -1;
@@ -107,14 +117,14 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
       int& count = ws.counts[static_cast<std::size_t>(i)];
       double& score = ws.scores[static_cast<std::size_t>(i)];
       if (removed >= 0 && rank[removed] < head) {
-        score -= ws.pair_sqdist(i, removed, n);
+        score -= dist_of(i, removed);
         --count;
       }
       while (count < neighbors) {
         // Enough active neighbours always remain (neighbors <= pool - 1),
         // so the cursor cannot run off the end.
         while (!ws.active[static_cast<std::size_t>(ids[head])]) ++head;
-        score += ws.pair_sqdist(i, ids[head], n);
+        score += dist_of(i, ids[head]);
         ++head;
         ++count;
       }
@@ -122,7 +132,7 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
         do {
           --head;
         } while (!ws.active[static_cast<std::size_t>(ids[head])]);
-        score -= ws.pair_sqdist(i, ids[head], n);
+        score -= dist_of(i, ids[head]);
         --count;
       }
       if (neighbors == 1) {
@@ -134,11 +144,11 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
         // first active one in sorted order).
         int s = 0;
         while (!ws.active[static_cast<std::size_t>(ids[s])]) ++s;
-        score = ws.pair_sqdist(i, ids[s], n);
+        score = dist_of(i, ids[s]);
       }
-      if (best < 0 || score < best_score) {
+      if (best < 0 || detail::nan_as_inf(score) < best_score) {
         best = i;
-        best_score = score;
+        best_score = detail::nan_as_inf(score);
       }
     }
     ws.order[static_cast<std::size_t>(round)] = best;
@@ -149,46 +159,6 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
 }
 
 }  // namespace
-
-Vector BulyanAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n >= 4 * f + 3, "bulyan needs n >= 4f + 3");
-  const int theta = n - 2 * f;
-  const int beta = theta - 2 * f;
-
-  // Stage 1: iterated Krum selection.  The pool shrinks from n to 2f + 1;
-  // relaxed_scores clamps the neighbour count so every round is well-defined.
-  std::vector<Vector> pool(gradients.begin(), gradients.end());
-  std::vector<Vector> selected;
-  selected.reserve(static_cast<std::size_t>(theta));
-  for (int round = 0; round < theta; ++round) {
-    const auto score = KrumAggregator::relaxed_scores(pool, f);
-    const auto best =
-        static_cast<std::size_t>(std::min_element(score.begin(), score.end()) - score.begin());
-    selected.push_back(pool[best]);
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-
-  // Stage 2: per coordinate, average the beta entries closest to the median.
-  Vector out(dim);
-  std::vector<double> column(selected.size());
-  for (int k = 0; k < dim; ++k) {
-    for (std::size_t i = 0; i < selected.size(); ++i) column[i] = selected[i][k];
-    std::sort(column.begin(), column.end());
-    const std::size_t m = column.size();
-    const double med =
-        (m % 2 == 1) ? column[m / 2] : 0.5 * (column[m / 2 - 1] + column[m / 2]);
-    std::sort(column.begin(), column.end(), [med](double a, double b) {
-      return std::abs(a - med) < std::abs(b - med);
-    });
-    double sum = 0.0;
-    const int take = std::min<int>(beta, static_cast<int>(column.size()));
-    for (int i = 0; i < take; ++i) sum += column[static_cast<std::size_t>(i)];
-    out[k] = sum / static_cast<double>(take);
-  }
-  return out;
-}
 
 void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                       AggregatorWorkspace& ws) const {
@@ -213,8 +183,8 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
     // stage 1 above keeps.
     int pool = n;
     for (int round = 0; round < theta; ++round) {
-      // The span path's relaxed_scores rejects a pool of fewer than two
-      // gradients (which f = 0 reaches on the final round); mirror it.
+      // A pool of fewer than two gradients (which f = 0 reaches on the final
+      // round) leaves a row no neighbour to score against.
       ABFT_REQUIRE(pool >= 2, "relaxed krum scores need at least two gradients");
       const int neighbors = std::max(1, pool - f - 2);
       const int best = detail::krum_select(ws, n, neighbors, ws.active.data());
@@ -226,9 +196,10 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
 
   // Stage 2: per coordinate, average the beta selected entries closest to
   // the selected median.  Columns come from the contiguous workspace
-  // transpose.  In exact mode the selection replicates the span path's two
-  // sorts verbatim so tie-breaking among equidistant entries is
-  // bit-identical; fast mode drops the second O(theta log theta) sort — in
+  // transpose.  Exact mode sorts the column, then sorts it again by
+  // distance to the median and takes the first beta (that second sort's
+  // order among equidistant entries is part of exact mode's bits); fast
+  // mode drops the second O(theta log theta) sort — in
   // a sorted column the beta entries closest to the median form a
   // contiguous window, found by an O(beta) two-pointer sweep and summed
   // with laned partial sums.  The selected multiset is identical for

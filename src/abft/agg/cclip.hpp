@@ -17,7 +17,6 @@ class CenteredClipAggregator final : public GradientAggregator {
   /// tau <= 0 selects the adaptive radius (median distance to the pivot).
   explicit CenteredClipAggregator(double tau = 0.0, int iterations = 3);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "cclip"; }
@@ -25,31 +24,6 @@ class CenteredClipAggregator final : public GradientAggregator {
  private:
   double tau_;
   int iterations_;
-};
-
-/// Runs an inner filter and feeds its output as the sole "gradient" of an
-/// outer one?  No — robust filters compose by *preprocessing*: the outer
-/// rule aggregates the gradients after the inner rule's per-gradient
-/// transformation.  This adapter implements the useful special case of
-/// norm-capping every gradient at the median norm before any rule, an
-/// ablation knob for bench_filters.
-class ClippedInputAggregator final : public GradientAggregator {
- public:
-  explicit ClippedInputAggregator(const GradientAggregator& inner);
-
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
-  void aggregate_into(Vector& out, const GradientBatch& batch, int f,
-                      AggregatorWorkspace& workspace) const override;
-  [[nodiscard]] std::string_view name() const noexcept override { return "clipped-input"; }
-  /// The preprocessing changes no preconditions: forward the inner rule's
-  /// f capacity so the engine's thin-round clamp sees the real constraint.
-  [[nodiscard]] int max_usable_f(int n) const noexcept override {
-    return inner_.max_usable_f(n);
-  }
-  [[nodiscard]] int min_usable_f() const noexcept override { return inner_.min_usable_f(); }
-
- private:
-  const GradientAggregator& inner_;
 };
 
 }  // namespace abft::agg

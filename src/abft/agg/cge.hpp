@@ -10,14 +10,9 @@ namespace abft::agg {
 
 class CgeAggregator final : public GradientAggregator {
  public:
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "cge"; }
-
-  /// Indices of the n-f gradients CGE keeps (ties broken by index, matching
-  /// the "ties broken arbitrarily" freedom in the paper).  Exposed for tests.
-  [[nodiscard]] static std::vector<int> kept_indices(std::span<const Vector> gradients, int f);
 };
 
 }  // namespace abft::agg

@@ -371,8 +371,8 @@ void weighted_bulyan(Vector& out, const GradientBatch& cs, const std::vector<dou
   }
   int pool = n;
   for (int round = 0; round < theta; ++round) {
-    // The span path's relaxed_scores rejects a pool of fewer than two
-    // gradients (which f = 0 reaches on the final round); mirror it.
+    // A pool of fewer than two gradients (which f = 0 reaches on the final
+    // round) leaves a row no neighbour to score against.
     ABFT_REQUIRE(pool >= 2, "relaxed krum scores need at least two gradients");
     const long long neighbors = std::max(1LL, static_cast<long long>(pool) - f - 2);
     int best = -1;
@@ -1071,16 +1071,6 @@ int CoresetReducer::reduce(const GradientBatch& batch, int f, AggregatorWorkspac
                                   colmajor_sqdist_block(cols, stride, center, dd, lo, hi,
                                                         out);
                                 });
-}
-
-Vector CoresetReducer::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  GradientBatch batch;
-  batch.pack(gradients);
-  AggregatorWorkspace workspace;
-  Vector out;
-  aggregate_into(out, batch, f, workspace);
-  return out;
 }
 
 void CoresetReducer::aggregate_into(Vector& out, const GradientBatch& batch, int f,

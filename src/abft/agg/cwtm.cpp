@@ -8,22 +8,6 @@
 
 namespace abft::agg {
 
-Vector CwtmAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n > 2 * f, "cwtm needs n > 2f");
-  Vector out(dim);
-  std::vector<double> column(gradients.size());
-  for (int k = 0; k < dim; ++k) {
-    for (std::size_t i = 0; i < gradients.size(); ++i) column[i] = gradients[i][k];
-    std::sort(column.begin(), column.end());
-    double sum = 0.0;
-    for (int j = f; j < n - f; ++j) sum += column[static_cast<std::size_t>(j)];
-    out[k] = sum / static_cast<double>(n - 2 * f);
-  }
-  return out;
-}
-
 namespace {
 
 /// Two nth_element partitions placing the f smallest entries in [0, f) and

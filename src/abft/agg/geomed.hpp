@@ -6,22 +6,16 @@
 
 namespace abft::agg {
 
-/// Computes the geometric median of the given points to the given relative
-/// tolerance via damped Weiszfeld iterations.  Deterministic.
-Vector geometric_median(std::span<const Vector> points, double tolerance = 1e-10,
-                        int max_iterations = 200);
-
-/// Batched geometric median over the rows of `batch`, written into `out`.
+/// Geometric median of the rows of `batch` to the given relative tolerance
+/// via damped Weiszfeld iterations, written into `out`.  Deterministic.
 /// Draws the Weiszfeld numerator from workspace.vecbuf — no allocation in
-/// the iteration loop.  Same damping, tolerance and iteration schedule as
-/// the span overload.
+/// the iteration loop.
 void geometric_median_into(Vector& out, const GradientBatch& batch,
                            AggregatorWorkspace& workspace, double tolerance = 1e-10,
                            int max_iterations = 200);
 
 class GeometricMedianAggregator final : public GradientAggregator {
  public:
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "geomed"; }
@@ -34,7 +28,6 @@ class GmomAggregator final : public GradientAggregator {
  public:
   explicit GmomAggregator(int num_buckets = 0);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "gmom"; }

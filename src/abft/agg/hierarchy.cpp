@@ -130,16 +130,6 @@ int HierarchicalAggregator::min_usable_f() const noexcept {
   return 0;
 }
 
-Vector HierarchicalAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  GradientBatch batch;
-  batch.pack(gradients);
-  AggregatorWorkspace workspace;
-  Vector out;
-  aggregate_into(out, batch, f, workspace);
-  return out;
-}
-
 void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                             AggregatorWorkspace& ws) const {
   validate_batch(batch, f);

@@ -98,7 +98,6 @@ class HierarchicalAggregator final : public GradientAggregator {
   /// leaf/root registry rule name.
   explicit HierarchicalAggregator(HierarchyConfig config);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return label_; }

@@ -216,47 +216,7 @@ void mean_of_lowest(std::vector<int>& order, const double* scores, int stride, i
   for (int k = 0; k < d; ++k) out[static_cast<std::size_t>(k)] *= inv;
 }
 
-/// Span-path Krum scores: squared linalg::distance candidates (NaN as
-/// +inf) through the long-row scorer, so any row length and any input give
-/// krum_select's score definition.
-std::vector<double> scores_with_neighbors(std::span<const Vector> gradients, int num_neighbors) {
-  const std::size_t n = gradients.size();
-  std::vector<double> score(n, 0.0);
-  std::vector<double> dists(2 * (n - 1));  // a row's candidates, then the select copy
-  const int m = static_cast<int>(n) - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t x = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double d = linalg::distance(gradients[i], gradients[j]);
-      dists[x++] = detail::nan_as_inf(d * d);
-    }
-    score[i] = detail::smallest_k_sum_select(dists.data(), m, num_neighbors, dists.data() + m);
-  }
-  return score;
-}
-
 }  // namespace
-
-std::vector<double> KrumAggregator::scores(std::span<const Vector> gradients, int f) {
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n > 2 * f + 2, "krum needs n > 2f + 2");
-  return scores_with_neighbors(gradients, n - f - 2);
-}
-
-std::vector<double> KrumAggregator::relaxed_scores(std::span<const Vector> gradients, int f) {
-  const int n = static_cast<int>(gradients.size());
-  ABFT_REQUIRE(n >= 2, "relaxed krum scores need at least two gradients");
-  ABFT_REQUIRE(f >= 0, "fault bound must be non-negative");
-  return scores_with_neighbors(gradients, std::max(1, n - f - 2));
-}
-
-Vector KrumAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  validate_gradients(gradients, f);
-  const auto score = scores(gradients, f);
-  const auto best = std::min_element(score.begin(), score.end()) - score.begin();
-  return gradients[static_cast<std::size_t>(best)];
-}
 
 int KrumAggregator::batched_scores(const GradientBatch& batch, int f, AggregatorWorkspace& ws) {
   const int n = batch.rows();
@@ -289,22 +249,6 @@ void KrumAggregator::aggregate_shards(GradientBatch& outputs, const GradientBatc
 
 MultiKrumAggregator::MultiKrumAggregator(int m) : m_(m) {
   ABFT_REQUIRE(m >= 0, "multi-krum m must be non-negative");
-}
-
-Vector MultiKrumAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  const int n = static_cast<int>(gradients.size());
-  const int m = m_ > 0 ? m_ : n - f;
-  ABFT_REQUIRE(m <= n, "multi-krum m must be at most n");
-  const auto score = KrumAggregator::scores(gradients, f);
-  std::vector<int> order(gradients.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&score](int a, int b) {
-    return score[static_cast<std::size_t>(a)] < score[static_cast<std::size_t>(b)];
-  });
-  Vector sum(dim);
-  for (int i = 0; i < m; ++i) sum += gradients[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
-  return sum / static_cast<double>(m);
 }
 
 void MultiKrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,

@@ -79,7 +79,6 @@ void krum_select_lanes(AggregatorWorkspace& ws, const GradientBatch& batch,
 
 class KrumAggregator final : public GradientAggregator {
  public:
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   /// Scores the shards by lanes (detail::krum_select_lanes) where
@@ -93,22 +92,12 @@ class KrumAggregator final : public GradientAggregator {
     return n < 3 ? -1 : (n - 3) / 2;
   }
 
-  /// Krum scores for all gradients (exposed for tests and Bulyan): squared
-  /// linalg::distance candidates, scored with krum_select's definition.
-  [[nodiscard]] static std::vector<double> scores(std::span<const Vector> gradients, int f);
-
   /// Batched Krum scores, written into workspace.scores by
   /// detail::krum_select; returns the lowest-score row.  Fills the shared
   /// pairwise squared-distance matrix in workspace.pairdist via the Gram
   /// identity; Krum and Multi-Krum both score from it (Bulyan's exact stage
   /// 1 runs krum_select over the same matrix with an active-row mask).
   static int batched_scores(const GradientBatch& batch, int f, AggregatorWorkspace& workspace);
-
-  /// Scores with the neighbour count clamped to at least one — used by
-  /// Bulyan, whose selection loop shrinks the pool below Krum's own n > 2f+2
-  /// requirement by design.
-  [[nodiscard]] static std::vector<double> relaxed_scores(std::span<const Vector> gradients,
-                                                          int f);
 };
 
 class MultiKrumAggregator final : public GradientAggregator {
@@ -117,7 +106,6 @@ class MultiKrumAggregator final : public GradientAggregator {
   /// choice m = n - f computed per call.
   explicit MultiKrumAggregator(int m = 0);
 
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   /// Krum's shard lanes, then each shard's stable order and mean.

@@ -4,26 +4,6 @@
 
 namespace abft::agg {
 
-Vector NormClipAggregator::aggregate(std::span<const Vector> gradients, int f) const {
-  const int dim = validate_gradients(gradients, f);
-  std::vector<double> norms(gradients.size());
-  for (std::size_t i = 0; i < gradients.size(); ++i) norms[i] = gradients[i].norm();
-  std::vector<double> sorted = norms;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  const double clip =
-      (n % 2 == 1) ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-  Vector sum(dim);
-  for (std::size_t i = 0; i < gradients.size(); ++i) {
-    if (norms[i] > clip && norms[i] > 0.0) {
-      sum.add_scaled(clip / norms[i], gradients[i]);
-    } else {
-      sum += gradients[i];
-    }
-  }
-  return sum / static_cast<double>(n);
-}
-
 void NormClipAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                         AggregatorWorkspace& ws) const {
   const int d = validate_batch(batch, f);

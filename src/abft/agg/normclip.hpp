@@ -9,7 +9,6 @@ namespace abft::agg {
 
 class NormClipAggregator final : public GradientAggregator {
  public:
-  [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override;
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "normclip"; }

@@ -51,7 +51,7 @@ struct DsgdConfig {
   /// inside the gradient filter.  1 = fully single-threaded.
   int agg_threads = 1;
   /// Numerical mode of the gradient filter (see agg/batch.hpp): exact keeps
-  /// bit-parity with the span path, fast enables the relaxed-parity
+  /// the kernels' arithmetic fixed, fast enables the relaxed-parity
   /// vectorized kernels.
   agg::AggMode agg_mode = agg::AggMode::exact;
   /// Compute precision of the filter's fast lane (agg/batch.hpp): f32

@@ -56,7 +56,7 @@ struct DgdConfig {
   /// 1 = fully single-threaded.  Results are bit-identical for every value.
   int agg_threads = 1;
   /// Numerical mode of the gradient filter: AggMode::exact (default) keeps
-  /// the kernels bit-compatible with the legacy span path; AggMode::fast
+  /// the kernels' arithmetic fixed (bit-identical goldens); AggMode::fast
   /// enables the relaxed-parity vectorized kernels (tolerance-bounded, see
   /// agg/batch.hpp).
   agg::AggMode agg_mode = agg::AggMode::exact;

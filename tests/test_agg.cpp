@@ -1,7 +1,9 @@
 // Unit and property tests for the gradient-filter library.  Each rule gets
 // exact small-case checks; a parameterized suite then asserts the shared
 // robustness contract across every robust rule: permutation invariance and
-// bounded output under f arbitrarily-large outliers.
+// bounded output under f arbitrarily-large outliers.  The batched-parity
+// suite compares every registry rule with its naive reference
+// (reference_rules.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "abft/agg/normclip.hpp"
 #include "abft/agg/registry.hpp"
 #include "abft/util/rng.hpp"
+#include "reference_rules.hpp"
 
 namespace {
 
@@ -28,13 +31,17 @@ using agg::Vector;
 std::vector<Vector> make_gradients(std::initializer_list<Vector> list) { return {list}; }
 
 TEST(Validate, SharedPreconditions) {
+  // Every rule's span adapter rejects an empty or ragged family and an f
+  // outside [0, n).
   const auto grads = make_gradients({Vector{1.0, 0.0}, Vector{0.0, 1.0}});
-  EXPECT_EQ(agg::validate_gradients(grads, 0), 2);
-  EXPECT_THROW(agg::validate_gradients({}, 0), std::invalid_argument);
-  EXPECT_THROW(agg::validate_gradients(grads, -1), std::invalid_argument);
-  EXPECT_THROW(agg::validate_gradients(grads, 2), std::invalid_argument);
   const auto ragged = make_gradients({Vector{1.0}, Vector{1.0, 2.0}});
-  EXPECT_THROW(agg::validate_gradients(ragged, 0), std::invalid_argument);
+  for (const auto name : agg::aggregator_names()) {
+    const auto rule = agg::make_aggregator(name);
+    EXPECT_THROW((void)rule->aggregate({}, 0), std::invalid_argument) << name;
+    EXPECT_THROW((void)rule->aggregate(ragged, 0), std::invalid_argument) << name;
+    EXPECT_THROW((void)rule->aggregate(grads, -1), std::invalid_argument) << name;
+    EXPECT_THROW((void)rule->aggregate(grads, 2), std::invalid_argument) << name;
+  }
 }
 
 TEST(Average, IsTheMean) {
@@ -58,14 +65,15 @@ TEST(Cge, KeepsEverythingWhenFZero) {
 
 TEST(Cge, KeptIndicesSortedByNorm) {
   const auto grads = make_gradients({Vector{3.0}, Vector{1.0}, Vector{2.0}});
-  const auto kept = agg::CgeAggregator::kept_indices(grads, 1);
-  EXPECT_EQ(kept, (std::vector<int>{1, 2}));
+  EXPECT_EQ(reference_rules::cge_kept(grads, 1), (std::vector<int>{1, 2}));
+  EXPECT_EQ(agg::CgeAggregator().aggregate(grads, 1), (Vector{3.0}));
 }
 
 TEST(Cge, TieBreakIsStableByIndex) {
+  // Equal norms: the earlier indices 0 and 1 are kept, not row 2.
   const auto grads = make_gradients({Vector{1.0, 0.0}, Vector{0.0, 1.0}, Vector{-1.0, 0.0}});
-  const auto kept = agg::CgeAggregator::kept_indices(grads, 1);
-  EXPECT_EQ(kept, (std::vector<int>{0, 1}));  // equal norms: earlier index first
+  EXPECT_EQ(reference_rules::cge_kept(grads, 1), (std::vector<int>{0, 1}));
+  EXPECT_EQ(agg::CgeAggregator().aggregate(grads, 1), (Vector{1.0, 1.0}));
 }
 
 TEST(Cwtm, TrimsPerCoordinate) {
@@ -152,9 +160,19 @@ TEST(MultiKrum, AveragesLowScoreGradients) {
   EXPECT_DOUBLE_EQ(out[1], 0.0);
 }
 
+Vector geometric_median(std::span<const Vector> points, double tolerance = 1e-10,
+                        int max_iterations = 200) {
+  agg::GradientBatch batch;
+  batch.pack(points);
+  agg::AggregatorWorkspace ws;
+  Vector med;
+  agg::geometric_median_into(med, batch, ws, tolerance, max_iterations);
+  return med;
+}
+
 TEST(GeometricMedian, MatchesMedianInOneDimension) {
   const auto points = make_gradients({Vector{1.0}, Vector{2.0}, Vector{100.0}});
-  const Vector med = agg::geometric_median(points);
+  const Vector med = geometric_median(points);
   EXPECT_NEAR(med[0], 2.0, 1e-6);
 }
 
@@ -164,7 +182,7 @@ TEST(GeometricMedian, FirstOrderOptimality) {
   util::Rng rng(9);
   std::vector<Vector> points;
   for (int i = 0; i < 7; ++i) points.push_back(Vector{rng.normal(), rng.normal()});
-  const Vector med = agg::geometric_median(points, 1e-12, 500);
+  const Vector med = geometric_median(points, 1e-12, 500);
   Vector subgradient(2);
   for (const auto& p : points) {
     const double dist = linalg::distance(med, p);
@@ -241,14 +259,6 @@ TEST(CenteredClip, IdenticalGradientsShortCircuit) {
   EXPECT_EQ(rule.aggregate(grads, 1), (Vector{2.0, -1.0}));
 }
 
-TEST(ClippedInput, CapsNormsBeforeInnerRule) {
-  const agg::AverageAggregator inner;
-  const agg::ClippedInputAggregator rule(inner);
-  const auto grads = make_gradients({Vector{1.0}, Vector{1.0}, Vector{1e9}});
-  // Median norm 1 caps the outlier: mean = 1.
-  EXPECT_NEAR(rule.aggregate(grads, 1)[0], 1.0, 1e-9);
-}
-
 // Structural property of CGE across an (n, f) grid: the output is exactly
 // the sum of some n - f of the inputs, all with norms no larger than every
 // dropped input's norm.
@@ -268,7 +278,7 @@ TEST_P(CgeStructure, OutputIsSumOfSmallestNormSubset) {
   }
   const agg::CgeAggregator rule;
   const Vector out = rule.aggregate(grads, f);
-  const auto kept = agg::CgeAggregator::kept_indices(grads, f);
+  const auto kept = reference_rules::cge_kept(grads, f);
   ASSERT_EQ(kept.size(), static_cast<std::size_t>(n - f));
   Vector expected(3);
   double max_kept_norm = 0.0;
@@ -420,23 +430,24 @@ TEST(GradientBatch, PackRejectsBadInput) {
   EXPECT_THROW(batch.pack(ragged), std::invalid_argument);
 }
 
-TEST(BatchedAdapter, DefaultRoutesThroughSpanPath) {
-  // A rule that only implements the span API still works batched via the
-  // base-class adapter.
-  class SpanOnlyMean final : public agg::GradientAggregator {
-   public:
-    [[nodiscard]] Vector aggregate(std::span<const Vector> gradients, int f) const override {
-      agg::validate_gradients(gradients, f);
-      return linalg::mean(gradients);
-    }
-    [[nodiscard]] std::string_view name() const noexcept override { return "span-only-mean"; }
-  };
-  const SpanOnlyMean rule;
-  const auto grads = make_gradients({Vector{2.0, 0.0}, Vector{0.0, 2.0}});
+TEST(BatchedAdapter, SpanAdapterEqualsBatchedForEveryRule) {
+  // aggregate(span) packs the family and runs aggregate_into with an
+  // exact-mode workspace, so it returns the batched output bit for bit.
+  util::Rng rng(6060);
+  const int n = 23, d = 7, f = 3;  // n >= 4f + 3, so even bulyan can run
+  std::vector<Vector> grads;
+  for (int i = 0; i < n; ++i) {
+    Vector g(d);
+    for (int k = 0; k < d; ++k) g[k] = rng.normal();
+    grads.push_back(std::move(g));
+  }
   agg::GradientBatch batch;
   batch.pack(grads);
-  agg::AggregatorWorkspace ws;
-  EXPECT_EQ(rule.aggregate_batched(batch, 0, ws), (Vector{1.0, 1.0}));
+  for (const auto name : agg::aggregator_names()) {
+    const auto rule = agg::make_aggregator(name);
+    agg::AggregatorWorkspace ws;
+    EXPECT_EQ(rule->aggregate(grads, f), rule->aggregate_batched(batch, f, ws)) << name;
+  }
 }
 
 namespace parity {
@@ -452,18 +463,19 @@ std::vector<Vector> random_gradients(util::Rng& rng, int n, int d, double scale 
   return grads;
 }
 
-/// Asserts the batched path agrees with the span path to 1e-12 (relative to
-/// the output's own magnitude), or that both paths reject the shape.
+/// Asserts the batched path agrees with the rule's naive reference to
+/// 1e-12 (relative to the output's own magnitude), or that both reject the
+/// shape.
 void expect_parity(const agg::GradientAggregator& rule, std::span<const Vector> grads, int f,
                    agg::AggregatorWorkspace& ws, const std::string& label) {
   agg::GradientBatch batch;
   batch.pack(grads);
-  Vector legacy;
-  bool legacy_threw = false;
+  Vector reference;
+  bool reference_threw = false;
   try {
-    legacy = rule.aggregate(grads, f);
+    reference = reference_rules::aggregate(rule.name(), grads, f);
   } catch (const std::invalid_argument&) {
-    legacy_threw = true;
+    reference_threw = true;
   }
   Vector batched;
   bool batched_threw = false;
@@ -472,12 +484,12 @@ void expect_parity(const agg::GradientAggregator& rule, std::span<const Vector> 
   } catch (const std::invalid_argument&) {
     batched_threw = true;
   }
-  ASSERT_EQ(legacy_threw, batched_threw) << label << ": one path rejected the shape";
-  if (legacy_threw) return;
-  ASSERT_EQ(legacy.dim(), batched.dim()) << label;
-  const double tol = 1e-12 * std::max(1.0, legacy.norm_inf());
-  for (int k = 0; k < legacy.dim(); ++k) {
-    ASSERT_NEAR(legacy[k], batched[k], tol) << label << " coordinate " << k;
+  ASSERT_EQ(reference_threw, batched_threw) << label << ": one side rejected the shape";
+  if (reference_threw) return;
+  ASSERT_EQ(reference.dim(), batched.dim()) << label;
+  const double tol = 1e-12 * std::max(1.0, reference.norm_inf());
+  for (int k = 0; k < reference.dim(); ++k) {
+    ASSERT_NEAR(reference[k], batched[k], tol) << label << " coordinate " << k;
   }
 }
 
@@ -575,8 +587,8 @@ TEST(BatchedParity, GramCancellationGuard) {
   // Gradients sharing a huge common component while differing by tiny
   // deltas: the naive Gram identity loses all digits of the pairwise
   // distances here, so this locks in the guarded recompute.  The batched
-  // Krum family must still rank the outlier-adjacent scores like the span
-  // path's direct distances do.
+  // Krum family must still rank the outlier-adjacent scores like the
+  // reference's direct distances do.
   util::Rng rng(86);
   const int n = 9, d = 6, f = 1;
   std::vector<Vector> grads;
@@ -590,15 +602,6 @@ TEST(BatchedParity, GramCancellationGuard) {
     const auto rule = agg::make_aggregator(name);
     parity::expect_parity(*rule, grads, f, ws, std::string(name) + " gram-cancellation");
   }
-}
-
-TEST(BatchedParity, ClippedInputAdapterMatches) {
-  util::Rng rng(2024);
-  const auto grads = parity::random_gradients(rng, 12, 19, 3.0);
-  const agg::CwtmAggregator inner;
-  const agg::ClippedInputAggregator rule(inner);
-  agg::AggregatorWorkspace ws;
-  parity::expect_parity(rule, grads, 2, ws, "clipped-input");
 }
 
 }  // namespace

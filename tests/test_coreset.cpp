@@ -104,8 +104,8 @@ TEST(Coreset, ReduceRejectsNonReducingShapes) {
 }
 
 // The headline delegation criterion: coreset_size >= n cannot shrink the
-// batch, so every rule must pass through bit-identically — batched and span
-// API alike.
+// batch, so every rule must pass through bit-identically — through
+// aggregate_into and the span adapter alike.
 TEST(Coreset, DelegatesBitIdenticallyWhenReductionCannotShrink) {
   const int n = 23, d = 7, f = 3;  // n >= 4f + 3, so even bulyan can run
   const auto batch = random_batch(n, d, 42);

@@ -57,7 +57,8 @@ TEST(Hierarchy, ConstructorRejectsBadConfig) {
 }
 
 // An S = 1 tree must delegate to the leaf rule outright: bit-identical to
-// flat aggregation for every registry rule, batched and span API alike.
+// flat aggregation for every registry rule, through aggregate_into and the
+// span adapter alike.
 TEST(Hierarchy, SingleShardBitIdenticalToFlatForEveryRule) {
   const int n = 23, d = 7, f = 3;  // n >= 4f + 3, so even bulyan can run
   const auto batch = random_batch(n, d, 42);
@@ -70,8 +71,7 @@ TEST(Hierarchy, SingleShardBitIdenticalToFlatForEveryRule) {
     const HierarchicalAggregator hier({1, std::string(name), "cwtm", -1, 0});
     const auto flat_batched = aggregate_batched(*flat, batch, f);
     EXPECT_EQ(aggregate_batched(hier, batch, f), flat_batched);
-    // The span API packs into a batch, so it matches the flat batched path
-    // (some flat rules' own span overloads sum in a different order).
+    // The span adapter packs into a batch and runs the same aggregate_into.
     EXPECT_EQ(hier.aggregate(grads, f), flat_batched);
   }
 }

@@ -268,8 +268,8 @@ void duplicate_rows(GradientBatch& batch, int from, int first, int last) {
 /// +inf, and mimicked rows next to one row at 1e200 mix tied, finite and
 /// infinite scores) and non-finite: two rows at +inf in one coordinate
 /// (the guard's direct difference inf - inf gives their distance NaN, which
-/// Krum counts as +inf) and a NaN coordinate (the distance clamp maps its
-/// distances to 0; screening such rows is outside the scorer).
+/// Krum counts as +inf) and a NaN coordinate (all of that row's distances
+/// are NaN).
 std::vector<std::pair<std::string, GradientBatch>> batch_family(int n, int d, std::uint64_t seed) {
   std::vector<std::pair<std::string, GradientBatch>> family;
   family.emplace_back("random", random_batch(n, d, seed));
@@ -340,10 +340,9 @@ TEST(KrumSelect, ScoresMatchTheReferenceOnEveryBatchAndLane) {
   }
 }
 
-TEST(KrumSelect, KrumAndMultiKrumOutputsMatchTheOldScorer) {
-  // The name predates the score definition: the oracle is now the
-  // reference.  The scores are swept above; this checks the wiring from
-  // aggregate_into to them, over every f at small n and a spread beyond.
+TEST(KrumSelect, KrumAndMultiKrumOutputsMatchTheReference) {
+  // The scores are swept above; this checks the wiring from aggregate_into
+  // to them, over every f at small n and a spread beyond.
   for (const int n : test_sizes()) {
     const auto fs = krum_fs(n, n <= 26);
     for (const auto& lane : kLanes) {
@@ -382,9 +381,8 @@ TEST(KrumSelect, AllOnesMaskMatchesNoMask) {
   }
 }
 
-TEST(KrumSelect, ExactBulyanMatchesTheOldStageOne) {
-  // The name predates the score definition: stage 1 now runs against the
-  // reference's iterated first-lowest scan.
+TEST(KrumSelect, ExactBulyanMatchesTheReferenceStageOne) {
+  // Stage 1 against the reference's iterated first-lowest scan.
   const agg::BulyanAggregator bulyan;
   const Lane& exact = kLanes[0];
   for (const int n : test_sizes()) {
@@ -510,62 +508,81 @@ TEST(KrumSelect, OrderFollowsLongDoubleSumsOutsideTheBand) {
   }
 }
 
-TEST(KrumSelect, SpanScoresMatchTheReference) {
-  // KrumAggregator::scores and relaxed_scores: squared linalg::distance
-  // candidates (NaN as +inf) under the same definition, on both sides of
-  // the cutoff, with a NaN coordinate and a shared +inf coordinate too.
-  const int cut = agg::detail::kKrumRankSelectMaxRow;
-  for (const int n : {5, 9, 25, cut + 4}) {
-    for (const auto& [label, batch] : batch_family(n, 4, 8000 + static_cast<std::uint64_t>(n))) {
-      const auto grads = batch.unpack();
-      for (const int f : krum_fs(n, false)) {
-        std::vector<double> expected(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          std::vector<double> cand;
-          for (int j = 0; j < n; ++j) {
-            if (j == i) continue;
-            const double d = linalg::distance(grads[static_cast<std::size_t>(i)],
-                                              grads[static_cast<std::size_t>(j)]);
-            cand.push_back(d * d);
-          }
-          expected[static_cast<std::size_t>(i)] = krum_reference::score(cand, n - f - 2);
-        }
-        const std::string where = label + " n=" + std::to_string(n) + " f=" + std::to_string(f);
-        EXPECT_TRUE(same_bytes(agg::KrumAggregator::scores(grads, f), expected)) << where;
-        EXPECT_TRUE(same_bytes(agg::KrumAggregator::relaxed_scores(grads, f), expected)) << where;
-      }
-    }
+bool all_finite(std::span<const double> v) {
+  return std::all_of(v.begin(), v.end(), [](double x) { return std::isfinite(x); });
+}
+
+/// Sets one coordinate of each of `bad` rows to NaN: row (7 r + 3) mod n of
+/// rows [first, first + n), r < bad.
+void plant_nan_rows(GradientBatch& batch, int first, int n, int bad) {
+  for (int r = 0; r < bad; ++r) {
+    batch.row(first + (r * 7 + 3) % n)[static_cast<std::size_t>(r % batch.cols())] =
+        std::numeric_limits<double>::quiet_NaN();
   }
 }
 
-bool all_finite(const Vector& v) {
-  const auto c = v.coefficients();
-  return std::all_of(c.begin(), c.end(), [](double x) { return std::isfinite(x); });
+/// True when `out` is, bit for bit, a row of `batch` without a NaN.
+bool is_clean_row(const Vector& out, const GradientBatch& batch) {
+  for (int i = 0; i < batch.rows(); ++i) {
+    if (all_finite(batch.row(i)) && bitwise_equal(out, batch.unpack_row(i))) return true;
+  }
+  return false;
 }
 
-TEST(KrumSelect, SpanPathsNeverSelectANanRow) {
+TEST(KrumSelect, NanRowsNeverCaptureTheKrumFamily) {
   // Up to f rows carry a NaN coordinate.  Their distances are NaN, counted
   // as +inf, so each such row scores +inf while every other row keeps
-  // finite candidates enough for its k: the span Krum, Multi-Krum (m =
-  // n - f) and Bulyan outputs stay finite.
+  // finite candidates enough for its k: in every lane, Krum returns a row
+  // without a NaN, and Multi-Krum (m = n - f) and Bulyan stay finite.  At
+  // d = 8 and 16 the f64 lanes fill the packed triangle with the small-d
+  // kernel on AVX-512 hosts, at d = 3 with the per-pair one.
   const agg::KrumAggregator krum;
   const agg::MultiKrumAggregator multikrum;
   const agg::BulyanAggregator bulyan;
-  for (const int n : {7, 11, 25, agg::detail::kKrumRankSelectMaxRow + 4}) {
-    for (int f = 1; 2 * f + 2 < n; f += std::max(1, n / 10)) {
-      for (int bad = 1; bad <= f; ++bad) {
-        auto batch = random_batch(n, 3, 400 + static_cast<std::uint64_t>(n * f + bad));
-        for (int r = 0; r < bad; ++r) {
-          batch.row((r * 7 + 3) % n)[static_cast<std::size_t>(r % 3)] =
-              std::numeric_limits<double>::quiet_NaN();
+  for (const auto& lane : kLanes) {
+    for (const int n : {7, 11, 25, agg::detail::kKrumRankSelectMaxRow + 4}) {
+      for (const int d : {3, 8, 16}) {
+        for (int f = 1; 2 * f + 2 < n; f += std::max(1, n / 10)) {
+          for (int bad = 1; bad <= f; ++bad) {
+            auto batch = random_batch(n, d, 400 + static_cast<std::uint64_t>(n * f + bad));
+            plant_nan_rows(batch, 0, n, bad);
+            const std::string where = std::string(lane.name) + " n=" + std::to_string(n) +
+                                      " d=" + std::to_string(d) + " f=" + std::to_string(f) +
+                                      " nan rows=" + std::to_string(bad);
+            EXPECT_TRUE(is_clean_row(run_rule(krum, batch, f, lane), batch)) << where;
+            EXPECT_TRUE(all_finite(run_rule(multikrum, batch, f, lane).coefficients())) << where;
+            if (n >= 4 * f + 3) {
+              EXPECT_TRUE(all_finite(run_rule(bulyan, batch, f, lane).coefficients())) << where;
+            }
+          }
         }
-        const auto grads = batch.unpack();
-        const std::string where = "n=" + std::to_string(n) + " f=" + std::to_string(f) +
-                                  " nan rows=" + std::to_string(bad);
-        EXPECT_TRUE(all_finite(krum.aggregate(grads, f))) << where;
-        EXPECT_TRUE(all_finite(multikrum.aggregate(grads, f))) << where;
-        if (n >= 4 * f + 3) {
-          EXPECT_TRUE(all_finite(bulyan.aggregate(grads, f))) << where;
+      }
+    }
+  }
+  // A hierarchy of Krum or Multi-Krum leaves under a CWTM root, shard s
+  // holding s mod 4 NaN rows against a leaf budget of 3: at d = 8 in the
+  // f64 lanes on AVX-512 hosts the leaves take the shard-lane route
+  // (detail::krum_shard_lanes), in the f32 lane the packed one.  Every
+  // leaf output and the root's stay finite.
+  constexpr int kShards = 16, kRows = 25, kD = 8;
+  auto batch = random_batch(kShards * kRows, kD, 4747);
+  for (int s = 0; s < kShards; ++s) plant_nan_rows(batch, s * kRows, kRows, s % 4);
+  agg::ThreadPool pool(4);
+  for (const auto& lane : kLanes) {
+    for (const char* leaf : {"krum", "multikrum"}) {
+      const agg::HierarchicalAggregator hier({kShards, leaf, "cwtm", 3, 0});
+      for (const int threads : {1, 4}) {
+        AggregatorWorkspace ws;
+        configure(ws, lane);
+        ws.parallel_threads = threads;
+        ws.pool = &pool;
+        Vector out;
+        hier.aggregate_into(out, batch, 7, ws);
+        const std::string where = std::string(lane.name) + " " + leaf + " leaves, threads " +
+                                  std::to_string(threads);
+        EXPECT_TRUE(all_finite(out.coefficients())) << where;
+        for (int s = 0; s < kShards; ++s) {
+          EXPECT_TRUE(all_finite(ws.hier_root.row(s))) << where << " shard " << s;
         }
       }
     }
@@ -611,9 +628,8 @@ Vector reference_hierarchy(const GradientBatch& batch, int f, std::uint64_t assi
   return out;
 }
 
-TEST(KrumSelect, ManyLikeHierarchyMatchesTheOldComposition) {
-  // The name predates the score definition: the composition's leaves are
-  // now the reference Krum.
+TEST(KrumSelect, ManyLikeHierarchyMatchesTheReferenceComposition) {
+  // The composition's leaves are the reference Krum.
   // 80 shards of 25 rows (many's leaf), and 40 shards of 16, 17, 32 and 33
   // rows: both ends of the network sizes of the shard-lane route.
   agg::ThreadPool pool(4);

@@ -6,7 +6,8 @@
 // cutoff is one constant for every mode, precision and host, so each rule
 // has one numeric path: its output must not depend on the mode, the
 // precision knob or the thread count, and CWMed (whose two routes pick the
-// same entries) must equal the sort-based span reference exactly.
+// same entries) must equal the sort-based reference (reference_rules.hpp)
+// exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
 #include "krum_reference.hpp"
+#include "reference_rules.hpp"
 
 namespace {
 
@@ -63,7 +65,8 @@ TEST(RankKernelCutoff, CwmedOutputInvariantUnderRouting) {
           rule->aggregate_into(reference, batch, f, ws);
         }
         if (name == "cwmed") {
-          EXPECT_EQ(reference, rule->aggregate(batch.unpack(), f)) << where << " vs span";
+          EXPECT_EQ(reference, reference_rules::aggregate(name, batch.unpack(), f))
+              << where << " vs reference";
         }
         for (const Lane& lane : lanes) {
           for (const int threads : {1, 4}) {
