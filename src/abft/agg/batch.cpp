@@ -661,14 +661,34 @@ void AggregatorWorkspace::fill_rows_f32(const GradientBatch& batch) {
   const int n = batch.rows();
   const int d = batch.cols();
   rows_f32.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
-  const double* src = batch.data();
-  float* dst = rows_f32.data();
-  // Element-wise demotion with one writer per element — bit-identical at
+  sqnorms_f32.resize(static_cast<std::size_t>(n));
+  // Element-wise demotion, each row's squared norm summed as it is written:
+  // 16 lanes over the whole lane groups, the leftover sequentially, then the
+  // lanes added to it in lane order.  One thread per row — bit-identical at
   // every thread count.
   run_parallel(0, n, [&](int i_begin, int i_end) {
-    const std::size_t lo = static_cast<std::size_t>(i_begin) * static_cast<std::size_t>(d);
-    const std::size_t hi = static_cast<std::size_t>(i_end) * static_cast<std::size_t>(d);
-    for (std::size_t k = lo; k < hi; ++k) dst[k] = static_cast<float>(src[k]);
+    constexpr int kLanes = 16;
+    for (int i = i_begin; i < i_end; ++i) {
+      const double* src = batch.row(i).data();
+      float* dst = rows_f32.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+      float lanes[kLanes] = {0.0f};
+      int k = 0;
+      for (; k + kLanes <= d; k += kLanes) {
+        for (int b = 0; b < kLanes; ++b) {
+          const float v = static_cast<float>(src[k + b]);
+          dst[k + b] = v;
+          lanes[b] += v * v;
+        }
+      }
+      float sum = 0.0f;
+      for (; k < d; ++k) {
+        const float v = static_cast<float>(src[k]);
+        dst[k] = v;
+        sum += v * v;
+      }
+      for (int b = 0; b < kLanes; ++b) sum += lanes[b];
+      sqnorms_f32[static_cast<std::size_t>(i)] = sum;
+    }
   });
 }
 
@@ -720,27 +740,14 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   // d-chunks so its active row segments stay cache-resident across its
   // pair sweep.
   if (f32_lane()) {
-    // Float32 lane: demote once, run the f32 Gram kernels, convert
-    // in double and store the packed triangle in f32.  The wider relative
-    // guard reflects the f32 dot's larger accumulation error — clustered
-    // batches simply take the direct-difference path, which is the most
-    // accurate result f32 inputs admit.
+    // Float32 lane: demote once (summing the row norms in the same pass),
+    // run the f32 Gram kernels, convert in double and store the packed
+    // triangle in f32.  The wider relative guard reflects the f32 dot's
+    // larger accumulation error — clustered batches simply take the
+    // direct-difference path, which is the most accurate result f32 inputs
+    // admit.
     fill_rows_f32(batch);
-    sqnorms_f32.resize(static_cast<std::size_t>(n));
     const float* rows = rows_f32.data();
-    for (int i = 0; i < n; ++i) {
-      constexpr int kLanes = 16;
-      const float* r = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-      float lanes[kLanes] = {0.0f};
-      int k = 0;
-      for (; k + kLanes <= d; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
-      }
-      float sum = 0.0f;
-      for (; k < d; ++k) sum += r[k] * r[k];
-      for (int b = 0; b < kLanes; ++b) sum += lanes[b];
-      sqnorms_f32[static_cast<std::size_t>(i)] = sum;
-    }
     pairdist_f32.assign(pairs, 0.0f);
     accumulate_pair_dots(*this, rows, pairdist_f32.data(), n, d, /*fast=*/true);
     constexpr double kCancellationGuardF32 = 1e-3;

@@ -181,8 +181,8 @@ struct AggregatorWorkspace {
   // --- float32 lane mirrors (see Precision) -------------------------------
   // Filled only when f32_lane() is active, by the Gram fill and the coreset
   // k-center pass: rows_f32 is the demote-on-ingest copy of the batch
-  // (n x d, row-major), colmajor_f32 its transpose (coreset), sqnorms_f32
-  // the per-row squared norms of the demoted rows and pairdist_f32 the
+  // (n x d, row-major) and sqnorms_f32 its per-row squared norms (16 lanes
+  // per row), colmajor_f32 its transpose (coreset) and pairdist_f32 the
   // packed triangular distances (same layout as pairdist; Gram fill), and
   // vecbuf_f32 a d-sized scratch for the demoted coreset pivot.
   std::vector<float> rows_f32;      ///< demoted batch rows (n x d)
@@ -330,7 +330,8 @@ struct AggregatorWorkspace {
 #endif
 
   /// Demotes the batch rows into `rows_f32` (the f32 lane's one
-  /// demote-on-ingest pass).
+  /// demote-on-ingest pass) and sums their squared norms into `sqnorms_f32`
+  /// in the same pass.
   void fill_rows_f32(const GradientBatch& batch);
 
   /// fill_rows_f32 + cache-blocked transpose into `colmajor_f32`.

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <vector>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include "abft/util/check.hpp"
 
 // The in-place row kernels (emit_into) are the single source of truth for
@@ -37,30 +41,63 @@ std::optional<Vector> emit_via_rows(const FaultModel& fault, const AttackContext
   return out;
 }
 
-/// Calls tile.template operator()<W>(base) over the coordinates [0, dim) in
-/// tiles of a compile-time width W: kHonestTileWidth while that many
-/// coordinates remain, then kHonestNarrowTileWidth, then 1.  A fixed width
-/// lets the compiler keep a tile's accumulators in registers.
+/// Lane operations on V::kWidth adjacent coordinates held in a Reg (a double
+/// or an __m512d, whose +, -, * and / are element-wise).  fmadd and fnmadd
+/// round c + a * b and c - a * b once, as GCC contracts the plain
+/// expressions on FMA targets: every width gives the per-coordinate bits.
+struct ScalarLane {
+  using Reg = double;
+  static constexpr std::size_t kWidth = 1;
+  static Reg load(const double* p) { return *p; }
+  static void store(double* p, Reg a) { *p = a; }
+  static Reg sqrt(Reg a) { return std::sqrt(a); }
+#if defined(__FMA__) || defined(__AVX512F__)
+  static Reg fmadd(Reg a, Reg b, Reg c) { return std::fma(a, b, c); }
+  static Reg fnmadd(double a, Reg b, Reg c) { return std::fma(-a, b, c); }
+#else
+  static Reg fmadd(Reg a, Reg b, Reg c) { return c + a * b; }
+  static Reg fnmadd(double a, Reg b, Reg c) { return c - a * b; }
+#endif
+};
+
+#if defined(__AVX512F__)
+struct Avx512Lane {
+  using Reg = __m512d;
+  static constexpr std::size_t kWidth = 8;
+  static Reg load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, Reg a) { _mm512_storeu_pd(p, a); }
+  // The all-lanes maskz form: _mm512_sqrt_pd trips -Wuninitialized in GCC 12.
+  static Reg sqrt(Reg a) { return _mm512_maskz_sqrt_pd(0xFF, a); }
+  static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
+  static Reg fnmadd(double a, Reg b, Reg c) { return _mm512_fnmadd_pd(_mm512_set1_pd(a), b, c); }
+};
+#endif
+
+/// Calls tile.template operator()<V, R>(base) over the coordinates [0, dim),
+/// each call covering R registers of V::kWidth coordinates from base: with
+/// AVX-512, tiles of 64 (eight registers, one 512-byte slice of each honest
+/// row, which stays in L1 between the sum and the deviation pass), then one
+/// register; otherwise eight scalars; then one coordinate at a time.
 template <typename Tile>
-void sweep_tiles(std::size_t dim, Tile&& tile) {
+void sweep_columns(std::size_t dim, Tile&& tile) {
   std::size_t base = 0;
-  for (; base + kHonestTileWidth <= dim; base += kHonestTileWidth) {
-    tile.template operator()<kHonestTileWidth>(base);
-  }
-  for (; base + kHonestNarrowTileWidth <= dim; base += kHonestNarrowTileWidth) {
-    tile.template operator()<kHonestNarrowTileWidth>(base);
-  }
-  for (; base < dim; ++base) tile.template operator()<1>(base);
+#if defined(__AVX512F__)
+  for (; base + 64 <= dim; base += 64) tile.template operator()<Avx512Lane, 8>(base);
+  for (; base + 8 <= dim; base += 8) tile.template operator()<Avx512Lane, 1>(base);
+#else
+  for (; base + 8 <= dim; base += 8) tile.template operator()<ScalarLane, 8>(base);
+#endif
+  for (; base < dim; ++base) tile.template operator()<ScalarLane, 1>(base);
 }
 
-/// sums[j] = the sum over the honest rows, in row order, of coordinate
-/// base + j: the tile is swept row by row (contiguous reads).
-template <std::size_t W>
-void column_sums(const HonestRowsView& honest, std::size_t base, double (&sums)[W]) {
-  for (std::size_t j = 0; j < W; ++j) sums[j] = 0.0;
+/// sum[r] = the sum over the honest rows, in row order, of register r of the
+/// tile at base: the rows are read one contiguous slice at a time.
+template <typename V, std::size_t R>
+void column_sums(const HonestRowsView& honest, std::size_t base, typename V::Reg (&sum)[R]) {
+  for (auto& s : sum) s = typename V::Reg{};
   for (int i = 0; i < honest.count(); ++i) {
     const double* row = honest.row(i).data() + base;
-    for (std::size_t j = 0; j < W; ++j) sums[j] += row[j];
+    for (std::size_t r = 0; r < R; ++r) sum[r] += V::load(row + r * V::kWidth);
   }
 }
 
@@ -87,19 +124,21 @@ bool LittleIsEnoughFault::emit_into(std::span<double> out, const RowAttackContex
   // exactly, and the squared deviations sum in row order too.
   const auto count = static_cast<double>(honest.count());
   const double inv_count = 1.0 / count;
-  sweep_tiles(out.size(), [&]<std::size_t W>(std::size_t base) {
-    double mu[W];
-    column_sums<W>(honest, base, mu);
-    for (std::size_t j = 0; j < W; ++j) mu[j] *= inv_count;
-    double sigma[W] = {};
+  sweep_columns(out.size(), [&]<typename V, std::size_t R>(std::size_t base) {
+    typename V::Reg mu[R];
+    column_sums<V, R>(honest, base, mu);
+    for (auto& m : mu) m *= inv_count;
+    typename V::Reg sigma[R] = {};
     for (int i = 0; i < honest.count(); ++i) {
       const double* row = honest.row(i).data() + base;
-      for (std::size_t j = 0; j < W; ++j) {
-        const double diff = row[j] - mu[j];
-        sigma[j] += diff * diff;
+      for (std::size_t r = 0; r < R; ++r) {
+        const auto diff = V::load(row + r * V::kWidth) - mu[r];
+        sigma[r] = V::fmadd(diff, diff, sigma[r]);
       }
     }
-    for (std::size_t j = 0; j < W; ++j) out[base + j] = mu[j] - z_ * std::sqrt(sigma[j] / count);
+    for (std::size_t r = 0; r < R; ++r) {
+      V::store(out.data() + base + r * V::kWidth, V::fnmadd(z_, V::sqrt(sigma[r] / count), mu[r]));
+    }
   });
   return true;
 }
@@ -121,10 +160,12 @@ bool MeanReverseFault::emit_into(std::span<double> out, const RowAttackContext& 
     return true;
   }
   const double inv_count = 1.0 / static_cast<double>(honest.count());
-  sweep_tiles(out.size(), [&]<std::size_t W>(std::size_t base) {
-    double mu[W];
-    column_sums<W>(honest, base, mu);
-    for (std::size_t j = 0; j < W; ++j) out[base + j] = (mu[j] * inv_count) * scale;
+  sweep_columns(out.size(), [&]<typename V, std::size_t R>(std::size_t base) {
+    typename V::Reg mu[R];
+    column_sums<V, R>(honest, base, mu);
+    for (std::size_t r = 0; r < R; ++r) {
+      V::store(out.data() + base + r * V::kWidth, (mu[r] * inv_count) * scale);
+    }
   });
   return true;
 }

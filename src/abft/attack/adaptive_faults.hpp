@@ -4,24 +4,16 @@
 // harder than the paper's two static behaviours.
 #pragma once
 
-#include <cstddef>
-
 #include "abft/attack/fault.hpp"
 
 namespace abft::attack {
 
-/// Coordinates per tile in the mean-based omniscient faults' emit_into: the
-/// honest rows are read row-major one tile at a time, with one accumulator
-/// per coordinate (a 64-double slice of a few dozen rows stays in L1 between
-/// the mean and the variance pass).  Fewer than 64 remaining coordinates go
-/// through tiles of kHonestNarrowTileWidth, then one at a time; each width
-/// is a compile-time constant, so the accumulators stay in registers.
-inline constexpr std::size_t kHonestTileWidth = 64;
-inline constexpr std::size_t kHonestNarrowTileWidth = 8;
-
 /// "A Little Is Enough"-style attack (Baruch et al., 2019): sends
 /// mean(honest) - z * stddev(honest), coordinate-wise.  With small z the
 /// perturbation hides inside the honest spread and evades norm/trim filters.
+/// Its emit_into, like MeanReverseFault's, reads the honest rows one
+/// 64-coordinate slice at a time into eight AVX-512 sum registers (eight
+/// scalars without AVX-512) and keeps the bits of the per-coordinate walk.
 class LittleIsEnoughFault final : public FaultModel {
  public:
   explicit LittleIsEnoughFault(double z);

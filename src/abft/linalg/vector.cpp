@@ -72,15 +72,19 @@ double dot(const Vector& a, const Vector& b) {
   return sum;
 }
 
-double distance(const Vector& a, const Vector& b) {
+double squared_distance(const Vector& a, const Vector& b) {
   ABFT_REQUIRE(a.dim() == b.dim(), "vector dimension mismatch in distance");
+  const auto x = a.coefficients();
+  const auto y = b.coefficients();
   double sum = 0.0;
-  for (int i = 0; i < a.dim(); ++i) {
-    const double diff = a[i] - b[i];
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double diff = x[i] - y[i];
     sum += diff * diff;
   }
-  return std::sqrt(sum);
+  return sum;
 }
+
+double distance(const Vector& a, const Vector& b) { return std::sqrt(squared_distance(a, b)); }
 
 bool approx_equal(const Vector& a, const Vector& b, double tol) {
   if (a.dim() != b.dim()) return false;

@@ -66,6 +66,9 @@ Vector operator-(Vector v) noexcept;
 
 double dot(const Vector& a, const Vector& b);
 
+/// Squared Euclidean distance ||a - b||^2, summed in coordinate order.
+double squared_distance(const Vector& a, const Vector& b);
+
 /// Euclidean distance ||a - b||.
 double distance(const Vector& a, const Vector& b);
 

@@ -41,7 +41,7 @@ SquaredDistanceCost::SquaredDistanceCost(Vector center) : center_(std::move(cent
 
 double SquaredDistanceCost::value(const Vector& x) const {
   ABFT_REQUIRE(x.dim() == dim(), "dimension mismatch");
-  return (x - center_).squared_norm();
+  return linalg::squared_distance(x, center_);
 }
 
 Vector SquaredDistanceCost::gradient(const Vector& x) const {

@@ -139,11 +139,11 @@ TEST(AttackParity, MimicSmallestNoHonest) {
 
 // The mean-based omniscient faults sweep the honest rows in coordinate tiles
 // of 64, then 8, then 1.  Dimensions on both sides of each tile width (and
-// many tiles, with a ragged last one: 72 = 64 + 8, 1000 = 15 * 64 + 5 * 8),
-// at 1, 4 and 45 honest rows, must still give the per-coordinate column walk
-// below bit for bit, and emit must still equal emit_into.
-static_assert(attack::kHonestTileWidth == 64 && attack::kHonestNarrowTileWidth == 8);
-const int kTileDims[] = {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 1000};
+// many tiles, with a ragged last one: 72 = 64 + 8, 1000 = 15 * 64 + 5 * 8,
+// 10007 = 156 * 64 + 2 * 8 + 7; 10000 is the wide benchmark's d), at 1, 4
+// and 45 honest rows, must still give the per-coordinate column walk below
+// bit for bit, and emit must still equal emit_into.
+const int kTileDims[] = {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 1000, 10000, 10007};
 const int kHonestCounts[] = {1, 4, 45};
 
 /// The per-coordinate column walks the tiled kernels replaced, honest rows in
@@ -238,12 +238,11 @@ TEST(AttackParity, DefaultAdapterReconstructsLegacyContext) {
   expect_parity(LegacyOnlyFault{});
 }
 
-TEST(AttackParity, RowIndirectionInvariant) {
-  // The same logical honest family, stored once at identity rows and once
-  // scattered through a larger block, must yield identical payloads: all
-  // that may matter is the sequence of rows the view resolves to.
-  ParityFixture fx;
-  const attack::LittleIsEnoughFault fault(0.8);
+/// The same logical honest family, stored once at identity rows and once
+/// scattered through a larger block, must yield identical payloads: all
+/// that may matter is the sequence of rows the view resolves to.
+void expect_row_indirection_invariant(const FaultModel& fault, int honest_count, int dim) {
+  ParityFixture fx(honest_count, dim);
   agg::GradientBatch scattered(2 * static_cast<int>(fx.honest_rows.size()), fx.d);
   std::vector<int> scattered_rows;
   for (std::size_t i = 0; i < fx.honest_rows.size(); ++i) {
@@ -261,7 +260,14 @@ TEST(AttackParity, RowIndirectionInvariant) {
   const HonestRowsView indirect(scattered.data(), fx.d, scattered_rows);
   ASSERT_TRUE(fault.emit_into(out_a, RowAttackContext{fx.estimate, tg, identity, 0}, rng_a));
   ASSERT_TRUE(fault.emit_into(out_b, RowAttackContext{fx.estimate, tg, indirect, 0}, rng_b));
-  EXPECT_EQ(out_a, out_b);
+  EXPECT_EQ(bits(out_a), bits(out_b)) << fault.name() << " d=" << dim;
+}
+
+TEST(AttackParity, RowIndirectionInvariant) {
+  expect_row_indirection_invariant(attack::LittleIsEnoughFault{0.8}, 4, 7);
+  // The wide benchmark's shape, through the 64-coordinate tiles.
+  expect_row_indirection_invariant(attack::LittleIsEnoughFault{0.8}, 45, 10000);
+  expect_row_indirection_invariant(attack::MeanReverseFault{2.0}, 45, 10000);
 }
 
 }  // namespace

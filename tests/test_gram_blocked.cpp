@@ -12,7 +12,9 @@
 //     the tile, nor the duplicate rows that pad an edge tile change it;
 //   * every distance lies within the lane's envelope of exact mode;
 //   * a clustered batch, whose Gram identity cancels catastrophically, still
-//     gets accurate distances from the cancellation-guard recompute.
+//     gets accurate distances from the cancellation-guard recompute;
+//   * the f32 lane's demoted rows and their squared norms, filled in one
+//     pass, keep the bits of the element-wise cast and of a 16-lane norm.
 //
 // Shapes straddle the tile (n around multiples of 4) and the chunk and lane
 // boundaries (d around 16 and 1024, and the wide workload's d = 10^4).
@@ -199,6 +201,60 @@ TEST(GramBlocked, ClusteredBatchTakesTheCancellationGuard) {
             ASSERT_NEAR(fast.pair_sqdist(i, j, n), direct, rel * direct)
                 << label << " pair (" << i << ", " << j << ")";
           }
+        }
+      }
+    }
+  }
+}
+
+/// A demoted row's squared norm in the f32 lane's operation order: 16 lanes
+/// over the whole lane groups, the leftover summed sequentially, then the
+/// lanes added to it in lane order.
+float sqnorm_f32_reference(const float* r, int d) {
+  constexpr int kLanes = 16;
+  float lanes[kLanes] = {0.0f};
+  int k = 0;
+  for (; k + kLanes <= d; k += kLanes) {
+    for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
+  }
+  float sum = 0.0f;
+  for (; k < d; ++k) sum += r[k] * r[k];
+  for (int b = 0; b < kLanes; ++b) sum += lanes[b];
+  return sum;
+}
+
+TEST(GramBlocked, F32DemotionAndNormsKeepTheirBits) {
+  // The f32 lane demotes each row and sums its squared norm in one pass;
+  // both must keep the bits of the element-wise cast and of the reference
+  // above, at every thread count (one thread per row).
+  util::Rng rng(31);
+  agg::ThreadPool pool4(4);
+  for (const int d : {31, 32, 33, 1000, 10007}) {
+    for (const int n : {2, 9, 50}) {
+      const auto batch = random_batch(rng, n, d);
+      for (const int threads : {1, 4}) {
+        const std::string label = shape_label(agg::Precision::f32, n, d) +
+                                  " threads=" + std::to_string(threads);
+        agg::AggregatorWorkspace ws;
+        ws.mode = agg::AggMode::fast;
+        ws.precision = agg::Precision::f32;
+        ws.parallel_threads = threads;
+        ws.pool = threads > 1 ? &pool4 : nullptr;
+        ws.fill_pairwise_sqdist(batch);
+        ASSERT_EQ(ws.rows_f32.size(), static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+        ASSERT_EQ(ws.sqnorms_f32.size(), static_cast<std::size_t>(n)) << label;
+        std::vector<float> demoted(ws.rows_f32.size());
+        for (std::size_t k = 0; k < demoted.size(); ++k) {
+          demoted[k] = static_cast<float>(batch.data()[k]);
+        }
+        EXPECT_EQ(std::memcmp(ws.rows_f32.data(), demoted.data(), demoted.size() * sizeof(float)),
+                  0)
+            << label;
+        for (int i = 0; i < n; ++i) {
+          const float expected =
+              sqnorm_f32_reference(demoted.data() + static_cast<std::size_t>(i) * d, d);
+          const float got = ws.sqnorms_f32[static_cast<std::size_t>(i)];
+          EXPECT_EQ(std::memcmp(&got, &expected, sizeof(float)), 0) << label << " row " << i;
         }
       }
     }
