@@ -726,7 +726,7 @@ int kcenter_reduce(const GradientBatch& batch, int f, AggregatorWorkspace& ws, i
     for (int i = 0; i < n; ++i) {
       const float* row =
           ws.rows_f32.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-      const double dsq = detail::laned_sqdist_f32(row, ws.vecbuf_f32.data(), d);
+      const double dsq = detail::laned_sqdist(row, ws.vecbuf_f32.data(), d);
       if (dsq < best) {
         best = dsq;
         seed = i;

@@ -3,16 +3,17 @@
 //
 // GCC/Clang will not auto-vectorize a plain `sum += a[k] * b[k]` reduction
 // without -ffast-math because it reorders the additions; the loops here
-// carry 16 *independent* partial sums (two 8-lane groups, enough ILP to
-// cover the FMA latency chain) so the compiler vectorizes them at -O2 and
-// the result is deterministic for a given (d, ISA) — just not bit-equal to
-// the sequential exact-mode order.  Exact-mode kernels must NOT call these.
-// The f64 reductions serve the fast Weiszfeld (GeoMed, GMoM), centered
-// clipping and Bulyan stage 2.  The f32 section at the bottom serves only
-// the coreset k-center pass (agg/coreset.cpp), which vectorizes across rows
-// on a column-major layout and keeps each row's summation sequential in k;
-// only its runtime-dispatched AVX-512 colmajor variants, whose FMA
-// contraction can round differently, are fast-mode-gated.
+// carry *independent* partial sums (two groups of one 512-bit register's
+// lanes, enough ILP to cover the FMA latency chain) so the compiler
+// vectorizes them at -O2 and the result is deterministic for a given
+// (d, ISA) — just not bit-equal to the sequential exact-mode order.
+// Exact-mode kernels must NOT call these.  The f64 reductions serve the fast
+// Weiszfeld (GeoMed, GMoM), centered clipping and Bulyan stage 2.
+// laned_sqdist<float> and the f32 section at the bottom serve only the
+// coreset k-center pass (agg/coreset.cpp), whose col-major kernels
+// vectorize across rows and keep each row's summation sequential in k; only
+// their runtime-dispatched AVX-512 variants, whose FMA contraction can
+// round differently, are fast-mode-gated.
 #pragma once
 
 #include <cstddef>
@@ -25,34 +26,39 @@ namespace abft::agg::detail {
 
 inline constexpr int kReduceLanes = 8;
 
-/// sum_k (a[k] - b[k])^2, laned.  The workhorse of the fast Weiszfeld and
-/// centered-clipping distance passes.
-inline double laned_sqdist(const double* a, const double* b, int d) {
-  double l0[kReduceLanes] = {0.0};
-  double l1[kReduceLanes] = {0.0};
+/// sum_k (a[k] - b[k])^2, laned: 64 / sizeof(T) lanes (8 doubles or 16
+/// floats, one 512-bit register group) in two groups accumulate in T, the
+/// leftover is summed in double and the lanes are added to it as doubles.
+/// The f64 instance serves the fast Weiszfeld and centered-clipping distance
+/// passes, the f32 one the coreset's center distances.
+template <typename T>
+inline double laned_sqdist(const T* a, const T* b, int d) {
+  constexpr int kLanes = 64 / static_cast<int>(sizeof(T));
+  T l0[kLanes] = {};
+  T l1[kLanes] = {};
   int k = 0;
-  for (; k + 2 * kReduceLanes <= d; k += 2 * kReduceLanes) {
-    for (int t = 0; t < kReduceLanes; ++t) {
-      const double diff = a[k + t] - b[k + t];
+  for (; k + 2 * kLanes <= d; k += 2 * kLanes) {
+    for (int t = 0; t < kLanes; ++t) {
+      const T diff = a[k + t] - b[k + t];
       l0[t] += diff * diff;
     }
-    for (int t = 0; t < kReduceLanes; ++t) {
-      const double diff = a[k + kReduceLanes + t] - b[k + kReduceLanes + t];
+    for (int t = 0; t < kLanes; ++t) {
+      const T diff = a[k + kLanes + t] - b[k + kLanes + t];
       l1[t] += diff * diff;
     }
   }
-  for (; k + kReduceLanes <= d; k += kReduceLanes) {
-    for (int t = 0; t < kReduceLanes; ++t) {
-      const double diff = a[k + t] - b[k + t];
+  for (; k + kLanes <= d; k += kLanes) {
+    for (int t = 0; t < kLanes; ++t) {
+      const T diff = a[k + t] - b[k + t];
       l0[t] += diff * diff;
     }
   }
   double sum = 0.0;
   for (; k < d; ++k) {
-    const double diff = a[k] - b[k];
+    const double diff = static_cast<double>(a[k]) - static_cast<double>(b[k]);
     sum += diff * diff;
   }
-  for (int t = 0; t < kReduceLanes; ++t) sum += l0[t] + l1[t];
+  for (int t = 0; t < kLanes; ++t) sum += static_cast<double>(l0[t]) + static_cast<double>(l1[t]);
   return sum;
 }
 
@@ -101,47 +107,9 @@ inline bool sqdist_avx512_available() {
 }
 
 // --- float32 lane (Precision::f32, fast mode only; coreset k-center) -------
-// Same independent-partial-sum discipline as above, twice as wide: 16 float
-// lanes per group, so a 512-bit vector unit still retires one whole group
-// per FMA while moving half the bytes.  Lane accumulation stays in float
-// (each lane sums ~d/16 products — the sqrt(d/16) * 2^-24 relative error is
-// far inside the coreset's f32 envelope); only the final cross-lane
-// reduction widens to double.  f32 lane only — never exact mode, never the
-// f64 fast lane.
-
-inline constexpr int kReduceLanesF32 = 16;
-
-/// sum_k (a[k] - b[k])^2 over demoted rows, laned, returned in double.
-inline double laned_sqdist_f32(const float* a, const float* b, int d) {
-  float l0[kReduceLanesF32] = {0.0f};
-  float l1[kReduceLanesF32] = {0.0f};
-  int k = 0;
-  for (; k + 2 * kReduceLanesF32 <= d; k += 2 * kReduceLanesF32) {
-    for (int t = 0; t < kReduceLanesF32; ++t) {
-      const float diff = a[k + t] - b[k + t];
-      l0[t] += diff * diff;
-    }
-    for (int t = 0; t < kReduceLanesF32; ++t) {
-      const float diff = a[k + kReduceLanesF32 + t] - b[k + kReduceLanesF32 + t];
-      l1[t] += diff * diff;
-    }
-  }
-  for (; k + kReduceLanesF32 <= d; k += kReduceLanesF32) {
-    for (int t = 0; t < kReduceLanesF32; ++t) {
-      const float diff = a[k + t] - b[k + t];
-      l0[t] += diff * diff;
-    }
-  }
-  double sum = 0.0;
-  for (; k < d; ++k) {
-    const double diff = static_cast<double>(a[k]) - static_cast<double>(b[k]);
-    sum += diff * diff;
-  }
-  for (int t = 0; t < kReduceLanesF32; ++t) {
-    sum += static_cast<double>(l0[t]) + static_cast<double>(l1[t]);
-  }
-  return sum;
-}
+// Row accumulation stays in float (each row sums d products — far inside
+// the coreset's f32 envelope); the results widen to double.  f32 lane only —
+// never exact mode, never the f64 fast lane.
 
 #if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
 /// f32 counterpart of avx512_colmajor_sqdist: 16 rows per register group,
@@ -183,22 +151,23 @@ inline void avx512_colmajor_sqdist_f32(const float* cols, std::size_t stride,
 inline void laned_colmajor_sqdist_f32(const float* cols, std::size_t stride,
                                       const float* center, int d, int lo, int hi,
                                       double* out) {
+  constexpr int kRows = 16;
   int i = lo;
-  for (; i + kReduceLanesF32 <= hi; i += kReduceLanesF32) {
+  for (; i + kRows <= hi; i += kRows) {
     const float* col = cols + i;
-    float acc[kReduceLanesF32];
-    for (int t = 0; t < kReduceLanesF32; ++t) {
+    float acc[kRows];
+    for (int t = 0; t < kRows; ++t) {
       const float diff = col[t] - center[0];
       acc[t] = diff * diff;
     }
     for (int k = 1; k < d; ++k) {
       const float* colk = col + static_cast<std::size_t>(k) * stride;
-      for (int t = 0; t < kReduceLanesF32; ++t) {
+      for (int t = 0; t < kRows; ++t) {
         const float diff = colk[t] - center[k];
         acc[t] += diff * diff;
       }
     }
-    for (int t = 0; t < kReduceLanesF32; ++t) out[i + t] = static_cast<double>(acc[t]);
+    for (int t = 0; t < kRows; ++t) out[i + t] = static_cast<double>(acc[t]);
   }
   for (; i < hi; ++i) {
     const float diff0 = cols[i] - center[0];

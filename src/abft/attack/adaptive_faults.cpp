@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #if defined(__AVX512F__)
 #include <immintrin.h>
@@ -10,36 +9,9 @@
 
 #include "abft/util/check.hpp"
 
-// The in-place row kernels (emit_into) are the single source of truth for
-// these behaviours; the legacy emit() packs its scattered honest Vectors
-// into one flat row block and delegates.  One kernel, two façades — the two
-// paths cannot drift apart by even an ulp (a hand-duplicated loop can: the
-// compiler contracts a*b+c into fma differently per loop shape under
-// -march=native).
 namespace abft::attack {
 
 namespace {
-
-/// Shared emit-over-emit_into adapter for the omniscient faults: flattens
-/// the scattered honest Vectors into one contiguous row block with identity
-/// indices and delegates (emit is the allocating path by contract).
-std::optional<Vector> emit_via_rows(const FaultModel& fault, const AttackContext& context,
-                                    util::Rng& rng) {
-  const int dim = context.true_gradient.dim();
-  std::vector<double> storage(context.honest_gradients.size() * static_cast<std::size_t>(dim));
-  std::vector<int> rows(context.honest_gradients.size());
-  for (std::size_t i = 0; i < context.honest_gradients.size(); ++i) {
-    const auto src = context.honest_gradients[i].coefficients();
-    std::copy(src.begin(), src.end(), storage.begin() + i * static_cast<std::size_t>(dim));
-    rows[i] = static_cast<int>(i);
-  }
-  const HonestRowsView honest(storage.data(), dim, rows);
-  const RowAttackContext row_context{context.estimate, context.true_gradient.coefficients(),
-                                     honest, context.round};
-  Vector out(dim);
-  if (!fault.emit_into(out.coefficients(), row_context, rng)) return std::nullopt;
-  return out;
-}
 
 /// Lane operations on V::kWidth adjacent coordinates held in a Reg (a double
 /// or an __m512d, whose +, -, * and / are element-wise).  fmadd and fnmadd
@@ -107,11 +79,6 @@ LittleIsEnoughFault::LittleIsEnoughFault(double z) : z_(z) {
   ABFT_REQUIRE(z >= 0.0, "little-is-enough z must be non-negative");
 }
 
-std::optional<Vector> LittleIsEnoughFault::emit(const AttackContext& context,
-                                                util::Rng& rng) const {
-  return emit_via_rows(*this, context, rng);
-}
-
 bool LittleIsEnoughFault::emit_into(std::span<double> out, const RowAttackContext& context,
                                     util::Rng& /*rng*/) const {
   const auto& honest = context.honest;
@@ -147,10 +114,6 @@ MeanReverseFault::MeanReverseFault(double scale) : scale_(scale) {
   ABFT_REQUIRE(scale > 0.0, "mean-reverse scale must be positive");
 }
 
-std::optional<Vector> MeanReverseFault::emit(const AttackContext& context, util::Rng& rng) const {
-  return emit_via_rows(*this, context, rng);
-}
-
 bool MeanReverseFault::emit_into(std::span<double> out, const RowAttackContext& context,
                                  util::Rng& /*rng*/) const {
   const auto& honest = context.honest;
@@ -168,11 +131,6 @@ bool MeanReverseFault::emit_into(std::span<double> out, const RowAttackContext& 
     }
   });
   return true;
-}
-
-std::optional<Vector> MimicSmallestFault::emit(const AttackContext& context,
-                                               util::Rng& rng) const {
-  return emit_via_rows(*this, context, rng);
 }
 
 namespace {

@@ -17,8 +17,6 @@ namespace abft::attack {
 class LittleIsEnoughFault final : public FaultModel {
  public:
   explicit LittleIsEnoughFault(double z);
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "little-is-enough"; }
@@ -32,8 +30,6 @@ class LittleIsEnoughFault final : public FaultModel {
 class MeanReverseFault final : public FaultModel {
  public:
   explicit MeanReverseFault(double scale);
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "mean-reverse"; }
@@ -46,8 +42,6 @@ class MeanReverseFault final : public FaultModel {
 /// CGE, bounding what any norm-based rule can do.
 class MimicSmallestFault final : public FaultModel {
  public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "mimic-smallest"; }

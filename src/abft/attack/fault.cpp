@@ -3,32 +3,23 @@
 #include <algorithm>
 #include <vector>
 
-#include "abft/util/check.hpp"
-
 namespace abft::attack {
 
-bool FaultModel::emit_into(std::span<double> out, const RowAttackContext& context,
-                           util::Rng& rng) const {
-  // Adapter for fault models that only implement emit(): materialize the
-  // legacy context (allocates — the built-in faults all override with
-  // allocation-free kernels).  The copies are taken before `out` is written,
-  // so the out-may-alias-true_gradient contract holds here too.
-  const Vector true_gradient(
-      std::vector<double>(context.true_gradient.begin(), context.true_gradient.end()));
-  std::vector<Vector> honest;
-  honest.reserve(static_cast<std::size_t>(context.honest.count()));
-  for (int k = 0; k < context.honest.count(); ++k) {
-    const auto r = context.honest.row(k);
-    honest.push_back(Vector(std::vector<double>(r.begin(), r.end())));
+std::optional<Vector> FaultModel::emit(const AttackContext& context, util::Rng& rng) const {
+  const int dim = context.true_gradient.dim();
+  std::vector<double> storage(context.honest_gradients.size() * static_cast<std::size_t>(dim));
+  std::vector<int> rows(context.honest_gradients.size());
+  for (std::size_t i = 0; i < context.honest_gradients.size(); ++i) {
+    const auto src = context.honest_gradients[i].coefficients();
+    std::copy(src.begin(), src.end(), storage.begin() + i * static_cast<std::size_t>(dim));
+    rows[i] = static_cast<int>(i);
   }
-  const AttackContext legacy{context.estimate, true_gradient, honest, context.round};
-  auto payload = emit(legacy, rng);
-  if (!payload.has_value()) return false;
-  ABFT_REQUIRE(payload->dim() == static_cast<int>(out.size()),
-               "fault emitted a payload of wrong dimension");
-  const auto src = payload->coefficients();
-  std::copy(src.begin(), src.end(), out.begin());
-  return true;
+  const HonestRowsView honest(storage.data(), dim, rows);
+  const RowAttackContext row_context{context.estimate, context.true_gradient.coefficients(),
+                                     honest, context.round};
+  Vector out(dim);
+  if (!emit_into(out.coefficients(), row_context, rng)) return std::nullopt;
+  return out;
 }
 
 }  // namespace abft::attack

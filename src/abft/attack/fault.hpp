@@ -47,8 +47,8 @@ class HonestRowsView {
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
 
-  /// The k-th honest gradient of the round (same order as the legacy
-  /// AttackContext::honest_gradients span).
+  /// The k-th honest gradient of the round (same order as
+  /// AttackContext::honest_gradients).
   [[nodiscard]] std::span<const double> row(int k) const noexcept {
     const auto r = static_cast<std::size_t>(rows_[static_cast<std::size_t>(k)]);
     return {data_ + r * static_cast<std::size_t>(dim_), static_cast<std::size_t>(dim_)};
@@ -80,24 +80,22 @@ class FaultModel {
  public:
   virtual ~FaultModel() = default;
 
-  /// The vector the faulty agent sends, or std::nullopt to stay silent.
+  /// Allocating adapter over emit_into: packs context.honest_gradients into
+  /// one row block with identity rows and returns the row emit_into writes,
+  /// or std::nullopt when it stays silent.  Same payload bits and rng stream
+  /// as emit_into by construction.
   [[nodiscard]] virtual std::optional<Vector> emit(const AttackContext& context,
-                                                   util::Rng& rng) const = 0;
+                                                   util::Rng& rng) const;
 
-  /// In-place row mutation for the batched ingest path: writes the faulty
-  /// message straight into `out` (a batch row of dimension
-  /// context.true_gradient.size()) and returns true, or returns false to
-  /// stay silent (out is then unspecified).  Must consume the rng stream and
-  /// produce bit-identical payloads to emit() — the parity tests enforce
-  /// this for every built-in fault.  The default adapts through emit()
-  /// (materializing the legacy context, which allocates), so third-party
-  /// fault models keep working with the batched drivers unchanged.
-  /// Drivers with agg_threads > 1 call this (and emit()) concurrently for
+  /// The fault's one implementation: writes the faulty message straight
+  /// into `out` (a batch row of dimension context.true_gradient.size()) and
+  /// returns true, or returns false to stay silent (out is then
+  /// unspecified).  Drivers with agg_threads > 1 call this concurrently for
   /// distinct agents — each call gets its own out row and rng, but the
   /// FaultModel object is shared, so implementations must be safe to call
   /// concurrently (all built-in faults are stateless).
   [[nodiscard]] virtual bool emit_into(std::span<double> out, const RowAttackContext& context,
-                                       util::Rng& rng) const;
+                                       util::Rng& rng) const = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

@@ -9,8 +9,6 @@ namespace abft::attack {
 /// Sends -s_t where s_t is the agent's true gradient (paper, Section 5).
 class GradientReverseFault final : public FaultModel {
  public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "gradient-reverse"; }
@@ -21,8 +19,6 @@ class GradientReverseFault final : public FaultModel {
 class RandomGaussianFault final : public FaultModel {
  public:
   explicit RandomGaussianFault(double stddev);
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "random"; }
@@ -34,8 +30,6 @@ class RandomGaussianFault final : public FaultModel {
 /// Sends the zero vector — stalls progress without tripping norm filters.
 class ZeroFault final : public FaultModel {
  public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "zero"; }
@@ -45,8 +39,6 @@ class ZeroFault final : public FaultModel {
 class SignFlipScaleFault final : public FaultModel {
  public:
   explicit SignFlipScaleFault(double kappa);
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "sign-flip-scale"; }
@@ -59,8 +51,6 @@ class SignFlipScaleFault final : public FaultModel {
 class ConstantFault final : public FaultModel {
  public:
   explicit ConstantFault(Vector payload);
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "constant"; }
@@ -75,8 +65,6 @@ class ConstantFault final : public FaultModel {
 class RotatingFault final : public FaultModel {
  public:
   RotatingFault(double magnitude, double omega);
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "rotating"; }
@@ -90,8 +78,6 @@ class RotatingFault final : public FaultModel {
 /// (Section 4.1, step S1).
 class SilentFault final : public FaultModel {
  public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override;
   [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
                                util::Rng& rng) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "silent"; }

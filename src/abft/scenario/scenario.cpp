@@ -262,6 +262,12 @@ ScenarioSpec parse_scenario(const util::JsonValue& json) {
       f.agent = util::checked_int(fault.at("agent").as_number(), "scenario", "fault agent");
       f.kind = fault.at("kind").as_string();
       f.param = fault.number_or("param", f.param);
+      // These kinds take no knob: a param there would be silently ignored.
+      ABFT_REQUIRE(fault.find("param") == nullptr ||
+                       (f.kind != "gradient-reverse" && f.kind != "zero" &&
+                        f.kind != "mimic-smallest" && f.kind != "silent" &&
+                        f.kind != "label-flip"),
+                   "fault param does not apply to the " + f.kind + " kind");
       spec.faults.push_back(std::move(f));
     }
   }

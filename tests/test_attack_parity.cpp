@@ -1,13 +1,17 @@
-// Attack-path parity: every fault behaviour applied through the new in-place
-// row mutation API (emit_into on batch rows) must match the legacy
-// std::vector<Vector> path (emit) bit for bit — same payloads, same rng
-// stream consumption — including when the output row aliases the true
-// gradient, which is how the batched drivers call it.
+// Attack-path parity: every fault's emit_into, its one implementation, must
+// match a test-local reference bit for bit (same payload, same rng stream
+// consumption), including when the output row aliases the true gradient,
+// which is how the batched drivers call it.  The references are each
+// fault's defining expression over Vectors, and per-coordinate column walks
+// for the omniscient faults.  The base-class emit adapter must equal
+// emit_into for every built-in fault.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -26,8 +30,8 @@ using attack::RowAttackContext;
 using linalg::Vector;
 
 /// A deterministic but irregular honest family plus estimate/true gradient,
-/// materialized both as Vectors (legacy) and as rows of a GradientBatch
-/// (batched) so the two paths see identical inputs.
+/// materialized both as Vectors (for the references and emit) and as rows
+/// of a GradientBatch (for emit_into), so every path sees identical inputs.
 struct ParityFixture {
   int d;
   Vector estimate;
@@ -54,7 +58,7 @@ struct ParityFixture {
     }
   }
 
-  [[nodiscard]] AttackContext legacy_context(int round = 3) const {
+  [[nodiscard]] AttackContext context(int round = 3) const {
     return AttackContext{estimate, true_gradient, honest, round};
   }
 
@@ -64,16 +68,27 @@ struct ParityFixture {
   }
 };
 
-/// Runs both paths from identical rng states and checks payload and rng
-/// stream parity.  `alias` additionally exercises the drivers' calling
-/// convention where the output row holds (and aliases) the true gradient.
-void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3, int dim = 7) {
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Runs emit_into and `reference` from identical rng states and checks the
+/// payload bits and that the two rng streams continue in lockstep.  `alias`
+/// exercises the drivers' calling convention, where the output row holds
+/// (and aliases) the true gradient.  reference(fx, round, rng) returns what
+/// the fault should send, drawing from rng as the fault does, or
+/// std::nullopt for silence.
+template <typename Ref>
+void expect_matches(const FaultModel& fault, Ref reference, int honest_count = 4,
+                    int round = 3, int dim = 7) {
   for (const bool alias : {false, true}) {
     ParityFixture fx(honest_count, dim);
-    util::Rng legacy_rng(99);
+    util::Rng reference_rng(99);
     util::Rng row_rng(99);
 
-    const auto legacy = fault.emit(fx.legacy_context(round), legacy_rng);
+    const std::optional<Vector> expected = reference(fx, round, reference_rng);
 
     const int faulty_row = static_cast<int>(fx.honest_rows.size());
     fx.payloads.set_row(faulty_row, fx.true_gradient);
@@ -83,58 +98,101 @@ void expect_parity(const FaultModel& fault, int honest_count = 4, int round = 3,
         alias ? std::span<const double>(out) : std::span<const double>(tg_copy);
     const bool sent = fault.emit_into(out, fx.row_context(tg, round), row_rng);
 
-    ASSERT_EQ(sent, legacy.has_value()) << fault.name() << " alias=" << alias;
+    ASSERT_EQ(sent, expected.has_value()) << fault.name() << " alias=" << alias;
     if (sent) {
-      for (int k = 0; k < fx.d; ++k) {
-        EXPECT_EQ(out[static_cast<std::size_t>(k)], (*legacy)[k])
-            << fault.name() << " alias=" << alias << " d=" << fx.d << " coordinate " << k;
-      }
+      EXPECT_EQ(bits(out), bits(expected->coefficients()))
+          << fault.name() << " alias=" << alias << " d=" << dim << " honest=" << honest_count
+          << " round=" << round;
     }
-    // Identical stream consumption: the generators must continue in lockstep.
     for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(legacy_rng.next_u64(), row_rng.next_u64()) << fault.name();
+      EXPECT_EQ(reference_rng.next_u64(), row_rng.next_u64()) << fault.name();
     }
   }
 }
 
-TEST(AttackParity, GradientReverse) { expect_parity(attack::GradientReverseFault{}); }
+TEST(AttackParity, GradientReverse) {
+  expect_matches(attack::GradientReverseFault{},
+                 [](const ParityFixture& fx, int, util::Rng&) -> std::optional<Vector> {
+                   return -fx.true_gradient;
+                 });
+}
 
-TEST(AttackParity, RandomGaussian) { expect_parity(attack::RandomGaussianFault{200.0}); }
+TEST(AttackParity, RandomGaussian) {
+  expect_matches(attack::RandomGaussianFault{200.0},
+                 [](const ParityFixture& fx, int, util::Rng& rng) -> std::optional<Vector> {
+                   Vector out(fx.d);
+                   for (int i = 0; i < out.dim(); ++i) out[i] = rng.normal(0.0, 200.0);
+                   return out;
+                 });
+}
 
-TEST(AttackParity, Zero) { expect_parity(attack::ZeroFault{}); }
+TEST(AttackParity, Zero) {
+  expect_matches(attack::ZeroFault{},
+                 [](const ParityFixture& fx, int, util::Rng&) -> std::optional<Vector> {
+                   return Vector(fx.d);
+                 });
+}
 
-TEST(AttackParity, SignFlipScale) { expect_parity(attack::SignFlipScaleFault{3.5}); }
+TEST(AttackParity, SignFlipScale) {
+  expect_matches(attack::SignFlipScaleFault{3.5},
+                 [](const ParityFixture& fx, int, util::Rng&) -> std::optional<Vector> {
+                   return -3.5 * fx.true_gradient;
+                 });
+}
+
+Vector constant_payload(int d) {
+  Vector payload(d);
+  for (int k = 0; k < d; ++k) payload[k] = 0.25 * k - 1.0;
+  return payload;
+}
 
 TEST(AttackParity, Constant) {
-  ParityFixture fx;
-  Vector payload(fx.d);
-  for (int k = 0; k < fx.d; ++k) payload[k] = 0.25 * k - 1.0;
-  expect_parity(attack::ConstantFault{payload});
+  expect_matches(attack::ConstantFault{constant_payload(7)},
+                 [](const ParityFixture& fx, int, util::Rng&) -> std::optional<Vector> {
+                   return constant_payload(fx.d);
+                 });
 }
 
 TEST(AttackParity, RotatingOverRounds) {
   const attack::RotatingFault fault(5.0, 0.7);
-  for (int round = 0; round < 5; ++round) expect_parity(fault, 4, round);
+  for (int round = 0; round < 5; ++round) {
+    expect_matches(
+        fault,
+        [](const ParityFixture& fx, int t, util::Rng&) -> std::optional<Vector> {
+          Vector out(fx.d);
+          const double angle = 0.7 * static_cast<double>(t);
+          out[0] = 5.0 * std::cos(angle);
+          if (out.dim() > 1) out[1] = 5.0 * std::sin(angle);
+          return out;
+        },
+        4, round);
+  }
 }
 
-TEST(AttackParity, Silent) { expect_parity(attack::SilentFault{}); }
-
-TEST(AttackParity, LittleIsEnough) { expect_parity(attack::LittleIsEnoughFault{1.5}); }
-
-TEST(AttackParity, LittleIsEnoughNoHonest) {
-  expect_parity(attack::LittleIsEnoughFault{1.5}, /*honest_count=*/0);
+TEST(AttackParity, Silent) {
+  expect_matches(attack::SilentFault{},
+                 [](const ParityFixture&, int, util::Rng&) -> std::optional<Vector> {
+                   return std::nullopt;
+                 });
 }
 
-TEST(AttackParity, MeanReverse) { expect_parity(attack::MeanReverseFault{2.0}); }
-
-TEST(AttackParity, MeanReverseNoHonest) {
-  expect_parity(attack::MeanReverseFault{2.0}, /*honest_count=*/0);
+/// The honest gradient of smallest norm, the first on ties; the true
+/// gradient when no honest gradient is visible.
+std::optional<Vector> mimic_smallest_reference(const ParityFixture& fx, int, util::Rng&) {
+  if (fx.honest.empty()) return fx.true_gradient;
+  const Vector* best = &fx.honest.front();
+  for (const auto& g : fx.honest) {
+    if (g.norm() < best->norm()) best = &g;
+  }
+  return *best;
 }
 
-TEST(AttackParity, MimicSmallest) { expect_parity(attack::MimicSmallestFault{}); }
+TEST(AttackParity, MimicSmallest) {
+  expect_matches(attack::MimicSmallestFault{}, mimic_smallest_reference);
+}
 
 TEST(AttackParity, MimicSmallestNoHonest) {
-  expect_parity(attack::MimicSmallestFault{}, /*honest_count=*/0);
+  expect_matches(attack::MimicSmallestFault{}, mimic_smallest_reference, /*honest_count=*/0);
 }
 
 // The mean-based omniscient faults sweep the honest rows in coordinate tiles
@@ -142,15 +200,18 @@ TEST(AttackParity, MimicSmallestNoHonest) {
 // many tiles, with a ragged last one: 72 = 64 + 8, 1000 = 15 * 64 + 5 * 8,
 // 10007 = 156 * 64 + 2 * 8 + 7; 10000 is the wide benchmark's d), at 1, 4
 // and 45 honest rows, must still give the per-coordinate column walk below
-// bit for bit, and emit must still equal emit_into.
+// bit for bit.
 const int kTileDims[] = {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 1000, 10000, 10007};
 const int kHonestCounts[] = {1, 4, 45};
 
 /// The per-coordinate column walks the tiled kernels replaced, honest rows in
 /// order.  The expressions are the kernels' own, so FMA contraction matches.
-std::vector<double> lie_reference(const ParityFixture& fx, double z) {
+/// With no honest rows LIE sends the true gradient and mean-reverse its
+/// scaled reversal.
+std::optional<Vector> lie_reference(const ParityFixture& fx, double z) {
+  if (fx.honest.empty()) return fx.true_gradient;
   const auto count = static_cast<double>(fx.honest.size());
-  std::vector<double> out(static_cast<std::size_t>(fx.d));
+  Vector out(fx.d);
   for (int k = 0; k < fx.d; ++k) {
     double mu = 0.0;
     for (const auto& g : fx.honest) mu += g[k];
@@ -160,82 +221,90 @@ std::vector<double> lie_reference(const ParityFixture& fx, double z) {
       const double diff = g[k] - mu;
       sigma += diff * diff;
     }
-    out[static_cast<std::size_t>(k)] = mu - z * std::sqrt(sigma / count);
+    out[k] = mu - z * std::sqrt(sigma / count);
   }
   return out;
 }
 
-std::vector<double> mean_reverse_reference(const ParityFixture& fx, double scale) {
+std::optional<Vector> mean_reverse_reference(const ParityFixture& fx, double scale) {
+  if (fx.honest.empty()) return -scale * fx.true_gradient;
   const double inv_count = 1.0 / static_cast<double>(fx.honest.size());
-  std::vector<double> out(static_cast<std::size_t>(fx.d));
+  Vector out(fx.d);
   for (int k = 0; k < fx.d; ++k) {
     double mu = 0.0;
     for (const auto& g : fx.honest) mu += g[k];
-    out[static_cast<std::size_t>(k)] = (mu * inv_count) * -scale;
+    out[k] = (mu * inv_count) * -scale;
   }
   return out;
 }
 
-std::vector<std::uint64_t> bits(std::span<const double> values) {
-  std::vector<std::uint64_t> out;
-  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
-  return out;
+std::optional<Vector> lie_1_5(const ParityFixture& fx, int, util::Rng&) {
+  return lie_reference(fx, 1.5);
 }
 
-/// emit_into on a fresh fixture, compared bit for bit with `reference`.
-template <typename Reference>
-void expect_matches_reference(const FaultModel& fault, int honest_count, int dim,
-                              Reference reference) {
-  ParityFixture fx(honest_count, dim);
-  std::vector<double> out(static_cast<std::size_t>(dim));
-  util::Rng rng(5);
-  ASSERT_TRUE(fault.emit_into(out, fx.row_context(fx.true_gradient.coefficients()), rng));
-  EXPECT_EQ(bits(out), bits(reference(fx)))
-      << fault.name() << " d=" << dim << " honest=" << honest_count;
+std::optional<Vector> mean_reverse_2(const ParityFixture& fx, int, util::Rng&) {
+  return mean_reverse_reference(fx, 2.0);
+}
+
+TEST(AttackParity, LittleIsEnough) { expect_matches(attack::LittleIsEnoughFault{1.5}, lie_1_5); }
+
+TEST(AttackParity, LittleIsEnoughNoHonest) {
+  expect_matches(attack::LittleIsEnoughFault{1.5}, lie_1_5, /*honest_count=*/0);
+}
+
+TEST(AttackParity, MeanReverse) { expect_matches(attack::MeanReverseFault{2.0}, mean_reverse_2); }
+
+TEST(AttackParity, MeanReverseNoHonest) {
+  expect_matches(attack::MeanReverseFault{2.0}, mean_reverse_2, /*honest_count=*/0);
 }
 
 TEST(AttackParity, LittleIsEnoughAcrossTileBoundaries) {
   const attack::LittleIsEnoughFault fault(1.5);
   for (const int honest_count : kHonestCounts) {
-    for (const int dim : kTileDims) {
-      expect_parity(fault, honest_count, 3, dim);
-      expect_matches_reference(fault, honest_count, dim,
-                               [](const ParityFixture& fx) { return lie_reference(fx, 1.5); });
-    }
+    for (const int dim : kTileDims) expect_matches(fault, lie_1_5, honest_count, 3, dim);
   }
 }
 
 TEST(AttackParity, MeanReverseAcrossTileBoundaries) {
   const attack::MeanReverseFault fault(2.0);
   for (const int honest_count : kHonestCounts) {
-    for (const int dim : kTileDims) {
-      expect_parity(fault, honest_count, 3, dim);
-      expect_matches_reference(fault, honest_count, dim, [](const ParityFixture& fx) {
-        return mean_reverse_reference(fx, 2.0);
-      });
-    }
+    for (const int dim : kTileDims) expect_matches(fault, mean_reverse_2, honest_count, 3, dim);
   }
 }
 
-/// A third-party fault that only implements the legacy emit(): the base
-/// class adapter must feed it a faithfully reconstructed legacy context.
-class LegacyOnlyFault final : public FaultModel {
- public:
-  [[nodiscard]] std::optional<Vector> emit(const AttackContext& context,
-                                           util::Rng& rng) const override {
-    // Mixes every context field with one rng draw so any adapter slip shows.
-    Vector out = context.true_gradient;
-    for (const auto& g : context.honest_gradients) out += g;
-    out.add_scaled(0.5, context.estimate);
-    out *= 1.0 + 0.01 * static_cast<double>(context.round);
-    out[0] += rng.uniform();
-    return out;
+/// The allocating emit adapter returns exactly what emit_into writes, and
+/// consumes the rng stream the same way, for every built-in fault, with and
+/// without honest rows; a silent fault yields std::nullopt.
+TEST(AttackParity, EmitAdapterEqualsEmitInto) {
+  std::vector<std::unique_ptr<FaultModel>> faults;
+  faults.push_back(std::make_unique<attack::GradientReverseFault>());
+  faults.push_back(std::make_unique<attack::RandomGaussianFault>(200.0));
+  faults.push_back(std::make_unique<attack::ZeroFault>());
+  faults.push_back(std::make_unique<attack::SignFlipScaleFault>(3.5));
+  faults.push_back(std::make_unique<attack::ConstantFault>(constant_payload(70)));
+  faults.push_back(std::make_unique<attack::RotatingFault>(5.0, 0.7));
+  faults.push_back(std::make_unique<attack::SilentFault>());
+  faults.push_back(std::make_unique<attack::LittleIsEnoughFault>(1.5));
+  faults.push_back(std::make_unique<attack::MeanReverseFault>(2.0));
+  faults.push_back(std::make_unique<attack::MimicSmallestFault>());
+  for (const auto& fault : faults) {
+    for (const int honest_count : {0, 4}) {
+      ParityFixture fx(honest_count, 70);
+      util::Rng emit_rng(11);
+      util::Rng row_rng(11);
+      const auto emitted = fault->emit(fx.context(), emit_rng);
+      std::vector<double> out(static_cast<std::size_t>(fx.d));
+      const bool sent =
+          fault->emit_into(out, fx.row_context(fx.true_gradient.coefficients()), row_rng);
+      ASSERT_EQ(emitted.has_value(), sent) << fault->name() << " honest=" << honest_count;
+      EXPECT_EQ(emitted.has_value(), fault->name() != "silent") << fault->name();
+      if (sent) {
+        EXPECT_EQ(bits(emitted->coefficients()), bits(out))
+            << fault->name() << " honest=" << honest_count;
+      }
+      EXPECT_EQ(emit_rng.next_u64(), row_rng.next_u64()) << fault->name();
+    }
   }
-  [[nodiscard]] std::string_view name() const noexcept override { return "legacy-only"; }
-};
-
-TEST(AttackParity, DefaultAdapterReconstructsLegacyContext) {
-  expect_parity(LegacyOnlyFault{});
 }
 
 /// The same logical honest family, stored once at identity rows and once

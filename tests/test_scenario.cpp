@@ -187,6 +187,35 @@ TEST(ScenarioSpec, RejectsUnknownKeysAndEnums) {
   EXPECT_THROW(scenario::run_scenario(bad_fault), std::invalid_argument);
 }
 
+// A fault param on a kind that takes none would be silently ignored: the
+// spec would run a different experiment than it reads.
+TEST(ScenarioSpec, RejectsFaultParamOnKindsWithoutOne) {
+  for (const char* kind :
+       {"gradient-reverse", "zero", "mimic-smallest", "silent", "label-flip"}) {
+    const std::string text = std::string(R"({"faults": [{"agent": 0, "kind": ")") + kind +
+                             R"(", "param": 5.0}]})";
+    try {
+      scenario::parse_scenario(util::parse_json(text));
+      ADD_FAILURE() << "expected a rejection: " << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("fault param does not apply to the " +
+                                               std::string(kind) + " kind"),
+                std::string::npos)
+          << error.what();
+    }
+    // The same kind without a param still parses.
+    const auto plain = scenario::parse_scenario(util::parse_json(
+        std::string(R"({"faults": [{"agent": 0, "kind": ")") + kind + R"("}]})"));
+    EXPECT_EQ(plain.faults.at(0).kind, kind);
+  }
+  for (const char* kind :
+       {"random", "sign-flip-scale", "rotating", "little-is-enough", "mean-reverse"}) {
+    const auto spec = scenario::parse_scenario(util::parse_json(
+        std::string(R"({"faults": [{"agent": 0, "kind": ")") + kind + R"(", "param": 5.0}]})"));
+    EXPECT_DOUBLE_EQ(spec.faults.at(0).param, 5.0) << kind;
+  }
+}
+
 // JSON numbers are doubles: every integer field is checked, not cast — a
 // fractional value would silently truncate (2.7 iterations ran 2 rounds)
 // and one past INT_MAX is undefined behaviour.

@@ -3,6 +3,7 @@
 // callbacks, determinism, and trace series.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -238,8 +239,10 @@ TEST(Dgd, CustomHonestGradientFunction) {
   TwoAgentFixture fx;
   sim::DgdSimulation simulation(fx.roster(), fx.config(10));
   // Constant pull toward -x halves the estimate each unit step.
-  simulation.set_honest_gradient_fn(
-      [](int /*agent*/, const Vector& x, int /*round*/) { return x; });
+  simulation.set_honest_gradient_writer(
+      [](int /*agent*/, const Vector& x, int /*round*/, std::span<double> out) {
+        std::copy(x.coefficients().begin(), x.coefficients().end(), out.begin());
+      });
   const agg::AverageAggregator average;
   const auto trace = simulation.run(average);
   // x_{t+1} = x_t (1 - eta_t) with eta_0 = 0.5 -> strictly decreasing norm.

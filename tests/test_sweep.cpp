@@ -127,6 +127,25 @@ TEST(SweepExpand, FaultPresetsAndVariantPatchesApply) {
   EXPECT_EQ(runs[3].run_id, "003_faults=random_variants=CWTM");
 }
 
+TEST(SweepExpand, FaultPresetWithAnInapplicableParamIsRejected) {
+  // A fault preset goes through the scenario parser like a base fault, so a
+  // param on a kind that takes none fails the expansion, naming the run.
+  try {
+    (void)sweep::expand_sweep(parse(R"({
+      "base": {"driver": "dgd", "iterations": 5},
+      "sweep": {"faults": [
+        {"label": "zero", "faults": [{"agent": 0, "kind": "zero", "param": 1.0}]}
+      ]}
+    })"));
+    ADD_FAILURE() << "expected a rejection";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("sweep run 000_faults=zero"), std::string::npos) << what;
+    EXPECT_NE(what.find("fault param does not apply to the zero kind"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(SweepExpand, ParticipationAxisMergesIntoNestedAxes) {
   const auto runs = sweep::expand_sweep(parse(R"({
     "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 5, "dim": 2,

@@ -5,8 +5,10 @@
 // Theorem 6 (CWTM with lambda = 0), and Lemma 1 / Theorem 1 feasibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "abft/agg/cge.hpp"
 #include "abft/agg/cwtm.hpp"
@@ -160,7 +162,8 @@ TEST(Theorem3, ConvergesToBallUnderPhiCondition) {
   sim::DgdConfig config{Vector{8.0, -6.0}, opt::Box::centered_cube(2, 10.0), &schedule, 4000, 0,
                         5};
   sim::DgdSimulation simulation(std::move(roster), std::move(config));
-  simulation.set_honest_gradient_fn([b_mag](int, const Vector& x, int round) {
+  simulation.set_honest_gradient_writer([b_mag](int, const Vector& x, int round,
+                                                std::span<double> out) {
     Vector grad = 2.0 * x;
     const double norm = x.norm();
     Vector unit = norm > 1e-12 ? x / norm : Vector{1.0, 0.0};
@@ -171,7 +174,7 @@ TEST(Theorem3, ConvergesToBallUnderPhiCondition) {
     } else {
       grad.add_scaled(b_mag, Vector{-unit[1], unit[0]});
     }
-    return grad;
+    std::copy(grad.coefficients().begin(), grad.coefficients().end(), out.begin());
   });
   const agg::CgeAggregator cge;  // f = 0: passes the single gradient through
   const auto trace = simulation.run(cge);
