@@ -618,23 +618,21 @@ std::vector<Vector> GradientBatch::unpack() const {
   return out;
 }
 
-namespace {
-
-/// Transposes n row-major rows of length d into `cols` (column k at
-/// cols[k * n]), cache-blocked: both the source and the destination are
-/// touched in tiles that fit in L1.
-template <typename T>
-void transpose_rows(AggregatorWorkspace& ws, const T* rows, int n, int d, std::vector<T>& cols) {
-  cols.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
+void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
+  // Cache-blocked: both the source rows and the destination columns are
+  // touched in tiles that fit in L1.
+  const int n = batch.rows();
+  const int d = batch.cols();
+  colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
   constexpr int kBlock = 64;
-  ws.run_parallel(0, d, [&](int k_begin, int k_end) {
+  run_parallel(0, d, [&](int k_begin, int k_end) {
     for (int k0 = k_begin; k0 < k_end; k0 += kBlock) {
       const int k1 = std::min(k0 + kBlock, k_end);
       for (int i0 = 0; i0 < n; i0 += kBlock) {
         const int i1 = std::min(i0 + kBlock, n);
         for (int i = i0; i < i1; ++i) {
-          const T* src = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-          T* dst = cols.data() + i;
+          const double* src = batch.row(i).data();
+          double* dst = colmajor.data() + i;
           for (int k = k0; k < k1; ++k) {
             dst[static_cast<std::size_t>(k) * static_cast<std::size_t>(n)] = src[k];
           }
@@ -642,12 +640,6 @@ void transpose_rows(AggregatorWorkspace& ws, const T* rows, int n, int d, std::v
       }
     }
   });
-}
-
-}  // namespace
-
-void AggregatorWorkspace::fill_colmajor(const GradientBatch& batch) {
-  transpose_rows(*this, batch.data(), batch.rows(), batch.cols(), colmajor);
 }
 
 void AggregatorWorkspace::fill_sqnorms(const GradientBatch& batch) {
@@ -698,11 +690,6 @@ void AggregatorWorkspace::fill_rows_f32(const GradientBatch& batch) {
       sqnorms_f32[static_cast<std::size_t>(i)] = sum;
     }
   });
-}
-
-void AggregatorWorkspace::fill_colmajor_f32(const GradientBatch& batch) {
-  fill_rows_f32(batch);
-  transpose_rows(*this, rows_f32.data(), batch.rows(), batch.cols(), colmajor_f32);
 }
 
 void AggregatorWorkspace::gather_pair_row(int i, int n, double* dst) const noexcept {

@@ -48,13 +48,11 @@ enum class AggMode {
 /// Element width of the bandwidth-bound fast-mode kernels.
 ///
 /// `f64` (the default) keeps every kernel on doubles.  `f32` demotes the
-/// *inputs* of the two distance kernels — the Gram fill behind Krum,
-/// Multi-Krum and Bulyan stage 1 (fill_pairwise_sqdist, pair_sqdist,
-/// gather_pair_row) and the col-major coreset k-center pass — to float,
-/// halving the bytes those memory-bound passes move.  Every other rule
-/// (CWTM, CWMed, GeoMed, GMoM, CClip, Bulyan stage 2, average, CGE,
-/// NormClip) ignores the knob: its f32 result is its fast/f64 result
-/// bit for bit.  Selection and tie-breaking still run over a deterministic
+/// inputs of one kernel, the Gram fill behind Krum, Multi-Krum and Bulyan
+/// stage 1 (fill_pairwise_sqdist, pair_sqdist, gather_pair_row), to float,
+/// halving the bytes that memory-bound pass moves.  Every other rule (CWTM,
+/// CWMed, GeoMed, GMoM, CClip, Bulyan stage 2, average, CGE, NormClip)
+/// ignores the knob: its f32 result is its fast/f64 result bit for bit.  Selection and tie-breaking still run over a deterministic
 /// order, and the aggregate itself is accumulated and emitted in f64.  The
 /// knob only has effect under AggMode::fast; exact mode ignores it entirely
 /// (workspaces reject the combination at the scenario layer).  Like
@@ -163,7 +161,7 @@ struct AggregatorWorkspace {
   std::vector<double> colmajor;  ///< d x n transposed copy of the batch
   /// The rows the small-d f64 kernels read, transposed: the packed fill's
   /// d x n copy, or the lane pass's interleaved shards (its own buffer:
-  /// `colmajor` belongs to CWTM, Bulyan and the coreset pass).
+  /// `colmajor` belongs to CWTM and Bulyan).
   std::vector<double> gram_colmajor;
   std::vector<double> norms;     ///< per-gradient Euclidean norms (n)
   std::vector<double> sqnorms;   ///< per-gradient squared norms (n)
@@ -179,17 +177,13 @@ struct AggregatorWorkspace {
   std::vector<double> scratch;   ///< misc n-sized scratch (dists, columns)
   std::vector<double> vecbuf;    ///< misc d-sized scratch (Weiszfeld, cclip)
   // --- float32 lane mirrors (see Precision) -------------------------------
-  // Filled only when f32_lane() is active, by the Gram fill and the coreset
-  // k-center pass: rows_f32 is the demote-on-ingest copy of the batch
-  // (n x d, row-major) and sqnorms_f32 its per-row squared norms (16 lanes
-  // per row), colmajor_f32 its transpose (coreset) and pairdist_f32 the
-  // packed triangular distances (same layout as pairdist; Gram fill), and
-  // vecbuf_f32 a d-sized scratch for the demoted coreset pivot.
+  // Filled only when f32_lane() is active, by the Gram fill: rows_f32 is
+  // the demote-on-ingest copy of the batch (n x d, row-major), sqnorms_f32
+  // its per-row squared norms (16 lanes per row) and pairdist_f32 the packed
+  // triangular distances (same layout as pairdist).
   std::vector<float> rows_f32;      ///< demoted batch rows (n x d)
-  std::vector<float> colmajor_f32;  ///< d x n transpose of rows_f32 (coreset)
   std::vector<float> sqnorms_f32;   ///< squared norms of the demoted rows (n)
   std::vector<float> pairdist_f32;  ///< packed triangular distances, f32 lane
-  std::vector<float> vecbuf_f32;    ///< d-sized f32 scratch (coreset pivot)
   std::vector<int> order;        ///< index permutation (n); Krum lane route: shard order
   std::vector<unsigned char> active;  ///< selection mask (n), Bulyan stage 1
   /// Every active row's Krum candidate distances (krum.hpp
@@ -218,27 +212,6 @@ struct AggregatorWorkspace {
   std::vector<int> hier_perm;              ///< seeded shard assignment (n)
   int hier_perm_rows = -1;                 ///< n hier_perm was drawn for
   std::uint64_t hier_perm_seed = 0;        ///< seed hier_perm was drawn with
-  // Coreset pre-reduction scratch — agg/coreset.hpp.  The blocked k-center
-  // pass keeps per-row nearest-center state in the n-sized buffers (its
-  // column-major distance kernel runs on `colmajor` with `scratch` as the
-  // per-round candidate-distance buffer), one bounded farthest-point epoch
-  // queue per row block in coreset_cand (strided, counts in
-  // coreset_cand_count, -1 marking a queue due for refill, epoch bounds in
-  // coreset_qbound), the merged live (distance, id) candidate pairs in
-  // coreset_merged, and the selected rows / multiplicity weights in the
-  // m-sized buffers; all grow monotonically so the reduction is
-  // allocation-free after warmup.
-  std::vector<double> coreset_dist;    ///< sq dist to nearest center (n)
-  std::vector<int> coreset_assign;     ///< nearest center slot (n)
-  std::vector<std::pair<double, int>> coreset_merged;  ///< live candidate pairs
-  std::vector<std::pair<double, int>> coreset_qbound;  ///< per-block epoch bounds
-  std::vector<int> coreset_cand;       ///< per-block top-(z+1) queues
-  std::vector<int> coreset_cand_count; ///< per-block queue sizes (-1: refill)
-  std::vector<int> coreset_ids;        ///< selected row ids (m)
-  std::vector<double> coreset_weights; ///< multiplicity weights, sum = n (m)
-  std::vector<double> coreset_vec;     ///< d-sized scratch (median pivot)
-  std::vector<std::pair<double, double>> coreset_pairs;  ///< (value, weight)
-  GradientBatch coreset_batch;         ///< m x d packed coreset rows
 
   /// Readies the worker groups a hierarchy level splits `units` items over:
   /// width = max(1, min(parallel_threads, units)) single-threaded
@@ -333,9 +306,6 @@ struct AggregatorWorkspace {
   /// demote-on-ingest pass) and sums their squared norms into `sqnorms_f32`
   /// in the same pass.
   void fill_rows_f32(const GradientBatch& batch);
-
-  /// fill_rows_f32 + cache-blocked transpose into `colmajor_f32`.
-  void fill_colmajor_f32(const GradientBatch& batch);
 
   // --- packed triangular pairdist accessors --------------------------------
   /// Index of unordered pair (i, j), i < j, in the packed strictly-upper

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "abft/agg/rank_kernel.hpp"
+
 namespace abft::agg {
 
 void CgeAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
@@ -10,6 +12,9 @@ void CgeAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int 
   const int d = validate_batch(batch, f);
   const int n = batch.rows();
   ws.fill_norms(batch);
+  // A NaN norm (a row with a NaN coordinate) orders as +inf, so the
+  // comparison stays a strict weak order and such a row is filtered first.
+  for (double& norm : ws.norms) norm = detail::nan_as_inf(norm);
   ws.order.resize(static_cast<std::size_t>(n));
   std::iota(ws.order.begin(), ws.order.end(), 0);
   std::stable_sort(ws.order.begin(), ws.order.end(), [&ws](int a, int b) {

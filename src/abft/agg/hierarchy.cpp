@@ -10,34 +10,10 @@
 
 namespace abft::agg {
 
-namespace {
-
-/// Leaf factory: the plain registry rule, or the coreset-wrapped rule when
-/// per-shard reduction is configured.  CoresetReducer forwards
-/// max_usable_f/min_usable_f to the inner rule, so every piece of the
-/// (n_s, f_s) bookkeeping above is untouched by the wrapping.
-std::unique_ptr<GradientAggregator> make_leaf(const HierarchyConfig& config) {
-  if (config.coreset.has_value()) {
-    return std::make_unique<CoresetReducer>(config.leaf_rule, *config.coreset);
-  }
-  return make_aggregator(config.leaf_rule);
-}
-
-}  // namespace
-
 std::string hierarchy_label(const HierarchyConfig& config) {
   std::string label =
       "hier-" + std::to_string(config.shards) + "-" + config.leaf_rule + "-" + config.root_rule;
   if (config.f_leaf >= 0) label += "-fl" + std::to_string(config.f_leaf);
-  if (config.coreset.has_value()) {
-    label += config.coreset->kind == CoresetConfig::Kind::sample ? "-sm" : "-cs";
-    if (config.coreset->size == CoresetConfig::kAdaptiveSize) {
-      label += "adaptive";
-    } else {
-      label += config.coreset->size > 0 ? std::to_string(config.coreset->size)
-                                        : std::string("auto");
-    }
-  }
   return label;
 }
 
@@ -49,7 +25,7 @@ std::string hierarchy_label(const HierarchyConfig& config, int n) {
 
 HierarchicalAggregator::HierarchicalAggregator(HierarchyConfig config)
     : config_(std::move(config)),
-      leaf_(make_leaf(config_)),
+      leaf_(make_aggregator(config_.leaf_rule)),
       root_(make_aggregator(config_.root_rule)),
       label_(hierarchy_label(config_)) {
   ABFT_REQUIRE(config_.shards >= 1, "hierarchy: shards must be >= 1");

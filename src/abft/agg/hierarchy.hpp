@@ -33,11 +33,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "abft/agg/aggregator.hpp"
-#include "abft/agg/coreset.hpp"
 
 namespace abft::agg {
 
@@ -59,11 +57,6 @@ struct HierarchyConfig {
   /// Seed of the deterministic row-to-shard assignment permutation; 0 keeps
   /// the identity order (row i lands in shard floor(i * S / n)'s slice).
   std::uint64_t assignment_seed = 0;
-  /// Optional per-shard coreset pre-reduction (agg/coreset.hpp): each leaf
-  /// runs the leaf rule on a weighted coreset of its shard's rows instead of
-  /// the rows themselves.  The shard fault budget doubles as the coreset's
-  /// outlier budget; shards too small to reduce delegate bit-identically.
-  std::optional<CoresetConfig> coreset;
 };
 
 /// Per-level bookkeeping of one (n, f) aggregation through the tree.
@@ -83,8 +76,8 @@ struct HierarchyBounds {
 };
 
 /// Stable label, e.g. "hier-16-krum-cwtm" (+ "-fl2" when f_leaf is
-/// explicit, + "-cs64" with a per-shard coreset).  Doubles as the
-/// spec-layer aggregator spelling; uses only run-id/CSV-safe characters.
+/// explicit).  Doubles as the spec-layer aggregator spelling; uses only
+/// run-id/CSV-safe characters.
 std::string hierarchy_label(const HierarchyConfig& config);
 
 /// Label variant for a known row count n: reports the *effective* shard

@@ -49,65 +49,18 @@ std::uint64_t parse_seed(const util::JsonValue& json, std::string_view key, doub
   return static_cast<std::uint64_t>(value);
 }
 
-/// The optional "reduction" block of the aggregator object: exactly one of
-/// {"coreset": {"size": k | "adaptive"}} (greedy k-center; size 0/absent =
-/// auto, "adaptive" = radius-driven growth) or
-/// {"sample": {"size": k, "strata": s}} (norm-stratified weighted sampling;
-/// size/strata 0/absent = auto).
-agg::CoresetConfig parse_reduction(const util::JsonValue& value) {
-  require_known_keys(value, "reduction", {"coreset", "sample"});
-  const auto* kcenter = value.find("coreset");
-  const auto* sample = value.find("sample");
-  ABFT_REQUIRE((kcenter != nullptr) != (sample != nullptr),
-               "reduction needs exactly one of \"coreset\" or \"sample\"");
-  agg::CoresetConfig config;
-  if (kcenter != nullptr) {
-    require_known_keys(*kcenter, "coreset", {"size"});
-    if (const auto* size = kcenter->find("size"); size != nullptr && size->is_string()) {
-      ABFT_REQUIRE(size->as_string() == "adaptive",
-                   "coreset size must be a number or the string \"adaptive\"");
-      config.size = agg::CoresetConfig::kAdaptiveSize;
-    } else {
-      config.size = int_or(*kcenter, "size", config.size);
-      ABFT_REQUIRE(config.size >= 0,
-                   "coreset size must be >= 1, 0 for auto, or \"adaptive\"");
-    }
-    return config;
-  }
-  require_known_keys(*sample, "sample", {"size", "strata"});
-  config.kind = agg::CoresetConfig::Kind::sample;
-  const auto* sample_size = sample->find("size");
-  ABFT_REQUIRE(sample_size == nullptr || !sample_size->is_string(),
-               "sample size must be a number (adaptive is k-center only)");
-  config.size = int_or(*sample, "size", config.size);
-  ABFT_REQUIRE(config.size >= 0, "sample size must be >= 1, or 0 for auto");
-  config.strata = int_or(*sample, "strata", config.strata);
-  ABFT_REQUIRE(config.strata >= 0, "sample strata must be >= 1, or 0 for auto");
-  return config;
-}
-
-/// The aggregator key takes a registry rule name, or an object composing a
-/// "rule" or "hierarchy" layer with an optional "reduction" layer; the
-/// object forms fill spec.hierarchy / spec.coreset and stamp the canonical
-/// label into spec.aggregator.
+/// The aggregator key takes a registry rule name, or an object holding a
+/// "rule" or a "hierarchy" layer; the hierarchy form fills spec.hierarchy
+/// and stamps the canonical label into spec.aggregator.
 void parse_aggregator(const util::JsonValue& value, ScenarioSpec* spec) {
   if (value.is_string()) {
     spec->aggregator = value.as_string();
     return;
   }
-  require_known_keys(value, "aggregator", {"rule", "hierarchy", "reduction"});
-  std::optional<agg::CoresetConfig> reduction;
-  if (const auto* red = value.find("reduction")) reduction = parse_reduction(*red);
+  require_known_keys(value, "aggregator", {"rule", "hierarchy"});
   if (value.find("hierarchy") == nullptr) {
-    const std::string rule = value.string_or("rule", "cwtm");
-    (void)agg::make_aggregator(rule);  // validate the name at parse time
-    if (reduction) {
-      spec->coreset = *reduction;
-      spec->coreset_rule = rule;
-      spec->aggregator = agg::coreset_label(*reduction, rule);
-    } else {
-      spec->aggregator = rule;
-    }
+    spec->aggregator = value.string_or("rule", "cwtm");
+    (void)agg::make_aggregator(spec->aggregator);  // validate the name at parse time
     return;
   }
   ABFT_REQUIRE(value.find("rule") == nullptr,
@@ -128,7 +81,6 @@ void parse_aggregator(const util::JsonValue& value, ScenarioSpec* spec) {
     config.f_leaf = int_or(hier, "f_leaf", config.f_leaf);
     ABFT_REQUIRE(config.f_leaf >= 0, "hierarchy f_leaf must be >= 0 when given");
   }
-  config.coreset = reduction;  // per-shard reduction rides inside the tree
   spec->hierarchy = config;
   spec->aggregator = agg::hierarchy_label(config);
 }
@@ -750,12 +702,7 @@ regress::RegressionProblem random_regression_instance(const ScenarioSpec& spec) 
 }
 
 std::unique_ptr<agg::GradientAggregator> make_scenario_aggregator(const ScenarioSpec& spec) {
-  if (!spec.hierarchy) {
-    if (spec.coreset) {
-      return std::make_unique<agg::CoresetReducer>(spec.coreset_rule, *spec.coreset);
-    }
-    return agg::make_aggregator(spec.aggregator);
-  }
+  if (!spec.hierarchy) return agg::make_aggregator(spec.aggregator);
   agg::HierarchyConfig config = *spec.hierarchy;
   // Derived, documented sub-stream (like the problem/data streams above):
   // one spec seed pins the shard assignment too.  The xor could land on 0 —

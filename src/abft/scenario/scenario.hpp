@@ -15,7 +15,7 @@
 //                           "random_regression"
 //                         dsgd: "synthetic"         (driver's natural one)
 //   aggregator            registry rule name                       ("cwtm")
-//                         or an object composing up to three layers:
+//                         or an object holding one of two layers:
 //                         {"rule": r} — the flat registry rule;
 //                         {"hierarchy": {"shards": S, "leaf_rule": r,
 //                         "root_rule": r, "f_leaf": k}} — the sharded
@@ -28,20 +28,8 @@
 //                         When the roster is smaller than the requested S
 //                         the tree clamps to min(S, n) shards; the result
 //                         label and JSON report the *effective* count
-//                         (requested_shards keeps the asked-for one);
-//                         {"reduction": {"coreset": {"size": k}}} — the
-//                         greedy k-center coreset pre-reduction
-//                         (agg/coreset.hpp; size 0/absent = auto
-//                         f + ceil(sqrt(n)), size "adaptive" = grow k
-//                         until the covering radius stops improving) — or
-//                         {"reduction": {"sample": {"size": k,
-//                         "strata": s}}} — norm-stratified weighted
-//                         sampling (strata 0/absent = auto min(8, k));
-//                         exactly one of "coreset"/"sample".  Composes
-//                         with "rule" (the whole batch is reduced) or
-//                         with "hierarchy" (each shard is reduced before
-//                         its leaf rule); "rule" and "hierarchy" are
-//                         mutually exclusive
+//                         (requested_shards keeps the asked-for one).
+//                         "rule" and "hierarchy" are mutually exclusive
 //   mode                  "exact" | "fast"                        ("exact")
 //   precision             "f64" | "f32"                           ("f64")
 //                         f32 demotes the fast lane's bandwidth-bound
@@ -177,14 +165,8 @@ struct ScenarioSpec {
   /// is set (parse_scenario fills both from the aggregator object form).
   std::string aggregator = "cwtm";
   /// Sharded aggregate-of-aggregates tree (agg/hierarchy.hpp); the
-  /// assignment seed is derived from the spec seed at run time.  A
-  /// per-shard coreset reduction rides inside the config.
+  /// assignment seed is derived from the spec seed at run time.
   std::optional<agg::HierarchyConfig> hierarchy;
-  /// Flat coreset pre-reduction (agg/coreset.hpp) wrapping coreset_rule;
-  /// parse_scenario fills both from the aggregator object's "reduction"
-  /// block (hierarchy specs carry theirs in hierarchy->coreset instead).
-  std::optional<agg::CoresetConfig> coreset;
-  std::string coreset_rule = "cwtm";
   agg::AggMode mode = agg::AggMode::exact;
   agg::Precision precision = agg::Precision::f64;
   int iterations = 100;

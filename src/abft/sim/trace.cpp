@@ -30,7 +30,7 @@ void Trace::write_csv(std::ostream& os) const {
   ABFT_REQUIRE(!estimates.empty(), "cannot export an empty trace");
   const int dim = estimates.front().dim();
   std::vector<std::string> header{"t"};
-  for (int k = 0; k < dim; ++k) header.push_back("x" + std::to_string(k));
+  for (int k = 0; k < dim; ++k) header.push_back(std::to_string(k).insert(0, 1, 'x'));
   util::CsvWriter csv(os, std::move(header));
   for (std::size_t t = 0; t < estimates.size(); ++t) {
     std::vector<double> row{static_cast<double>(t)};

@@ -84,13 +84,6 @@ std::string precision_name(const JsonValue& entry, std::string_view) {
   return entry.as_string();
 }
 
-std::string reduction_kind_name(const JsonValue& entry, std::string_view) {
-  const std::string& kind = entry.as_string();
-  ABFT_REQUIRE(kind == "coreset" || kind == "sample",
-               "reduction_kind axis entries must be \"coreset\" or \"sample\"");
-  return kind;
-}
-
 double any_number(const JsonValue& entry, std::string_view) { return entry.as_number(); }
 
 /// An int (util::checked_int) of at least `Min`.
@@ -212,19 +205,6 @@ void set_path(Members& members, std::string_view path, const JsonValue& value) {
   set_member(members, key, JsonValue::make_object(std::move(level)));
 }
 
-/// reduction_kind: re-keys the reduction object to {"<kind>": {inner}},
-/// carrying over the inner config a coreset_size axis wrote earlier in the
-/// canonical order (the size axis picks k, the kind axis the construction).
-void rekey_reduction(Members& members, std::string_view path, const JsonValue& kind) {
-  Members inner;
-  const auto* reduction = find_path(members, path);
-  if (reduction != nullptr && !reduction->as_object().empty()) {
-    inner = reduction->as_object().front().second.as_object();
-  }
-  set_path(members, path,
-           JsonValue::make_object({{kind.as_string(), JsonValue::make_object(std::move(inner))}}));
-}
-
 /// variants: every patch key replaces (or adds) a top-level spec key.
 void merge_patch(Members& members, std::string_view, const JsonValue& patch) {
   for (const auto& [key, value] : patch.as_object()) set_member(members, key, value);
@@ -281,9 +261,6 @@ constexpr AxisRow axis(std::string_view name, std::string_view path,
 /// order (so variants, last, override everything) and the grid's last axis
 /// varies fastest.  Adding an axis is one row here plus its SweepSpec field.
 ///   shards          the base aggregator must be a hierarchy object or absent
-///   coreset_size    0 = the auto budget f+ceil(sqrt n); composes with shards
-///                   (per-shard coresets)
-///   reduction_kind  "coreset" | "sample"; re-keys the reduction object
 ///   quorum,         create the "async" block when the base has none, so a
 ///   staleness_cap   default quorum-or-deadline config applies
 ///   faults          named presets; each replaces the base "faults" array
@@ -296,10 +273,6 @@ const AxisRow kAxes[] = {
     axis<&SweepSpec::f, int_at_least<0>>("f", "f"),
     {"shards", "aggregator.hierarchy.shards", parse_shards, cells_of<&SweepSpec::shards>,
      set_path},
-    axis<&SweepSpec::coreset_size, int_at_least<0>>("coreset_size",
-                                                     "aggregator.reduction.coreset.size"),
-    axis<&SweepSpec::reduction_kind, reduction_kind_name>(
-        "reduction_kind", "aggregator.reduction", rekey_reduction),
     axis<&SweepSpec::quorum, int_at_least<0>>("quorum", "async.quorum"),
     axis<&SweepSpec::staleness_cap, int_at_least<0>>("staleness_cap", "async.staleness_cap"),
     {"seed", "seed", parse_seeds, cells_of<&SweepSpec::seed>, set_path},

@@ -19,9 +19,8 @@
 //               The axis table kAxes in sweep.cpp is the one source of
 //               truth: each row names an axis, the dot-separated key path
 //               it writes in the base spec (e.g. quorum -> async.quorum,
-//               coreset_size -> aggregator.reduction.coreset.size), its
-//               entry parser and the SweepSpec field it fills; axis_names()
-//               lists them.  Each axis takes a JSON list of values, except
+//               shards -> aggregator.hierarchy.shards), its entry parser
+//               and the SweepSpec field it fills; axis_names() lists them.  Each axis takes a JSON list of values, except
 //               seed, which also takes a range {"from": s, "count": n}.
 //               faults entries are {"label", "faults": [fault objects]}
 //               presets and variants entries {"label", "patch": {spec
@@ -85,8 +84,6 @@ struct SweepSpec {
   std::vector<std::string> precision;
   std::vector<int> f;
   std::vector<int> shards;
-  std::vector<int> coreset_size;
-  std::vector<std::string> reduction_kind;
   std::vector<int> quorum;
   std::vector<int> staleness_cap;
   std::vector<std::uint64_t> seed;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -190,7 +191,11 @@ Vector cclip(std::span<const Vector> g) {
 }  // namespace
 
 std::vector<int> cge_kept(std::span<const Vector> gradients, int f) {
-  const auto norm = norms(gradients);
+  auto norm = norms(gradients);
+  // A NaN norm counts as +inf; the stable sort breaks ties by index.
+  for (double& v : norm) {
+    if (std::isnan(v)) v = std::numeric_limits<double>::infinity();
+  }
   std::vector<int> order(gradients.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&norm](int a, int b) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "abft/agg/average.hpp"
@@ -74,6 +75,41 @@ TEST(Cge, TieBreakIsStableByIndex) {
   const auto grads = make_gradients({Vector{1.0, 0.0}, Vector{0.0, 1.0}, Vector{-1.0, 0.0}});
   EXPECT_EQ(reference_rules::cge_kept(grads, 1), (std::vector<int>{0, 1}));
   EXPECT_EQ(agg::CgeAggregator().aggregate(grads, 1), (Vector{1.0, 1.0}));
+}
+
+TEST(Cge, NonFiniteRowsOrderLastAndAreFiltered) {
+  // A NaN norm orders as +inf (ties by index), so a NaN or +inf coordinate
+  // in any one row, or one of each in two rows, is filtered at f = 2.
+  constexpr int kN = 9;
+  constexpr int kD = 3;
+  util::Rng rng(11);
+  std::vector<Vector> honest;
+  for (int i = 0; i < kN; ++i) {
+    Vector g(kD);
+    for (int k = 0; k < kD; ++k) g[k] = rng.normal(0.0, 1.0);
+    honest.push_back(g);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    int row;
+    double value;
+    int row2;  // -1: one bad row
+    double value2;
+  } cases[] = {{0, nan, -1, 0.0}, {0, inf, -1, 0.0}, {4, nan, -1, 0.0},
+               {4, inf, -1, 0.0}, {0, nan, 4, inf},  {0, inf, 4, nan}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "rows " << c.row << "/" << c.row2);
+    auto grads = honest;
+    grads[static_cast<std::size_t>(c.row)][1] = c.value;
+    if (c.row2 >= 0) grads[static_cast<std::size_t>(c.row2)][2] = c.value2;
+    const Vector out = agg::CgeAggregator().aggregate(grads, 2);
+    const Vector ref = reference_rules::aggregate("cge", grads, 2);
+    for (int k = 0; k < kD; ++k) {
+      EXPECT_TRUE(std::isfinite(out[k])) << k;
+      EXPECT_EQ(out[k], ref[k]) << k;
+    }
+  }
 }
 
 TEST(Cwtm, TrimsPerCoordinate) {

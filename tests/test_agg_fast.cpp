@@ -198,10 +198,10 @@ TEST(FastParity, ExactModeIsTheDefault) {
 //
 //     ||f32(batch, f) - exact(batch, f)||_inf <= tol32(rule) * (1 + ||exact||_inf)
 //
-// Only the distance kernels have an f32 lane: the Gram fill (krum,
-// multikrum, bulyan stage 1) and the coreset k-center pass.  Every other
-// rule ignores the knob, so its f32 bound is its fast bound (cwtm and
-// cwmed run one path in every mode, so theirs is near machine epsilon).
+// Only the Gram fill (krum, multikrum, bulyan stage 1) has an f32 lane.
+// Every other rule ignores the knob, so its f32 bound is its fast bound
+// (cwtm and cwmed run one path in every mode, so theirs is near machine
+// epsilon).
 
 /// Documented per-rule relative tolerance of the f32 lane vs exact mode.
 const std::map<std::string, double>& rule_tolerances_f32() {

@@ -79,8 +79,7 @@ std::size_t grid_size(const sweep::SweepSpec& spec) {
   std::size_t total = 1;
   for (const std::size_t n :
        {spec.aggregator.size(), spec.mode.size(), spec.precision.size(), spec.f.size(),
-        spec.shards.size(), spec.coreset_size.size(), spec.reduction_kind.size(),
-        spec.quorum.size(), spec.staleness_cap.size(), spec.seed.size(),
+        spec.shards.size(), spec.quorum.size(), spec.staleness_cap.size(), spec.seed.size(),
         spec.drop_probability.size(), spec.participation.size(),
         spec.straggler_probability.size(), spec.faults.size(), spec.variants.size()}) {
     total *= std::max<std::size_t>(n, 1);
@@ -125,6 +124,28 @@ TEST(FuzzParsers, MutatedSpecsOnlyThrowInvalidArgument) {
   // Both outcomes must occur, or the mutator is not exercising the parsers.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// Keys of the removed pre-reduction layer are not silently ignored: the
+// front end rejects each with std::invalid_argument naming it.
+TEST(FuzzParsers, RemovedReductionKeysAreRejectedByName) {
+  const struct {
+    const char* text;
+    const char* key;
+  } cases[] = {
+      {R"({"aggregator": {"rule": "cwtm", "reduction": {"coreset": {"size": 8}}}})",
+       "\"reduction\""},
+      {R"({"base": {}, "sweep": {"coreset_size": [8]}})", "\"coreset_size\""},
+      {R"({"base": {}, "sweep": {"reduction_kind": ["sample"]}})", "\"reduction_kind\""},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_spec(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(c.key), std::string::npos) << error.what();
+    }
+  }
 }
 
 }  // namespace

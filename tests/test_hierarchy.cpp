@@ -134,8 +134,8 @@ TEST(Hierarchy, CachedShardPermutationMatchesAFreshWorkspace) {
   const auto full = random_batch(kRows, 8, 11);
   GradientBatch short_batch(kRows - 1, 8);
   for (int i = 0; i < kRows - 1; ++i) short_batch.set_row(i, full.row(i));
-  const HierarchicalAggregator seeded({400, "krum", "cwtm", -1, 5, std::nullopt});
-  const HierarchicalAggregator reseeded({400, "krum", "cwtm", -1, 6, std::nullopt});
+  const HierarchicalAggregator seeded({400, "krum", "cwtm", -1, 5});
+  const HierarchicalAggregator reseeded({400, "krum", "cwtm", -1, 6});
   const auto bits = [](const Vector& v) {
     const auto c = v.coefficients();
     return std::vector<double>(c.begin(), c.end());

@@ -193,73 +193,42 @@ TEST(SweepExpand, ShardsAxisSetsNestedHierarchyMember) {
   EXPECT_EQ(defaulted[0].spec.aggregator, "hier-3-cwtm-cwtm");
 }
 
-// The coreset_size axis rebuilds aggregator/reduction/coreset per run, lands
-// after shards in canonical order, and composes with the shards axis into
-// per-shard coresets.
-TEST(SweepExpand, CoresetSizeAxisSetsNestedReductionMember) {
-  const auto runs = sweep::expand_sweep(parse(R"({
-    "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 30, "dim": 2,
-             "iterations": 4, "f": 2, "box_halfwidth": 40.0,
-             "schedule": {"kind": "harmonic", "scale": 0.4},
-             "aggregator": {"rule": "cwtm"}},
-    "sweep": {"coreset_size": [8, 0], "seed": [7, 8]}
-  })"));
-  ASSERT_EQ(runs.size(), 4u);
-  EXPECT_EQ(runs[0].run_id, "000_coreset_size=8_seed=7");
-  EXPECT_EQ(runs[3].run_id, "003_coreset_size=0_seed=8");
-  ASSERT_TRUE(runs[0].spec.coreset.has_value());
-  EXPECT_EQ(runs[0].spec.coreset->size, 8);
-  EXPECT_EQ(runs[0].spec.coreset_rule, "cwtm");
-  EXPECT_EQ(runs[0].spec.aggregator, "coreset-8-cwtm");
-  // size 0 = the auto budget f + ceil(sqrt n).
-  EXPECT_EQ(runs[2].spec.coreset->size, 0);
-  EXPECT_EQ(runs[2].spec.aggregator, "coreset-auto-cwtm");
-  // Composing with the shards axis: the reduction object lands beside the
-  // hierarchy object and becomes the per-shard leaf coreset.
-  const auto composed = sweep::expand_sweep(parse(R"({
-    "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 30, "dim": 2,
-             "iterations": 3, "f": 2,
-             "aggregator": {"hierarchy": {"leaf_rule": "cwtm", "root_rule": "cwtm"}}},
-    "sweep": {"shards": [2], "coreset_size": [6]}
-  })"));
-  ASSERT_EQ(composed.size(), 1u);
-  EXPECT_EQ(composed[0].run_id, "000_shards=2_coreset_size=6");
-  ASSERT_TRUE(composed[0].spec.hierarchy.has_value());
-  ASSERT_TRUE(composed[0].spec.hierarchy->coreset.has_value());
-  EXPECT_EQ(composed[0].spec.hierarchy->coreset->size, 6);
-  EXPECT_EQ(composed[0].spec.aggregator, "hier-2-cwtm-cwtm-cs6");
+/// The message expand_sweep(parse(text)) throws; fails the test when the
+/// spec parses and expands.
+std::string expand_error(const std::string& text) {
+  const auto spec = parse(text);
+  try {
+    (void)sweep::expand_sweep(spec);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected a rejection at expansion: " << text;
+  return "";
 }
 
-// The reduction_kind axis re-keys the reduction object per run, lands after
-// coreset_size in canonical order, and composes with it: the size axis
-// writes the inner config, the kind axis renames the strategy around it.
+// A base carrying the removed pre-reduction blocks parses as a sweep but
+// fails at expansion, where every run goes through parse_scenario: neither a
+// flat aggregator's reduction block nor a hierarchy's per-shard coreset is a
+// member any more.
+TEST(SweepExpand, CoresetSizeAxisSetsNestedReductionMember) {
+  EXPECT_NE(expand_error(R"({"base": {"aggregator": {"rule": "cwtm",
+                                      "reduction": {"coreset": {"size": 8}}}},
+                             "sweep": {"seed": [7, 8]}})")
+                .find("unknown key \"reduction\" in aggregator"),
+            std::string::npos);
+  EXPECT_NE(expand_error(R"({"base": {"aggregator": {"hierarchy": {"leaf_rule": "cwtm",
+                                      "coreset": {"size": 6}}}},
+                             "sweep": {"shards": [2]}})")
+                .find("unknown key \"coreset\" in hierarchy"),
+            std::string::npos);
+}
+
 TEST(SweepExpand, ReductionKindAxisRekeysTheReductionObject) {
-  const auto runs = sweep::expand_sweep(parse(R"({
-    "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 30, "dim": 2,
-             "iterations": 4, "f": 2, "aggregator": {"rule": "cwtm"}},
-    "sweep": {"coreset_size": [8], "reduction_kind": ["coreset", "sample"]}
-  })"));
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].run_id, "000_coreset_size=8_reduction_kind=coreset");
-  EXPECT_EQ(runs[1].run_id, "001_coreset_size=8_reduction_kind=sample");
-  ASSERT_TRUE(runs[0].spec.coreset.has_value());
-  EXPECT_EQ(runs[0].spec.coreset->kind, agg::CoresetConfig::Kind::kcenter);
-  EXPECT_EQ(runs[0].spec.coreset->size, 8);
-  EXPECT_EQ(runs[0].spec.aggregator, "coreset-8-cwtm");
-  ASSERT_TRUE(runs[1].spec.coreset.has_value());
-  EXPECT_EQ(runs[1].spec.coreset->kind, agg::CoresetConfig::Kind::sample);
-  EXPECT_EQ(runs[1].spec.coreset->size, 8);
-  EXPECT_EQ(runs[1].spec.aggregator, "sample-8-cwtm");
-  // Alone, the axis creates a default (auto-size) reduction of each kind.
-  const auto alone = sweep::expand_sweep(parse(R"({
-    "base": {"driver": "dgd", "problem": "quadratic", "num_agents": 30, "dim": 2,
-             "iterations": 3, "f": 2},
-    "sweep": {"reduction_kind": ["sample"]}
-  })"));
-  ASSERT_EQ(alone.size(), 1u);
-  ASSERT_TRUE(alone[0].spec.coreset.has_value());
-  EXPECT_EQ(alone[0].spec.coreset->kind, agg::CoresetConfig::Kind::sample);
-  EXPECT_EQ(alone[0].spec.aggregator, "sample-auto-cwtm");
+  EXPECT_NE(expand_error(R"({"base": {"aggregator": {"rule": "cwtm",
+                                      "reduction": {"sample": {"size": 4}}}},
+                             "sweep": {"seed": [1]}})")
+                .find("unknown key \"reduction\" in aggregator"),
+            std::string::npos);
 }
 
 // ------------------------------ validation ----------------------------------
@@ -344,62 +313,34 @@ TEST(SweepParse, ShardsAxisRejectsConflictingAggregatorShapes) {
 }
 
 TEST(SweepParse, CoresetSizeAxisValidates) {
-  // Malformed entries fail at parse, not mid-sweep.
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"coreset_size": [-1]}})"),
-               std::invalid_argument);
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"coreset_size": [1.5]}})"),
-               std::invalid_argument);
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"coreset_size": []}})"),
-               std::invalid_argument);
-  // A string base aggregator has no reduction object to patch.
-  EXPECT_THROW(parse(R"({"base": {"aggregator": "cwtm"},
-                         "sweep": {"coreset_size": [8]}})"),
-               std::invalid_argument);
-  // Combining with an aggregator axis would clobber the reduction object.
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"coreset_size": [8],
-                                               "aggregator": ["cge"]}})"),
-               std::invalid_argument);
-  // The base already pins the size: the spec contradicts itself.
-  EXPECT_THROW(parse(R"({"base": {"aggregator": {"reduction": {"coreset": {"size": 4}}}},
-                         "sweep": {"coreset_size": [8]}})"),
-               std::invalid_argument);
-  // A non-object reduction block in the base is named with the axis.
-  EXPECT_NE(parse_error(R"({"base": {"aggregator": {"reduction": 5}},
-                           "sweep": {"coreset_size": [8]}})")
-                .find("sweep: the coreset_size axis writes "
-                      "base.aggregator.reduction.coreset.size, but base.aggregator.reduction "
-                      "is a number"),
-            std::string::npos);
-  // An object base aggregator with just a rule is fine alongside the axis.
-  EXPECT_NO_THROW(parse(R"({"base": {"aggregator": {"rule": "cge"}},
-                            "sweep": {"coreset_size": [8]}})"));
+  // The pre-reduction axes left the axis table with the layer they wrote:
+  // coreset_size is an unknown sweep key named in the message, alone or
+  // beside the shards axis it used to compose with.
+  for (const char* text :
+       {R"({"base": {}, "sweep": {"coreset_size": [8]}})",
+        R"({"base": {}, "sweep": {"shards": [2], "coreset_size": [6]}})",
+        R"({"base": {"aggregator": {"rule": "cge"}}, "sweep": {"coreset_size": [8]}})"}) {
+    EXPECT_NE(parse_error(text).find("sweep: unknown key \"coreset_size\" in sweep block"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(SweepParse, ReductionKindAxisValidates) {
-  // Only the two reducer kinds are legal entries.
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"reduction_kind": ["kmeans"]}})"),
-               std::invalid_argument);
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"reduction_kind": []}})"),
-               std::invalid_argument);
-  // A string base aggregator has no reduction object to re-key.
-  EXPECT_THROW(parse(R"({"base": {"aggregator": "cwtm"},
-                         "sweep": {"reduction_kind": ["sample"]}})"),
-               std::invalid_argument);
-  // Combining with an aggregator axis would clobber the reduction object.
-  EXPECT_THROW(parse(R"({"base": {}, "sweep": {"reduction_kind": ["sample"],
-                                               "aggregator": ["cge"]}})"),
-               std::invalid_argument);
-  // The base already pins a reduction block: the kind axis would silently
-  // replace it — the spec contradicts itself.
-  EXPECT_THROW(parse(R"({"base": {"aggregator": {"reduction": {"coreset": {"size": 4}}}},
-                         "sweep": {"reduction_kind": ["sample"]}})"),
-               std::invalid_argument);
-  EXPECT_THROW(parse(R"({"base": {"aggregator": {"reduction": {"sample": {"size": 4}}}},
-                         "sweep": {"reduction_kind": ["coreset"]}})"),
-               std::invalid_argument);
-  // An object base aggregator with just a rule is fine alongside the axis.
-  EXPECT_NO_THROW(parse(R"({"base": {"aggregator": {"rule": "cge"}},
-                            "sweep": {"reduction_kind": ["coreset", "sample"]}})"));
+  // reduction_kind is an unknown sweep key named in the message, alone or
+  // beside coreset_size.
+  for (const char* text :
+       {R"({"base": {"aggregator": {"rule": "cge"}},
+            "sweep": {"reduction_kind": ["coreset", "sample"]}})",
+        R"({"base": {}, "sweep": {"reduction_kind": ["sample"]}})"}) {
+    EXPECT_NE(parse_error(text).find("sweep: unknown key \"reduction_kind\" in sweep block"),
+              std::string::npos)
+        << text;
+  }
+  EXPECT_NE(parse_error(R"({"base": {}, "sweep": {"reduction_kind": ["coreset"],
+                                                  "coreset_size": [8]}})")
+                .find("sweep: unknown key"),
+            std::string::npos);
 }
 
 TEST(SweepParse, RejectsMalformedAxes) {
@@ -452,9 +393,8 @@ TEST(SweepParse, RejectsMalformedAxes) {
 
 TEST(SweepParse, AxisNamesAreTheCanonicalOrder) {
   const std::vector<std::string_view> expected{
-      "aggregator", "mode", "precision", "f", "shards", "coreset_size", "reduction_kind",
-      "quorum", "staleness_cap", "seed", "drop_probability", "participation",
-      "straggler_probability", "faults", "variants"};
+      "aggregator", "mode", "precision", "f", "shards", "quorum", "staleness_cap", "seed",
+      "drop_probability", "participation", "straggler_probability", "faults", "variants"};
   EXPECT_EQ(sweep::axis_names(), expected);
 }
 
@@ -465,7 +405,7 @@ TEST(SweepParse, RejectsNonIntegerAndOutOfRangeIntegers) {
            R"({"base": {}, "sweep": {"f": [1e12]}})",
            R"({"base": {}, "sweep": {"f": [1, 2.5]}})",
            R"({"base": {}, "sweep": {"shards": [3e9]}})",
-           R"({"base": {}, "sweep": {"coreset_size": [2.5]}})",
+           R"({"base": {}, "sweep": {"quorum": [2.5]}})",
            R"({"base": {}, "sweep": {"quorum": [1e10]}})",
            R"({"base": {}, "sweep": {"staleness_cap": [-3e9]}})",
            R"({"threads": 1e12, "base": {}, "sweep": {"f": [1]}})",
@@ -810,7 +750,6 @@ TEST(SweepRun, CommittedSweepSpecsParseAndExpand) {
       {"sweep_fig2.json", 8},    {"sweep_table1.json", 4}, {"sweep_fig4.json", 6},
       {"sweep_fig5.json", 6},    {"sweep_epsilon.json", 36}, {"sweep_smoke.json", 8},
       {"sweep_async.json", 27},  {"sweep_hier_smoke.json", 4},
-      {"sweep_coreset_smoke.json", 4},
   };
   for (const auto& entry : specs) {
     SCOPED_TRACE(entry.file);
