@@ -9,6 +9,17 @@ Vector GradientAggregator::aggregate(std::span<const Vector> gradients, int f) c
   return aggregate_batched(batch, f, workspace);
 }
 
+void GradientAggregator::aggregate_rows(Vector& out, const GradientBatch& batch,
+                                        std::span<const int> rows, int f,
+                                        AggregatorWorkspace& ws) const {
+  GradientBatch& gather = ws.row_gather;
+  gather.reshape(static_cast<int>(rows.size()), batch.cols());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    gather.set_row(static_cast<int>(k), batch.row(rows[k]));
+  }
+  aggregate_into(out, gather, f, ws);
+}
+
 void GradientAggregator::aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,
                                           std::span<const int> ids, int shards, int f,
                                           AggregatorWorkspace& ws) const {

@@ -6,7 +6,8 @@
 // gradients arrive packed in a contiguous GradientBatch, the rule draws
 // scratch from the caller's AggregatorWorkspace, and the steady state
 // performs no heap allocation.  aggregate(span, f) is a convenience adapter
-// over it for callers holding a family of Vectors.
+// over it for callers holding a family of Vectors, and aggregate_rows one
+// for callers whose rows sit scattered in a larger batch.
 #pragma once
 
 #include <span>
@@ -34,6 +35,14 @@ class GradientAggregator {
   /// resized to the batch dimension, drawing all scratch from `workspace`.
   virtual void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                               AggregatorWorkspace& workspace) const = 0;
+
+  /// Aggregates the batch rows named by `rows`, in that order, as
+  /// aggregate_into would aggregate them packed (rows.size() gradients).
+  /// The default gathers them into workspace.row_gather and runs
+  /// aggregate_into; an override must write the default's bits at every
+  /// thread count.
+  virtual void aggregate_rows(Vector& out, const GradientBatch& batch, std::span<const int> rows,
+                              int f, AggregatorWorkspace& workspace) const;
 
   /// One hierarchy level's leaves in one call (agg/hierarchy.hpp): shard s
   /// holds the batch rows ids[shard_begin(n, shards, s), shard_begin(n,

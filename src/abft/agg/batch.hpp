@@ -198,6 +198,7 @@ struct AggregatorWorkspace {
   std::vector<int> heads;        ///< one past the selection prefix (n)
   std::vector<int> counts;       ///< selected neighbours in the prefix (n)
   GradientBatch aux_batch;       ///< secondary batch (GMoM buckets, Bulyan)
+  GradientBatch row_gather;      ///< aggregate_rows' gathered input rows
   // Hierarchical (aggregate-of-aggregates) scratch — agg/hierarchy.hpp.  One
   // sub-workspace / gather batch / output staging vector per parallel worker
   // group, so the footprint scales with the worker width, not the shard
@@ -210,6 +211,7 @@ struct AggregatorWorkspace {
   std::vector<Vector> hier_out;            ///< per-group shard output staging
   GradientBatch hier_root;                 ///< S x d shard outputs
   std::vector<int> hier_perm;              ///< seeded shard assignment (n)
+  std::vector<int> hier_ids;               ///< aggregate_rows' rows in shard order (n)
   int hier_perm_rows = -1;                 ///< n hier_perm was drawn for
   std::uint64_t hier_perm_seed = 0;        ///< seed hier_perm was drawn with
 

@@ -109,7 +109,21 @@ int HierarchicalAggregator::min_usable_f() const noexcept {
 void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                             AggregatorWorkspace& ws) const {
   validate_batch(batch, f);
-  const int n = batch.rows();
+  aggregate_ids(out, batch, {}, f, ws);
+}
+
+void HierarchicalAggregator::aggregate_rows(Vector& out, const GradientBatch& batch,
+                                            std::span<const int> rows, int f,
+                                            AggregatorWorkspace& ws) const {
+  // bounds() checks 0 <= f < n; an empty id list would mean the whole batch.
+  ABFT_REQUIRE(!rows.empty(), "aggregation needs at least one gradient");
+  aggregate_ids(out, batch, rows, f, ws);
+}
+
+void HierarchicalAggregator::aggregate_ids(Vector& out, const GradientBatch& batch,
+                                           std::span<const int> rows, int f,
+                                           AggregatorWorkspace& ws) const {
+  const int n = rows.empty() ? batch.rows() : static_cast<int>(rows.size());
   const int num_shards = std::min(config_.shards, n);
   if (num_shards <= 1) {
     // Execute exactly the budget bounds() reports: clamped into the leaf's
@@ -122,7 +136,11 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
     ABFT_REQUIRE(f <= flat.tolerated_f,
                  "hierarchy: declared f exceeds the flat-delegation budget — lower f or drop "
                  "the explicit f_leaf");
-    leaf_->aggregate_into(out, batch, flat.f_leaf, ws);
+    if (rows.empty()) {
+      leaf_->aggregate_into(out, batch, flat.f_leaf, ws);
+    } else {
+      leaf_->aggregate_rows(out, batch, rows, flat.f_leaf, ws);
+    }
     return;
   }
   const HierarchyBounds b = bounds(n, f);
@@ -150,6 +168,15 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
     ws.hier_perm_rows = n;
     ws.hier_perm_seed = config_.assignment_seed;
   }
+  // Named rows: position k of the assignment is row rows[perm[k]].
+  std::span<const int> ids = ws.hier_perm;
+  if (!rows.empty()) {
+    ws.hier_ids.resize(static_cast<std::size_t>(n));
+    for (std::size_t k = 0; k < ws.hier_ids.size(); ++k) {
+      ws.hier_ids[k] = rows[static_cast<std::size_t>(ws.hier_perm[k])];
+    }
+    ids = ws.hier_ids;
+  }
 
   // Shard s holds rows [shard_begin(n, S, s), shard_begin(n, S, s + 1)) of
   // the assignment permutation, and every shard runs with b.f_leaf:
@@ -158,7 +185,7 @@ void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& ba
   ABFT_ENSURE(leaf_->min_usable_f() <= b.f_leaf &&
                   b.f_leaf <= leaf_->max_usable_f(b.shard_rows_min),
               "hierarchy: the smallest shard cannot run the leaf budget");
-  leaf_->aggregate_shards(ws.hier_root, batch, ws.hier_perm, num_shards, b.f_leaf, ws);
+  leaf_->aggregate_shards(ws.hier_root, batch, ids, num_shards, b.f_leaf, ws);
   // The root draws scratch from the caller's workspace; kernels never touch
   // the hier_* members, so ws.hier_root is stable input for the duration.
   root_->aggregate_into(out, ws.hier_root, b.f_root, ws);

@@ -93,6 +93,11 @@ class HierarchicalAggregator final : public GradientAggregator {
 
   void aggregate_into(Vector& out, const GradientBatch& batch, int f,
                       AggregatorWorkspace& workspace) const override;
+  /// Composes the shard assignment over `rows` and hands the leaf rule the
+  /// composed ids, so a tree never gathers the named rows (one shard hands
+  /// them to the leaf's own aggregate_rows).
+  void aggregate_rows(Vector& out, const GradientBatch& batch, std::span<const int> rows, int f,
+                      AggregatorWorkspace& workspace) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return label_; }
   /// The composed bound (f_leaf_max+1)(f_root_max+1)-1 under the per-level
   /// caps, so engines clamp the declared f to what the tree can honour (and
@@ -107,6 +112,11 @@ class HierarchicalAggregator final : public GradientAggregator {
   [[nodiscard]] HierarchyBounds bounds(int n, int f) const;
 
  private:
+  /// The one body of both entry points: the batch's own rows when `rows`
+  /// is empty, else the rows it names.
+  void aggregate_ids(Vector& out, const GradientBatch& batch, std::span<const int> rows, int f,
+                     AggregatorWorkspace& workspace) const;
+
   HierarchyConfig config_;  // before leaf_/root_: ctor init order relies on it
   std::unique_ptr<GradientAggregator> leaf_;
   std::unique_ptr<GradientAggregator> root_;

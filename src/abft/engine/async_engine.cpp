@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "abft/util/check.hpp"
 
@@ -33,7 +34,6 @@ AsyncRoundEngine::AsyncRoundEngine(std::vector<unsigned char> faulty, int dim,
   ABFT_REQUIRE(a.arrival.scale > 0.0 && std::isfinite(a.arrival.scale),
                "async arrival scale must be positive and finite");
   core_.payload.reshape(roster_size(), dim);
-  reset(0);
 }
 
 void AsyncRoundEngine::reset(int declared_f) {
@@ -50,7 +50,7 @@ void AsyncRoundEngine::reset(int declared_f) {
   arrival_time_.assign(n, 0.0);
   arrived_.resize(n);
   arrived_times_.resize(n);
-  consumed_.resize(n + 1);  // a pass after the last due row writes one past it
+  consumed_.resize(n);
   declared_f_ = declared_f;
   kept_ = 0;
   stats_ = AsyncStats{};
@@ -78,6 +78,7 @@ void AsyncRoundEngine::begin_round(int round) {
   // order never affects another agent's stream.  The scans compact without
   // a branch: each writes its candidate at the cursor and advances the
   // cursor by the predicate, into a buffer with room for every candidate.
+  ABFT_REQUIRE(!arrival_rng_.empty(), "reset(f) must start a run before its first round");
   const int n = roster_size();
   starting_.resize(static_cast<std::size_t>(n));
   int starting = 0;
@@ -128,60 +129,84 @@ int AsyncRoundEngine::collect(int round) {
     arrived += static_cast<int>((computing_[a] != 0) & (arrival_time_[a] < window_close));
   }
 
+  // A row in flight was born at round - span or later (older ones were
+  // dropped at the open), so every arrival lies in [(round - span)*D,
+  // close).  The quorum search counts the arrivals into kFireBuckets equal
+  // buckets over that range; the bucket index never falls as the time
+  // grows, so all of a bucket's arrivals come after those of the buckets
+  // below it.
+  const int span = std::min(config_.staleness_cap, round);
   const int quorum = config_.quorum == 0 ? n : std::min(config_.quorum, n);
   double fire_time = window_close;
   if (arrived >= quorum) {
-    // The quorum-th earliest arrival.  Only its value matters, so ties
-    // between agents cannot change what fires.
-    const auto nth = arrived_times_.begin() + (quorum - 1);
-    std::nth_element(arrived_times_.begin(), nth, arrived_times_.begin() + arrived);
+    const double lo = static_cast<double>(round - span) * config_.deadline;
+    const double per_bucket = kFireBuckets / (window_close - lo);
+    const auto bucket = [lo, per_bucket](double time) {
+      return static_cast<int>(
+          std::min(std::max(0.0, (time - lo) * per_bucket), kFireBuckets - 1.0));
+    };
+    fire_buckets_.fill(0);
+    for (int k = 0; k < arrived; ++k) {
+      const double time = arrived_times_[static_cast<std::size_t>(k)];
+      ++fire_buckets_[static_cast<std::size_t>(bucket(time))];
+    }
+    // The quorum-th earliest arrival is the (quorum - below)-th earliest of
+    // the bucket it falls in; only its value matters, so ties between
+    // agents cannot change what fires.
+    int fire_bucket = 0;
+    int below = 0;
+    while (below + fire_buckets_[static_cast<std::size_t>(fire_bucket)] < quorum) {
+      below += fire_buckets_[static_cast<std::size_t>(fire_bucket++)];
+    }
+    int candidates = 0;
+    for (int k = 0; k < arrived; ++k) {
+      const double time = arrived_times_[static_cast<std::size_t>(k)];
+      arrived_times_[static_cast<std::size_t>(candidates)] = time;
+      candidates += static_cast<int>(bucket(time) == fire_bucket);
+    }
+    const auto nth = arrived_times_.begin() + (quorum - 1 - below);
+    std::nth_element(arrived_times_.begin(), nth, arrived_times_.begin() + candidates);
     fire_time = *nth;
     ++stats_.quorum_fires;
   } else {
     ++stats_.deadline_fires;
   }
 
-  // Consume every row arrived by the trigger, in (birth_round, agent) order,
-  // scaled by its staleness weight; the rest stay in flight.  The rows due
-  // are compacted in agent order, then one compaction pass per birth round
-  // from the oldest due (at most staleness_cap + 1 passes) lays them out
-  // oldest first.
+  // Consume every row arrived by the trigger, in (birth_round, agent) order:
+  // the rows due are compacted in agent order while their ages are counted,
+  // then one counting pass by age lays them out oldest first.  The rows stay
+  // in the payload; a late row is scaled there by its staleness weight,
+  // which is safe because its agent only writes the row again once it
+  // restarts at the next open.
+  age_rows_.assign(static_cast<std::size_t>(span) + 1, 0);
   int due = 0;
-  int oldest = round;
   for (int k = 0; k < arrived; ++k) {
     const int agent = arrived_[static_cast<std::size_t>(k)];
     const auto a = static_cast<std::size_t>(agent);
     const bool fired = arrival_time_[a] <= fire_time;
     arrived_[static_cast<std::size_t>(due)] = agent;
     due += static_cast<int>(fired);
-    oldest = std::min(oldest, fired ? birth_round_[a] : round);
+    age_rows_[static_cast<std::size_t>(round - birth_round_[a])] += static_cast<int>(fired);
   }
-  int kept = 0;
-  for (int birth = oldest; birth <= round; ++birth) {
-    for (int k = 0; k < due; ++k) {
-      const int agent = arrived_[static_cast<std::size_t>(k)];
-      consumed_[static_cast<std::size_t>(kept)] = agent;
-      kept += static_cast<int>(birth_round_[static_cast<std::size_t>(agent)] == birth);
-    }
-  }
-
-  ingest_.reshape(kept, core_.dim);
-  for (int row = 0; row < kept; ++row) {
-    const auto a = static_cast<std::size_t>(consumed_[static_cast<std::size_t>(row)]);
-    const int age = round - birth_round_[a];
-    const auto src = core_.payload.row(static_cast<int>(a));
-    const auto dst = ingest_.row(row);
-    if (age <= 0) {
-      std::copy(src.begin(), src.end(), dst.begin());
-    } else {
-      const double weight = 1.0 / (1.0 + static_cast<double>(age));
-      for (std::size_t j = 0; j < src.size(); ++j) dst[j] = weight * src[j];
-      ++stats_.late_rows;
-    }
+  std::exclusive_scan(age_rows_.rbegin(), age_rows_.rend(), age_rows_.rbegin(), 0);
+  for (int k = 0; k < due; ++k) {
+    const int agent = arrived_[static_cast<std::size_t>(k)];
+    const auto a = static_cast<std::size_t>(agent);
+    int& slot = age_rows_[static_cast<std::size_t>(round - birth_round_[a])];
+    consumed_[static_cast<std::size_t>(slot++)] = agent;
     computing_[a] = 0;
   }
-  kept_ = kept;
-  return kept;
+  // age_rows_[age] now ends the rows of that age.
+  int row = 0;
+  for (int age = span; age > 0; --age) {
+    const double weight = 1.0 / (1.0 + static_cast<double>(age));
+    for (; row < age_rows_[static_cast<std::size_t>(age)]; ++row) {
+      for (double& v : core_.payload.row(consumed_[static_cast<std::size_t>(row)])) v *= weight;
+    }
+  }
+  stats_.late_rows += row;
+  kept_ = due;
+  return due;
 }
 
 }  // namespace abft::engine

@@ -35,8 +35,11 @@
 // row i is agent i's row.  begin_round fixes every birth round and arrival
 // time serially; the parallel produce phase only fills payload rows (and a
 // silent Byzantine agent clears its own computing_ slot).  collect() scans
-// the agents in roster order and lays the consumed rows out in
-// (birth_round, agent) order with one compaction pass per birth round.
+// the agents in roster order, finds the quorum time inside the one arrival
+// bucket that holds it, and lists the consumed row ids in (birth_round,
+// agent) order with one counting pass by age.  The consumed rows never
+// leave the payload: a late row is scaled there, and the filter reads the
+// rows through that id list (GradientAggregator::aggregate_rows).
 //
 // Determinism contract: arrivals are ordered by the virtual clock — seeded
 // per-agent arrival streams, never wall time — and nothing the thread
@@ -47,6 +50,7 @@
 // order and the mode reproduces the synchronous engine's exact trace.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -113,8 +117,9 @@ class AsyncRoundEngine {
     core_.notify(round, estimate, filtered);
   }
 
-  /// Restarts a run: every agent idle, zeroed stats, fresh per-agent fault
-  /// and arrival streams.
+  /// Starts a run, the first one included: every agent idle, zeroed stats,
+  /// fresh per-agent fault and arrival streams (agent_rng is valid from
+  /// here on).
   void reset(int declared_f);
 
   /// Opens round window t, in roster order: drops in-flight rows past the
@@ -145,20 +150,29 @@ class AsyncRoundEngine {
                       [this](int agent) { computing_[static_cast<std::size_t>(agent)] = 0; });
   }
 
-  /// Trigger + consume phase: fires on quorum-or-deadline and copies every
-  /// row arrived by the fire time into the ingest batch in
-  /// (birth_round, agent) order, scaled by its staleness weight.  Returns
-  /// the number of rows kept (0 = hold position).
+  /// Trigger + consume phase: fires on quorum-or-deadline and consumes
+  /// every row arrived by the fire time, in (birth_round, agent) order,
+  /// scaling each in place by its staleness weight.  Returns the number of
+  /// rows kept (0 = hold position).
   int collect(int round);
 
-  /// Filter phase over the ingest batch, under the same usable_fault_bound
+  /// Filter phase over the consumed rows, under the same usable_fault_bound
   /// policy as the synchronous engine (membership never shrinks, so the
   /// declared f stays the current f).  Returns false to hold position.
   bool aggregate(const agg::GradientAggregator& rule, Vector& out) {
-    return core_.aggregate(rule, ingest_, declared_f_, declared_f_, kept_, roster_size(), out);
+    return core_.aggregate(rule, core_.payload, consumed(), declared_f_, declared_f_, kept_,
+                           roster_size(), out);
   }
 
-  [[nodiscard]] agg::GradientBatch& ingest() noexcept { return ingest_; }
+  /// The payload rows (row i is agent i's) the last collect consumed, in
+  /// the filter's order.
+  [[nodiscard]] std::span<const int> consumed() const noexcept {
+    return {consumed_.data(), static_cast<std::size_t>(kept_)};
+  }
+  /// Filter input row k: consumed()[k]'s staleness-weighted row.
+  [[nodiscard]] std::span<const double> consumed_row(int k) const noexcept {
+    return core_.payload.row(consumed_[static_cast<std::size_t>(k)]);
+  }
   [[nodiscard]] const AsyncStats& stats() const noexcept { return stats_; }
 
  private:
@@ -167,12 +181,14 @@ class AsyncRoundEngine {
 
   [[nodiscard]] double draw_duration(int agent);
 
+  /// Arrival buckets of collect's quorum search.
+  static constexpr int kFireBuckets = 1024;
+
   /// core_.payload is a persistent n x d batch: row i is agent i's
-  /// in-flight gradient.  Rows stay in flight across rounds, so a fire
-  /// copies the consumed ones into ingest_ rather than compacting the
-  /// payload in place as the synchronous engine does.
+  /// in-flight gradient.  Rows stay in flight across rounds, so the filter
+  /// reads the consumed ones where they are rather than from rows
+  /// compacted in place as the synchronous engine does.
   EngineCore core_;
-  agg::GradientBatch ingest_;
   AsyncConfig config_;
   ArrivalKind arrival_kind_ = ArrivalKind::uniform;
   std::vector<util::Rng> arrival_rng_;  // virtual compute-time streams
@@ -192,6 +208,8 @@ class AsyncRoundEngine {
   std::vector<int> arrived_;           // this window's arrivals, then those due
   std::vector<double> arrived_times_;  // their arrival times
   std::vector<int> consumed_;          // the rows consumed, in order
+  std::array<int, kFireBuckets> fire_buckets_{};  // arrivals per bucket
+  std::vector<int> age_rows_;          // due rows per age, then their offsets
 
   std::vector<int> starting_;
   std::vector<int> starting_honest_;

@@ -28,12 +28,17 @@ EngineCore::EngineCore(std::vector<unsigned char> faulty_mask, int row_dim,
   workspace.precision = config.precision;
 }
 
-bool EngineCore::aggregate(const agg::GradientAggregator& rule, const agg::GradientBatch& rows,
-                           int declared_f, int current_f, int kept, int members_n, Vector& out) {
+bool EngineCore::aggregate(const agg::GradientAggregator& rule, const agg::GradientBatch& batch,
+                           std::span<const int> ids, int declared_f, int current_f, int kept,
+                           int members_n, Vector& out) {
   const int usable_f =
       usable_fault_bound(rule, declared_f, current_f, kept, members_n, roster_size());
   if (usable_f < 0) return false;
-  rule.aggregate_into(out, rows, usable_f, workspace);
+  if (ids.empty()) {
+    rule.aggregate_into(out, batch, usable_f, workspace);
+  } else {
+    rule.aggregate_rows(out, batch, ids, usable_f, workspace);
+  }
   return true;
 }
 
@@ -41,7 +46,6 @@ RoundEngine::RoundEngine(std::vector<unsigned char> faulty, int dim, RoundEngine
     : core_(std::move(faulty), dim, config),
       planner_(std::move(config.axes), core_.roster_size()) {
   payload_row_.assign(core_.faulty.size(), -1);
-  reset(0);
 }
 
 void RoundEngine::reset(int declared_f) {
@@ -61,6 +65,7 @@ void RoundEngine::reset(int declared_f) {
 }
 
 void RoundEngine::begin_round(int round) {
+  ABFT_REQUIRE(!core_.agent_rng.empty(), "reset(f) must start a run before its first round");
   planner_.begin_round(round);
   for (const int agent : planner_.churned_this_round()) {
     if (is_member(agent)) depart(agent);

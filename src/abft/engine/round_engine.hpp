@@ -30,7 +30,8 @@
 // resources, membership and plan queries and runs its own broadcast fan-out
 // between produce and update):
 //
-//   reset(f)                      once per run: fresh agent streams, full
+//   reset(f)                      once per run, before the first round
+//                                 too: fresh agent streams, full
 //                                 membership, declared fault bound
 //   begin_round(t)                plan perturbations, apply churn, reshape
 //                                 the payload batch over present agents
@@ -181,11 +182,13 @@ struct EngineCore {
     });
   }
 
-  /// Filter phase over the `kept` rows of `rows` under usable_fault_bound
-  /// (judged against the configured roster).  Returns false, `out`
-  /// untouched, when the round must hold position.
-  bool aggregate(const agg::GradientAggregator& rule, const agg::GradientBatch& rows,
-                 int declared_f, int current_f, int kept, int members_n, Vector& out);
+  /// Filter phase over `kept` rows under usable_fault_bound (judged against
+  /// the configured roster): the rows of `batch`, or the batch rows `ids`
+  /// names when it is not empty.  Returns false, `out` untouched, when the
+  /// round must hold position.
+  bool aggregate(const agg::GradientAggregator& rule, const agg::GradientBatch& batch,
+                 std::span<const int> ids, int declared_f, int current_f, int kept,
+                 int members_n, Vector& out);
 
   std::vector<unsigned char> faulty;
   int dim = 0;
@@ -222,10 +225,11 @@ class RoundEngine {
   }
 
   // --- membership & fault-bound bookkeeping --------------------------------
-  /// Restarts a run: full membership, declared fault bound f, fresh
-  /// per-agent rng streams (master split, as every driver did), fresh
-  /// perturbation stream.  The driver's own transport state (e.g. the
-  /// network's drop stream) is deliberately not engine-owned.
+  /// Starts a run, the first one included: full membership, declared fault
+  /// bound f, fresh per-agent rng streams (master split, as every driver
+  /// did; agent_rng is valid from here on), fresh perturbation stream.  The
+  /// driver's own transport state (e.g. the network's drop stream) is
+  /// deliberately not engine-owned.
   void reset(int declared_f);
 
   /// Agents still in the system, in roster order.
@@ -331,7 +335,7 @@ class RoundEngine {
   /// even on the full roster is a misconfiguration and is NOT clamped: the
   /// rule's own precondition throws, as it always did.
   bool aggregate(const agg::GradientAggregator& rule, Vector& out) {
-    return core_.aggregate(rule, core_.payload, declared_f_, current_f_, kept_,
+    return core_.aggregate(rule, core_.payload, {}, declared_f_, current_f_, kept_,
                            static_cast<int>(members_.size()), out);
   }
 

@@ -52,10 +52,11 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t bound) {
   ABFT_REQUIRE(bound > 0, "uniform_index needs bound > 0");
-  const std::uint64_t threshold = -bound % bound;  // 2^64 mod bound
+  // Reject draws below 2^64 mod bound, which is itself below bound: a draw
+  // at or above bound passes without that second modulo.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= -bound % bound) return r % bound;
   }
 }
 

@@ -6,14 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "abft/agg/hierarchy.hpp"
+#include "abft/agg/registry.hpp"
+#include "abft/agg/threads.hpp"
 #include "abft/engine/async_engine.hpp"
 #include "abft/scenario/scenario.hpp"
 #include "abft/util/json.hpp"
@@ -95,7 +100,7 @@ TEST(AsyncEngine, StalenessWeightIsOneOverOnePlusAge) {
       ASSERT_GE(birth, 0);
       const int age = t - birth;
       const double expected = age == 0 ? 1.0 : 1.0 / (1.0 + static_cast<double>(age));
-      EXPECT_DOUBLE_EQ(eng.ingest().row(0)[0], expected);
+      EXPECT_DOUBLE_EQ(eng.consumed_row(0)[0], expected);
       ++consumed;
     }
   }
@@ -179,7 +184,7 @@ TEST(AsyncEngine, RowAtExactWindowCloseBelongsToTheNextWindow) {
   EXPECT_TRUE(eng.starting_agents().empty());
   eng.emit_honest([](int, std::span<double> out) { out[0] = 99.0; });  // no starter
   ASSERT_EQ(eng.collect(1), 1);
-  EXPECT_DOUBLE_EQ(eng.ingest().row(0)[0], 0.5);
+  EXPECT_DOUBLE_EQ(eng.consumed_row(0)[0], 0.5);
   EXPECT_EQ(eng.stats().late_rows, 1);
   EXPECT_EQ(eng.stats().stale_dropped, 0);
 }
@@ -231,7 +236,7 @@ TEST(AsyncEngine, OneCollectNeverIngestsTwoRowsFromOneAgent) {
     const int kept = eng.collect(t);
     std::vector<int> agents;
     for (int r = 0; r < kept; ++r) {
-      const auto row = eng.ingest().row(r);
+      const auto row = eng.consumed_row(r);
       ASSERT_GT(row[1], 0.0);
       const int agent = static_cast<int>(std::lround(row[0] / row[1])) - 1;
       ASSERT_GE(agent, 0);
@@ -251,7 +256,7 @@ TEST(AsyncEngine, OneCollectNeverIngestsTwoRowsFromOneAgent) {
 // collect() consumes in (birth_round, agent) order: older carried-over rows
 // first, agent order within one birth round.  Each row encodes its agent
 // ((agent+1) * w in coord 0), the weight probe w (coord 1) and its birth
-// round (birth * w in coord 2), so the order is recovered from the ingest
+// round (birth * w in coord 2), so the order is recovered from the consumed
 // batch alone.  Five agents with heavy-tailed arrivals mix ages in one
 // batch; the shape must also contain a batch where plain agent order would
 // differ (an older row from a higher agent ahead of a fresher lower one).
@@ -276,7 +281,7 @@ TEST(AsyncEngine, ConsumeOrderIsBirthRoundThenAgent) {
     const int kept = eng.collect(t);
     std::vector<std::pair<int, int>> order;  // (birth_round, agent)
     for (int r = 0; r < kept; ++r) {
-      const auto row = eng.ingest().row(r);
+      const auto row = eng.consumed_row(r);
       ASSERT_GT(row[1], 0.0);
       const int agent = static_cast<int>(std::lround(row[0] / row[1])) - 1;
       const int birth = static_cast<int>(std::lround(row[2] / row[1]));
@@ -298,12 +303,16 @@ TEST(AsyncEngine, ConsumeOrderIsBirthRoundThenAgent) {
 }
 
 /// A test-local copy of the engine's window open and close as they were
-/// written before the scans became branch-free: push_back roster scans, an
-/// erase of the rows arrived after the fire, and std::stable_sort on birth
-/// round.  The arrival streams are derived as the engine derives them.
+/// written before the scans became branch-free and the rows stayed in the
+/// payload: push_back roster scans, std::nth_element over every arrival for
+/// the fire time, an erase of the rows arrived after it, std::stable_sort on
+/// birth round, then a staleness-weighted copy of each consumed row into an
+/// ingest batch.  The arrival streams are derived as the engine derives
+/// them; the test writes each starter's row into `payload` as it writes the
+/// engine's.
 class BranchyAsyncReference {
  public:
-  BranchyAsyncReference(std::vector<unsigned char> faulty, std::uint64_t seed,
+  BranchyAsyncReference(std::vector<unsigned char> faulty, int dim, std::uint64_t seed,
                         engine::AsyncConfig config)
       : faulty_(std::move(faulty)), config_(std::move(config)) {
     const std::size_t n = faulty_.size();
@@ -311,6 +320,7 @@ class BranchyAsyncReference {
     computing_.assign(n, 0);
     birth_round_.assign(n, 0);
     arrival_time_.assign(n, 0.0);
+    payload.reshape(static_cast<int>(n), dim);
   }
 
   void begin_round(int round) {
@@ -334,7 +344,8 @@ class BranchyAsyncReference {
 
   void silence(int agent) { computing_[static_cast<std::size_t>(agent)] = 0; }
 
-  /// The consumed agents in order, with their staleness ages.
+  /// The consumed agents in order, with their staleness ages; their
+  /// weighted rows land in `ingest`.
   std::vector<std::pair<int, int>> collect(int round) {
     const double window_close = static_cast<double>(round + 1) * config_.deadline;
     std::vector<int> arrived;
@@ -350,8 +361,9 @@ class BranchyAsyncReference {
         config_.quorum == 0 ? roster() : std::min(config_.quorum, roster());
     double fire_time = window_close;
     if (static_cast<int>(arrived.size()) >= quorum) {
-      std::sort(times.begin(), times.end());
-      fire_time = times[static_cast<std::size_t>(quorum - 1)];
+      const auto nth = times.begin() + (quorum - 1);
+      std::nth_element(times.begin(), nth, times.end());
+      fire_time = *nth;
       ++stats.quorum_fires;
     } else {
       ++stats.deadline_fires;
@@ -363,9 +375,18 @@ class BranchyAsyncReference {
       return birth_round_[static_cast<std::size_t>(x)] < birth_round_[static_cast<std::size_t>(y)];
     });
     std::vector<std::pair<int, int>> consumed;
+    ingest.reshape(static_cast<int>(arrived.size()), payload.cols());
     for (const int agent : arrived) {
       const int age = round - birth_round_[static_cast<std::size_t>(agent)];
-      if (age > 0) ++stats.late_rows;
+      const auto src = payload.row(agent);
+      const auto dst = ingest.row(static_cast<int>(consumed.size()));
+      if (age <= 0) {
+        std::copy(src.begin(), src.end(), dst.begin());
+      } else {
+        const double weight = 1.0 / (1.0 + static_cast<double>(age));
+        for (std::size_t j = 0; j < src.size(); ++j) dst[j] = weight * src[j];
+        ++stats.late_rows;
+      }
       computing_[static_cast<std::size_t>(agent)] = 0;
       consumed.emplace_back(agent, age);
     }
@@ -376,6 +397,8 @@ class BranchyAsyncReference {
   std::vector<int> starting_honest;
   std::vector<int> starting_faulty;
   engine::AsyncStats stats;
+  agg::GradientBatch payload;  // row i: agent i's last written row
+  agg::GradientBatch ingest;   // the last collect's weighted rows, in order
 
  private:
   [[nodiscard]] int roster() const { return static_cast<int>(faulty_.size()); }
@@ -404,11 +427,13 @@ void expect_same_stats(const engine::AsyncStats& a, const engine::AsyncStats& b,
 }
 
 TEST(AsyncEngine, BranchFreeScansMatchTheBranchyScanAndStableSort) {
-  // Per round: the starters, their honest/faulty split, the consumed rows
-  // (agent, birth round and weighted bits, read back from ingest()) and the
-  // stats, against the reference above, over staleness caps 0-3, every
-  // arrival kind, full and partial quorums and Byzantine agents that stay
-  // silent on a pseudo-random schedule.
+  // Per round: the starters, their honest/faulty split, the consumed ids,
+  // every consumed row's bits, the kept count and the stats, against the
+  // reference above, over staleness caps 0, 1, 2, 3 and 5, every arrival
+  // kind, quorums 0, 1, n/2, n - 1 and n, and Byzantine agents that stay
+  // silent on a pseudo-random schedule.  The fixed kind makes every
+  // starter of a round arrive at one time (ties at the fire time) and, at
+  // scale 1 = the deadline, exactly at the window close.
   constexpr int kAgents = 37;
   constexpr int kRounds = 30;
   std::vector<unsigned char> faulty(kAgents, 0);
@@ -421,10 +446,12 @@ TEST(AsyncEngine, BranchFreeScansMatchTheBranchyScanAndStableSort) {
   int late_rows = 0;
   int stale_dropped = 0;
   int mixed_births = 0;
-  for (const Arrival arrival : {Arrival{"uniform", 0.9}, Arrival{"exponential", 0.9},
-                                Arrival{"fixed", 1.3}, Arrival{"fixed", 0.5}}) {
-    for (const int quorum : {0, 12, 30}) {
-      for (int cap = 0; cap <= 3; ++cap) {
+  int tied_fires = 0;
+  for (const Arrival arrival :
+       {Arrival{"uniform", 0.9}, Arrival{"exponential", 0.9}, Arrival{"exponential", 2.5},
+        Arrival{"fixed", 1.3}, Arrival{"fixed", 0.5}, Arrival{"fixed", 1.0}}) {
+    for (const int quorum : {0, 1, kAgents / 2, kAgents - 1, kAgents, 12, 30}) {
+      for (const int cap : {0, 1, 2, 3, 5}) {
         engine::AsyncEngineConfig config;
         config.seed = 23;
         config.async.quorum = quorum;
@@ -432,8 +459,9 @@ TEST(AsyncEngine, BranchFreeScansMatchTheBranchyScanAndStableSort) {
         config.async.arrival.kind = arrival.kind;
         config.async.arrival.scale = arrival.scale;
         engine::AsyncRoundEngine eng(faulty, 2, config);
-        BranchyAsyncReference reference(faulty, config.seed, config.async);
+        BranchyAsyncReference reference(faulty, 2, config.seed, config.async);
         eng.reset(3);
+        long long quorum_fires = 0;
         for (int t = 0; t < kRounds; ++t) {
           const std::string label = std::string(arrival.kind) + " scale " +
                                     std::to_string(arrival.scale) + " quorum " +
@@ -446,15 +474,18 @@ TEST(AsyncEngine, BranchFreeScansMatchTheBranchyScanAndStableSort) {
               << label;
           std::vector<int> honest;
           std::vector<int> byzantine;
-          eng.emit_honest([&](int agent, std::span<double> row) {
-            honest.push_back(agent);
+          const auto write = [&](int agent, std::span<double> row) {
             row[0] = agent;
             row[1] = t;
+            reference.payload.set_row(agent, std::span<const double>(row));
+          };
+          eng.emit_honest([&](int agent, std::span<double> row) {
+            honest.push_back(agent);
+            write(agent, row);
           });
           eng.emit_faulty([&](int agent, std::span<double> row, const attack::HonestRowsView&) {
             byzantine.push_back(agent);
-            row[0] = agent;
-            row[1] = t;
+            write(agent, row);
             return !silent(agent, t);
           });
           ASSERT_EQ(honest, reference.starting_honest) << label;
@@ -466,35 +497,37 @@ TEST(AsyncEngine, BranchFreeScansMatchTheBranchyScanAndStableSort) {
           const int kept = eng.collect(t);
           const auto consumed = reference.collect(t);
           ASSERT_EQ(kept, static_cast<int>(consumed.size())) << label;
-          ASSERT_EQ(eng.ingest().rows(), kept) << label;
+          ASSERT_EQ(static_cast<int>(eng.consumed().size()), kept) << label;
           int previous_birth = t;
           for (int r = 0; r < kept; ++r) {
             const auto [agent, age] = consumed[static_cast<std::size_t>(r)];
-            const std::vector<double> written{static_cast<double>(agent),
-                                              static_cast<double>(t - age)};
-            std::vector<double> expected = written;
-            if (age > 0) {
-              const double weight = 1.0 / (1.0 + static_cast<double>(age));
-              for (double& v : expected) v = weight * v;
-            }
-            const auto row = eng.ingest().row(r);
-            ASSERT_EQ(std::vector<double>(row.begin(), row.end()), expected)
+            ASSERT_EQ(eng.consumed()[static_cast<std::size_t>(r)], agent) << label << " row " << r;
+            const auto row = eng.consumed_row(r);
+            const auto expected = reference.ingest.row(r);
+            ASSERT_EQ(std::vector<double>(row.begin(), row.end()),
+                      std::vector<double>(expected.begin(), expected.end()))
                 << label << " row " << r << " (agent " << agent << ", age " << age << ")";
             if (r > 0 && t - age != previous_birth) ++mixed_births;
             previous_birth = t - age;
           }
           expect_same_stats(eng.stats(), reference.stats, label);
+          // A quorum fire that consumes more rows than the quorum consumed
+          // rows arrived at the fire time itself: a tie.
+          const bool fired = eng.stats().quorum_fires > quorum_fires;
+          quorum_fires = eng.stats().quorum_fires;
+          if (fired && kept > (quorum == 0 ? kAgents : std::min(quorum, kAgents))) ++tied_fires;
         }
         late_rows += static_cast<int>(eng.stats().late_rows);
         stale_dropped += static_cast<int>(eng.stats().stale_dropped);
       }
     }
   }
-  // The grid reaches what it is about: late and stale rows, and batches
-  // that mix birth rounds.
+  // The grid reaches what it is about: late and stale rows, batches that
+  // mix birth rounds, and quorum fires on tied arrival times.
   EXPECT_GT(late_rows, 0);
   EXPECT_GT(stale_dropped, 0);
   EXPECT_GT(mixed_births, 0);
+  EXPECT_GT(tied_fires, 0);
 }
 
 // A Byzantine starter whose emitter returns false stays silent: its row is
@@ -526,17 +559,91 @@ TEST(AsyncEngine, SilentFaultyStarterIsNeverConsumedAndRestarts) {
       // Quorum = the full roster never arrives: the deadline fires with the
       // two honest rows, and the silent row is nowhere in the batch.
       ASSERT_EQ(kept, 2) << "round " << t;
-      EXPECT_EQ(eng.ingest().row(0)[0], 0.0);
-      EXPECT_EQ(eng.ingest().row(1)[0], 2.0);
+      EXPECT_EQ(eng.consumed_row(0)[0], 0.0);
+      EXPECT_EQ(eng.consumed_row(1)[0], 2.0);
     } else {
       ASSERT_EQ(kept, 3);
-      EXPECT_EQ(eng.ingest().row(1)[0], 99.0);
+      EXPECT_EQ(eng.consumed_row(1)[0], 99.0);
     }
   }
   EXPECT_EQ(eng.stats().deadline_fires, 3);
   EXPECT_EQ(eng.stats().quorum_fires, 1);
   EXPECT_EQ(eng.stats().late_rows, 0);
   EXPECT_EQ(eng.stats().stale_dropped, 0);
+}
+
+// ------------------------- the filter over row ids ---------------------------
+
+// The async engine hands the filter its consumed rows as ids into the
+// payload.  aggregate_rows must equal packing those rows in order and
+// running aggregate_into, bit for bit: for every registry rule through the
+// gathering default, and for hierarchies (one shard, equal shards, unequal
+// shards; identity and seeded assignment) through the override that
+// composes the assignment over the ids.  Two calls of different row counts
+// share each workspace, as consecutive fires do.
+TEST(AggregateRows, EqualsGatherThenAggregateInto) {
+  constexpr int kPayload = 70;
+  constexpr int kDim = 8;
+  util::Rng rng(41);
+  agg::GradientBatch payload(kPayload, kDim);
+  for (int i = 0; i < kPayload; ++i) {
+    for (double& v : payload.row(i)) v = rng.normal(0.0, i % 9 == 0 ? 30.0 : 1.0);
+  }
+  // Scattered, unsorted ids: a shuffled prefix of the payload rows.
+  const std::vector<int> order = rng.permutation(kPayload);
+  const std::vector<std::vector<int>> row_sets{
+      std::vector<int>(order.begin(), order.begin() + 48),
+      std::vector<int>(order.begin() + 5, order.begin() + 62)};
+
+  std::vector<std::unique_ptr<agg::GradientAggregator>> rules;
+  for (const auto name : agg::aggregator_names()) rules.push_back(agg::make_aggregator(name));
+  for (const int shards : {1, 4, 5}) {
+    for (const char* leaf : {"krum", "cwtm", "multikrum"}) {
+      for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{9}}) {
+        agg::HierarchyConfig config;
+        config.shards = shards;
+        config.leaf_rule = leaf;
+        config.root_rule = "cwtm";
+        config.assignment_seed = seed;
+        rules.push_back(std::make_unique<agg::HierarchicalAggregator>(config));
+      }
+    }
+  }
+
+  int hierarchies = 0;
+  for (const int threads : {1, 4}) {
+    agg::ThreadPool pool(threads);
+    for (const auto& rule : rules) {
+      agg::AggregatorWorkspace by_ids;
+      agg::AggregatorWorkspace packed;
+      for (auto* ws : {&by_ids, &packed}) {
+        ws->parallel_threads = threads;
+        ws->pool = &pool;
+      }
+      for (const auto& rows : row_sets) {
+        const int n = static_cast<int>(rows.size());
+        const int f = std::max(rule->min_usable_f(), std::min(3, rule->max_usable_f(n)));
+        const std::string label = std::string(rule->name()) + " threads " +
+                                  std::to_string(threads) + " n " + std::to_string(n);
+        agg::GradientBatch gathered(n, kDim);
+        for (int k = 0; k < n; ++k) {
+          gathered.set_row(k, payload.row(rows[static_cast<std::size_t>(k)]));
+        }
+        Vector expected;
+        rule->aggregate_into(expected, gathered, f, packed);
+        Vector actual;
+        rule->aggregate_rows(actual, payload, rows, f, by_ids);
+        ASSERT_EQ(actual.dim(), kDim) << label;
+        for (int j = 0; j < kDim; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[j]),
+                    std::bit_cast<std::uint64_t>(expected[j]))
+              << label << " coord " << j;
+        }
+      }
+      hierarchies += static_cast<int>(rule->name().starts_with("hier-"));
+    }
+  }
+  EXPECT_EQ(hierarchies, 2 * 18);
 }
 
 // ------------------------------ sync parity ----------------------------------

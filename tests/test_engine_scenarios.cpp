@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "abft/agg/registry.hpp"
 #include "abft/attack/simple_faults.hpp"
+#include "abft/engine/async_engine.hpp"
 #include "abft/engine/round_engine.hpp"
 #include "abft/learn/dataset.hpp"
 #include "abft/learn/dsgd.hpp"
@@ -654,6 +657,62 @@ TEST(EngineDeliver, NothingMovesWhenNoMessageIsLost) {
     EXPECT_EQ(calls, 5);
     for (int r = 0; r < 5; ++r) EXPECT_EQ(eng.ingest().row(r)[0], r == 2 ? -1.0 : r) << "row " << r;
   }
+}
+
+// Each engine derives its per-agent streams once per run, at reset(f), and
+// the constructor derives none.  A run that draws from agent_rng (and, in
+// the async engine, from the arrival streams) must not leak into the next
+// one: reset(f) re-derives them, so a second run replays the first bit for
+// bit, and both equal the first run of a fresh engine.
+TEST(EngineStreams, ResetRederivesTheStreamsARunDrewFrom) {
+  const std::vector<unsigned char> faulty{0, 1, 0, 0, 1, 0};
+  const auto draws = [](auto& eng) {
+    std::vector<std::uint64_t> out;
+    for (int agent = 0; agent < 6; ++agent) {
+      for (int k = 0; k < 3; ++k) out.push_back(eng.agent_rng(agent).next_u64());
+    }
+    return out;
+  };
+  engine::RoundEngineConfig sync_config;
+  sync_config.seed = 12;
+  engine::RoundEngine sync(faulty, 2, sync_config);
+  engine::RoundEngine fresh_sync(faulty, 2, sync_config);
+  EXPECT_THROW(sync.begin_round(0), std::invalid_argument);  // no run started
+  sync.reset(1);
+  fresh_sync.reset(1);
+  const auto first = draws(sync);
+  sync.reset(1);
+  EXPECT_EQ(draws(sync), first);
+  EXPECT_EQ(draws(fresh_sync), first);
+
+  // The async engine's arrival streams too: the rounds a run starts and
+  // consumes replay after a reset.
+  engine::AsyncEngineConfig async_config;
+  async_config.seed = 12;
+  async_config.async.quorum = 3;
+  async_config.async.staleness_cap = 1;
+  async_config.async.arrival.kind = "exponential";
+  engine::AsyncRoundEngine async(faulty, 2, async_config);
+  engine::AsyncRoundEngine fresh_async(faulty, 2, async_config);
+  EXPECT_THROW(async.begin_round(0), std::invalid_argument);
+  const auto run = [&draws](engine::AsyncRoundEngine& eng) {
+    eng.reset(1);
+    std::vector<std::uint64_t> seen = draws(eng);
+    for (int t = 0; t < 8; ++t) {
+      eng.begin_round(t);
+      eng.emit_honest([](int agent, std::span<double> row) { row[0] = row[1] = agent; });
+      eng.emit_faulty([&eng](int agent, std::span<double> row, const attack::HonestRowsView&) {
+        row[0] = row[1] = static_cast<double>(eng.agent_rng(agent).next_u64() % 100);
+        return true;
+      });
+      seen.push_back(static_cast<std::uint64_t>(eng.collect(t)));
+      for (const int agent : eng.consumed()) seen.push_back(static_cast<std::uint64_t>(agent));
+    }
+    return seen;
+  };
+  const auto async_first = run(async);
+  EXPECT_EQ(run(async), async_first);
+  EXPECT_EQ(run(fresh_async), async_first);
 }
 
 }  // namespace

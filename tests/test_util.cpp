@@ -3,8 +3,10 @@
 // nesting cap.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "abft/util/check.hpp"
 #include "abft/util/combinatorics.hpp"
@@ -71,6 +73,34 @@ TEST(Rng, UniformIndexCoversRangeWithoutBias) {
     EXPECT_NEAR(static_cast<double>(c) / draws, 0.2, 0.02);
   }
   EXPECT_THROW(rng.uniform_index(0), std::invalid_argument);
+}
+
+TEST(Rng, UniformIndexKeepsTheDrawsOfTheThresholdFirstFormula) {
+  // The formula as first written: the rejection threshold 2^64 mod bound
+  // computed before every call's first draw.  uniform_index computes it
+  // only for a draw below bound; its draws and its stream must not move.
+  const auto threshold_first = [](Rng& rng, std::uint64_t bound) {
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold) return r % bound;
+    }
+  };
+  std::vector<std::uint64_t> bounds{1, 2, 3, 6700, (std::uint64_t{1} << 63) + 1, UINT64_MAX};
+  for (int k = 2; k < 64; ++k) {
+    const std::uint64_t power = std::uint64_t{1} << k;
+    bounds.insert(bounds.end(), {power - 1, power, power + 1});
+  }
+  for (const std::uint64_t bound : bounds) {
+    Rng rng(bound ^ 0x5eed);
+    Rng reference(bound ^ 0x5eed);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(rng.uniform_index(bound), threshold_first(reference, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    // The state advanced by the same number of raw draws.
+    EXPECT_EQ(rng.next_u64(), reference.next_u64()) << "bound " << bound;
+  }
 }
 
 TEST(Rng, NormalMomentsMatchStandardGaussian) {

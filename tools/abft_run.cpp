@@ -287,6 +287,11 @@ int main(int argc, char** argv) {
     if (!iterations_override.empty()) spec.iterations = std::stoi(iterations_override);
     if (!seed_override.empty()) spec.seed = std::stoull(seed_override);
     if (threads > 0) spec.threads = threads;
+    if (csv && spec.driver == "dsgd") {
+      // Checked before the run: write_trace_csv could only fail after it.
+      std::cerr << "abft_run: --csv needs an estimate trace, which dsgd runs do not produce\n";
+      return 2;
+    }
 
     const auto result = abft::scenario::run_scenario(spec);
     if (csv && csv_path.empty()) {
