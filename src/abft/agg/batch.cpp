@@ -45,7 +45,7 @@ const T* row_ptr(const T* rows, int d, int i) {
 /// [k0, k0 + kChunk) into the packed triangle of `pairdist` for i in
 /// [i_begin, i_end), j > i.  The fixed-size lane array makes the inner
 /// product vectorizable without -ffast-math (each lane is an independent
-/// partial sum), and the compile-time k extent is what lets the compiler
+/// std::fma chain), and the compile-time k extent is what lets the compiler
 /// schedule the vector loop well — a runtime bound here costs ~3x.  This is
 /// exact mode's kernel, and both fast lanes' on CPUs without AVX-512 (each
 /// f32 lane sums kChunk / 16 = 64 products, far inside the f32 tolerance
@@ -61,7 +61,7 @@ void accumulate_pair_dots_chunk(const T* rows, T* pairdist, int n, int d, int i_
       const T* rj = row_ptr(rows, d, j);
       T lanes[kLanes] = {T(0)};
       for (int k = k0; k < k0 + kChunk; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
+        for (int b = 0; b < kLanes; ++b) lanes[b] = std::fma(ri[k + b], rj[k + b], lanes[b]);
       }
       T dot = T(0);
       for (int b = 0; b < kLanes; ++b) dot += lanes[b];
@@ -70,9 +70,8 @@ void accumulate_pair_dots_chunk(const T* rows, T* pairdist, int n, int d, int i_
   }
 }
 
-/// <ri, rj> over [k, k1) in k order: the leftover past the last whole lane
-/// group of a partial chunk.  Both tail kernels call it, so they run one
-/// loop, which the compiler vectorizes and contracts the same way in both.
+/// <ri, rj> over [k, k1) in k order, each product rounded before its add:
+/// the leftover past the last whole lane group of a partial chunk.
 template <typename T>
 T leftover_dot(const T* ri, const T* rj, int k, int k1) {
   T dot = T(0);
@@ -93,7 +92,7 @@ void accumulate_pair_dots_tail(const T* rows, T* pairdist, int n, int d, int i_b
       T lanes[kLanes] = {T(0)};
       int k = k0;
       for (; k + kLanes <= k1; k += kLanes) {
-        for (int b = 0; b < kLanes; ++b) lanes[b] += ri[k + b] * rj[k + b];
+        for (int b = 0; b < kLanes; ++b) lanes[b] = std::fma(ri[k + b], rj[k + b], lanes[b]);
       }
       T dot = leftover_dot(ri, rj, k, k1);
       for (int b = 0; b < kLanes; ++b) dot += lanes[b];
@@ -205,12 +204,9 @@ void gram_tile_chunk(const T* const* ri, const T* const* rj, int k0,
 }
 
 /// The tile over the final partial chunk [k0, k1), in the operation order
-/// of the scalar accumulate_pair_dots_tail: one W-lane chain per pair, the
-/// leftover past the last whole lane group summed by the shared
-/// leftover_dot, then the lanes added to it in lane order.  The explicit
-/// lane FMAs are what GCC contracts the scalar kernel's
-/// `lanes[b] += ri * rj` into at its default -ffp-contract=fast, so under
-/// this build's flags both kernels give the same bits.
+/// of the scalar accumulate_pair_dots_tail, so both give the same bits: one
+/// W-lane FMA chain per pair, the leftover past the last whole lane group
+/// summed by leftover_dot, then the lanes added to it in lane order.
 template <typename T>
 void gram_tile_tail(const T* const* ri, const T* const* rj, int k0, int k1,
                     T (&dots)[kTile][kTile]) {
@@ -271,9 +267,9 @@ void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d,
 #pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
-/// sum r[k]^2 over [k, d) in k order: the leftover of a squared norm past
-/// its last whole lane group (row_sqnorm, and the lane pass's per-lane
-/// leftover, so the two compile to one loop).
+/// sum r[k]^2 over [k, d) in k order, each square rounded before its add:
+/// the leftover of a squared norm past its last whole lane group
+/// (row_sqnorm, and the lane pass's per-lane leftover).
 double sqnorm_leftover(const double* r, int k, int d) {
   double sum = 0.0;
   for (; k < d; ++k) sum += r[k] * r[k];
@@ -288,7 +284,7 @@ double row_sqnorm(const double* r, int d) {
   double lanes[kLanes] = {0.0};
   int k = 0;
   for (; k + kLanes <= d; k += kLanes) {
-    for (int b = 0; b < kLanes; ++b) lanes[b] += r[k + b] * r[k + b];
+    for (int b = 0; b < kLanes; ++b) lanes[b] = std::fma(r[k + b], r[k + b], lanes[b]);
   }
   double sum = sqnorm_leftover(r, k, d);
   for (int b = 0; b < kLanes; ++b) sum += lanes[b];
@@ -296,29 +292,60 @@ double row_sqnorm(const double* r, int d) {
 }
 
 /// ||ri - rj||^2 by direct differences: the cancellation-guard recompute of
-/// a pair whose Gram-identity distance is small next to its scale.
-double direct_sqdist(const double* ri, const double* rj, int d) {
-  constexpr int kLanes = 8;
-  double lanes[kLanes] = {0.0};
+/// a pair whose Gram-identity distance is small next to its scale.  Lane b
+/// is an FMA chain of T differences over the whole lane groups; the
+/// leftover and the sum of the lanes (in lane order) run in double.
+template <typename T>
+double direct_sqdist(const T* ri, const T* rj, int d) {
+  constexpr int kLanes = kScalarLanes<T>;
+  T lanes[kLanes] = {T(0)};
   int k = 0;
   for (; k + kLanes <= d; k += kLanes) {
     for (int b = 0; b < kLanes; ++b) {
-      const double diff = ri[k + b] - rj[k + b];
-      lanes[b] += diff * diff;
+      const T diff = ri[k + b] - rj[k + b];
+      lanes[b] = std::fma(diff, diff, lanes[b]);
     }
   }
   double d2 = 0.0;
   for (; k < d; ++k) {
-    const double diff = ri[k] - rj[k];
+    const double diff = static_cast<double>(ri[k]) - static_cast<double>(rj[k]);
     d2 += diff * diff;
   }
-  for (int b = 0; b < kLanes; ++b) d2 += lanes[b];
+  for (int b = 0; b < kLanes; ++b) d2 += static_cast<double>(lanes[b]);
   return d2;
 }
 
-/// Relative cancellation guard of the f64 Gram fill (see
-/// fill_pairwise_sqdist).
-constexpr double kCancellationGuard = 1e-6;
+/// Relative cancellation guard of the Gram fill of element type T (see
+/// fill_pairwise_sqdist): the f32 dot's larger accumulation error takes a
+/// wider one, and clustered f32 batches simply take the direct difference,
+/// the most accurate result f32 inputs admit.
+template <typename T>
+constexpr double kCancellationGuard = std::is_same_v<T, float> ? 1e-3 : 1e-6;
+
+/// Converts the accumulated dots of the packed triangle to squared
+/// distances in place, in double: d2 = fma(-2, dot, ||xi||^2 + ||xj||^2),
+/// clamped as std::max(d2, 0.0) (a NaN survives).  The Gram identity
+/// cancels catastrophically when the rows share a large common component
+/// (||xi - xj||^2 << ||xi||^2 + ||xj||^2) — exactly the clustered regime
+/// where Krum-family selection matters — so each pair whose distance is
+/// small next to its scale, or NaN, is recomputed by direct_sqdist.  On
+/// well-separated data no pair trips the guard.  A row with a NaN
+/// coordinate thus gets NaN distances, never a clamped 0.
+template <typename T>
+void gram_to_sqdist(const T* rows, const T* sqnorms, T* pairdist, int n, int d) {
+  for (int i = 0; i < n; ++i) {
+    const double sqi = sqnorms[i];
+    T* prow = pairdist + pair_row_start(i, n);
+    for (int j = i + 1; j < n; ++j) {
+      const double scale = sqi + static_cast<double>(sqnorms[j]);
+      double d2 = std::max(std::fma(-2.0, static_cast<double>(prow[j - i - 1]), scale), 0.0);
+      if (!(d2 >= kCancellationGuard<T> * scale)) {
+        d2 = direct_sqdist(row_ptr(rows, d, i), row_ptr(rows, d, j), d);
+      }
+      prow[j - i - 1] = static_cast<T>(d2);
+    }
+  }
+}
 
 #if defined(__AVX512F__)
 // GCC 12 flags the deliberately undefined register inside the max, unpack
@@ -363,24 +390,21 @@ inline __m512d small_d_dot(int d, __mmask8 lanes, Operands&& operands, Leftover&
 /// eight pairs of one register.  operands(k) returns two registers whose
 /// lane t holds coordinate k of pair t's two rows; leftover(t, k0) is pair
 /// t's leftover_dot over [k0, d).  Each lane repeats, for its own pair, the
-/// operations the per-pair path (accumulate_pair_dots_tail on the zeroed
-/// cell, then the conversion loop) runs under this build's contraction, so
-/// every distance gets that path's bits:
+/// operations of the per-pair path (accumulate_pair_dots_tail on the zeroed
+/// cell, then gram_to_sqdist), so every distance gets that path's bits:
 ///   * lane b of the dot is an FMA chain over the whole lane groups,
 ///     fma(ri[k], rj[k], lane_b), k = b, b + 8, ...;
-///   * the leftover past the last whole group comes from the shared
-///     leftover_dot (GCC vectorizes its products, so an FMA re-implementation
-///     would round differently whenever d mod 8 >= 2);
+///   * the leftover past the last whole group comes from leftover_dot;
 ///   * dot = leftover + lane 0 + ... + lane 7 in lane order, then 0.0 + dot
 ///     (the zeroed cell's +=), less the adds noted below that only touch
 ///     the sign of a zero;
-///   * d2 = fnmadd(2, dot, scale) with scale = sqnorm_i + sqnorm_j, then
+///   * d2 = fma(-2, dot, scale) with scale = sqnorm_i + sqnorm_j, then
 ///     d2 < 0 ? 0 : d2 (std::max(d2, 0.0): a NaN survives).
 /// Every step is symmetric in the pair's two rows (fma and mul commute, and
 /// so does the scale's sum), so a distance does not depend on which row
 /// is i.  Lanes outside `lanes` get a zero leftover and no guard; *guard
 /// receives the lanes of `lanes` whose distance is small next to its scale
-/// or NaN (!(d2 >= kCancellationGuard * scale)), which the caller
+/// or NaN (!(d2 >= kCancellationGuard<double> * scale)), which the caller
 /// recomputes with direct_sqdist (symmetric too: a negated difference
 /// squares the same).
 /// Groups is d / 8, so the whole-group loop unrolls.
@@ -395,7 +419,7 @@ inline __m512d small_d_sqdist(int d, __mmask8 lanes, __m512d scale, Operands&& o
   // max_pd(a, b) is a > b ? a : b, so a NaN b survives: the clamp in one op.
   const __m512d d2 = _mm512_max_pd(zero, _mm512_fnmadd_pd(_mm512_set1_pd(2.0), dot, scale));
   *guard = _mm512_mask_cmp_pd_mask(
-      lanes, d2, _mm512_mul_pd(_mm512_set1_pd(kCancellationGuard), scale), _CMP_NGE_UQ);
+      lanes, d2, _mm512_mul_pd(_mm512_set1_pd(kCancellationGuard<double>), scale), _CMP_NGE_UQ);
   return d2;
 }
 
@@ -717,46 +741,11 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   if (f32_lane()) {
     // Float32 lane: demote once (summing the row norms in the same pass),
     // run the f32 Gram kernels, convert in double and store the packed
-    // triangle in f32.  The wider relative guard reflects the f32 dot's
-    // larger accumulation error — clustered batches simply take the
-    // direct-difference path, which is the most accurate result f32 inputs
-    // admit.
+    // triangle in f32.
     fill_rows_f32(batch);
-    const float* rows = rows_f32.data();
     pairdist_f32.assign(pairs, 0.0f);
-    accumulate_pair_dots(*this, rows, pairdist_f32.data(), n, d, /*fast=*/true);
-    constexpr double kCancellationGuardF32 = 1e-3;
-    float* packed = pairdist_f32.data();
-    for (int i = 0; i < n; ++i) {
-      const double sqi = static_cast<double>(sqnorms_f32[static_cast<std::size_t>(i)]);
-      float* prow = packed + pair_row_start(i, n);
-      for (int j = i + 1; j < n; ++j) {
-        const double scale =
-            sqi + static_cast<double>(sqnorms_f32[static_cast<std::size_t>(j)]);
-        double d2 =
-            std::max(scale - 2.0 * static_cast<double>(prow[j - i - 1]), 0.0);
-        if (!(d2 >= kCancellationGuardF32 * scale)) {
-          constexpr int kLanes = 16;
-          const float* ri = rows + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
-          const float* rj = rows + static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
-          float lanes[kLanes] = {0.0f};
-          int k = 0;
-          for (; k + kLanes <= d; k += kLanes) {
-            for (int b = 0; b < kLanes; ++b) {
-              const float diff = ri[k + b] - rj[k + b];
-              lanes[b] += diff * diff;
-            }
-          }
-          d2 = 0.0;
-          for (; k < d; ++k) {
-            const double diff = static_cast<double>(ri[k]) - static_cast<double>(rj[k]);
-            d2 += diff * diff;
-          }
-          for (int b = 0; b < kLanes; ++b) d2 += static_cast<double>(lanes[b]);
-        }
-        prow[j - i - 1] = static_cast<float>(d2);
-      }
-    }
+    accumulate_pair_dots(*this, rows_f32.data(), pairdist_f32.data(), n, d, /*fast=*/true);
+    gram_to_sqdist(rows_f32.data(), sqnorms_f32.data(), pairdist_f32.data(), n, d);
     return;
   }
 #if defined(__AVX512F__)
@@ -778,26 +767,7 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   fill_sqnorms(batch);
   pairdist.assign(pairs, 0.0);
   accumulate_pair_dots(*this, batch.data(), pairdist.data(), n, d, mode == AggMode::fast);
-  // Convert the accumulated dots to squared distances in place.  The Gram
-  // identity cancels catastrophically when gradients share a large common
-  // component (||xi - xj||^2 << ||xi||^2 + ||xj||^2) — exactly the clustered
-  // regime where Krum-family selection matters — so pairs whose result is
-  // small relative to the cancellation scale are recomputed directly.  On
-  // well-separated data no pair trips the guard and nothing is recomputed.
-  // The clamp keeps a NaN and the guard sends it to the recompute, so a
-  // row with a NaN coordinate gets NaN distances, never a clamped 0.
-  for (int i = 0; i < n; ++i) {
-    const double sqi = sqnorms[static_cast<std::size_t>(i)];
-    double* prow = pairdist.data() + pair_row_start(i, n);
-    for (int j = i + 1; j < n; ++j) {
-      const double scale = sqi + sqnorms[static_cast<std::size_t>(j)];
-      double d2 = std::max(scale - 2.0 * prow[j - i - 1], 0.0);
-      if (!(d2 >= kCancellationGuard * scale)) {
-        d2 = direct_sqdist(batch.row(i).data(), batch.row(j).data(), d);
-      }
-      prow[j - i - 1] = d2;
-    }
-  }
+  gram_to_sqdist(batch.data(), sqnorms.data(), pairdist.data(), n, d);
 }
 
 bool AggregatorWorkspace::small_d_kernels(int d) const noexcept {

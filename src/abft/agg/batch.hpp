@@ -9,17 +9,16 @@
 // fixed-footprint regime after the first call.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "abft/agg/threads.hpp"
 #include "abft/linalg/vector.hpp"
+#include "abft/util/check.hpp"
 
 namespace abft::agg {
 
@@ -29,17 +28,18 @@ using linalg::Vector;
 ///
 /// `exact` (the default) fixes every kernel's arithmetic: sequential
 /// summation in row order, the rule's own selection tie-breaking and
-/// convergence schedule, the same bits on every host and at every thread
-/// count (the exact goldens), within 1e-12 of the naive reference rules in
-/// tests/reference_rules.cpp.  `fast` relaxes that to *tolerance*
-/// parity — kernels may vectorize reductions (independent partial sums),
-/// replace full sorts with nth_element-style partial selection, and take
-/// runtime-dispatched AVX-512 paths.  The (f, eps)-resilience guarantees of
-/// the paper only constrain the aggregate, not the arithmetic, so fast mode
-/// is semantically safe; its drift is bounded per rule by the
-/// tolerance-parity suite in tests/test_agg_fast.cpp (||fast - exact||_inf
-/// <= tol(rule, n, d)) and end-to-end by the fast-mode goldens in
-/// tests/test_golden_e2e.cpp.
+/// convergence schedule, the same bits on every host ISA, at every -O level
+/// and at every thread count (the exact goldens; the build never contracts
+/// a * b + c, and each fusion a kernel relies on is written as std::fma),
+/// within 1e-12 of the naive reference rules in tests/reference_rules.cpp.
+/// `fast` relaxes that to *tolerance* parity — kernels may vectorize
+/// reductions (independent partial sums), replace full sorts with
+/// nth_element-style partial selection, and take runtime-dispatched AVX-512
+/// paths.  The (f, eps)-resilience guarantees of the paper only constrain
+/// the aggregate, not the arithmetic, so fast mode is semantically safe;
+/// its drift is bounded per rule by the tolerance-parity suite in
+/// tests/test_agg_fast.cpp (||fast - exact||_inf <= tol(rule, n, d)) and
+/// end-to-end by the fast-mode goldens in tests/test_golden_e2e.cpp.
 enum class AggMode {
   exact,  ///< fixed sequential arithmetic (the default)
   fast,   ///< relaxed parity: vectorized/partial-selection kernels
@@ -145,15 +145,16 @@ struct AggregatorWorkspace {
   /// through here.
   int parallel_threads = 1;
 
-  /// Optional persistent thread pool.  When set, every kernel parallel-for
-  /// dispatches over the pool's sleeping workers instead of spawning a fresh
-  /// thread team per call; drivers share one pool between round-level
-  /// parallelism and the kernels (phases are sequential, so the pool is
-  /// never re-entered).  Non-owning: the driver owns the pool.
+  /// Persistent thread pool every kernel parallel-for dispatches over;
+  /// required when parallel_threads > 1.  Drivers share one pool between
+  /// round-level parallelism and the kernels (phases are sequential, so the
+  /// pool is never re-entered).  Non-owning: the driver owns the pool.
   ThreadPool* pool = nullptr;
 
-  /// Kernel-side parallel dispatch: pool when available, the spawning
-  /// parallel_for otherwise (compatible with workspaces configured by hand).
+  /// Kernel-side parallel dispatch: fn(lo, hi) over a static partition of
+  /// [begin, end) on `pool` (see ThreadPool::parallel_for), or one direct
+  /// fn(begin, end) call when there is no pool.  A workspace with
+  /// parallel_threads > 1 and no pool is rejected (std::invalid_argument).
   template <typename Fn>
   void run_parallel(int begin, int end, Fn&& fn);
 
@@ -254,16 +255,17 @@ struct AggregatorWorkspace {
   /// row i against rows j..j+7 of the d x n copy in `gram_colmajor`, with
   /// the distance conversion and the cancellation guard fused in.  Its
   /// contract is the per-pair path's bits, cell for cell: lane b of a dot
-  /// is an explicit FMA chain over the whole 8-lane groups, the leftover
-  /// comes from the shared scalar leftover_dot, the dot is leftover + lane
-  /// 0 + ... + lane 7 in lane order and then 0.0 + dot, d2 =
-  /// fnmadd(2, dot, scale) clamped as std::max(d2, 0.0), and guard cells
+  /// is an FMA chain over the whole 8-lane groups (std::fma in the per-pair
+  /// path), the leftover comes from the shared scalar leftover_dot, the dot
+  /// is leftover + lane 0 + ... + lane 7 in lane order and then 0.0 + dot,
+  /// d2 = fma(-2, dot, scale) clamped as std::max(d2, 0.0), and guard cells
   /// are recomputed by the scalar direct-difference code.  (The kernel
   /// skips the +0.0 of an empty leftover and the closing 0.0 +: they can
-  /// change only the sign of a zero dot, and fnmadd against a scale >= +0
-  /// drops that sign.)  Below d = 8 and in the f32 lane the per-pair kernel
-  /// still runs.  The shard-lane pass of a hierarchy's Krum leaves runs the
-  /// same per-lane sequence with one shard per lane (sqdist_lanes_small_d).
+  /// change only the sign of a zero dot, and fma(-2, dot, scale) against a
+  /// scale >= +0 drops that sign.)  Below d = 8 and in the f32 lane the
+  /// per-pair kernel still runs.  The shard-lane pass of a hierarchy's Krum
+  /// leaves runs the same per-lane sequence with one shard per lane
+  /// (sqdist_lanes_small_d).
   void fill_pairwise_sqdist(const GradientBatch& batch);
 
   // --- the small-d f64 kernels ---------------------------------------------
@@ -294,7 +296,7 @@ struct AggregatorWorkspace {
   /// operation sequence (see fill_pairwise_sqdist) on its own rows, so
   /// lane t equals the packed cell of shard t's gathered rows bit for bit:
   /// FMA chains over the whole 8-lane groups, the shared scalar
-  /// leftover_dot of that lane's two rows, the lane-order sum, fnmadd and
+  /// leftover_dot of that lane's two rows, the lane-order sum, the fma and
   /// the clamp, and guard lanes recomputed by the direct difference.  The
   /// one difference: a NaN distance (a row with a NaN coordinate, or two
   /// rows at +inf in one coordinate) is stored as +inf (nan_as_inf), as
@@ -355,43 +357,15 @@ void resize_output(Vector& out, int d);
 /// two middle elements).  Reorders the range.
 double median_inplace(double* first, double* last);
 
-/// Runs fn(begin_chunk, end_chunk) over [begin, end) split across up to
-/// num_threads std::threads.  num_threads <= 1 (or a tiny range) degenerates
-/// to a direct call on the calling thread — that path is allocation-free
-/// (the callable is a template parameter, not a std::function).  With
-/// num_threads > 1 each call spawns and joins a fresh thread team (tens of
-/// microseconds); hot paths should prefer a persistent ThreadPool (see
-/// threads.hpp) via AggregatorWorkspace::run_parallel — this spawning
-/// fallback remains for ad-hoc workspaces with no pool.  fn must not throw.
-template <typename Fn>
-void parallel_for(int begin, int end, int num_threads, Fn&& fn) {
-  const int range = end - begin;
-  if (range <= 0) return;
-  const int workers = std::min(num_threads, range);
-  if (workers <= 1) {
-    fn(begin, end);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  const int chunk = (range + workers - 1) / workers;
-  for (int w = 1; w < workers; ++w) {
-    const int lo = begin + w * chunk;
-    const int hi = std::min(lo + chunk, end);
-    if (lo >= hi) break;
-    pool.emplace_back([&fn, lo, hi] { fn(lo, hi); });
-  }
-  fn(begin, std::min(begin + chunk, end));
-  for (auto& t : pool) t.join();
-}
-
 template <typename Fn>
 void AggregatorWorkspace::run_parallel(int begin, int end, Fn&& fn) {
   if (pool != nullptr) {
     pool->parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
-  } else {
-    parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
+    return;
   }
+  ABFT_REQUIRE(parallel_threads <= 1,
+               "a workspace with parallel_threads > 1 needs a ThreadPool (set pool)");
+  if (begin < end) fn(begin, end);
 }
 
 }  // namespace abft::agg

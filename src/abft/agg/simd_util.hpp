@@ -5,8 +5,9 @@
 // without -ffast-math because it reorders the additions; the loops here
 // carry *independent* partial sums (two groups of one 512-bit register's
 // lanes, enough ILP to cover the FMA latency chain) so the compiler
-// vectorizes them at -O2 and the result is deterministic for a given
-// (d, ISA) — just not bit-equal to the sequential exact-mode order.
+// vectorizes them at -O2 and the result is deterministic for a given d on
+// every ISA (the build never contracts a * b + c) — just not bit-equal to
+// the sequential exact-mode order.
 // Exact-mode kernels must NOT call these.  The f64 reductions serve the fast
 // Weiszfeld (GeoMed, GMoM), centered clipping and Bulyan stage 2.
 #pragma once

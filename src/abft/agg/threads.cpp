@@ -43,9 +43,8 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_chunks(int begin, int end, int workers, InvokeFn invoke, void* ctx) {
-  // Chunking matches the legacy spawn-per-call parallel_for exactly:
-  // ceil(range / workers), last chunk possibly short (or empty — workers is
-  // clamped to the range, so chunk 0 is never empty).
+  // Chunks of ceil(range / workers), the last possibly short (or empty —
+  // workers is clamped to the range, so chunk 0 is never empty).
   const int chunk = (end - begin + workers - 1) / workers;
   {
     std::lock_guard<std::mutex> lock(mutex_);

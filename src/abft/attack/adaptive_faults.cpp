@@ -15,21 +15,16 @@ namespace {
 
 /// Lane operations on V::kWidth adjacent coordinates held in a Reg (a double
 /// or an __m512d, whose +, -, * and / are element-wise).  fmadd and fnmadd
-/// round c + a * b and c - a * b once, as GCC contracts the plain
-/// expressions on FMA targets: every width gives the per-coordinate bits.
+/// round c + a * b and c - a * b once on every host: every width gives the
+/// per-coordinate bits.
 struct ScalarLane {
   using Reg = double;
   static constexpr std::size_t kWidth = 1;
   static Reg load(const double* p) { return *p; }
   static void store(double* p, Reg a) { *p = a; }
   static Reg sqrt(Reg a) { return std::sqrt(a); }
-#if defined(__FMA__) || defined(__AVX512F__)
   static Reg fmadd(Reg a, Reg b, Reg c) { return std::fma(a, b, c); }
   static Reg fnmadd(double a, Reg b, Reg c) { return std::fma(-a, b, c); }
-#else
-  static Reg fmadd(Reg a, Reg b, Reg c) { return c + a * b; }
-  static Reg fnmadd(double a, Reg b, Reg c) { return c - a * b; }
-#endif
 };
 
 #if defined(__AVX512F__)

@@ -30,11 +30,9 @@ struct AttackContext {
 
 /// Read-only view of the honest gradients of one round stored as rows of a
 /// row-major block (the driver's payload batch): gradient k lives at row
-/// rows[k] of the block.  Always index-based on purpose — a dense fast path
-/// would hand the compiler two loop shapes to specialize, and the two copies
-/// can pick different fma contractions, breaking bit parity between drivers
-/// (a dense caller just passes identity indices).  Raw pointers keep the
-/// attack layer independent of the agg layer.
+/// rows[k] of the block.  Always index-based: one loop shape serves every
+/// driver (a dense caller just passes identity indices).  Raw pointers keep
+/// the attack layer independent of the agg layer.
 class HonestRowsView {
  public:
   HonestRowsView() = default;

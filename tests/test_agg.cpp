@@ -588,11 +588,13 @@ TEST(BatchedParity, ParallelThreadsMatchSingleThread) {
   const auto grads = parity::random_gradients(rng, 20, 103, 1.0);
   agg::GradientBatch batch;
   batch.pack(grads);
+  agg::ThreadPool pool(4);
   for (const auto name : agg::aggregator_names()) {
     const auto rule = agg::make_aggregator(name);
     agg::AggregatorWorkspace serial_ws;
     agg::AggregatorWorkspace parallel_ws;
     parallel_ws.parallel_threads = 4;
+    parallel_ws.pool = &pool;
     const Vector serial = rule->aggregate_batched(batch, 3, serial_ws);
     const Vector parallel = rule->aggregate_batched(batch, 3, parallel_ws);
     EXPECT_EQ(serial, parallel) << name << ": parallel partition changed the result";

@@ -205,7 +205,7 @@ const int kTileDims[] = {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 72, 1000, 10000, 10
 const int kHonestCounts[] = {1, 4, 45};
 
 /// The per-coordinate column walks the tiled kernels replaced, honest rows in
-/// order.  The expressions are the kernels' own, so FMA contraction matches.
+/// order, with LIE's two fusions spelled std::fma as the kernels write them.
 /// With no honest rows LIE sends the true gradient and mean-reverse its
 /// scaled reversal.
 std::optional<Vector> lie_reference(const ParityFixture& fx, double z) {
@@ -219,9 +219,9 @@ std::optional<Vector> lie_reference(const ParityFixture& fx, double z) {
     double sigma = 0.0;
     for (const auto& g : fx.honest) {
       const double diff = g[k] - mu;
-      sigma += diff * diff;
+      sigma = std::fma(diff, diff, sigma);
     }
-    out[k] = mu - z * std::sqrt(sigma / count);
+    out[k] = std::fma(-z, std::sqrt(sigma / count), mu);
   }
   return out;
 }

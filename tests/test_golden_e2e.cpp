@@ -4,8 +4,9 @@
 // tolerances are tight enough that a driver or kernel refactor that
 // silently changes convergence (a dropped gradient, a reordered filter
 // input, a mis-threaded rng stream) fails loudly, yet loose enough to
-// absorb ISA-level floating-point noise (-march=native fma contraction
-// differs across hosts).  With every rule pinned in exact mode, any drift
+// absorb a host libm's last-ulp differences (exact mode itself has the
+// same bits on every ISA: the build never contracts a * b + c).  With
+// every rule pinned in exact mode, any drift
 // the relaxed-parity fast mode introduces end-to-end is detectable against
 // these numbers — the FastMode tests below bound it explicitly.
 //

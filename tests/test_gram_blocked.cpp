@@ -4,8 +4,7 @@
 // back to the per-pair scalar kernels.  Whichever path runs, these checks
 // hold:
 //
-//   * the packed triangle is bitwise equal at 1, 2 and 4 threads, through
-//     the persistent pool and through the spawning parallel_for;
+//   * the packed triangle is bitwise equal at 1, 2 and 4 threads;
 //   * each pair's value depends only on its two rows: pair (i, j) of an
 //     n-row batch equals, bit for bit, the single pair of the 2-row batch
 //     {row i, row j} — so neither the tile a pair lands in, nor its slot in
@@ -24,8 +23,8 @@
 // sweep below.  It promises the bits of the per-pair path, so on top of the
 // checks above exact and fast f64 must agree bit for bit there, every
 // distance must lie within the envelope of the direct difference, and on
-// AVX-512 hosts the cells at d mod 8 <= 1 must equal a std::fma spelling
-// of the per-pair path's operations.
+// every host each cell must equal a std::fma spelling of the per-pair
+// path's operations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,8 +92,6 @@ TEST(GramBlocked, BitwiseEqualAtEveryThreadCountAndDispatch) {
         const std::string label = shape_label(precision, n, d);
         const auto serial = fast_fill(batch, precision);
         ASSERT_EQ(serial.size(), static_cast<std::size_t>(n) * (n - 1) / 2) << label;
-        EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, 2))) << label << " spawn 2";
-        EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, 4))) << label << " spawn 4";
         EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, 2, &pool2)))
             << label << " pool 2";
         EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, 4, &pool4)))
@@ -285,25 +282,23 @@ agg::GradientBatch small_d_batch(util::Rng& rng, int n, int d, Rows kind) {
   return batch;
 }
 
-/// The per-pair path's bits on an AVX-512 host (where GCC contracts its
-/// lane updates into FMAs), spelled out with std::fma so no contraction
-/// choice of this file can move them: lane b an FMA chain over the whole
-/// 8-lane groups, then the leftover, lanes 0..7 in order, and (for the
-/// cell) 0.0 + dot.  Only for d mod 8 <= 1, whose leftover is at most one
-/// product, 0.0 + a * b == fma(a, b, 0.0); a longer leftover's rounding
-/// depends on how the compiler vectorizes the library's loop.
+/// The per-pair path's bits: lane b an FMA chain over the whole 8-lane
+/// groups, then the leftover (each product rounded before its add: the
+/// build never contracts), lanes 0..7 in order, and (for the cell)
+/// 0.0 + dot.
 double pinned_dot(const double* a, const double* b, int d) {
   double lanes[8] = {0.0};
   const int whole = d - d % 8;
   for (int k = 0; k < whole; k += 8) {
     for (int t = 0; t < 8; ++t) lanes[t] = std::fma(a[k + t], b[k + t], lanes[t]);
   }
-  double dot = whole < d ? std::fma(a[whole], b[whole], 0.0) : 0.0;
+  double dot = 0.0;
+  for (int k = whole; k < d; ++k) dot += a[k] * b[k];
   for (int t = 0; t < 8; ++t) dot += lanes[t];
   return dot;
 }
 
-/// The pinned distance: Gram identity, fnmadd(2, dot, scale), the
+/// The pinned distance: Gram identity, fma(-2, dot, scale), the
 /// std::max(0.0, .) clamp, and the guard's direct difference.
 double pinned_sqdist(const double* ri, const double* rj, int d) {
   const double scale = pinned_dot(ri, ri, d) + pinned_dot(rj, rj, d);
@@ -313,15 +308,6 @@ double pinned_sqdist(const double* ri, const double* rj, int d) {
   std::vector<double> diff(static_cast<std::size_t>(d));
   for (int k = 0; k < d; ++k) diff[static_cast<std::size_t>(k)] = ri[k] - rj[k];
   return pinned_dot(diff.data(), diff.data(), d);
-}
-
-/// True where the small-d kernel runs and the pinned bits apply.
-bool avx512_host() {
-#if defined(__AVX512F__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
 }
 
 std::vector<double> fill(const agg::GradientBatch& batch, agg::AggMode mode, int threads = 1,
@@ -335,7 +321,6 @@ std::vector<double> fill(const agg::GradientBatch& batch, agg::AggMode mode, int
 }
 
 TEST(GramBlocked, SmallDf64KeepsThePerPairBitsInBothModes) {
-  const bool pinned = avx512_host();
   util::Rng rng(180);
   agg::ThreadPool pool2(2);
   agg::ThreadPool pool4(4);
@@ -353,8 +338,6 @@ TEST(GramBlocked, SmallDf64KeepsThePerPairBitsInBothModes) {
                                     " n=" + std::to_string(n) + " d=" + std::to_string(d);
           const auto serial = fill(batch, mode);
           ASSERT_EQ(serial.size(), static_cast<std::size_t>(n) * (n - 1) / 2) << label;
-          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 2))) << label << " spawn 2";
-          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 4))) << label << " spawn 4";
           EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 2, &pool2))) << label << " pool 2";
           EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 4, &pool4))) << label << " pool 4";
           if (mode == agg::AggMode::fast && d < kTileMinCols) {
@@ -371,13 +354,10 @@ TEST(GramBlocked, SmallDf64KeepsThePerPairBitsInBothModes) {
               const double alone = fill(pair, mode)[0];
               ASSERT_EQ(std::memcmp(&alone, &got, sizeof(double)), 0)
                   << label << " pair (" << i << ", " << j << "): " << got << " vs " << alone;
-              if (pinned && d % 8 <= 1) {
-                const double expected =
-                    pinned_sqdist(batch.row(i).data(), batch.row(j).data(), d);
-                ASSERT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
-                    << label << " pair (" << i << ", " << j << "): " << got << " vs pinned "
-                    << expected;
-              }
+              const double expected = pinned_sqdist(batch.row(i).data(), batch.row(j).data(), d);
+              ASSERT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+                  << label << " pair (" << i << ", " << j << "): " << got << " vs pinned "
+                  << expected;
               // The envelope of the direct difference: relative to the
               // Gram scale off the guard, to the distance itself on it
               // (clustered rows), and exact for two zero rows.

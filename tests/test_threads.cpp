@@ -9,9 +9,11 @@
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "abft/agg/batch.hpp"
+#include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
 
 namespace {
@@ -139,16 +141,30 @@ TEST(ThreadPool, CallerChunkExceptionWinsAndPoolStaysUsable) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SpawningParallelForZeroAndSmallRanges) {
-  // The legacy spawning fallback in batch.hpp shares the clamping rules.
-  int calls = 0;
-  agg::parallel_for(3, 3, 4, [&](int, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::vector<std::atomic<int>> hits(2);
-  agg::parallel_for(0, 2, 8, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) hits_add(hits, i);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ThreadPool, WorkspaceWithoutPoolRunsSeriallyOrRejectsWidth) {
+  // With no pool a workspace makes one direct call (none for an empty
+  // range); asking it for more than one thread is a configuration error,
+  // reported before the work runs.
+  agg::AggregatorWorkspace ws;
+  std::vector<std::pair<int, int>> calls;
+  ws.run_parallel(3, 3, [&](int lo, int hi) { calls.emplace_back(lo, hi); });
+  EXPECT_TRUE(calls.empty());
+  ws.run_parallel(0, 8, [&](int lo, int hi) { calls.emplace_back(lo, hi); });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(0, 8));
+
+  ws.parallel_threads = 4;
+  EXPECT_THROW(ws.run_parallel(0, 8, [&](int, int) { FAIL() << "ran without a pool"; }),
+               std::invalid_argument);
+  agg::GradientBatch batch(9, 16);
+  for (int i = 0; i < batch.rows(); ++i) {
+    for (auto& x : batch.row(i)) x = i;
+  }
+  const auto rule = agg::make_aggregator("cwtm");
+  EXPECT_THROW((void)rule->aggregate_batched(batch, 2, ws), std::invalid_argument);
+  agg::ThreadPool pool(4);
+  ws.pool = &pool;
+  EXPECT_NO_THROW((void)rule->aggregate_batched(batch, 2, ws));
 }
 
 }  // namespace
