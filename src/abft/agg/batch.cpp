@@ -774,6 +774,7 @@ bool AggregatorWorkspace::small_d_kernels(int d) const noexcept {
   return !f32_lane() && d >= kPairLanesMinCols && d < kTileMinCols && gram_avx512_available();
 }
 
+#if defined(__AVX512F__)
 void AggregatorWorkspace::fill_small_d_operands(const GradientBatch& batch) {
   const int n = batch.rows();
   const int d = batch.cols();
@@ -785,7 +786,6 @@ void AggregatorWorkspace::fill_small_d_operands(const GradientBatch& batch) {
   }
 }
 
-#if defined(__AVX512F__)
 void AggregatorWorkspace::sqdist_lanes_small_d(const GradientBatch& batch, const int* const* ids,
                                                int lanes, int rows, double* cand) {
   const auto regs = static_cast<std::size_t>(rows) * kPairLanes;
@@ -813,11 +813,13 @@ int AggregatorWorkspace::shard_groups(int units) {
   return width;
 }
 
-int validate_batch(const GradientBatch& batch, int f) {
+int validate_batch(const GradientBatch& batch, int f, const AggregatorWorkspace& workspace) {
   ABFT_REQUIRE(batch.rows() > 0, "aggregation needs at least one gradient");
   ABFT_REQUIRE(f >= 0, "fault bound f must be non-negative");
   ABFT_REQUIRE(f < batch.rows(), "fault bound f must be smaller than the number of gradients");
   ABFT_REQUIRE(batch.cols() > 0, "gradients must be non-empty vectors");
+  ABFT_REQUIRE(workspace.pool != nullptr || workspace.parallel_threads <= 1,
+               "a workspace with parallel_threads > 1 needs a ThreadPool (set pool)");
   return batch.cols();
 }
 

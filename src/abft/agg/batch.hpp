@@ -278,11 +278,11 @@ struct AggregatorWorkspace {
   /// on d, the precision and the host.
   [[nodiscard]] bool small_d_kernels(int d) const noexcept;
 
+#if defined(__AVX512F__)
   /// fill_sqnorms plus the d x n column-major copy in `gram_colmajor`: the
   /// operands of the packed small-d fill.
   void fill_small_d_operands(const GradientBatch& batch);
 
-#if defined(__AVX512F__)
   /// The shard-lane small-d pass (the Krum shard route, krum.hpp): `lanes`
   /// (1..8) shards of `rows` rows each, shard t's row i being batch row
   /// ids[t][i].  Interleaves the rows into `gram_colmajor` (register (i, k)
@@ -346,8 +346,10 @@ inline double* aligned_doubles(std::vector<double>& v, std::size_t count) {
 }
 
 /// Validates the shared batched preconditions (non-empty, equal-dimension by
-/// construction, 0 <= f < n); returns the common dimension d.
-int validate_batch(const GradientBatch& batch, int f);
+/// construction, 0 <= f < n, and a pool behind any parallel_threads > 1 of
+/// the workspace, whether or not the rule's kernels go parallel); returns
+/// the common dimension d.
+int validate_batch(const GradientBatch& batch, int f, const AggregatorWorkspace& workspace);
 
 /// Ensures `out` has dimension d (reallocates only on dimension change).
 void resize_output(Vector& out, int d);

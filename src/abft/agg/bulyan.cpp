@@ -162,7 +162,7 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
 
 void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                       AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f);
+  const int d = validate_batch(batch, f, ws);
   const int n = batch.rows();
   ABFT_REQUIRE(n >= 4 * f + 3, "bulyan needs n >= 4f + 3");
   const int theta = n - 2 * f;

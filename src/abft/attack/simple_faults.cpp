@@ -43,19 +43,6 @@ bool SignFlipScaleFault::emit_into(std::span<double> out, const RowAttackContext
   return true;
 }
 
-ConstantFault::ConstantFault(Vector payload) : payload_(std::move(payload)) {
-  ABFT_REQUIRE(payload_.dim() > 0, "constant fault payload must be non-empty");
-}
-
-bool ConstantFault::emit_into(std::span<double> out, const RowAttackContext& /*context*/,
-                              util::Rng& /*rng*/) const {
-  ABFT_REQUIRE(payload_.dim() == static_cast<int>(out.size()),
-               "constant fault payload dimension mismatch");
-  const auto src = payload_.coefficients();
-  std::copy(src.begin(), src.end(), out.begin());
-  return true;
-}
-
 RotatingFault::RotatingFault(double magnitude, double omega)
     : magnitude_(magnitude), omega_(omega) {
   ABFT_REQUIRE(magnitude > 0.0, "rotating fault magnitude must be positive");

@@ -47,18 +47,6 @@ class SignFlipScaleFault final : public FaultModel {
   double kappa_;
 };
 
-/// Always sends the same fixed vector.
-class ConstantFault final : public FaultModel {
- public:
-  explicit ConstantFault(Vector payload);
-  [[nodiscard]] bool emit_into(std::span<double> out, const RowAttackContext& context,
-                               util::Rng& rng) const override;
-  [[nodiscard]] std::string_view name() const noexcept override { return "constant"; }
-
- private:
-  Vector payload_;
-};
-
 /// Rotates a fixed-magnitude adversarial direction over rounds (angle
 /// omega * t in the first two coordinates) — a deterministic time-varying
 /// attack that defeats any filter relying on a single fixed bad direction.

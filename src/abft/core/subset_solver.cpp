@@ -15,26 +15,6 @@ void validate_subset(const SubsetSolver& solver, const std::vector<int>& agents)
                "subset indices out of range");
 }
 
-CostSubsetSolver::CostSubsetSolver(std::vector<const opt::CostFunction*> costs, opt::Box box,
-                                   opt::GradientDescentOptions options)
-    : costs_(std::move(costs)), box_(std::move(box)), options_(options) {
-  ABFT_REQUIRE(!costs_.empty(), "solver needs at least one cost");
-  for (const auto* cost : costs_) {
-    ABFT_REQUIRE(cost != nullptr, "cost must not be null");
-    ABFT_REQUIRE(cost->dim() == box_.dim(), "cost/box dimension mismatch");
-  }
-}
-
-Vector CostSubsetSolver::solve(const std::vector<int>& agents) const {
-  validate_subset(*this, agents);
-  std::vector<const opt::CostFunction*> selected;
-  selected.reserve(agents.size());
-  for (int i : agents) selected.push_back(costs_[static_cast<std::size_t>(i)]);
-  const opt::AggregateCost aggregate(std::move(selected));
-  const Vector center = 0.5 * (box_.lower() + box_.upper());
-  return opt::minimize(aggregate, box_, center, options_).minimizer;
-}
-
 MeanSubsetSolver::MeanSubsetSolver(std::vector<Vector> centers) : centers_(std::move(centers)) {
   ABFT_REQUIRE(!centers_.empty(), "mean solver needs at least one center");
   const int d = centers_.front().dim();

@@ -1,18 +1,14 @@
 // Subset minimization oracle: the redundancy analyzer (Definition 3) and the
 // Theorem-2 exhaustive algorithm both need argmin_x sum_{i in S} Q_i(x) for
-// many agent subsets S.  Workloads provide closed-form solvers where they
-// exist (least squares for regression, centroid for robust mean); the
-// generic fallback runs projected gradient descent.
+// many agent subsets S.  Workloads provide closed-form solvers (least
+// squares for regression and state estimation, the centroid for robust
+// mean).
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "abft/linalg/vector.hpp"
-#include "abft/opt/box.hpp"
-#include "abft/opt/cost.hpp"
-#include "abft/opt/solver.hpp"
 
 namespace abft::core {
 
@@ -32,25 +28,6 @@ class SubsetSolver {
 
 /// Validates the subset argument shared by all implementations.
 void validate_subset(const SubsetSolver& solver, const std::vector<int>& agents);
-
-/// Generic solver over arbitrary differentiable costs: minimizes the subset
-/// aggregate by projected gradient descent inside `box`.
-class CostSubsetSolver final : public SubsetSolver {
- public:
-  CostSubsetSolver(std::vector<const opt::CostFunction*> costs, opt::Box box,
-                   opt::GradientDescentOptions options = {});
-
-  [[nodiscard]] int num_agents() const noexcept override {
-    return static_cast<int>(costs_.size());
-  }
-  [[nodiscard]] int dim() const noexcept override { return box_.dim(); }
-  [[nodiscard]] Vector solve(const std::vector<int>& agents) const override;
-
- private:
-  std::vector<const opt::CostFunction*> costs_;
-  opt::Box box_;
-  opt::GradientDescentOptions options_;
-};
 
 /// Closed-form solver for the robust-mean mapping of Section 2.3:
 /// Q_i(x) = ||x - c_i||^2, so argmin over S is the centroid of {c_i}.

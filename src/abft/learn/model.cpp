@@ -23,42 +23,4 @@ double accuracy(const Model& model, const Vector& params, const Dataset& data) {
   return static_cast<double>(correct) / static_cast<double>(data.num_examples());
 }
 
-double ConfusionMatrix::recall(int label) const {
-  ABFT_REQUIRE(0 <= label && label < counts.rows(), "label out of range");
-  double total = 0.0;
-  for (int c = 0; c < counts.cols(); ++c) total += counts(label, c);
-  return total > 0.0 ? counts(label, label) / total : 0.0;
-}
-
-double ConfusionMatrix::precision(int label) const {
-  ABFT_REQUIRE(0 <= label && label < counts.cols(), "label out of range");
-  double total = 0.0;
-  for (int r = 0; r < counts.rows(); ++r) total += counts(r, label);
-  return total > 0.0 ? counts(label, label) / total : 0.0;
-}
-
-double ConfusionMatrix::overall_accuracy() const {
-  double correct = 0.0;
-  double total = 0.0;
-  for (int r = 0; r < counts.rows(); ++r) {
-    for (int c = 0; c < counts.cols(); ++c) {
-      total += counts(r, c);
-      if (r == c) correct += counts(r, c);
-    }
-  }
-  return total > 0.0 ? correct / total : 0.0;
-}
-
-ConfusionMatrix confusion_matrix(const Model& model, const Vector& params, const Dataset& data) {
-  ABFT_REQUIRE(data.num_examples() > 0, "confusion matrix needs a non-empty dataset");
-  ConfusionMatrix out{linalg::Matrix(data.num_classes, data.num_classes)};
-  for (int i = 0; i < data.num_examples(); ++i) {
-    const int truth = data.labels[static_cast<std::size_t>(i)];
-    const int predicted = model.predict(params, data.features.row(i));
-    ABFT_REQUIRE(0 <= predicted && predicted < data.num_classes, "prediction out of range");
-    out.counts(truth, predicted) += 1.0;
-  }
-  return out;
-}
-
 }  // namespace abft::learn

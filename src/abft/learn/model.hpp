@@ -31,17 +31,4 @@ double dataset_loss(const Model& model, const Vector& params, const Dataset& dat
 /// Fraction of correctly classified examples.
 double accuracy(const Model& model, const Vector& params, const Dataset& data);
 
-/// Row-major confusion matrix: entry (true_class, predicted_class) counts.
-struct ConfusionMatrix {
-  linalg::Matrix counts;  // num_classes x num_classes
-
-  /// Recall of one class: correct / total-of-class (0 if the class is empty).
-  [[nodiscard]] double recall(int label) const;
-  /// Precision of one class: correct / total-predicted (0 if never predicted).
-  [[nodiscard]] double precision(int label) const;
-  [[nodiscard]] double overall_accuracy() const;
-};
-
-ConfusionMatrix confusion_matrix(const Model& model, const Vector& params, const Dataset& data);
-
 }  // namespace abft::learn

@@ -114,39 +114,6 @@ Vector least_squares(const Matrix& a, const Vector& b) {
   return x;
 }
 
-std::optional<Vector> solve(const Matrix& a, const Vector& b) {
-  ABFT_REQUIRE(a.rows() == a.cols(), "solve needs a square matrix");
-  ABFT_REQUIRE(a.rows() == b.dim(), "solve shape mismatch");
-  const int n = a.rows();
-  Matrix work = a;
-  Vector rhs = b;
-  for (int col = 0; col < n; ++col) {
-    // Partial pivoting.
-    int pivot = col;
-    for (int r = col + 1; r < n; ++r) {
-      if (std::abs(work(r, col)) > std::abs(work(pivot, col))) pivot = r;
-    }
-    if (std::abs(work(pivot, col)) < 1e-14) return std::nullopt;
-    if (pivot != col) {
-      for (int c = 0; c < n; ++c) std::swap(work(pivot, c), work(col, c));
-      std::swap(rhs[pivot], rhs[col]);
-    }
-    for (int r = col + 1; r < n; ++r) {
-      const double factor = work(r, col) / work(col, col);
-      if (factor == 0.0) continue;
-      for (int c = col; c < n; ++c) work(r, c) -= factor * work(col, c);
-      rhs[r] -= factor * rhs[col];
-    }
-  }
-  Vector x(n);
-  for (int i = n - 1; i >= 0; --i) {
-    double sum = rhs[i];
-    for (int k = i + 1; k < n; ++k) sum -= work(i, k) * x[k];
-    x[i] = sum / work(i, i);
-  }
-  return x;
-}
-
 int column_rank(const Matrix& a, double rel_tol) {
   const Matrix g = gram(a);
   const auto eigenvalues = symmetric_eigenvalues(g);

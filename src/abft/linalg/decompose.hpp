@@ -32,10 +32,6 @@ QrDecomposition qr_decompose(const Matrix& a);
 /// if the system is rank deficient (R has a negligible diagonal entry).
 Vector least_squares(const Matrix& a, const Vector& b);
 
-/// Solves a general square system A x = b by Gaussian elimination with
-/// partial pivoting.  Returns std::nullopt if A is singular.
-std::optional<Vector> solve(const Matrix& a, const Vector& b);
-
 /// Numerical column rank of `a` estimated from the QR of the Gram matrix
 /// eigenvalues; `rel_tol` is relative to the largest eigenvalue.
 int column_rank(const Matrix& a, double rel_tol = 1e-10);

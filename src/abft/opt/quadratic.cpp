@@ -87,25 +87,4 @@ double LeastSquaresCost::gradient_lipschitz() const {
   return 2.0 * linalg::largest_eigenvalue(linalg::gram(h_));
 }
 
-GeneralQuadraticCost::GeneralQuadraticCost(linalg::Matrix p, Vector q, double c)
-    : p_(std::move(p)), q_(std::move(q)), c_(c) {
-  ABFT_REQUIRE(p_.rows() == p_.cols(), "quadratic Hessian must be square");
-  ABFT_REQUIRE(p_.rows() == q_.dim(), "quadratic shape mismatch");
-  for (int i = 0; i < p_.rows(); ++i) {
-    for (int j = i + 1; j < p_.cols(); ++j) {
-      ABFT_REQUIRE(std::abs(p_(i, j) - p_(j, i)) < 1e-9, "quadratic Hessian must be symmetric");
-    }
-  }
-}
-
-double GeneralQuadraticCost::value(const Vector& x) const {
-  ABFT_REQUIRE(x.dim() == dim(), "dimension mismatch");
-  return 0.5 * linalg::dot(x, p_ * x) - linalg::dot(q_, x) + c_;
-}
-
-Vector GeneralQuadraticCost::gradient(const Vector& x) const {
-  ABFT_REQUIRE(x.dim() == dim(), "dimension mismatch");
-  return p_ * x - q_;
-}
-
 }  // namespace abft::opt

@@ -3,8 +3,8 @@
 //    linear-regression cost of Section 5 / Appendix J;
 //  * SquaredDistanceCost  — Q_i(x) = ||x - c_i||^2, the robust-mean mapping
 //    of Section 2.3;
-//  * GeneralQuadraticCost — Q(x) = 1/2 x^T P x - q^T x + c for symmetric P,
-//    used to build instances with prescribed curvature (mu, gamma) in tests.
+//  * LeastSquaresCost     — Q_i(x) = ||y_i - H_i x||^2, the state-estimation
+//    cost of Section 2.4.
 #pragma once
 
 #include "abft/linalg/matrix.hpp"
@@ -69,24 +69,6 @@ class LeastSquaresCost final : public CostFunction {
  private:
   linalg::Matrix h_;
   Vector y_;
-};
-
-class GeneralQuadraticCost final : public CostFunction {
- public:
-  /// Q(x) = 1/2 x^T P x - q^T x + c; P must be symmetric and square with
-  /// P.rows() == q.dim().
-  GeneralQuadraticCost(linalg::Matrix p, Vector q, double c = 0.0);
-
-  [[nodiscard]] int dim() const noexcept override { return q_.dim(); }
-  [[nodiscard]] double value(const Vector& x) const override;
-  [[nodiscard]] Vector gradient(const Vector& x) const override;
-
-  [[nodiscard]] const linalg::Matrix& hessian() const noexcept { return p_; }
-
- private:
-  linalg::Matrix p_;
-  Vector q_;
-  double c_;
 };
 
 }  // namespace abft::opt

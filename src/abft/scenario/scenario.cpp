@@ -185,6 +185,7 @@ ScenarioSpec parse_scenario(const util::JsonValue& json) {
   spec.f = int_or(json, "f", spec.f);
   spec.seed = parse_seed(json, "seed", 1.0);
   spec.threads = int_or(json, "threads", spec.threads);
+  ABFT_REQUIRE(spec.threads >= 1, "threads must be >= 1");
   if (const auto* schedule = json.find("schedule")) {
     require_known_keys(*schedule, "schedule", {"kind", "scale", "power"});
     spec.schedule.kind = schedule->string_or("kind", spec.schedule.kind);

@@ -35,7 +35,7 @@
 //                         f32 demotes the fast lane's bandwidth-bound
 //                         kernel inputs; requires mode "fast" (rejected
 //                         at parse time under "exact")
-//   iterations, f, seed, threads
+//   iterations, f, seed, threads (threads >= 1)
 //   schedule              {"kind": "harmonic"|"constant"|"polynomial",
 //                          "scale": s, "power": p}      (harmonic, 1.5)
 //   box_halfwidth         W = [-w, w]^d                            (1000)

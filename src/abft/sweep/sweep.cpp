@@ -170,16 +170,6 @@ const JsonValue* find_member(const Members& members, std::string_view key) {
   return found;
 }
 
-void set_member(Members& members, std::string_view key, JsonValue value) {
-  for (auto& [name, existing] : members) {
-    if (name == key) {
-      existing = std::move(value);
-      return;
-    }
-  }
-  members.emplace_back(std::string(key), std::move(value));
-}
-
 /// The value at a dot-separated path below `members`; nullptr when any
 /// level is absent.
 const JsonValue* find_path(const Members& members, std::string_view path) {

@@ -39,15 +39,6 @@ void for_each_combination(int n, int k, const std::function<bool(const std::vect
   }
 }
 
-std::vector<std::vector<int>> all_combinations(int n, int k) {
-  std::vector<std::vector<int>> out;
-  for_each_combination(n, k, [&out](const std::vector<int>& comb) {
-    out.push_back(comb);
-    return true;
-  });
-  return out;
-}
-
 std::vector<std::vector<int>> all_subsets_of(const std::vector<int>& base, int k) {
   std::vector<std::vector<int>> out;
   const int n = static_cast<int>(base.size());
@@ -58,22 +49,6 @@ std::vector<std::vector<int>> all_subsets_of(const std::vector<int>& base, int k
     out.push_back(std::move(subset));
     return true;
   });
-  return out;
-}
-
-std::vector<int> complement(const std::vector<int>& subset, int n) {
-  ABFT_REQUIRE(std::is_sorted(subset.begin(), subset.end()), "complement needs a sorted subset");
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n) - subset.size());
-  std::size_t j = 0;
-  for (int i = 0; i < n; ++i) {
-    if (j < subset.size() && subset[j] == i) {
-      ++j;
-    } else {
-      out.push_back(i);
-    }
-  }
-  ABFT_REQUIRE(j == subset.size(), "complement: subset must lie within {0, ..., n-1}");
   return out;
 }
 

@@ -17,16 +17,9 @@ std::uint64_t binomial(int n, int k);
 /// call.  If `fn` returns false, enumeration stops early.
 void for_each_combination(int n, int k, const std::function<bool(const std::vector<int>&)>& fn);
 
-/// All k-element subsets of {0, ..., n-1} in lexicographic order.
-std::vector<std::vector<int>> all_combinations(int n, int k);
-
 /// All k-element subsets of the given base set, in lexicographic order of
 /// positions (elements keep their base order).
 std::vector<std::vector<int>> all_subsets_of(const std::vector<int>& base, int k);
-
-/// Complement of `subset` (sorted, must be a subset of {0, ..., n-1}) within
-/// {0, ..., n-1}.
-std::vector<int> complement(const std::vector<int>& subset, int n);
 
 /// True if `sub` (sorted) is a subset of `super` (sorted).
 bool is_subset_sorted(const std::vector<int>& sub, const std::vector<int>& super);

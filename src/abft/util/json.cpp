@@ -408,6 +408,17 @@ void require_known_keys(const JsonValue& object, std::string_view layer,
   }
 }
 
+void set_member(std::vector<std::pair<std::string, JsonValue>>& members, std::string_view key,
+                JsonValue value) {
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    if (it->first == key) {
+      it->second = std::move(value);
+      return;
+    }
+  }
+  members.emplace_back(std::string(key), std::move(value));
+}
+
 int checked_int(double value, std::string_view layer, std::string_view what) {
   if (!(value == std::floor(value) && value >= std::numeric_limits<int>::min() &&
         value <= std::numeric_limits<int>::max())) {

@@ -115,6 +115,13 @@ void require_known_keys(const JsonValue& object, std::string_view layer,
                         std::string_view where,
                         std::initializer_list<std::string_view> allowed);
 
+/// Sets member `key` of an object's member list: replaces the last member
+/// of that name (the one JsonValue::find reads), or appends one.  The
+/// sweep's patches and abft_run's overrides edit a spec document this way,
+/// so the spec's own checks see the result.
+void set_member(std::vector<std::pair<std::string, JsonValue>>& members, std::string_view key,
+                JsonValue value);
+
 /// A JSON number read as an int.  Throws std::invalid_argument, as
 /// "<layer>: <what> must be an integer in int range, got v", when `value`
 /// has a fractional part or lies outside int: a plain cast would run 2.7

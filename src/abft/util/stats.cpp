@@ -33,28 +33,4 @@ double max_value(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double quantile(std::span<const double> xs, double q) {
-  ABFT_REQUIRE(!xs.empty(), "quantile of empty range");
-  ABFT_REQUIRE(0.0 <= q && q <= 1.0, "quantile needs q in [0, 1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
-  s.min = min_value(xs);
-  s.median = median(xs);
-  s.max = max_value(xs);
-  return s;
-}
-
 }  // namespace abft::util

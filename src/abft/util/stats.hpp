@@ -1,8 +1,7 @@
-// Small descriptive-statistics helpers used by benches and tests.
+// Small descriptive-statistics helpers used by the benches.
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace abft::util {
 
@@ -11,22 +10,5 @@ double variance(std::span<const double> xs);  // population variance
 double stddev(std::span<const double> xs);
 double min_value(std::span<const double> xs);
 double max_value(std::span<const double> xs);
-
-/// Linear-interpolation quantile, q in [0, 1].
-double quantile(std::span<const double> xs, double q);
-
-/// Median (quantile 0.5) — convenience wrapper.
-double median(std::span<const double> xs);
-
-/// Summary bundle for reporting.
-struct Summary {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
 
 }  // namespace abft::util

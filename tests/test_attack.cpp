@@ -62,22 +62,6 @@ TEST(SignFlipScale, AmplifiesReversal) {
   EXPECT_THROW(attack::SignFlipScaleFault(0.0), std::invalid_argument);
 }
 
-TEST(Constant, AlwaysSendsPayload) {
-  ContextFixture fx;
-  const attack::ConstantFault fault(Vector{7.0, 7.0});
-  for (int round = 0; round < 3; ++round) {
-    const auto out = fault.emit(fx.context(round), fx.rng);
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, (Vector{7.0, 7.0}));
-  }
-}
-
-TEST(Constant, RejectsDimensionMismatch) {
-  ContextFixture fx;
-  const attack::ConstantFault fault(Vector{7.0});
-  EXPECT_THROW(fault.emit(fx.context(), fx.rng), std::invalid_argument);
-}
-
 TEST(Rotating, SweepsDirectionsOverRounds) {
   ContextFixture fx;
   const attack::RotatingFault fault(5.0, 1.5707963267948966);  // quarter turn per round

@@ -140,19 +140,6 @@ TEST(AttackParity, SignFlipScale) {
                  });
 }
 
-Vector constant_payload(int d) {
-  Vector payload(d);
-  for (int k = 0; k < d; ++k) payload[k] = 0.25 * k - 1.0;
-  return payload;
-}
-
-TEST(AttackParity, Constant) {
-  expect_matches(attack::ConstantFault{constant_payload(7)},
-                 [](const ParityFixture& fx, int, util::Rng&) -> std::optional<Vector> {
-                   return constant_payload(fx.d);
-                 });
-}
-
 TEST(AttackParity, RotatingOverRounds) {
   const attack::RotatingFault fault(5.0, 0.7);
   for (int round = 0; round < 5; ++round) {
@@ -281,7 +268,6 @@ TEST(AttackParity, EmitAdapterEqualsEmitInto) {
   faults.push_back(std::make_unique<attack::RandomGaussianFault>(200.0));
   faults.push_back(std::make_unique<attack::ZeroFault>());
   faults.push_back(std::make_unique<attack::SignFlipScaleFault>(3.5));
-  faults.push_back(std::make_unique<attack::ConstantFault>(constant_payload(70)));
   faults.push_back(std::make_unique<attack::RotatingFault>(5.0, 0.7));
   faults.push_back(std::make_unique<attack::SilentFault>());
   faults.push_back(std::make_unique<attack::LittleIsEnoughFault>(1.5));

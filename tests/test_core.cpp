@@ -1,4 +1,4 @@
-// Unit and property tests for the resilience core: set distances,
+// Unit and property tests for the resilience core: the
 // subset-minimization oracles, the (2f, eps)-redundancy analyzer, the
 // Theorem-2 exhaustive algorithm, closed-form bounds, and the Theorem-1 /
 // Lemma-1 lower-bound gadgets.
@@ -8,52 +8,16 @@
 
 #include "abft/core/bounds.hpp"
 #include "abft/core/certify.hpp"
-#include "abft/core/distance.hpp"
 #include "abft/core/exhaustive.hpp"
 #include "abft/core/lowerbound.hpp"
 #include "abft/core/redundancy.hpp"
 #include "abft/core/subset_solver.hpp"
-#include "abft/opt/quadratic.hpp"
-#include "abft/util/combinatorics.hpp"
 #include "abft/util/rng.hpp"
 
 namespace {
 
 using namespace abft;
 using core::Vector;
-
-TEST(Distance, PointToSet) {
-  const std::vector<Vector> set{Vector{0.0, 0.0}, Vector{10.0, 0.0}};
-  EXPECT_DOUBLE_EQ(core::distance_to_set(Vector{1.0, 0.0}, set), 1.0);
-  EXPECT_DOUBLE_EQ(core::distance_to_set(Vector{6.0, 0.0}, set), 4.0);
-  EXPECT_THROW(core::distance_to_set(Vector{0.0}, {}), std::invalid_argument);
-}
-
-TEST(Distance, HausdorffBetweenFiniteSets) {
-  const std::vector<Vector> a{Vector{0.0}, Vector{1.0}};
-  const std::vector<Vector> b{Vector{0.0}, Vector{5.0}};
-  // sup over a of dist to b = 1 -> 0? dist(1, b) = 1; sup over b = dist(5, a) = 4.
-  EXPECT_DOUBLE_EQ(core::hausdorff_distance(a, b), 4.0);
-  EXPECT_DOUBLE_EQ(core::hausdorff_distance(a, a), 0.0);
-}
-
-TEST(Distance, HausdorffIsSymmetricAndTriangular) {
-  util::Rng rng(5);
-  auto random_set = [&rng]() {
-    std::vector<Vector> set;
-    const int size = 1 + static_cast<int>(rng.uniform_index(4));
-    for (int i = 0; i < size; ++i) set.push_back(Vector{rng.normal(), rng.normal()});
-    return set;
-  };
-  for (int trial = 0; trial < 25; ++trial) {
-    const auto a = random_set();
-    const auto b = random_set();
-    const auto c = random_set();
-    const double ab = core::hausdorff_distance(a, b);
-    EXPECT_DOUBLE_EQ(ab, core::hausdorff_distance(b, a));
-    EXPECT_LE(ab, core::hausdorff_distance(a, c) + core::hausdorff_distance(c, b) + 1e-12);
-  }
-}
 
 TEST(MeanSubsetSolver, SolvesCentroids) {
   const core::MeanSubsetSolver solver(
@@ -70,13 +34,6 @@ TEST(SubsetValidation, RejectsBadSubsets) {
   EXPECT_THROW(solver.solve({1, 0}), std::invalid_argument);   // unsorted
   EXPECT_THROW(solver.solve({0, 0}), std::invalid_argument);   // duplicate
   EXPECT_THROW(solver.solve({0, 2}), std::invalid_argument);   // out of range
-}
-
-TEST(CostSubsetSolver, MatchesClosedFormForSquaredDistances) {
-  const opt::SquaredDistanceCost c0(Vector{0.0, 0.0});
-  const opt::SquaredDistanceCost c1(Vector{4.0, 2.0});
-  const core::CostSubsetSolver solver({&c0, &c1}, opt::Box::centered_cube(2, 10.0));
-  EXPECT_TRUE(linalg::approx_equal(solver.solve({0, 1}), Vector{2.0, 1.0}, 1e-6));
 }
 
 TEST(CachedSubsetSolver, CachesAndReturnsSameAnswers) {

@@ -243,36 +243,6 @@ TEST(Mlp, TrainsAboveChance) {
   EXPECT_GT(learn::accuracy(model, params, data), 0.8);
 }
 
-TEST(Confusion, MatrixEntriesAndDerivedMetrics) {
-  const auto data = tiny_dataset(3, 30, 57, 0.1);
-  const learn::SoftmaxRegression model(data.feature_dim(), data.num_classes);
-  // Train briefly so most predictions are right.
-  Vector params(model.param_dim());
-  std::vector<int> all(static_cast<std::size_t>(data.num_examples()));
-  std::iota(all.begin(), all.end(), 0);
-  Vector grad(model.param_dim());
-  for (int step = 0; step < 60; ++step) {
-    model.loss(params, data, all, &grad);
-    params.add_scaled(-0.5, grad);
-  }
-  const auto confusion = learn::confusion_matrix(model, params, data);
-  // Totals add up to the dataset size.
-  double total = 0.0;
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) total += confusion.counts(r, c);
-  }
-  EXPECT_DOUBLE_EQ(total, 90.0);
-  // Overall accuracy agrees with the scalar accuracy helper.
-  EXPECT_NEAR(confusion.overall_accuracy(), learn::accuracy(model, params, data), 1e-12);
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_GE(confusion.recall(c), 0.0);
-    EXPECT_LE(confusion.recall(c), 1.0);
-    EXPECT_GE(confusion.precision(c), 0.0);
-    EXPECT_LE(confusion.precision(c), 1.0);
-  }
-  EXPECT_THROW((void)confusion.recall(5), std::invalid_argument);
-}
-
 TEST(Accuracy, PerfectAndChanceBaselines) {
   const auto data = tiny_dataset(2, 10, 19, 0.05);
   const learn::SoftmaxRegression model(data.feature_dim(), data.num_classes);

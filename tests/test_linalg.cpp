@@ -194,18 +194,6 @@ TEST(LeastSquares, RejectsRankDeficiency) {
   EXPECT_THROW(least_squares(a, Vector{1.0, 2.0, 3.0}), std::invalid_argument);
 }
 
-TEST(Solve, GaussianEliminationWithPivoting) {
-  const Matrix a{{0.0, 2.0}, {1.0, 1.0}};  // needs a pivot swap
-  const Vector b{4.0, 3.0};
-  const auto x = solve(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_TRUE(approx_equal(*x, Vector{1.0, 2.0}, 1e-12));
-}
-
-TEST(Solve, SingularMatrixReturnsNullopt) {
-  EXPECT_FALSE(solve(Matrix{{1.0, 2.0}, {2.0, 4.0}}, Vector{1.0, 2.0}).has_value());
-}
-
 TEST(EigenSym, DiagonalMatrixTrivial) {
   const auto eig = symmetric_eigen(Matrix{{3.0, 0.0}, {0.0, 1.0}});
   EXPECT_NEAR(eig.eigenvalues[0], 1.0, 1e-12);

@@ -1,6 +1,6 @@
 // Unit tests for abft::opt — cost functions (values + analytic gradients
-// validated against finite differences), aggregates, the box constraint W,
-// step schedules, and the projected-gradient reference solver.
+// validated against finite differences), aggregates, the box constraint W
+// and step schedules.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,7 +14,6 @@
 #include "abft/opt/cost.hpp"
 #include "abft/opt/quadratic.hpp"
 #include "abft/opt/schedule.hpp"
-#include "abft/opt/solver.hpp"
 #include "abft/util/rng.hpp"
 
 namespace {
@@ -122,18 +121,6 @@ TEST(GradientInto, ResidualSquaredRejectsMismatchedSizes) {
   EXPECT_THROW(q.gradient_into(Vector{1.0, 2.0, 3.0}, long_out), std::invalid_argument);
 }
 
-TEST(GeneralQuadraticCost, ValueGradientAndValidation) {
-  const linalg::Matrix p{{2.0, 0.0}, {0.0, 4.0}};
-  const opt::GeneralQuadraticCost q(p, Vector{2.0, 4.0}, 1.0);
-  // Q(x) = x0^2 + 2 x1^2 - 2 x0 - 4 x1 + 1, minimized at (1, 1).
-  EXPECT_DOUBLE_EQ(q.value(Vector{1.0, 1.0}), -2.0);
-  EXPECT_EQ(q.gradient(Vector{1.0, 1.0}), (Vector{0.0, 0.0}));
-  const Vector x{3.0, -1.0};
-  EXPECT_TRUE(linalg::approx_equal(q.gradient(x), opt::numerical_gradient(q, x), 1e-5));
-  EXPECT_THROW(opt::GeneralQuadraticCost(linalg::Matrix{{1.0, 2.0}, {0.0, 1.0}}, Vector{0.0, 0.0}),
-               std::invalid_argument);
-}
-
 TEST(AggregateCost, SumsValuesAndGradients) {
   const opt::SquaredDistanceCost a(Vector{0.0, 0.0});
   const opt::SquaredDistanceCost b(Vector{2.0, 2.0});
@@ -231,40 +218,6 @@ TEST(Schedules, ConstantAndPolynomial) {
   EXPECT_TRUE(poly.is_diminishing());
   EXPECT_THROW(opt::PolynomialSchedule(1.0, 0.4), std::invalid_argument);
   EXPECT_THROW(opt::PolynomialSchedule(1.0, 1.5), std::invalid_argument);
-}
-
-TEST(Minimize, SolvesStronglyConvexQuadratic) {
-  const opt::SquaredDistanceCost q(Vector{0.3, -0.7});
-  const auto box = opt::Box::centered_cube(2, 10.0);
-  const auto result = opt::minimize(q, box, Vector{5.0, 5.0});
-  EXPECT_TRUE(result.converged);
-  EXPECT_TRUE(linalg::approx_equal(result.minimizer, Vector{0.3, -0.7}, 1e-6));
-  EXPECT_NEAR(result.value, 0.0, 1e-10);
-}
-
-TEST(Minimize, RespectsActiveBoxConstraint) {
-  // Unconstrained minimum at (3, 0) sits outside the unit box: the
-  // constrained minimum is the projection (1, 0).
-  const opt::SquaredDistanceCost q(Vector{3.0, 0.0});
-  const auto box = opt::Box::centered_cube(2, 1.0);
-  const auto result = opt::minimize(q, box, Vector{0.0, 0.0});
-  EXPECT_TRUE(linalg::approx_equal(result.minimizer, Vector{1.0, 0.0}, 1e-6));
-}
-
-TEST(Minimize, AggregateOfResidualCostsMatchesLeastSquaresSolution) {
-  // Two residual costs whose aggregate minimizes at the interpolating point.
-  const opt::ResidualSquaredCost q1(Vector{1.0, 0.0}, 2.0);
-  const opt::ResidualSquaredCost q2(Vector{0.0, 1.0}, -1.0);
-  const opt::AggregateCost sum({&q1, &q2});
-  const auto box = opt::Box::centered_cube(2, 10.0);
-  const auto result = opt::minimize(sum, box, Vector{0.0, 0.0});
-  EXPECT_TRUE(linalg::approx_equal(result.minimizer, Vector{2.0, -1.0}, 1e-6));
-}
-
-TEST(Minimize, ValidatesArguments) {
-  const opt::SquaredDistanceCost q(Vector{0.0, 0.0});
-  const auto box = opt::Box::centered_cube(3, 1.0);
-  EXPECT_THROW(opt::minimize(q, box, Vector{0.0, 0.0, 0.0}), std::invalid_argument);
 }
 
 TEST(NumericalGradient, RejectsNonPositiveStep) {

@@ -229,6 +229,8 @@ TEST(ScenarioSpec, RejectsNonIntegerAndOutOfRangeIntegers) {
            R"({"iterations": -3e9})",
            R"({"f": 2.5})",
            R"({"threads": 1e300})",
+           R"({"threads": 0})",  // below one is an error, not a clamp to one
+           R"({"threads": -1})",
            R"({"num_agents": 4.5})",
            R"({"async": {"quorum": 1e10}})",
            R"({"async": {"staleness_cap": 0.5}})",

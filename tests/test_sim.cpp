@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "abft/agg/cge.hpp"
 #include "abft/attack/simple_faults.hpp"
 #include "abft/opt/quadratic.hpp"
-#include "abft/sim/analysis.hpp"
 #include "abft/sim/dgd.hpp"
 
 namespace {
@@ -304,31 +304,6 @@ TEST(Dgd, TrajectoryInvariantUnderRosterPermutation) {
   }
 }
 
-TEST(Analysis, SettlingIndexFindsPlateau) {
-  const std::vector<double> series{10.0, 5.0, 2.0, 1.01, 1.0, 1.0, 1.0};
-  EXPECT_EQ(sim::settling_index(series, 0.05), 3);
-  EXPECT_EQ(sim::settling_index(series, 20.0), 0);  // everything within band
-  EXPECT_THROW(sim::settling_index({}, 0.1), std::invalid_argument);
-}
-
-TEST(Analysis, TailMeanAveragesLastWindow) {
-  const std::vector<double> series{100.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(sim::tail_mean(series, 2), 3.0);
-  EXPECT_DOUBLE_EQ(sim::tail_mean(series, 10), (100.0 + 2.0 + 4.0) / 3.0);
-  EXPECT_THROW(sim::tail_mean(series, 0), std::invalid_argument);
-}
-
-TEST(Analysis, DecreasingTrendDetection) {
-  std::vector<double> decreasing;
-  std::vector<double> increasing;
-  for (int t = 0; t < 100; ++t) {
-    decreasing.push_back(100.0 / (t + 1.0));
-    increasing.push_back(static_cast<double>(t));
-  }
-  EXPECT_TRUE(sim::is_decreasing_trend(decreasing, 10));
-  EXPECT_FALSE(sim::is_decreasing_trend(increasing, 10));
-}
-
 TEST(Analysis, DgdLossSeriesSettles) {
   TwoAgentFixture fx;
   sim::DgdSimulation simulation(fx.roster(), fx.config(400));
@@ -337,8 +312,19 @@ TEST(Analysis, DgdLossSeriesSettles) {
   const opt::AggregateCost aggregate(
       std::vector<const opt::CostFunction*>{&fx.c0, &fx.c1});
   const auto losses = trace.loss_series(aggregate);
-  EXPECT_TRUE(sim::is_decreasing_trend(losses, 20));
-  EXPECT_LT(sim::settling_index(losses, 0.01), 200);
+  ASSERT_GE(losses.size(), 240u);
+  // A decreasing trend: the mean of the last 20 losses is no larger than
+  // the mean of losses 1..20.
+  const auto window_mean = [&losses](std::size_t begin) {
+    const auto first = losses.begin() + static_cast<std::ptrdiff_t>(begin);
+    return std::accumulate(first, first + 20, 0.0) / 20.0;
+  };
+  EXPECT_LE(window_mean(losses.size() - 20), window_mean(1) + 1e-12);
+  // Settled before round 200: from there on every loss stays within 0.01
+  // of the final one.
+  for (std::size_t t = 199; t < losses.size(); ++t) {
+    EXPECT_NEAR(losses[t], losses.back(), 0.01) << "round " << t;
+  }
 }
 
 TEST(Trace, CsvExport) {

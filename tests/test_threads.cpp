@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "abft/agg/batch.hpp"
+#include "abft/agg/hierarchy.hpp"
 #include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
 
@@ -156,15 +158,28 @@ TEST(ThreadPool, WorkspaceWithoutPoolRunsSeriallyOrRejectsWidth) {
   ws.parallel_threads = 4;
   EXPECT_THROW(ws.run_parallel(0, 8, [&](int, int) { FAIL() << "ran without a pool"; }),
                std::invalid_argument);
+  // Every rule and the hierarchy reject it in validate_batch, also those
+  // whose kernels never go parallel (average, cge, geomed).
   agg::GradientBatch batch(9, 16);
   for (int i = 0; i < batch.rows(); ++i) {
-    for (auto& x : batch.row(i)) x = i;
+    for (int k = 0; k < batch.cols(); ++k) batch.row(i)[static_cast<std::size_t>(k)] = i + 0.5 * k;
   }
-  const auto rule = agg::make_aggregator("cwtm");
-  EXPECT_THROW((void)rule->aggregate_batched(batch, 2, ws), std::invalid_argument);
+  std::vector<std::unique_ptr<agg::GradientAggregator>> rules;
+  for (const auto name : agg::aggregator_names()) rules.push_back(agg::make_aggregator(name));
+  agg::HierarchyConfig config;
+  config.shards = 3;
+  config.leaf_rule = "average";
+  config.root_rule = "average";
+  rules.push_back(std::make_unique<agg::HierarchicalAggregator>(config));
+  ASSERT_EQ(rules.size(), 12u);
   agg::ThreadPool pool(4);
-  ws.pool = &pool;
-  EXPECT_NO_THROW((void)rule->aggregate_batched(batch, 2, ws));
+  for (const auto& rule : rules) {
+    ws.pool = nullptr;
+    EXPECT_THROW((void)rule->aggregate_batched(batch, 1, ws), std::invalid_argument)
+        << rule->name();
+    ws.pool = &pool;
+    EXPECT_NO_THROW((void)rule->aggregate_batched(batch, 1, ws)) << rule->name();
+  }
 }
 
 }  // namespace

@@ -181,7 +181,11 @@ TEST(Combinatorics, EnumerationCountsMatchBinomial) {
 }
 
 TEST(Combinatorics, LexicographicOrderAndSortedness) {
-  const auto combos = all_combinations(5, 3);
+  std::vector<std::vector<int>> combos;
+  for_each_combination(5, 3, [&combos](const std::vector<int>& comb) {
+    combos.push_back(comb);
+    return true;
+  });
   ASSERT_EQ(combos.size(), 10u);
   EXPECT_EQ(combos.front(), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(combos.back(), (std::vector<int>{2, 3, 4}));
@@ -209,12 +213,6 @@ TEST(Combinatorics, SubsetsOfBaseKeepElements) {
   EXPECT_EQ(subsets[2], (std::vector<int>{5, 7}));
 }
 
-TEST(Combinatorics, ComplementWorks) {
-  EXPECT_EQ(complement({1, 3}, 5), (std::vector<int>{0, 2, 4}));
-  EXPECT_EQ(complement({}, 3), (std::vector<int>{0, 1, 2}));
-  EXPECT_THROW(complement({7}, 5), std::invalid_argument);
-}
-
 TEST(Combinatorics, SubsetPredicate) {
   EXPECT_TRUE(is_subset_sorted({1, 3}, {0, 1, 2, 3}));
   EXPECT_FALSE(is_subset_sorted({1, 5}, {0, 1, 2, 3}));
@@ -227,30 +225,12 @@ TEST(Stats, BasicMoments) {
   EXPECT_DOUBLE_EQ(variance(xs), 1.25);
   EXPECT_DOUBLE_EQ(min_value(xs), 1.0);
   EXPECT_DOUBLE_EQ(max_value(xs), 4.0);
-  EXPECT_DOUBLE_EQ(median(xs), 2.5);
-}
-
-TEST(Stats, QuantileInterpolates) {
-  const std::vector<double> xs{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 10.0);
-  EXPECT_THROW(quantile(xs, 1.5), std::invalid_argument);
 }
 
 TEST(Stats, EmptyRangeRejected) {
   const std::vector<double> empty;
   EXPECT_THROW(mean(empty), std::invalid_argument);
   EXPECT_THROW(min_value(empty), std::invalid_argument);
-}
-
-TEST(Stats, SummaryBundlesAllFields) {
-  const std::vector<double> xs{3.0, 1.0, 2.0};
-  const Summary s = summarize(xs);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.0);
 }
 
 TEST(Table, RendersAlignedColumns) {

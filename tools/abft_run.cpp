@@ -68,6 +68,20 @@ void print_list() {
   std::cout << '\n';
 }
 
+/// A numeric flag's value as a JSON number ("1e3" is 1000; "12abc" is no
+/// number at all), so the spec's own integer and range checks apply to it.
+abft::util::JsonValue number_flag(std::string_view flag, const std::string& text) {
+  abft::util::JsonValue value;
+  try {
+    value = abft::util::parse_json(text);
+  } catch (const std::invalid_argument&) {
+  }
+  if (!value.is_number()) {
+    throw std::invalid_argument(std::string(flag) + " needs a number, got \"" + text + "\"");
+  }
+  return value;
+}
+
 bool take_value(std::string_view arg, std::string_view flag, std::string* value) {
   if (arg.substr(0, flag.size()) != flag) return false;
   *value = std::string(arg.substr(flag.size()));
@@ -109,8 +123,12 @@ std::map<std::string, OutcomeRow> execute_for_compare(const std::string& path, i
                                     run.result.eliminated_agents, run.result.departed_agents};
     }
   } else {
-    auto spec = abft::scenario::parse_scenario(json);
-    if (threads > 0) spec.threads = threads;
+    auto members = json.as_object();
+    if (threads > 0) {
+      abft::util::set_member(members, "threads", abft::util::JsonValue::make_number(threads));
+    }
+    const auto spec =
+        abft::scenario::parse_scenario(abft::util::JsonValue::make_object(std::move(members)));
     const auto result = abft::scenario::run_scenario(spec);
     rows[""] = OutcomeRow{result.final_cost, result.distance_to_reference,
                           result.eliminated_agents, result.departed_agents};
@@ -226,7 +244,16 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const int threads = threads_override.empty() ? 0 : std::stoi(threads_override);
+    // 0 = the spec's own width.
+    int threads = 0;
+    if (!threads_override.empty()) {
+      threads = abft::util::checked_int(number_flag("--threads", threads_override).as_number(),
+                                        "abft_run", "--threads");
+      if (threads < 1) {
+        std::cerr << "abft_run: --threads must be an integer >= 1\n";
+        return 2;
+      }
+    }
 
     if (compare_requested) {
       if (spec_paths.size() != 2) {
@@ -281,12 +308,22 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    abft::scenario::ScenarioSpec spec = abft::scenario::parse_scenario(json);
-    if (!agg_override.empty()) spec.aggregator = agg_override;
-    if (!mode_override.empty()) spec.mode = abft::agg::agg_mode_from_string(mode_override);
-    if (!iterations_override.empty()) spec.iterations = std::stoi(iterations_override);
-    if (!seed_override.empty()) spec.seed = std::stoull(seed_override);
-    if (threads > 0) spec.threads = threads;
+    // The overrides edit the spec document, so parse_scenario checks them
+    // exactly as it checks the spec's own values.
+    using abft::util::JsonValue;
+    using abft::util::set_member;
+    auto members = json.as_object();
+    if (!agg_override.empty()) {
+      set_member(members, "aggregator", JsonValue::make_string(agg_override));
+    }
+    if (!mode_override.empty()) set_member(members, "mode", JsonValue::make_string(mode_override));
+    if (!iterations_override.empty()) {
+      set_member(members, "iterations", number_flag("--iterations", iterations_override));
+    }
+    if (!seed_override.empty()) set_member(members, "seed", number_flag("--seed", seed_override));
+    if (threads > 0) set_member(members, "threads", JsonValue::make_number(threads));
+    const abft::scenario::ScenarioSpec spec =
+        abft::scenario::parse_scenario(JsonValue::make_object(std::move(members)));
     if (csv && spec.driver == "dsgd") {
       // Checked before the run: write_trace_csv could only fail after it.
       std::cerr << "abft_run: --csv needs an estimate trace, which dsgd runs do not produce\n";
