@@ -49,7 +49,7 @@ class GradientAggregator {
   /// shards, s + 1)), n = ids.size(), and its aggregate at budget f goes to
   /// row s of `outputs` (reshaped to shards x d).  The default gathers each
   /// shard and runs aggregate_into on it, the shards split over up to
-  /// workspace.parallel_threads groups, each with one sub-workspace
+  /// workspace.parallel_width() groups, each with one sub-workspace
   /// (AggregatorWorkspace::shard_groups).  An override must write exactly
   /// the rows the default writes, at every thread count.
   virtual void aggregate_shards(GradientBatch& outputs, const GradientBatch& batch,

@@ -5,8 +5,8 @@
 namespace abft::agg {
 
 void AverageAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
-                                       AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+                                       AggregatorWorkspace& /*ws*/) const {
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   resize_output(out, d);
   auto acc = out.coefficients();

@@ -46,10 +46,10 @@ const T* row_ptr(const T* rows, int d, int i) {
 /// [i_begin, i_end), j > i.  The fixed-size lane array makes the inner
 /// product vectorizable without -ffast-math (each lane is an independent
 /// std::fma chain), and the compile-time k extent is what lets the compiler
-/// schedule the vector loop well — a runtime bound here costs ~3x.  This is
-/// exact mode's kernel, and both fast lanes' on CPUs without AVX-512 (each
-/// f32 lane sums kChunk / 16 = 64 products, far inside the f32 tolerance
-/// envelopes).
+/// schedule the vector loop well — a runtime bound here costs ~3x.  Both
+/// widths run it on CPUs without AVX-512 and for rows shorter than
+/// kTileMinCols (each f32 lane sums kChunk / 16 = 64 products, far inside
+/// the f32 tolerance envelopes).
 template <typename T>
 void accumulate_pair_dots_chunk(const T* rows, T* pairdist, int n, int d, int i_begin,
                                 int i_end, int k0) {
@@ -101,11 +101,11 @@ void accumulate_pair_dots_tail(const T* rows, T* pairdist, int n, int d, int i_b
   }
 }
 
-/// Rows per side of the fast-mode Gram tile: a kTile x kTile block of pairs
+/// Rows per side of the AVX-512 Gram tile: a kTile x kTile block of pairs
 /// shares each pass over its 2 * kTile row segments.
 constexpr int kTile = 4;
 
-/// Fewest columns at which the fast lanes take the tile.  Below it a pair's
+/// Fewest columns at which the Gram fill takes the tile.  Below it a pair's
 /// dot is one or two vector ops, and the pairs a tile computes only to drop
 /// (duplicate edge rows, the lower half of diagonal tiles) can cost more
 /// than the loads it saves (n = 10, d = 16: about 10% slower in either
@@ -113,19 +113,13 @@ constexpr int kTile = 4;
 /// give the same bits.
 constexpr int kTileMinCols = 32;
 
-/// Fewest columns at which the f64 fill runs eight pairs per register (the
-/// small-d kernels); below it, at grid's d = 3 say, eight pairs per register
+/// Fewest columns at which the small-d f64 kernels run eight rows per
+/// register; below it, at grid's d = 3 say, eight pairs per register
 /// measured 0.7-0.8x the per-pair kernel's speed.
 constexpr int kPairLanesMinCols = 8;
 
 #if defined(__AVX512F__)
-// GCC 12 flags the deliberately undefined register inside the
-// _mm512_reduce_add_* intrinsics once they are inlined into a loop
-// (-Wuninitialized); the value never reaches the result.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-/// The AVX-512 operations the fast Gram tile needs, per element type.
+/// The AVX-512 operations the Gram tile needs, per element type.
 template <typename T>
 struct Avx512;
 
@@ -136,8 +130,6 @@ struct Avx512<double> {
   static Reg zero() { return _mm512_setzero_pd(); }
   static Reg load(const double* p) { return _mm512_loadu_pd(p); }
   static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
-  static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
-  static double reduce(Reg a) { return _mm512_reduce_add_pd(a); }
   static void store(double* p, Reg a) { _mm512_store_pd(p, a); }
 };
 
@@ -148,25 +140,27 @@ struct Avx512<float> {
   static Reg zero() { return _mm512_setzero_ps(); }
   static Reg load(const float* p) { return _mm512_loadu_ps(p); }
   static Reg fmadd(Reg a, Reg b, Reg c) { return _mm512_fmadd_ps(a, b, c); }
-  static Reg add(Reg a, Reg b) { return _mm512_add_ps(a, b); }
-  static float reduce(Reg a) { return _mm512_reduce_add_ps(a); }
   static void store(float* p, Reg a) { _mm512_store_ps(p, a); }
 };
 
-/// Runs one accumulator chain per pair of a kTile x kTile tile:
-/// acc[p][q] = fma(ri[p][k..k+W), rj[q][k..k+W), acc[p][q]) for k = begin,
-/// begin + stride, ... while k + W <= end (W = vector width).  Each step
-/// loads 2 * kTile vectors for kTile^2 FMAs; the per-pair kernel this
-/// replaces loaded two vectors per FMA.
+/// The kTile x kTile dot products <ri[p], rj[q]> over the chunk [k0, k1),
+/// in the operation order of the per-pair kernels (accumulate_pair_dots_chunk
+/// and accumulate_pair_dots_tail), so the tile and the per-pair path give
+/// the same bits: one W-lane FMA chain per pair (W = vector width), the
+/// leftover past the last whole lane group summed by leftover_dot, then the
+/// lanes added to it in lane order.  Each step loads 2 * kTile vectors for
+/// kTile^2 FMAs, where the per-pair kernel loads two vectors per FMA.
 template <typename T>
-void gram_tile_chain(const T* const* ri, const T* const* rj, int begin, int end, int stride,
-                     typename Avx512<T>::Reg (&acc)[kTile][kTile]) {
+void gram_tile_dots(const T* const* ri, const T* const* rj, int k0, int k1,
+                    T (&dots)[kTile][kTile]) {
   using V = Avx512<T>;
   using Reg = typename V::Reg;
+  Reg acc[kTile][kTile];
   for (int p = 0; p < kTile; ++p) {
     for (int q = 0; q < kTile; ++q) acc[p][q] = V::zero();
   }
-  for (int k = begin; k + V::kWidth <= end; k += stride) {
+  int k = k0;
+  for (; k + V::kWidth <= k1; k += V::kWidth) {
     Reg x[kTile];
     Reg y[kTile];
     for (int p = 0; p < kTile; ++p) x[p] = V::load(ri[p] + k);
@@ -175,63 +169,24 @@ void gram_tile_chain(const T* const* ri, const T* const* rj, int begin, int end,
       for (int q = 0; q < kTile; ++q) acc[p][q] = V::fmadd(x[p], y[q], acc[p][q]);
     }
   }
-}
-
-/// Relaxed-parity (AggMode::fast) AVX-512 Gram micro-kernel: the kTile x
-/// kTile dot products <ri[p], rj[q]> over the full chunk [k0, k0 + kChunk).
-/// Every pair owns kAccs chains: chain a sums, in increasing k, the vectors
-/// at k0 + a * W + s * kAccs * W, and the pair's dot is
-/// reduce((c0 + c1) + (c2 + c3)).  Four chains per pair cover the FMA
-/// latency, but 4 x 16 of them do not fit in 32 registers, so the tile runs
-/// the chains one after another and parks each finished one until the
-/// reduction.
-template <typename T>
-void gram_tile_chunk(const T* const* ri, const T* const* rj, int k0,
-                     T (&dots)[kTile][kTile]) {
-  using V = Avx512<T>;
-  constexpr int kAccs = 4;
-  static_assert(kChunk % (kAccs * V::kWidth) == 0, "a chunk holds whole chain steps");
-  typename V::Reg parked[kAccs][kTile][kTile];
-  for (int a = 0; a < kAccs; ++a) {
-    gram_tile_chain(ri, rj, k0 + a * V::kWidth, k0 + kChunk, kAccs * V::kWidth, parked[a]);
-  }
-  for (int p = 0; p < kTile; ++p) {
-    for (int q = 0; q < kTile; ++q) {
-      dots[p][q] = V::reduce(V::add(V::add(parked[0][p][q], parked[1][p][q]),
-                                    V::add(parked[2][p][q], parked[3][p][q])));
-    }
-  }
-}
-
-/// The tile over the final partial chunk [k0, k1), in the operation order
-/// of the scalar accumulate_pair_dots_tail, so both give the same bits: one
-/// W-lane FMA chain per pair, the leftover past the last whole lane group
-/// summed by leftover_dot, then the lanes added to it in lane order.
-template <typename T>
-void gram_tile_tail(const T* const* ri, const T* const* rj, int k0, int k1,
-                    T (&dots)[kTile][kTile]) {
-  using V = Avx512<T>;
-  typename V::Reg acc[kTile][kTile];
-  gram_tile_chain(ri, rj, k0, k1, V::kWidth, acc);
-  const int leftover = k1 - (k1 - k0) % V::kWidth;
   alignas(64) T lanes[V::kWidth];
   for (int p = 0; p < kTile; ++p) {
     for (int q = 0; q < kTile; ++q) {
       V::store(lanes, acc[p][q]);
-      T dot = leftover_dot(ri[p], rj[q], leftover, k1);
+      T dot = leftover_dot(ri[p], rj[q], k, k1);
       for (int b = 0; b < V::kWidth; ++b) dot += lanes[b];
       dots[p][q] = dot;
     }
   }
 }
 
-/// Fast walk for the row tiles [t_begin, t_end): every full chunk, then the
-/// partial one, of each tile of kTile rows against itself and every later
-/// tile.  A pair's operation sequence depends only on its two rows, never
-/// on the tile, its position in the tile or the thread that runs it, so the
-/// triangle is bit-identical at every thread count.  Rows past n are
-/// clamped to row n - 1: an edge tile runs the same micro-kernel on a
-/// duplicate row and drops the cells outside the strict upper triangle.
+/// Tile walk for the row tiles [t_begin, t_end): every chunk of each tile
+/// of kTile rows against itself and every later tile.  A pair's operation
+/// sequence depends only on its two rows, never on the tile, its position
+/// in the tile or the thread that runs it, so the triangle is bit-identical
+/// at every thread count.  Rows past n are clamped to row n - 1: an edge
+/// tile runs the same micro-kernel on a duplicate row and drops the cells
+/// outside the strict upper triangle.
 template <typename T>
 void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d, int t_begin,
                                        int t_end) {
@@ -254,17 +209,12 @@ void accumulate_pair_dots_tiles_avx512(const T* rows, T* pairdist, int n, int d,
       for (int p = 0; p < kTile; ++p) ri[p] = row_ptr(rows, d, std::min(i0 + p, n - 1));
       for (int j0 = i0; j0 < n; j0 += kTile) {
         for (int q = 0; q < kTile; ++q) rj[q] = row_ptr(rows, d, std::min(j0 + q, n - 1));
-        if (k0 + kChunk <= d) {
-          gram_tile_chunk(ri, rj, k0, dots);
-        } else {
-          gram_tile_tail(ri, rj, k0, d, dots);
-        }
+        gram_tile_dots(ri, rj, k0, std::min(k0 + kChunk, d), dots);
         scatter(i0, j0);
       }
     }
   }
 }
-#pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
 /// sum r[k]^2 over [k, d) in k order, each square rounded before its add:
@@ -440,42 +390,6 @@ __mmask8 lane_mask(int rows) {
                             : static_cast<__mmask8>((1u << rows) - 1);
 }
 
-/// Squared distances of rows [i_begin, i_end) to every later row into the
-/// packed triangle, for 8 <= d < kTileMinCols, eight pairs per register:
-/// row i runs against rows j..j+7 read from the d x n column-major copy
-/// `cols`, so one broadcast + FMA advances eight pairs where the per-pair
-/// kernel advances one pair's eight lanes.  Each cell follows
-/// small_d_sqdist's contract and depends only on its two rows, never on the
-/// lane it lands in or the thread that runs its row.
-template <int Groups>
-void sqdist_rows_small_d_avx512(const double* rows, const double* cols,
-                                const double* sqnorms, double* pairdist, int n, int d,
-                                int i_begin, int i_end) {
-  for (int i = i_begin; i < i_end; ++i) {
-    const double* ri = row_ptr(rows, d, i);
-    double* prow = pairdist + pair_row_start(i, n);
-    const __m512d sqi = _mm512_set1_pd(sqnorms[i]);
-    for (int j0 = i + 1; j0 < n; j0 += kPairLanes) {
-      const __mmask8 mask = lane_mask(n - j0);
-      const __m512d scale = _mm512_add_pd(sqi, _mm512_maskz_loadu_pd(mask, sqnorms + j0));
-      __mmask8 guard = 0;
-      const __m512d d2 = small_d_sqdist<Groups>(
-          d, mask, scale,
-          [&](int k) {
-            const double* col = cols + static_cast<std::size_t>(k) * n + j0;
-            return std::pair{_mm512_set1_pd(ri[k]), _mm512_maskz_loadu_pd(mask, col)};
-          },
-          [&](int t, int k0) { return leftover_dot(ri, row_ptr(rows, d, j0 + t), k0, d); },
-          &guard);
-      double* cell = prow + (j0 - i - 1);
-      _mm512_mask_storeu_pd(cell, mask, d2);
-      for (unsigned g = guard; g != 0; g &= g - 1) {
-        const int t = std::countr_zero(g);
-        cell[t] = direct_sqdist(ri, row_ptr(rows, d, j0 + t), d);
-      }
-    }
-  }
-}
 /// sqdist_lanes_small_d for d in [8 Groups, 8 Groups + 8).  x and sq are
 /// the interleaved rows and norms, 64-byte aligned.
 template <int Groups>
@@ -531,7 +445,7 @@ void lane_pass(const GradientBatch& batch, const int* const* ids, int lanes, int
 #pragma GCC diagnostic pop
 #endif  // __AVX512F__
 
-/// True when the fast-mode Gram kernel may use AVX-512: compile-time ISA
+/// True when the Gram kernels may use AVX-512: compile-time ISA
 /// support AND a runtime CPU check (one cpuid probe, cached), so a binary
 /// built with -march=native on an AVX-512 host degrades safely elsewhere.
 bool gram_avx512_available() {
@@ -544,17 +458,16 @@ bool gram_avx512_available() {
 }
 
 /// Accumulates every pair's dot product into the zeroed packed triangle.
-/// The fast lanes on AVX-512 CPUs partition over row tiles and run the tile
-/// micro-kernels; exact mode, CPUs without AVX-512 and rows shorter than
-/// kTileMinCols partition over rows and run the per-pair scalar kernels.
-/// Either way each packed cell has one writer and a fixed operation
-/// sequence.
+/// On AVX-512 CPUs rows of kTileMinCols or more columns partition over row
+/// tiles and run the tile micro-kernel; shorter rows and CPUs without
+/// AVX-512 partition over rows and run the per-pair scalar kernels.  Both
+/// run one operation sequence per pair, so each packed cell has one writer
+/// and the same bits on either path.
 template <typename T>
-void accumulate_pair_dots(AggregatorWorkspace& ws, const T* rows, T* pairdist, int n, int d,
-                          bool fast) {
+void accumulate_pair_dots(AggregatorWorkspace& ws, const T* rows, T* pairdist, int n, int d) {
   const int full = d - d % kChunk;
 #if defined(__AVX512F__)
-  if (fast && d >= kTileMinCols && gram_avx512_available()) {
+  if (d >= kTileMinCols && gram_avx512_available()) {
     const int tiles = (n + kTile - 1) / kTile;
     ws.run_parallel(0, tiles, [&](int t_begin, int t_end) {
       accumulate_pair_dots_tiles_avx512(rows, pairdist, n, d, t_begin, t_end);
@@ -562,7 +475,6 @@ void accumulate_pair_dots(AggregatorWorkspace& ws, const T* rows, T* pairdist, i
     return;
   }
 #endif
-  (void)fast;
   ws.run_parallel(0, n, [&](int i_begin, int i_end) {
     for (int k0 = 0; k0 < full; k0 += kChunk) {
       accumulate_pair_dots_chunk(rows, pairdist, n, d, i_begin, i_end, k0);
@@ -733,7 +645,7 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
   // whole batch is read from memory once instead of once per pair.  The
   // packed layout stores each unordered pair once: half the matrix memory,
   // no n^2 zero-assign, no mirror pass.
-  // Pair-level parallelism partitions the rows (the fast AVX-512 lane: the
+  // Pair-level parallelism partitions the rows (on the AVX-512 tile: the
   // 4-row tiles) once per call (one thread team, not one per chunk); every
   // packed cell is written by exactly one thread.  Each thread walks the
   // d-chunks so its active row segments stay cache-resident across its
@@ -744,29 +656,13 @@ void AggregatorWorkspace::fill_pairwise_sqdist(const GradientBatch& batch) {
     // triangle in f32.
     fill_rows_f32(batch);
     pairdist_f32.assign(pairs, 0.0f);
-    accumulate_pair_dots(*this, rows_f32.data(), pairdist_f32.data(), n, d, /*fast=*/true);
+    accumulate_pair_dots(*this, rows_f32.data(), pairdist_f32.data(), n, d);
     gram_to_sqdist(rows_f32.data(), sqnorms_f32.data(), pairdist_f32.data(), n, d);
     return;
   }
-#if defined(__AVX512F__)
-  if (small_d_kernels(d)) {
-    // Small-d f64 rows (a Krum leaf): eight pairs per register, the
-    // conversion and the guard fused in (sqdist_rows_small_d_avx512), the
-    // same bits as the per-pair path below in either mode.
-    fill_small_d_operands(batch);
-    pairdist.resize(pairs);
-    with_groups(d, [&](auto groups) {
-      run_parallel(0, n, [&](int i_begin, int i_end) {
-        sqdist_rows_small_d_avx512<groups()>(batch.data(), gram_colmajor.data(), sqnorms.data(),
-                                             pairdist.data(), n, d, i_begin, i_end);
-      });
-    });
-    return;
-  }
-#endif
   fill_sqnorms(batch);
   pairdist.assign(pairs, 0.0);
-  accumulate_pair_dots(*this, batch.data(), pairdist.data(), n, d, mode == AggMode::fast);
+  accumulate_pair_dots(*this, batch.data(), pairdist.data(), n, d);
   gram_to_sqdist(batch.data(), sqnorms.data(), pairdist.data(), n, d);
 }
 
@@ -775,17 +671,6 @@ bool AggregatorWorkspace::small_d_kernels(int d) const noexcept {
 }
 
 #if defined(__AVX512F__)
-void AggregatorWorkspace::fill_small_d_operands(const GradientBatch& batch) {
-  const int n = batch.rows();
-  const int d = batch.cols();
-  fill_sqnorms(batch);
-  gram_colmajor.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
-  for (int i = 0; i < n; ++i) {
-    const double* src = batch.row(i).data();
-    for (int k = 0; k < d; ++k) gram_colmajor[static_cast<std::size_t>(k) * n + i] = src[k];
-  }
-}
-
 void AggregatorWorkspace::sqdist_lanes_small_d(const GradientBatch& batch, const int* const* ids,
                                                int lanes, int rows, double* cand) {
   const auto regs = static_cast<std::size_t>(rows) * kPairLanes;
@@ -798,7 +683,7 @@ void AggregatorWorkspace::sqdist_lanes_small_d(const GradientBatch& batch, const
 #endif  // __AVX512F__
 
 int AggregatorWorkspace::shard_groups(int units) {
-  const int width = std::max(1, std::min(parallel_threads, units));
+  const int width = std::max(1, std::min(parallel_width(), units));
   const auto w = static_cast<std::size_t>(width);
   while (hier_groups.size() < w) hier_groups.push_back(std::make_unique<AggregatorWorkspace>());
   if (hier_gather.size() < w) hier_gather.resize(w);
@@ -807,19 +692,16 @@ int AggregatorWorkspace::shard_groups(int units) {
     AggregatorWorkspace& sub = *hier_groups[g];
     sub.mode = mode;
     sub.precision = precision;
-    sub.parallel_threads = 1;
     sub.pool = nullptr;
   }
   return width;
 }
 
-int validate_batch(const GradientBatch& batch, int f, const AggregatorWorkspace& workspace) {
+int validate_batch(const GradientBatch& batch, int f) {
   ABFT_REQUIRE(batch.rows() > 0, "aggregation needs at least one gradient");
   ABFT_REQUIRE(f >= 0, "fault bound f must be non-negative");
   ABFT_REQUIRE(f < batch.rows(), "fault bound f must be smaller than the number of gradients");
   ABFT_REQUIRE(batch.cols() > 0, "gradients must be non-empty vectors");
-  ABFT_REQUIRE(workspace.pool != nullptr || workspace.parallel_threads <= 1,
-               "a workspace with parallel_threads > 1 needs a ThreadPool (set pool)");
   return batch.cols();
 }
 

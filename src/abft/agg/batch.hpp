@@ -18,7 +18,6 @@
 
 #include "abft/agg/threads.hpp"
 #include "abft/linalg/vector.hpp"
-#include "abft/util/check.hpp"
 
 namespace abft::agg {
 
@@ -39,7 +38,9 @@ using linalg::Vector;
 /// the aggregate, not the arithmetic, so fast mode is semantically safe;
 /// its drift is bounded per rule by the tolerance-parity suite in
 /// tests/test_agg_fast.cpp (||fast - exact||_inf <= tol(rule, n, d)) and
-/// end-to-end by the fast-mode goldens in tests/test_golden_e2e.cpp.
+/// end-to-end by the fast-mode goldens in tests/test_golden_e2e.cpp.  The
+/// f64 Gram fill (fill_pairwise_sqdist) does not read the mode: Krum and
+/// Multi-Krum in f64, like CWTM and CWMed, give the same bits in both.
 enum class AggMode {
   exact,  ///< fixed sequential arithmetic (the default)
   fast,   ///< relaxed parity: vectorized/partial-selection kernels
@@ -58,9 +59,9 @@ enum class AggMode {
 /// (workspaces reject the combination at the scenario layer).  Like
 /// fast/f64, the f32 lane is bit-identical across thread counts: every
 /// demoted value and every f32 reduction is computed by exactly one writer
-/// in a fixed order.  The fast Gram fill of both widths shares one AVX-512
-/// micro-kernel templated on the element type: a 4 x 4 tile of pair dot
-/// products per pass over a column chunk (see fill_pairwise_sqdist).
+/// in a fixed order.  The Gram fill of both widths runs one operation
+/// sequence per pair, on the AVX-512 4 x 4 tile or the per-pair kernel
+/// alike (see fill_pairwise_sqdist).
 enum class Precision {
   f64,  ///< double-precision kernels (the default)
   f32,  ///< float inputs for the bandwidth-bound fast kernels
@@ -140,29 +141,28 @@ struct AggregatorWorkspace {
     return mode == AggMode::fast && precision == Precision::f32;
   }
 
-  /// Coordinate/pair-level parallel-for width for large d.  1 (the default)
-  /// keeps every kernel single-threaded; drivers thread their config flag
-  /// through here.
-  int parallel_threads = 1;
-
-  /// Persistent thread pool every kernel parallel-for dispatches over;
-  /// required when parallel_threads > 1.  Drivers share one pool between
-  /// round-level parallelism and the kernels (phases are sequential, so the
-  /// pool is never re-entered).  Non-owning: the driver owns the pool.
+  /// Persistent thread pool every kernel parallel-for dispatches over, at
+  /// its full width; nullptr (the default) keeps every kernel
+  /// single-threaded.  Drivers share one pool between round-level
+  /// parallelism and the kernels (phases are sequential, so the pool is
+  /// never re-entered).  Non-owning: the driver owns the pool.
   ThreadPool* pool = nullptr;
+
+  /// Coordinate/pair-level parallel-for width: the pool's, or 1 without one.
+  [[nodiscard]] int parallel_width() const noexcept {
+    return pool != nullptr ? pool->width() : 1;
+  }
 
   /// Kernel-side parallel dispatch: fn(lo, hi) over a static partition of
   /// [begin, end) on `pool` (see ThreadPool::parallel_for), or one direct
-  /// fn(begin, end) call when there is no pool.  A workspace with
-  /// parallel_threads > 1 and no pool is rejected (std::invalid_argument).
+  /// fn(begin, end) call when there is no pool.
   template <typename Fn>
   void run_parallel(int begin, int end, Fn&& fn);
 
   // --- scratch buffers -----------------------------------------------------
   std::vector<double> colmajor;  ///< d x n transposed copy of the batch
-  /// The rows the small-d f64 kernels read, transposed: the packed fill's
-  /// d x n copy, or the lane pass's interleaved shards (its own buffer:
-  /// `colmajor` belongs to CWTM and Bulyan).
+  /// The shard-lane pass's interleaved rows (sqdist_lanes_small_d): its own
+  /// buffer, since `colmajor` belongs to CWTM and Bulyan.
   std::vector<double> gram_colmajor;
   std::vector<double> norms;     ///< per-gradient Euclidean norms (n)
   std::vector<double> sqnorms;   ///< per-gradient squared norms (n)
@@ -217,7 +217,7 @@ struct AggregatorWorkspace {
   std::uint64_t hier_perm_seed = 0;        ///< seed hier_perm was drawn with
 
   /// Readies the worker groups a hierarchy level splits `units` items over:
-  /// width = max(1, min(parallel_threads, units)) single-threaded
+  /// width = max(1, min(parallel_width(), units)) single-threaded
   /// sub-workspaces in hier_groups (this workspace's mode and precision, no
   /// pool: the group IS the parallel unit), with a gather batch and an
   /// output vector each.  Returns the width.
@@ -243,34 +243,23 @@ struct AggregatorWorkspace {
   /// recomputes by direct difference each pair whose distance is small next
   /// to ||xi||^2 + ||xj||^2 (cancellation) or NaN, so a row with a NaN
   /// coordinate is at distance NaN from every row.
-  /// In fast mode on AVX-512 hosts the dot products come from a 4 x 4
-  /// register-blocked tile: one pass over a column chunk loads 8 row
-  /// vectors for 16 FMAs, where a per-pair kernel loads 2 per FMA.  Each
-  /// pair still runs its own fixed sequence of operations, which depends
-  /// only on its two rows, so a pair's bits do not depend on the tile, the
-  /// slot in the tile or the thread it lands in; edge tiles pad with a
-  /// duplicate row whose cells are dropped.  Exact mode keeps its per-pair
-  /// scalar kernel, except at 8 <= d < 32 (a Krum leaf): there, in both
-  /// modes on AVX-512 hosts, the f64 fill runs eight pairs per register,
-  /// row i against rows j..j+7 of the d x n copy in `gram_colmajor`, with
-  /// the distance conversion and the cancellation guard fused in.  Its
-  /// contract is the per-pair path's bits, cell for cell: lane b of a dot
-  /// is an FMA chain over the whole 8-lane groups (std::fma in the per-pair
-  /// path), the leftover comes from the shared scalar leftover_dot, the dot
-  /// is leftover + lane 0 + ... + lane 7 in lane order and then 0.0 + dot,
-  /// d2 = fma(-2, dot, scale) clamped as std::max(d2, 0.0), and guard cells
-  /// are recomputed by the scalar direct-difference code.  (The kernel
-  /// skips the +0.0 of an empty leftover and the closing 0.0 +: they can
-  /// change only the sign of a zero dot, and fma(-2, dot, scale) against a
-  /// scale >= +0 drops that sign.)  Below d = 8 and in the f32 lane the
-  /// per-pair kernel still runs.  The shard-lane pass of a hierarchy's Krum
-  /// leaves runs the same per-lane sequence with one shard per lane
+  /// Every pair runs one fixed sequence of operations in both modes, which
+  /// depends only on its two rows: per column chunk of 1024, a W-lane FMA
+  /// chain (W = 8 doubles or 16 floats) over the whole lane groups, the
+  /// leftover summed in k order, then the lanes added to it in lane order
+  /// and the chunk's dot added to the cell.  On AVX-512 hosts at d >= 32
+  /// the dots come from a 4 x 4 register-blocked tile: one pass over a
+  /// column chunk loads 8 row vectors for 16 FMAs, where the per-pair
+  /// kernel loads 2 per FMA.  Shorter rows and other hosts run the per-pair
+  /// kernel.  Either way a pair's bits do not depend on the tile, the slot
+  /// in the tile or the thread it lands in; edge tiles pad with a duplicate
+  /// row whose cells are dropped.  The shard-lane pass of a hierarchy's
+  /// Krum leaves runs the same per-pair sequence with one shard per lane
   /// (sqdist_lanes_small_d).
   void fill_pairwise_sqdist(const GradientBatch& batch);
 
   // --- the small-d f64 kernels ---------------------------------------------
-  /// Pairs (the packed fill) or shards (the lane pass) per register of the
-  /// small-d f64 kernels.
+  /// Shards per register of the small-d f64 kernels (the lane pass).
   static constexpr int kSmallDLanes = 8;
 
   /// True when the small-d f64 kernels run for rows of d columns: the f64
@@ -279,10 +268,6 @@ struct AggregatorWorkspace {
   [[nodiscard]] bool small_d_kernels(int d) const noexcept;
 
 #if defined(__AVX512F__)
-  /// fill_sqnorms plus the d x n column-major copy in `gram_colmajor`: the
-  /// operands of the packed small-d fill.
-  void fill_small_d_operands(const GradientBatch& batch);
-
   /// The shard-lane small-d pass (the Krum shard route, krum.hpp): `lanes`
   /// (1..8) shards of `rows` rows each, shard t's row i being batch row
   /// ids[t][i].  Interleaves the rows into `gram_colmajor` (register (i, k)
@@ -292,7 +277,7 @@ struct AggregatorWorkspace {
   /// i < j once per register and stores it as candidate j - 1 of row i and
   /// candidate i of row j: register x of row i (cand[8 (i (rows - 1) + x),
   /// + 8)) holds d(i, x < i ? x : x + 1) of every shard, its candidate
-  /// list in ascending j.  Each lane runs the packed fill's per-pair
+  /// list in ascending j.  Each lane runs the Gram fill's per-pair
   /// operation sequence (see fill_pairwise_sqdist) on its own rows, so
   /// lane t equals the packed cell of shard t's gathered rows bit for bit:
   /// FMA chains over the whole 8-lane groups, the shared scalar
@@ -346,10 +331,8 @@ inline double* aligned_doubles(std::vector<double>& v, std::size_t count) {
 }
 
 /// Validates the shared batched preconditions (non-empty, equal-dimension by
-/// construction, 0 <= f < n, and a pool behind any parallel_threads > 1 of
-/// the workspace, whether or not the rule's kernels go parallel); returns
-/// the common dimension d.
-int validate_batch(const GradientBatch& batch, int f, const AggregatorWorkspace& workspace);
+/// construction, 0 <= f < n); returns the common dimension d.
+int validate_batch(const GradientBatch& batch, int f);
 
 /// Ensures `out` has dimension d (reallocates only on dimension change).
 void resize_output(Vector& out, int d);
@@ -362,11 +345,9 @@ double median_inplace(double* first, double* last);
 template <typename Fn>
 void AggregatorWorkspace::run_parallel(int begin, int end, Fn&& fn) {
   if (pool != nullptr) {
-    pool->parallel_for(begin, end, parallel_threads, std::forward<Fn>(fn));
+    pool->parallel_for(begin, end, pool->width(), std::forward<Fn>(fn));
     return;
   }
-  ABFT_REQUIRE(parallel_threads <= 1,
-               "a workspace with parallel_threads > 1 needs a ThreadPool (set pool)");
   if (begin < end) fn(begin, end);
 }
 

@@ -58,11 +58,11 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
   // Each row's distances are gathered once from the packed triangle into a
   // dense buffer so the sort comparator stays a plain indexed load; the
   // later incremental maintenance does point lookups via pair_sqdist().
-  if (ws.parallel_threads <= 1) ws.pairrow.resize(static_cast<std::size_t>(n));
+  if (ws.parallel_width() <= 1) ws.pairrow.resize(static_cast<std::size_t>(n));
   ws.run_parallel(0, n, [&](int begin, int end) {
     std::vector<double> local_row;
     double* dist = ws.pairrow.data();
-    if (ws.parallel_threads > 1) {
+    if (ws.parallel_width() > 1) {
       local_row.resize(static_cast<std::size_t>(n));
       dist = local_row.data();
     }
@@ -162,7 +162,7 @@ void select_stage1_incremental(AggregatorWorkspace& ws, int n, int f, int theta)
 
 void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                       AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   ABFT_REQUIRE(n >= 4 * f + 3, "bulyan needs n >= 4f + 3");
   const int theta = n - 2 * f;
@@ -211,13 +211,13 @@ void BulyanAggregator::aggregate_into(Vector& out, const GradientBatch& batch, i
   auto result = out.coefficients();
   const int take = std::min(beta, theta);
   const bool fast = ws.mode == AggMode::fast;
-  if (ws.parallel_threads <= 1) ws.scratch.resize(static_cast<std::size_t>(theta));
+  if (ws.parallel_width() <= 1) ws.scratch.resize(static_cast<std::size_t>(theta));
   ws.run_parallel(0, d, [&](int k_begin, int k_end) {
     // Single-threaded (the common case) stays allocation-free by borrowing
     // ws.scratch (free after stage 1); parallel chunks get a private buffer.
     std::vector<double> local_column;
     double* column = ws.scratch.data();
-    if (ws.parallel_threads > 1) {
+    if (ws.parallel_width() > 1) {
       local_column.resize(static_cast<std::size_t>(theta));
       column = local_column.data();
     }

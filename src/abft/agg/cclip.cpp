@@ -16,7 +16,7 @@ CenteredClipAggregator::CenteredClipAggregator(double tau, int iterations)
 
 void CenteredClipAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                             AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   // Robust pivot: batched coordinate-wise median straight into `out`.
   const CwmedAggregator median_rule;

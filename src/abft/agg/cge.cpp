@@ -9,7 +9,7 @@ namespace abft::agg {
 
 void CgeAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                    AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   ws.fill_norms(batch);
   // A NaN norm (a row with a NaN coordinate) orders as +inf, so the

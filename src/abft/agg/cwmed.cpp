@@ -32,7 +32,7 @@ double median_rank(const double* col, int n, bool& ok) {
 
 void CwmedAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                      AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   resize_output(out, d);
   auto result = out.coefficients();

@@ -51,7 +51,7 @@ double trimmed_sum_rank(const double* col, int n, int f, bool& ok) {
 
 void CwtmAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                     AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   ABFT_REQUIRE(n > 2 * f, "cwtm needs n > 2f");
   resize_output(out, d);

@@ -133,7 +133,7 @@ void geometric_median_into(Vector& out, const GradientBatch& batch,
 
 void GeometricMedianAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                                AggregatorWorkspace& ws) const {
-  validate_batch(batch, f, ws);
+  validate_batch(batch, f);
   geometric_median_into(out, batch, ws);
 }
 
@@ -143,7 +143,7 @@ GmomAggregator::GmomAggregator(int num_buckets) : num_buckets_(num_buckets) {
 
 void GmomAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                     AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   const int k = std::min(n, num_buckets_ > 0 ? num_buckets_ : 2 * f + 1);
   // Bucket means go into the auxiliary batch (contiguous buckets of

@@ -108,7 +108,7 @@ int HierarchicalAggregator::min_usable_f() const noexcept {
 
 void HierarchicalAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                             AggregatorWorkspace& ws) const {
-  validate_batch(batch, f, ws);
+  validate_batch(batch, f);
   aggregate_ids(out, batch, {}, f, ws);
 }
 

@@ -227,7 +227,7 @@ int KrumAggregator::batched_scores(const GradientBatch& batch, int f, Aggregator
 
 void KrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                     AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int best = batched_scores(batch, f, ws);
   resize_output(out, d);
   const auto row = batch.row(best);
@@ -253,7 +253,7 @@ MultiKrumAggregator::MultiKrumAggregator(int m) : m_(m) {
 
 void MultiKrumAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                          AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   const int m = m_ > 0 ? m_ : n - f;
   ABFT_REQUIRE(m <= n, "multi-krum m must be at most n");

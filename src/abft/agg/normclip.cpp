@@ -6,7 +6,7 @@ namespace abft::agg {
 
 void NormClipAggregator::aggregate_into(Vector& out, const GradientBatch& batch, int f,
                                         AggregatorWorkspace& ws) const {
-  const int d = validate_batch(batch, f, ws);
+  const int d = validate_batch(batch, f);
   const int n = batch.rows();
   ws.fill_norms(batch);
   ws.scratch.assign(ws.norms.begin(), ws.norms.end());

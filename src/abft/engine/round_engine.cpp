@@ -22,7 +22,6 @@ EngineCore::EngineCore(std::vector<unsigned char> faulty_mask, int row_dim,
   ABFT_REQUIRE(!faulty.empty(), "round engine needs at least one agent");
   ABFT_REQUIRE(dim > 0, "round engine needs a positive dimension");
   pool = std::make_unique<agg::ThreadPool>(threads);
-  workspace.parallel_threads = threads;
   workspace.pool = pool.get();
   workspace.mode = config.mode;
   workspace.precision = config.precision;

@@ -593,7 +593,6 @@ TEST(BatchedParity, ParallelThreadsMatchSingleThread) {
     const auto rule = agg::make_aggregator(name);
     agg::AggregatorWorkspace serial_ws;
     agg::AggregatorWorkspace parallel_ws;
-    parallel_ws.parallel_threads = 4;
     parallel_ws.pool = &pool;
     const Vector serial = rule->aggregate_batched(batch, 3, serial_ws);
     const Vector parallel = rule->aggregate_batched(batch, 3, parallel_ws);

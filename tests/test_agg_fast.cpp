@@ -2,9 +2,8 @@
 //
 // Fast mode abandons bit-parity with the exact batched path (vectorized
 // reductions reorder floating-point sums, Bulyan's stage 2 selects with a
-// window sweep instead of a second sort, the Gram tile loop may take a
-// runtime-dispatched AVX-512 kernel), so the contract it ships under is the
-// one asserted here:
+// window sweep instead of a second sort), so the contract it ships under is
+// the one asserted here:
 //
 //     ||fast(batch, f) - exact(batch, f)||_inf <= tol(rule) * (1 + ||exact||_inf)
 //
@@ -15,11 +14,13 @@
 // below the eps-resilience envelope any workload cares about.  Rules whose
 // fast path is shared with the exact path (average, cge, normclip, cwtm,
 // cwmed) get near-machine-epsilon bounds so an accidental fast fork would
-// fail loudly.
+// fail loudly.  Krum and Multi-Krum, whose f64 Gram fill reads no mode,
+// must match exact bit for bit (a zero tolerance).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,8 +41,8 @@ const std::map<std::string, double>& rule_tolerances() {
       {"cge", 1e-12},        // no fast kernel: identical path
       {"cwtm", 1e-12},       // one path in every mode: identical
       {"cwmed", 1e-12},      // one path in every mode: identical
-      {"krum", 1e-9},        // AVX-512 Gram dots may flip only exact score ties
-      {"multikrum", 1e-9},   // same Gram drift, then an exact average
+      {"krum", 0.0},         // one f64 Gram fill in every mode: bit for bit
+      {"multikrum", 0.0},    // same Gram fill, then an exact average
       {"geomed", 1e-6},      // two Weiszfeld runs stopping near the same fixed point
       {"gmom", 1e-6},        // geomed over exact bucket means
       {"bulyan", 1e-9},      // same selected multiset, laned summation
@@ -71,8 +72,15 @@ void expect_fast_parity(std::string_view name, const agg::GradientBatch& batch, 
   rule->aggregate_into(exact, batch, f, exact_ws);
   rule->aggregate_into(fast, batch, f, fast_ws);
   ASSERT_EQ(exact.dim(), fast.dim()) << label;
-  const double tol =
-      rule_tolerances().at(std::string(name)) * (1.0 + exact.norm_inf());
+  const double rel = rule_tolerances().at(std::string(name));
+  if (rel == 0.0) {
+    ASSERT_EQ(std::memcmp(exact.coefficients().data(), fast.coefficients().data(),
+                          static_cast<std::size_t>(exact.dim()) * sizeof(double)),
+              0)
+        << label << " not bit for bit";
+    return;
+  }
+  const double tol = rel * (1.0 + exact.norm_inf());
   for (int k = 0; k < exact.dim(); ++k) {
     ASSERT_NEAR(exact[k], fast[k], tol) << label << " coordinate " << k;
   }
@@ -166,7 +174,6 @@ TEST(FastParity, FastModeThreadCountInvariant) {
     serial_ws.mode = agg::AggMode::fast;
     agg::AggregatorWorkspace pooled_ws;
     pooled_ws.mode = agg::AggMode::fast;
-    pooled_ws.parallel_threads = 4;
     pooled_ws.pool = &pool;
     Vector serial;
     Vector pooled;
@@ -340,7 +347,6 @@ TEST(F32Lane, ThreadCountInvariant) {
     agg::AggregatorWorkspace pooled_ws;
     pooled_ws.mode = agg::AggMode::fast;
     pooled_ws.precision = agg::Precision::f32;
-    pooled_ws.parallel_threads = 4;
     pooled_ws.pool = &pool;
     Vector serial;
     Vector pooled;

@@ -617,7 +617,6 @@ TEST(AggregateRows, EqualsGatherThenAggregateInto) {
       agg::AggregatorWorkspace by_ids;
       agg::AggregatorWorkspace packed;
       for (auto* ws : {&by_ids, &packed}) {
-        ws->parallel_threads = threads;
         ws->pool = &pool;
       }
       for (const auto& rows : row_sets) {

@@ -182,7 +182,6 @@ TEST(Determinism, BatchedKernelsThreadCountInvariant) {
     const auto aggregator = agg::make_aggregator(name);
     agg::AggregatorWorkspace serial_ws;
     agg::AggregatorWorkspace pooled_ws;
-    pooled_ws.parallel_threads = 4;
     pooled_ws.pool = &pool;
     Vector serial_out;
     Vector pooled_out;

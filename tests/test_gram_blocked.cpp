@@ -1,15 +1,16 @@
-// The fast-mode Gram fill (AggregatorWorkspace::fill_pairwise_sqdist under
-// AggMode::fast, f64 and f32 lanes).  On AVX-512 hosts it runs a 4 x 4
-// register-blocked tile kernel partitioned over row tiles; elsewhere it falls
-// back to the per-pair scalar kernels.  Whichever path runs, these checks
-// hold:
+// The Gram fill (AggregatorWorkspace::fill_pairwise_sqdist, f64 and f32
+// lanes).  On AVX-512 hosts rows of 32 or more columns run a 4 x 4
+// register-blocked tile kernel partitioned over row tiles; shorter rows and
+// other hosts run the per-pair scalar kernels.  Whichever path runs, these
+// checks hold:
 //
 //   * the packed triangle is bitwise equal at 1, 2 and 4 threads;
 //   * each pair's value depends only on its two rows: pair (i, j) of an
 //     n-row batch equals, bit for bit, the single pair of the 2-row batch
 //     {row i, row j} — so neither the tile a pair lands in, nor its slot in
 //     the tile, nor the duplicate rows that pad an edge tile change it;
-//   * every distance lies within the lane's envelope of exact mode;
+//   * the f64 lane gives the same bits in exact and fast mode, and the f32
+//     lane lies within its envelope of exact mode;
 //   * a clustered batch, whose Gram identity cancels catastrophically, still
 //     gets accurate distances from the cancellation-guard recompute;
 //   * the f32 lane's demoted rows and their squared norms, filled in one
@@ -18,13 +19,10 @@
 // Shapes straddle the tile (n around multiples of 4) and the chunk and lane
 // boundaries (d around 16 and 1024, and the wide workload's d = 10^4).
 //
-// The small-d f64 kernel (8 <= d < 32 on AVX-512 hosts, both modes: eight
-// pairs per register, the conversion and the guard fused in) has its own
-// sweep below.  It promises the bits of the per-pair path, so on top of the
-// checks above exact and fast f64 must agree bit for bit there, every
-// distance must lie within the envelope of the direct difference, and on
-// every host each cell must equal a std::fma spelling of the per-pair
-// path's operations.
+// The f64 lane's per-pair contract has its own sweep below: in both modes,
+// at every thread count and on every host, each cell must equal a std::fma
+// spelling of the per-pair operation sequence, chunk by chunk, and lie
+// within the envelope of the direct difference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,11 +58,10 @@ std::vector<double> packed(const agg::AggregatorWorkspace& ws) {
 }
 
 std::vector<double> fast_fill(const agg::GradientBatch& batch, agg::Precision precision,
-                              int threads = 1, agg::ThreadPool* pool = nullptr) {
+                              agg::ThreadPool* pool = nullptr) {
   agg::AggregatorWorkspace ws;
   ws.mode = agg::AggMode::fast;
   ws.precision = precision;
-  ws.parallel_threads = threads;
   ws.pool = pool;
   ws.fill_pairwise_sqdist(batch);
   return packed(ws);
@@ -92,9 +89,9 @@ TEST(GramBlocked, BitwiseEqualAtEveryThreadCountAndDispatch) {
         const std::string label = shape_label(precision, n, d);
         const auto serial = fast_fill(batch, precision);
         ASSERT_EQ(serial.size(), static_cast<std::size_t>(n) * (n - 1) / 2) << label;
-        EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, 2, &pool2)))
+        EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, &pool2)))
             << label << " pool 2";
-        EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, 4, &pool4)))
+        EXPECT_TRUE(bitwise_equal(serial, fast_fill(batch, precision, &pool4)))
             << label << " pool 4";
       }
     }
@@ -130,11 +127,11 @@ TEST(GramBlocked, EachPairDependsOnlyOnItsRows) {
 }
 
 TEST(GramBlocked, WithinLaneEnvelopeOfExact) {
-  // Exact and fast f64 both sum products in double, in different orders;
-  // the f32 lane also rounds every input to float (relative 2^-24 per
-  // coordinate) and accumulates in float over at most 64-term lanes.  Both
-  // bounds are relative to the cancellation scale ||xi||^2 + ||xj||^2 and
-  // sit far above the rounding those orders can produce.
+  // Fast f64 runs exact mode's per-pair sequence, so it gives exact's bits.
+  // The f32 lane rounds every input to float (relative 2^-24 per
+  // coordinate) and accumulates in float over at most 64-term lanes; its
+  // bound is relative to the cancellation scale ||xi||^2 + ||xj||^2 and
+  // sits far above the rounding it can produce.
   util::Rng rng(4242);
   for (const int n : kRows) {
     for (const int d : kCols) {
@@ -144,16 +141,19 @@ TEST(GramBlocked, WithinLaneEnvelopeOfExact) {
       exact.fill_sqnorms(batch);
       for (const auto precision : kPrecisions) {
         const std::string label = shape_label(precision, n, d);
-        const double tol = precision == agg::Precision::f32 ? 1e-5 : 1e-12;
         agg::AggregatorWorkspace fast;
         fast.mode = agg::AggMode::fast;
         fast.precision = precision;
         fast.fill_pairwise_sqdist(batch);
+        if (precision == agg::Precision::f64) {
+          EXPECT_TRUE(bitwise_equal(fast.pairdist, exact.pairdist)) << label << " fast vs exact";
+          continue;
+        }
         for (int i = 0; i < n; ++i) {
           for (int j = i + 1; j < n; ++j) {
             const double scale = exact.sqnorms[static_cast<std::size_t>(i)] +
                                  exact.sqnorms[static_cast<std::size_t>(j)];
-            ASSERT_NEAR(fast.pair_sqdist(i, j, n), exact.pair_sqdist(i, j, n), tol * scale)
+            ASSERT_NEAR(fast.pair_sqdist(i, j, n), exact.pair_sqdist(i, j, n), 1e-5 * scale)
                 << label << " pair (" << i << ", " << j << ")";
           }
         }
@@ -235,7 +235,6 @@ TEST(GramBlocked, F32DemotionAndNormsKeepTheirBits) {
         agg::AggregatorWorkspace ws;
         ws.mode = agg::AggMode::fast;
         ws.precision = agg::Precision::f32;
-        ws.parallel_threads = threads;
         ws.pool = threads > 1 ? &pool4 : nullptr;
         ws.fill_pairwise_sqdist(batch);
         ASSERT_EQ(ws.rows_f32.size(), static_cast<std::size_t>(n) * static_cast<std::size_t>(d));
@@ -258,20 +257,20 @@ TEST(GramBlocked, F32DemotionAndNormsKeepTheirBits) {
   }
 }
 
-// --- the small-d f64 kernel -------------------------------------------------
+// --- the f64 lane's per-pair contract --------------------------------------
 
-constexpr int kSmallRows[] = {2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 25, 33, 100};
-/// Around the 8-lane groups and kTileMinCols (32), where the fast lane
-/// switches to the tile.
-constexpr int kSmallCols[] = {7, 8, 9, 10, 15, 16, 17, 23, 24, 31, 32, 33};
-constexpr int kTileMinCols = 32;
+constexpr int kCellRows[] = {2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 25, 33, 100};
+/// Around the 8-lane groups, the tile's 32 columns and the 1024-column
+/// chunks.
+constexpr int kCellCols[] = {7, 8, 12, 31, 32, 33, 1023, 1024, 1025, 2049};
+constexpr int kChunk = 1024;
 
 enum class Rows { random, clustered, zero_rows };
 
 /// Random rows; clustered rows (a common 100 per coordinate plus 1e-2
 /// deltas, so every pair takes the cancellation guard); or random rows with
 /// every third row zero (zero scale: no guard, distance 0 between them).
-agg::GradientBatch small_d_batch(util::Rng& rng, int n, int d, Rows kind) {
+agg::GradientBatch cell_batch(util::Rng& rng, int n, int d, Rows kind) {
   agg::GradientBatch batch(n, d);
   for (int i = 0; i < n; ++i) {
     for (auto& x : batch.row(i)) {
@@ -282,10 +281,9 @@ agg::GradientBatch small_d_batch(util::Rng& rng, int n, int d, Rows kind) {
   return batch;
 }
 
-/// The per-pair path's bits: lane b an FMA chain over the whole 8-lane
-/// groups, then the leftover (each product rounded before its add: the
-/// build never contracts), lanes 0..7 in order, and (for the cell)
-/// 0.0 + dot.
+/// The per-pair dot over d columns: lane b an FMA chain over the whole
+/// 8-lane groups, then the leftover (each product rounded before its add:
+/// the build never contracts) and lanes 0..7 in order.
 double pinned_dot(const double* a, const double* b, int d) {
   double lanes[8] = {0.0};
   const int whole = d - d % 8;
@@ -298,80 +296,80 @@ double pinned_dot(const double* a, const double* b, int d) {
   return dot;
 }
 
-/// The pinned distance: Gram identity, fma(-2, dot, scale), the
-/// std::max(0.0, .) clamp, and the guard's direct difference.
+/// The pinned distance: the cell 0.0 + dot(chunk 0) + dot(chunk 1) + ...
+/// over 1024-column chunks, the Gram identity fma(-2, cell, scale) over
+/// whole-row squared norms, the std::max(0.0, .) clamp, and the guard's
+/// direct difference over the whole row.
 double pinned_sqdist(const double* ri, const double* rj, int d) {
   const double scale = pinned_dot(ri, ri, d) + pinned_dot(rj, rj, d);
-  const double dot = 0.0 + pinned_dot(ri, rj, d);
-  const double d2 = std::max(0.0, std::fma(-2.0, dot, scale));
+  double cell = 0.0;
+  for (int k0 = 0; k0 < d; k0 += kChunk) {
+    cell += pinned_dot(ri + k0, rj + k0, std::min(kChunk, d - k0));
+  }
+  const double d2 = std::max(0.0, std::fma(-2.0, cell, scale));
   if (!(d2 < 1e-6 * scale)) return d2;
   std::vector<double> diff(static_cast<std::size_t>(d));
   for (int k = 0; k < d; ++k) diff[static_cast<std::size_t>(k)] = ri[k] - rj[k];
   return pinned_dot(diff.data(), diff.data(), d);
 }
 
-std::vector<double> fill(const agg::GradientBatch& batch, agg::AggMode mode, int threads = 1,
+std::vector<double> fill(const agg::GradientBatch& batch, agg::AggMode mode,
                          agg::ThreadPool* pool = nullptr) {
   agg::AggregatorWorkspace ws;
   ws.mode = mode;
-  ws.parallel_threads = threads;
   ws.pool = pool;
   ws.fill_pairwise_sqdist(batch);
   return ws.pairdist;
 }
 
-TEST(GramBlocked, SmallDf64KeepsThePerPairBitsInBothModes) {
+TEST(GramBlocked, F64CellsRunThePerPairSequenceInBothModes) {
+  // Every f64 cell, on the tile or the per-pair kernel, in either mode and
+  // at every thread count, equals the pinned per-pair sequence, so fast
+  // equals exact bit for bit and a cell depends only on its two rows.
   util::Rng rng(180);
   agg::ThreadPool pool2(2);
   agg::ThreadPool pool4(4);
   for (const Rows kind : {Rows::random, Rows::clustered, Rows::zero_rows}) {
-    for (const int n : kSmallRows) {
-      for (const int d : kSmallCols) {
-        const auto batch = small_d_batch(rng, n, d, kind);
+    for (const int n : kCellRows) {
+      for (const int d : kCellCols) {
+        const auto batch = cell_batch(rng, n, d, kind);
         std::vector<double> sqnorms(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) {
           for (const double x : batch.row(i)) sqnorms[static_cast<std::size_t>(i)] += x * x;
         }
+        const auto exact = fill(batch, agg::AggMode::exact);
+        ASSERT_EQ(exact.size(), static_cast<std::size_t>(n) * (n - 1) / 2);
         for (const auto mode : {agg::AggMode::exact, agg::AggMode::fast}) {
           const std::string label = std::string(mode == agg::AggMode::exact ? "exact" : "fast") +
                                     " kind=" + std::to_string(static_cast<int>(kind)) +
                                     " n=" + std::to_string(n) + " d=" + std::to_string(d);
-          const auto serial = fill(batch, mode);
-          ASSERT_EQ(serial.size(), static_cast<std::size_t>(n) * (n - 1) / 2) << label;
-          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 2, &pool2))) << label << " pool 2";
-          EXPECT_TRUE(bitwise_equal(serial, fill(batch, mode, 4, &pool4))) << label << " pool 4";
-          if (mode == agg::AggMode::fast && d < kTileMinCols) {
-            EXPECT_TRUE(bitwise_equal(serial, fill(batch, agg::AggMode::exact)))
-                << label << " fast vs exact";
-          }
-          agg::GradientBatch pair(2, d);
-          std::size_t cell = 0;
-          for (int i = 0; i < n; ++i) {
-            for (int j = i + 1; j < n; ++j, ++cell) {
-              pair.set_row(0, batch.row(i));
-              pair.set_row(1, batch.row(j));
-              const double got = serial[cell];
-              const double alone = fill(pair, mode)[0];
-              ASSERT_EQ(std::memcmp(&alone, &got, sizeof(double)), 0)
-                  << label << " pair (" << i << ", " << j << "): " << got << " vs " << alone;
-              const double expected = pinned_sqdist(batch.row(i).data(), batch.row(j).data(), d);
-              ASSERT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
-                  << label << " pair (" << i << ", " << j << "): " << got << " vs pinned "
-                  << expected;
-              // The envelope of the direct difference: relative to the
-              // Gram scale off the guard, to the distance itself on it
-              // (clustered rows), and exact for two zero rows.
-              double direct = 0.0;
-              for (int k = 0; k < d; ++k) {
-                const double diff = batch.row(i)[static_cast<std::size_t>(k)] -
-                                    batch.row(j)[static_cast<std::size_t>(k)];
-                direct += diff * diff;
-              }
-              const double scale =
-                  sqnorms[static_cast<std::size_t>(i)] + sqnorms[static_cast<std::size_t>(j)];
-              const double tol = kind == Rows::clustered ? 1e-10 * direct : 1e-13 * scale;
-              ASSERT_NEAR(got, direct, tol) << label << " pair (" << i << ", " << j << ")";
+          EXPECT_TRUE(bitwise_equal(exact, fill(batch, mode))) << label << " threads 1";
+          EXPECT_TRUE(bitwise_equal(exact, fill(batch, mode, &pool2))) << label << " pool 2";
+          EXPECT_TRUE(bitwise_equal(exact, fill(batch, mode, &pool4))) << label << " pool 4";
+        }
+        const std::string label = "kind=" + std::to_string(static_cast<int>(kind)) +
+                                  " n=" + std::to_string(n) + " d=" + std::to_string(d);
+        std::size_t cell = 0;
+        for (int i = 0; i < n; ++i) {
+          for (int j = i + 1; j < n; ++j, ++cell) {
+            const double got = exact[cell];
+            const double expected = pinned_sqdist(batch.row(i).data(), batch.row(j).data(), d);
+            ASSERT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+                << label << " pair (" << i << ", " << j << "): " << got << " vs pinned "
+                << expected;
+            // The envelope of the direct difference: relative to the Gram
+            // scale off the guard, to the distance itself on it (clustered
+            // rows), and exact for two zero rows.
+            double direct = 0.0;
+            for (int k = 0; k < d; ++k) {
+              const double diff = batch.row(i)[static_cast<std::size_t>(k)] -
+                                  batch.row(j)[static_cast<std::size_t>(k)];
+              direct += diff * diff;
             }
+            const double scale =
+                sqnorms[static_cast<std::size_t>(i)] + sqnorms[static_cast<std::size_t>(j)];
+            const double tol = kind == Rows::clustered ? 1e-10 * direct : 1e-13 * scale;
+            ASSERT_NEAR(got, direct, tol) << label << " pair (" << i << ", " << j << ")";
           }
         }
       }

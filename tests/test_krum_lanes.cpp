@@ -302,7 +302,9 @@ TEST(KrumLanes, HierarchyLevelMatchesThePerLeafRouteAtEveryThreadCount) {
   // triangle).  Shard counts give both sizes in one call and a partial
   // last group of each; d = 7 and 32 sit outside the route, where the two
   // must agree trivially.  Threads 1, 2 and 4 on a pool, exact and fast.
-  agg::ThreadPool pool(4);
+  agg::ThreadPool pool2(2);
+  agg::ThreadPool pool4(4);
+  agg::ThreadPool* const pools[] = {nullptr, &pool2, &pool4};
   const agg::KrumAggregator krum;
   const agg::MultiKrumAggregator multikrum;
   const agg::MultiKrumAggregator multikrum3(3);
@@ -334,11 +336,11 @@ TEST(KrumLanes, HierarchyLevelMatchesThePerLeafRouteAtEveryThreadCount) {
               GradientBatch expected;
               rule->GradientAggregator::aggregate_shards(expected, payload, *assignment, shards, f,
                                                          base);
-              for (const int threads : {1, 2, 4}) {
+              for (agg::ThreadPool* pool : pools) {
+                const int threads = pool == nullptr ? 1 : pool->width();
                 AggregatorWorkspace ws;
                 ws.mode = mode;
-                ws.parallel_threads = threads;
-                ws.pool = &pool;
+                ws.pool = pool;
                 GradientBatch got;
                 rule->aggregate_shards(got, payload, *assignment, shards, f, ws);
                 ASSERT_EQ(got.rows(), shards);

@@ -574,8 +574,7 @@ TEST(KrumSelect, NanRowsNeverCaptureTheKrumFamily) {
       for (const int threads : {1, 4}) {
         AggregatorWorkspace ws;
         configure(ws, lane);
-        ws.parallel_threads = threads;
-        ws.pool = &pool;
+        ws.pool = threads > 1 ? &pool : nullptr;
         Vector out;
         hier.aggregate_into(out, batch, 7, ws);
         const std::string where = std::string(lane.name) + " " + leaf + " leaves, threads " +
@@ -646,8 +645,7 @@ TEST(KrumSelect, ManyLikeHierarchyMatchesTheReferenceComposition) {
       const auto expected = reference_hierarchy(batch, f, seed, hier);
       for (const int threads : {1, 4}) {
         AggregatorWorkspace ws;
-        ws.parallel_threads = threads;
-        ws.pool = &pool;
+        ws.pool = threads > 1 ? &pool : nullptr;
         Vector out;
         hier.aggregate_into(out, batch, f, ws);
         EXPECT_TRUE(bitwise_equal(out, expected))

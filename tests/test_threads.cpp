@@ -96,7 +96,6 @@ TEST(ThreadPool, WorkspaceRunParallelNestedIsSafe) {
   agg::ThreadPool pool(4);
   agg::AggregatorWorkspace ws;
   ws.pool = &pool;
-  ws.parallel_threads = 4;
   std::vector<std::atomic<int>> hits(64);
   ws.run_parallel(0, 8, [&](int outer_lo, int outer_hi) {
     for (int o = outer_lo; o < outer_hi; ++o) {
@@ -143,11 +142,12 @@ TEST(ThreadPool, CallerChunkExceptionWinsAndPoolStaysUsable) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, WorkspaceWithoutPoolRunsSeriallyOrRejectsWidth) {
+TEST(ThreadPool, WorkspaceRunsAtItsPoolsWidth) {
   // With no pool a workspace makes one direct call (none for an empty
-  // range); asking it for more than one thread is a configuration error,
-  // reported before the work runs.
+  // range) and its width is 1; with one, its width is the pool's.  Every
+  // rule and the hierarchy give the same result either way.
   agg::AggregatorWorkspace ws;
+  EXPECT_EQ(ws.parallel_width(), 1);
   std::vector<std::pair<int, int>> calls;
   ws.run_parallel(3, 3, [&](int lo, int hi) { calls.emplace_back(lo, hi); });
   EXPECT_TRUE(calls.empty());
@@ -155,11 +155,6 @@ TEST(ThreadPool, WorkspaceWithoutPoolRunsSeriallyOrRejectsWidth) {
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0], std::make_pair(0, 8));
 
-  ws.parallel_threads = 4;
-  EXPECT_THROW(ws.run_parallel(0, 8, [&](int, int) { FAIL() << "ran without a pool"; }),
-               std::invalid_argument);
-  // Every rule and the hierarchy reject it in validate_batch, also those
-  // whose kernels never go parallel (average, cge, geomed).
   agg::GradientBatch batch(9, 16);
   for (int i = 0; i < batch.rows(); ++i) {
     for (int k = 0; k < batch.cols(); ++k) batch.row(i)[static_cast<std::size_t>(k)] = i + 0.5 * k;
@@ -175,10 +170,10 @@ TEST(ThreadPool, WorkspaceWithoutPoolRunsSeriallyOrRejectsWidth) {
   agg::ThreadPool pool(4);
   for (const auto& rule : rules) {
     ws.pool = nullptr;
-    EXPECT_THROW((void)rule->aggregate_batched(batch, 1, ws), std::invalid_argument)
-        << rule->name();
+    const linalg::Vector serial = rule->aggregate_batched(batch, 1, ws);
     ws.pool = &pool;
-    EXPECT_NO_THROW((void)rule->aggregate_batched(batch, 1, ws)) << rule->name();
+    EXPECT_EQ(ws.parallel_width(), 4);
+    EXPECT_EQ(rule->aggregate_batched(batch, 1, ws), serial) << rule->name();
   }
 }
 

@@ -266,7 +266,14 @@ int main(int argc, char** argv) {
         std::cerr << "abft_run: --compare takes only --rtol and --threads\n";
         return 2;
       }
-      const double rtol = rtol_text.empty() ? 1e-12 : std::stod(rtol_text);
+      double rtol = 1e-12;
+      if (!rtol_text.empty()) {
+        rtol = number_flag("--rtol", rtol_text).as_number();
+        if (!(rtol >= 0.0)) {
+          std::cerr << "abft_run: --rtol must be a number >= 0\n";
+          return 2;
+        }
+      }
       return compare_specs(spec_paths[0], spec_paths[1], rtol, threads);
     }
     if (!rtol_text.empty()) {
