@@ -34,21 +34,25 @@
 //                 dispatching coordinate/pair work over a persistent
 //                 N-thread ThreadPool (worthwhile on multi-core hosts only;
 //                 the default 1 keeps the JSON shape diff-stable)
-//   --gbench ...  delegate to google-benchmark instead (when compiled in)
+//   --gbench ...  delegate to google-benchmark instead (when compiled in);
+//                 its --benchmark_* flags pass through
+// Any other flag, or a --threads/--repeats value that is not an integer
+// >= 1, stops the bench with a message and exit status 2 before it writes
+// any JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
+#include "cli_flags.hpp"
 
 #if defined(ABFT_HAVE_GBENCH)
 #include <benchmark/benchmark.h>
@@ -311,17 +315,36 @@ void register_all() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::string_view kBench = "bench_agg_micro";
+  constexpr std::string_view kUsage =
+      "[--quick] [--out=FILE] [--repeats=K] [--threads=N] [--gbench [--benchmark_...]]";
   bool quick = false;
   bool use_gbench = false;
+  bool gbench_flags = false;
   int threads = 1;
   int repeats = 3;
   std::string out_path = "BENCH_agg.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--gbench") == 0) use_gbench = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) threads = std::atoi(argv[i] + 10);
-    if (std::strncmp(argv[i], "--repeats=", 10) == 0) repeats = std::atoi(argv[i] + 10);
+    const std::string_view arg = argv[i];
+    std::string_view value;
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--gbench") {
+      use_gbench = true;
+    } else if (arg.starts_with("--benchmark_")) {
+      gbench_flags = true;  // google-benchmark's own, read by benchmark::Initialize
+    } else if (bench_cli::take_value(arg, "--out=", &value)) {
+      out_path = value;
+    } else if (bench_cli::take_value(arg, "--threads=", &value)) {
+      threads = bench_cli::positive_count(kBench, "--threads", value, kUsage);
+    } else if (bench_cli::take_value(arg, "--repeats=", &value)) {
+      repeats = bench_cli::positive_count(kBench, "--repeats", value, kUsage);
+    } else {
+      bench_cli::fail(kBench, "unknown flag " + std::string(arg), kUsage);
+    }
+  }
+  if (gbench_flags && !use_gbench) {
+    bench_cli::fail(kBench, "--benchmark_ flags need --gbench", kUsage);
   }
   if (use_gbench) {
 #if defined(ABFT_HAVE_GBENCH)
@@ -334,5 +357,5 @@ int main(int argc, char** argv) {
     std::cerr << "google-benchmark not compiled in; using the built-in harness\n";
 #endif
   }
-  return run_builtin(quick, out_path, std::max(1, threads), std::max(1, repeats));
+  return run_builtin(quick, out_path, threads, repeats);
 }

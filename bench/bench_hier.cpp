@@ -26,17 +26,18 @@
 //   --out=FILE    JSON destination (default BENCH_hier.json)
 //   --threads=N   dispatch hier shards over a persistent N-thread pool
 //                 (default 1 keeps the JSON shape diff-stable)
+// Any other flag, or a --threads value that is not an integer >= 1, stops
+// the bench with a message and exit status 2 before it writes any JSON.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abft/agg/batch.hpp"
@@ -44,6 +45,7 @@
 #include "abft/agg/registry.hpp"
 #include "abft/agg/threads.hpp"
 #include "abft/util/rng.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -166,7 +168,7 @@ int run(bool quick, const std::string& out_path, int threads) {
     }
   }
 
-  agg::ThreadPool pool(std::max(1, threads));
+  agg::ThreadPool pool(threads);
   std::vector<BenchResult> results;
   std::vector<std::pair<std::string, Comparison>> comparisons;
 
@@ -284,13 +286,23 @@ int run(bool quick, const std::string& out_path, int threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::string_view kBench = "bench_hier";
+  constexpr std::string_view kUsage = "[--quick] [--out=FILE] [--threads=N]";
   bool quick = false;
   int threads = 1;
   std::string out_path = "BENCH_hier.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) threads = std::atoi(argv[i] + 10);
+    const std::string_view arg = argv[i];
+    std::string_view value;
+    if (arg == "--quick") {
+      quick = true;
+    } else if (bench_cli::take_value(arg, "--out=", &value)) {
+      out_path = value;
+    } else if (bench_cli::take_value(arg, "--threads=", &value)) {
+      threads = bench_cli::positive_count(kBench, "--threads", value, kUsage);
+    } else {
+      bench_cli::fail(kBench, "unknown flag " + std::string(arg), kUsage);
+    }
   }
   return run(quick, out_path, threads);
 }

@@ -390,6 +390,32 @@ __mmask8 lane_mask(int rows) {
                             : static_cast<__mmask8>((1u << rows) - 1);
 }
 
+/// Transposes eight rows of eight doubles in registers: register b of the
+/// result holds entry b of every input row, lane t from row t.
+void transpose8(__m512d* r) {
+  __m512d u[8];
+  for (int p = 0; p < 8; p += 2) {
+    u[p] = _mm512_unpacklo_pd(r[p], r[p + 1]);      // entries 0 2 4 6 of rows p, p + 1
+    u[p + 1] = _mm512_unpackhi_pd(r[p], r[p + 1]);  // entries 1 3 5 7
+  }
+  // Rows 0-3 (then 4-7) of entries {0, 4}, {1, 5}, {2, 6}, {3, 7}.
+  const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  __m512d v[8];
+  for (int h = 0; h < 8; h += 4) {
+    v[h] = _mm512_permutex2var_pd(u[h], even, u[h + 2]);
+    v[h + 1] = _mm512_permutex2var_pd(u[h + 1], even, u[h + 3]);
+    v[h + 2] = _mm512_permutex2var_pd(u[h], odd, u[h + 2]);
+    v[h + 3] = _mm512_permutex2var_pd(u[h + 1], odd, u[h + 3]);
+  }
+  const __m512i low = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+  const __m512i high = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+  for (int e = 0; e < 4; ++e) {
+    r[e] = _mm512_permutex2var_pd(v[e], low, v[e + 4]);
+    r[e + 4] = _mm512_permutex2var_pd(v[e], high, v[e + 4]);
+  }
+}
+
 /// sqdist_lanes_small_d for d in [8 Groups, 8 Groups + 8).  x and sq are
 /// the interleaved rows and norms, 64-byte aligned.
 template <int Groups>
@@ -402,16 +428,19 @@ void lane_pass(const GradientBatch& batch, const int* const* ids, int lanes, int
   const auto reg = [](int i) { return static_cast<std::size_t>(i) * kPairLanes; };
   // Shard t's row i, for t < lanes.
   const auto row = [&](int t, int i) { return batch.row(ids[t][i]).data(); };
-  // Row i of every shard, gathered coordinate by coordinate (zeros in the
-  // unused lanes), and its squared norm in row_sqnorm's order.
+  // Row i of every shard, eight columns at a time: one row load per shard
+  // (masked past d; zeros in the unused lanes), transposed in registers.
+  // Then its squared norm in row_sqnorm's order.
   for (int i = 0; i < rows; ++i) {
-    alignas(64) std::int64_t offsets[kPairLanes] = {};
-    for (int t = 0; t < lanes; ++t) offsets[t] = static_cast<std::int64_t>(ids[t][i]) * d;
-    const __m512i at = _mm512_load_si512(offsets);
     double* xi = x + reg(i * d);
-    for (int k = 0; k < d; ++k) {
-      _mm512_store_pd(xi + reg(k), _mm512_mask_i64gather_pd(_mm512_setzero_pd(), valid, at,
-                                                            batch.data() + k, 8));
+    for (int k0 = 0; k0 < d; k0 += kPairLanes) {
+      const __mmask8 cols = lane_mask(d - k0);
+      __m512d r[kPairLanes];
+      for (int t = 0; t < kPairLanes; ++t) {
+        r[t] = t < lanes ? _mm512_maskz_loadu_pd(cols, row(t, i) + k0) : _mm512_setzero_pd();
+      }
+      transpose8(r);
+      for (int b = 0; b < kPairLanes && k0 + b < d; ++b) _mm512_store_pd(xi + reg(k0 + b), r[b]);
     }
     const auto square = [&](int k) {
       const __m512d v = _mm512_load_pd(xi + reg(k));

@@ -270,9 +270,10 @@ struct AggregatorWorkspace {
 #if defined(__AVX512F__)
   /// The shard-lane small-d pass (the Krum shard route, krum.hpp): `lanes`
   /// (1..8) shards of `rows` rows each, shard t's row i being batch row
-  /// ids[t][i].  Interleaves the rows into `gram_colmajor` (register (i, k)
-  /// holds coordinate k of row i of every shard, lane t for shard t; unused
-  /// lanes hold zeros), fills `sqnorms` with register i's squared norms
+  /// ids[t][i].  Interleaves the rows into `gram_colmajor` by 8 x 8
+  /// register transposes of row loads (register (i, k) holds coordinate k
+  /// of row i of every shard, lane t for shard t; unused lanes hold zeros),
+  /// fills `sqnorms` with register i's squared norms
   /// (fill_sqnorms' per-row sum, so its bits), then computes every pair
   /// i < j once per register and stores it as candidate j - 1 of row i and
   /// candidate i of row j: register x of row i (cand[8 (i (rows - 1) + x),

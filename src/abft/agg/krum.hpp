@@ -63,8 +63,10 @@ bool krum_shard_lanes(const AggregatorWorkspace& ws, int max_rows, int d);
 /// for shard t, whose row i is batch row ids[t][i]; writes no packed
 /// triangle.  sqdist_lanes_small_d puts every row's candidate list in
 /// registers (in ws.krum_cand, register x of row i holding candidate x of
-/// every shard), and smallest_k_sum_lanes scores each row of the eight
-/// shards together through a Batcher network (sort_network.hpp).  Shard
+/// every shard; each shard's rows are loaded eight columns at a time and
+/// transposed in registers), and smallest_k_sum_lanes scores each row of
+/// the eight shards together: two Batcher half-sorts (sort_network.hpp)
+/// and a merge select find the k-th distance, one pass sums.  Shard
 /// t's row i score lands in ws.scores[8 i + t], and best[t] receives the
 /// shard's first row with the lowest score; unused lanes (t >= lanes) hold
 /// zero rows, decide nothing and get no best[t].  The bit contract: every

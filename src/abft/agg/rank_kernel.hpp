@@ -21,10 +21,13 @@
 // (the candidate builders map a NaN distance to +inf with nan_as_inf), so
 // the score is never NaN; it is the same on every ISA.  Three routes
 // compute it with the same bits:
-// smallest_k_sum (rank counts with an index tie-break, short rows),
-// smallest_k_sum_select (nth_element finds the k-th value, long rows) and
-// smallest_k_sum_lanes (AVX-512: eight rows at once from a sorting
-// network, the small-leaf Krum route).
+//   * smallest_k_sum: rank counts with an index tie-break (short rows);
+//   * smallest_k_sum_select: nth_element finds the k-th value, then one
+//     keep pass (long rows);
+//   * smallest_k_sum_lanes (AVX-512, the small-leaf Krum route): eight rows
+//     at once, one per lane; two Batcher half-sorts and a merge select find
+//     the k-th value, and one keep pass sums the entries up to it, with the
+//     index tie-break rerun only for a register whose ties pass the k-th.
 #pragma once
 
 #include <algorithm>
@@ -208,39 +211,13 @@ inline double smallest_k_sum_select(const double* x, int m, int k, double* scrat
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-/// Krum's score of eight rows at once, one row per lane, through Batcher's
-/// network on P = 8, 16, 24 or 32 inputs: register x of `cand` (doubles
-/// [8 x, 8 x + 8)) holds entry x of every row, x < m <= P, and the network
-/// sees +inf in registers m .. P - 1.  With t = s[k - 1] of the sorted copy
-/// s, each lane keeps the entries < t and the first k - #{< t} entries
-/// equal to t in ascending x, sums them into lane x mod 8 (an unkept entry
-/// adds +0.0) and reduces with lane_tree's tree: smallest_k_sum's bits for
-/// every row.  No NaN entries; 1 <= k <= m.
-template <int P>
-inline __m512d smallest_k_sum_network(const double* cand, int m, int k) {
+/// Sums the entries of the eight rows (register x of `cand` holds entry x
+/// of every row, x < m) that keep(c) selects into lane x mod 8, an unkept
+/// entry adding +0.0, and reduces the lanes with lane_tree's tree.  keep
+/// sees the registers in ascending x.
+template <typename Keep>
+inline __m512d lane_keep_sum(const double* cand, int m, Keep&& keep) {
   constexpr int kLanes = 8;
-  const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
-  __m512d s[P];
-#pragma GCC unroll 32
-  for (int x = 0; x < P; ++x) s[x] = x < m ? _mm512_loadu_pd(cand + x * kLanes) : inf;
-  sort_network<P>(s, [](__m512d& lo, __m512d& hi) {
-    const __m512d a = lo;
-    lo = _mm512_min_pd(a, hi);
-    hi = _mm512_max_pd(a, hi);
-  });
-  alignas(64) double sorted[P * kLanes];
-#pragma GCC unroll 32
-  for (int x = 0; x < P; ++x) _mm512_store_pd(sorted + x * kLanes, s[x]);
-  const __m512d t = _mm512_load_pd(sorted + (k - 1) * kLanes);
-  const __m512i one = _mm512_set1_epi64(1);
-  // Per lane, the entries equal to t to keep (every entry < t precedes the
-  // k-th), and how many the pass has met so far.
-  __m512i ties = _mm512_set1_epi64(k);
-  for (int x = 0; x + 1 < k; ++x) {
-    const __mmask8 below = _mm512_cmp_pd_mask(_mm512_load_pd(sorted + x * kLanes), t, _CMP_LT_OQ);
-    ties = _mm512_mask_sub_epi64(ties, below, ties, one);
-  }
-  __m512i seen = _mm512_setzero_si512();
   __m512d lanes[kLanes];
   for (int b = 0; b < kLanes; ++b) lanes[b] = _mm512_setzero_pd();
   for (int x0 = 0; x0 < m; x0 += kLanes) {
@@ -248,16 +225,79 @@ inline __m512d smallest_k_sum_network(const double* cand, int m, int k) {
     for (int b = 0; b < kLanes; ++b) {
       if (x0 + b == m) break;
       const __m512d c = _mm512_loadu_pd(cand + (x0 + b) * kLanes);
-      const __mmask8 tie = _mm512_cmp_pd_mask(c, t, _CMP_EQ_OQ);
-      seen = _mm512_mask_add_epi64(seen, tie, seen, one);
-      const __mmask8 keep = _mm512_cmp_pd_mask(c, t, _CMP_LT_OQ) |
-                            _mm512_mask_cmple_epi64_mask(tie, seen, ties);
-      lanes[b] = _mm512_add_pd(lanes[b], _mm512_maskz_mov_pd(keep, c));
+      lanes[b] = _mm512_add_pd(lanes[b], _mm512_maskz_mov_pd(keep(c), c));
     }
   }
   return _mm512_add_pd(
       _mm512_add_pd(_mm512_add_pd(lanes[0], lanes[4]), _mm512_add_pd(lanes[2], lanes[6])),
       _mm512_add_pd(_mm512_add_pd(lanes[1], lanes[5]), _mm512_add_pd(lanes[3], lanes[7])));
+}
+
+/// Krum's score of eight rows at once, one row per lane, for P = 8, 16, 24
+/// or 32 inputs: register x of `cand` (doubles [8 x, 8 x + 8)) holds entry
+/// x of every row, x < m <= P, and the inputs m .. P - 1 are +inf.
+/// Batcher's networks sort the inputs in two halves, A = [0, a) and
+/// B = [a, P) (a = 4, 8, 16, 16), and the merge select
+/// t = min_j max(A[k - j - 1], B[j - 1]) over the splits of k between them
+/// (A[-1] = B[-1] = -inf) finds t, the k-th smallest entry of each lane.
+/// One keep pass then sums the entries <= t; a lane holding exactly k of
+/// them has no tie past the k-th, and when every lane does, that sum is the
+/// score.  Otherwise the register is rerun keeping, per lane, the entries
+/// < t and the first k - #{< t} entries equal to t in ascending x.  Either
+/// way: smallest_k_sum's bits for every row.  No NaN entries; 1 <= k <= m.
+template <int P>
+inline __m512d smallest_k_sum_network(const double* cand, int m, int k) {
+  constexpr int kLanes = 8;
+  constexpr int a = P == 24 ? 16 : P / 2;
+  constexpr int b = P - a;
+  const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  const __m512d minus_inf = _mm512_set1_pd(-std::numeric_limits<double>::infinity());
+  __m512d s[P];
+#pragma GCC unroll 32
+  for (int x = 0; x < P; ++x) s[x] = x < m ? _mm512_loadu_pd(cand + x * kLanes) : inf;
+  const auto compare_exchange = [](__m512d& lo, __m512d& hi) {
+    const __m512d v = lo;
+    lo = _mm512_min_pd(v, hi);
+    hi = _mm512_max_pd(v, hi);
+  };
+  sort_network<a>(s, compare_exchange);
+  sort_network<b>(s + a, compare_exchange);
+  // A[i] sits at below[i + 1], after a -inf for the split that takes all k
+  // from B: its index k - j is a runtime one, B's j - 1 a constant.
+  __m512d below[a + 1];
+  below[0] = minus_inf;
+#pragma GCC unroll 16
+  for (int x = 0; x < a; ++x) below[x + 1] = s[x];
+  __m512d t = inf;
+#pragma GCC unroll 17
+  for (int j = 0; j <= b; ++j) {
+    if (j > k) break;
+    if (k - j > a) continue;
+    t = _mm512_min_pd(t, _mm512_max_pd(below[k - j], j == 0 ? minus_inf : s[a + j - 1]));
+  }
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i kept = _mm512_setzero_si512();
+  const __m512d sum = lane_keep_sum(cand, m, [&](__m512d c) {
+    const __mmask8 keep = _mm512_cmp_pd_mask(c, t, _CMP_LE_OQ);
+    kept = _mm512_mask_add_epi64(kept, keep, kept, one);
+    return keep;
+  });
+  const __m512i vk = _mm512_set1_epi64(k);
+  if (_mm512_cmpneq_epi64_mask(kept, vk) == 0) return sum;
+  // Ties past the k-th: per lane, the entries equal to t to keep (every
+  // entry < t is among the k smallest), and how many the pass has met.
+  __m512i ties = vk;
+  for (int x = 0; x < m; ++x) {
+    const __mmask8 lt = _mm512_cmp_pd_mask(_mm512_loadu_pd(cand + x * kLanes), t, _CMP_LT_OQ);
+    ties = _mm512_mask_sub_epi64(ties, lt, ties, one);
+  }
+  __m512i seen = _mm512_setzero_si512();
+  return lane_keep_sum(cand, m, [&](__m512d c) {
+    const __mmask8 tie = _mm512_cmp_pd_mask(c, t, _CMP_EQ_OQ);
+    seen = _mm512_mask_add_epi64(seen, tie, seen, one);
+    return static_cast<__mmask8>(_mm512_cmp_pd_mask(c, t, _CMP_LT_OQ) |
+                                 _mm512_mask_cmple_epi64_mask(tie, seen, ties));
+  });
 }
 
 /// smallest_k_sum_network at the smallest P >= m.  m <= 32.

@@ -1,10 +1,13 @@
 // Internal: Batcher's odd-even merge sorting network, generated at compile
-// time, for the small-leaf Krum scorer (krum.cpp).
+// time, for the small-leaf Krum scorer (rank_kernel.hpp
+// smallest_k_sum_network).
 //
 // A network is a fixed list of comparators (a, b), a < b: after each one,
 // position a holds the smaller value and b the larger.  Its operation
 // sequence does not depend on the data, so it sorts eight independent rows
-// at once when every position holds a register of eight lanes.
+// at once when every position holds a register of eight lanes.  The scorer
+// sorts the two halves of its 8-32 inputs with the networks on 4, 8 and 16
+// inputs and merges only the k-th value out of them.
 #pragma once
 
 #include <array>
@@ -14,22 +17,17 @@
 
 namespace abft::agg::detail {
 
-/// Visits the comparators of Batcher's network on `size` inputs in order:
-/// the network on bit_ceil(size) inputs (Knuth, TAOCP 5.3.4, Algorithm M in
-/// its iterative form), keeping only the comparators whose ends both lie
-/// below `size`.  Inputs past `size` stand for +inf padding: a comparator
-/// (a, b) with b >= size leaves a's value and b's +inf where they are, so
-/// dropping it changes nothing and the pruned list sorts `size` inputs.
+/// Visits the comparators of Batcher's network on `size` inputs, a power
+/// of two, in order (Knuth, TAOCP 5.3.4, Algorithm M in its iterative form).
 template <typename Visit>
 constexpr void batcher_comparators(int size, Visit&& visit) {
-  const int width = static_cast<int>(std::bit_ceil(static_cast<unsigned>(size)));
-  for (int p = 1; p < width; p *= 2) {
+  for (int p = 1; p < size; p *= 2) {
     for (int k = p; k >= 1; k /= 2) {
-      for (int j = k % p; j + k < width; j += 2 * k) {
-        for (int i = 0; i < k && i + j + k < width; ++i) {
+      for (int j = k % p; j + k < size; j += 2 * k) {
+        for (int i = 0; i < k && i + j + k < size; ++i) {
           const int a = i + j;
           const int b = i + j + k;
-          if (a / (2 * p) == b / (2 * p) && b < size) visit(a, b);
+          if (a / (2 * p) == b / (2 * p)) visit(a, b);
         }
       }
     }
@@ -46,6 +44,7 @@ constexpr int batcher_size() {
 /// Batcher's network on Size inputs as a constant array of (a, b) pairs.
 template <int Size>
 constexpr auto batcher_network() {
+  static_assert(std::has_single_bit(static_cast<unsigned>(Size)), "a power-of-two network");
   std::array<std::pair<int, int>, static_cast<std::size_t>(batcher_size<Size>())> net{};
   std::size_t at = 0;
   batcher_comparators(Size, [&net, &at](int a, int b) { net[at++] = {a, b}; });

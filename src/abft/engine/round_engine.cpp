@@ -101,6 +101,38 @@ void RoundEngine::ensure_payload() {
   }
 }
 
+int RoundEngine::deliver_lossless() {
+  if (planner_.axes().straggler_probability > 0.0) {
+    return deliver([](int, std::span<const double> message, std::span<double> dst) {
+      move_row(message, dst);
+      return !message.empty();
+    });
+  }
+  ensure_payload();
+  double* rows = core_.payload.data();
+  const auto dim = static_cast<std::size_t>(core_.dim);
+  // Rows [next, silent row) move up to row kept; faulty_rows_ ascends.
+  int kept = 0;
+  int next = 0;
+  const auto keep_until = [&](int end) {
+    if (kept != next) {
+      std::copy(rows + next * dim, rows + end * dim, rows + kept * dim);
+    }
+    kept += end - next;
+  };
+  for (const int row : faulty_rows_) {
+    if (silent_[static_cast<std::size_t>(row)] == 0) continue;
+    keep_until(row);
+    next = row + 1;
+    eliminate(present_[static_cast<std::size_t>(row)]);
+  }
+  keep_until(static_cast<int>(present_.size()));
+  core_.payload.truncate_rows(kept);
+  ABFT_REQUIRE(!members_.empty(), "every agent was eliminated");
+  kept_ = kept;
+  return kept;
+}
+
 int usable_fault_bound(const agg::GradientAggregator& rule, int declared_f, int current_f,
                        int kept, int members_n, int roster_n) {
   if (kept <= 0) return -1;

@@ -48,7 +48,9 @@
 //                                 a dst row that is either the message's own
 //                                 row (nothing to move) or an earlier,
 //                                 already consumed row — it never partly
-//                                 overlaps the message (use move_row)
+//                                 overlaps the message (use move_row);
+//     or deliver_lossless()       the same for a transport that loses
+//                                 nothing, with no per-row call
 //   aggregate(rule, out)          filter phase: usable f clamped to the
 //                                 delivered row count; false when nothing
 //                                 was delivered (the driver holds position)
@@ -324,6 +326,14 @@ class RoundEngine {
     kept_ = kept;
     return kept;
   }
+
+  /// deliver() through a lossless transport: every spoken message arrives
+  /// and only silence eliminates its sender.  Without stragglers only the
+  /// silent faulty rows drop: their agents are eliminated in roster order
+  /// and the rows between them move up in blocks, so a round with no silent
+  /// row does no per-row work.  With stragglers it is deliver() with a
+  /// transport that moves every spoken message.  Returns the rows kept.
+  int deliver_lossless();
 
   /// Filter phase over the delivered rows: the usable fault bound is
   /// min(current_f, kept - 1, rule.max_usable_f(kept)) clamped at 0, so a

@@ -112,10 +112,7 @@ DsgdSeries run_dsgd(const Model& model, const Vector& initial_params,
       std::copy(src.begin(), src.end(), out.begin());
     });
     // No transport layer: every non-straggled message reaches the server.
-    eng.deliver([](int /*agent*/, std::span<const double> payload, std::span<double> dst) {
-      engine::move_row(payload, dst);
-      return true;
-    });
+    eng.deliver_lossless();
     if (eng.aggregate(aggregator, filtered)) {
       eng.notify(t, params, filtered);
       params.add_scaled(-config.step_size, filtered);

@@ -96,6 +96,8 @@ Trace DgdSimulation::run(const agg::GradientAggregator& aggregator) {
       // Close.  Sync: the network moves each surviving message to the next
       // kept payload row, and undelivered messages eliminate the sender
       // (step S1); the round's messages are counted once, after the loop.
+      // A lossless network draws and records nothing, so the engine drops
+      // the silent rows itself.
       // Async: fire on quorum-or-deadline over the
       // staleness-weighted rows; silence is indistinguishable from slowness
       // without a synchronous close, so the membership never shrinks.
@@ -103,9 +105,12 @@ Trace DgdSimulation::run(const agg::GradientAggregator& aggregator) {
         // Every message either fills a kept row or eliminates its sender.
         const int eliminated_before = eng.eliminated_count();
         const int kept =
-            eng.deliver([&](int agent, std::span<const double> payload, std::span<double> dst) {
-              return network_.deliver_row(agent, t, payload, dst);
-            });
+            network_.lossless()
+                ? eng.deliver_lossless()
+                : eng.deliver([&](int agent, std::span<const double> payload,
+                                  std::span<double> dst) {
+                    return network_.deliver_row(agent, t, payload, dst);
+                  });
         network_.count_sent(kept + eng.eliminated_count() - eliminated_before);
         trace.eliminated_agents = eng.eliminated_count();
         trace.departed_agents = eng.departed_count();

@@ -1,5 +1,7 @@
 #include "abft/sim/network.hpp"
 
+#include <algorithm>
+
 #include "abft/util/check.hpp"
 
 namespace abft::sim {
@@ -21,14 +23,17 @@ std::optional<Vector> SyncNetwork::transmit(int agent, int round,
   return payload;
 }
 
-bool SyncNetwork::deliver_lossy(int agent, int round, std::span<const double> payload,
-                                std::span<double> dst) {
+bool SyncNetwork::deliver_row(int agent, int round, std::span<const double> payload,
+                              std::span<double> dst) {
   bool delivered = !payload.empty();
   if (delivered && drop_probability_ > 0.0 && rng_.uniform() < drop_probability_) {
     delivered = false;
     ++messages_dropped_;
   }
-  if (delivered) move_payload(payload, dst);
+  if (delivered) {
+    ABFT_REQUIRE(payload.size() == dst.size(), "ingest row size mismatch");
+    if (dst.data() != payload.data()) std::copy(payload.begin(), payload.end(), dst.begin());
+  }
   if (recording_) {
     std::optional<Vector> copy;
     if (delivered) copy = Vector(std::vector<double>(payload.begin(), payload.end()));

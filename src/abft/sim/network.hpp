@@ -6,13 +6,12 @@
 // under crash-style faults too, and can record a transcript for inspection.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "abft/linalg/vector.hpp"
-#include "abft/util/check.hpp"
 #include "abft/util/rng.hpp"
 
 namespace abft::sim {
@@ -50,17 +49,15 @@ class SyncNetwork {
   }
 
   /// transmit_row without the message count, for a round loop that adds
-  /// its messages at once with count_sent.  On a lossless network (no drop
-  /// probability, no transcript) this is an inline row move that draws
-  /// nothing; otherwise the drop coin and the transcript entry are taken
-  /// out of line, one message at a time.
+  /// its messages at once with count_sent: the drop coin and the transcript
+  /// entry, one message at a time.
   bool deliver_row(int agent, int round, std::span<const double> payload,
-                   std::span<double> dst) {
-    if (drop_probability_ > 0.0 || recording_) return deliver_lossy(agent, round, payload, dst);
-    if (payload.empty()) return false;
-    move_payload(payload, dst);
-    return true;
-  }
+                   std::span<double> dst);
+
+  /// True when every spoken message arrives and nothing is recorded (no
+  /// drop probability, no transcript): deliver_row then draws nothing and
+  /// fails only on silence, so a round loop may deliver without it.
+  [[nodiscard]] bool lossless() const noexcept { return drop_probability_ == 0.0 && !recording_; }
 
   /// Adds `count` messages handed to deliver_row to messages_sent().
   void count_sent(long count) noexcept { messages_sent_ += count; }
@@ -77,13 +74,6 @@ class SyncNetwork {
   [[nodiscard]] long messages_dropped() const noexcept { return messages_dropped_; }
 
  private:
-  bool deliver_lossy(int agent, int round, std::span<const double> payload,
-                     std::span<double> dst);
-  static void move_payload(std::span<const double> payload, std::span<double> dst) {
-    ABFT_REQUIRE(payload.size() == dst.size(), "ingest row size mismatch");
-    if (dst.data() != payload.data()) std::copy(payload.begin(), payload.end(), dst.begin());
-  }
-
   double drop_probability_;
   util::Rng rng_;
   bool recording_ = false;

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "abft/agg/registry.hpp"
@@ -512,6 +514,62 @@ TEST(EngineDeliver, InPlaceCompactionMatchesACopyingTransport) {
     if (a[m].payload) {
       EXPECT_EQ(*a[m].payload, *b[m].payload) << "message " << m;
     }
+  }
+}
+
+TEST(EngineDeliver, LosslessDeliverMatchesTheTransportLoop) {
+  // deliver_lossless drops the silent rows itself.  Against deliver() with
+  // a transport that refuses silence and moves every spoken message, silent
+  // Byzantine agents at the first, a middle and the last roster slot (and
+  // one that speaks) must leave the same filter rows, bit for bit, and the
+  // same eliminated agents, with the straggler axis off and on.
+  constexpr int kAgents = 9;
+  constexpr int kDim = 3;
+  std::vector<unsigned char> faulty(kAgents, 0);
+  for (const int agent : {0, 4, 6, 8}) faulty[static_cast<std::size_t>(agent)] = 1;
+  for (const double straggling : {0.0, 0.3}) {
+    engine::RoundEngineConfig config;
+    config.seed = 41;
+    config.axes.straggler_probability = straggling;
+    config.axes.perturbation_seed = 12;
+    engine::RoundEngine lossless(faulty, kDim, config);
+    engine::RoundEngine reference(faulty, kDim, config);
+    lossless.reset(4);
+    reference.reset(4);
+    for (int t = 0; t < 8; ++t) {
+      for (auto* eng : {&lossless, &reference}) {
+        eng->begin_round(t);
+        eng->emit_honest([t](int agent, std::span<double> row) {
+          for (int k = 0; k < kDim; ++k) row[static_cast<std::size_t>(k)] = 0.1 * t + agent + k;
+        });
+        eng->emit_faulty([t](int agent, std::span<double> row, const attack::HonestRowsView&) {
+          std::fill(row.begin(), row.end(), -1.0 * t - agent);
+          return agent == 6;  // 0, 4 and 8 stay silent
+        });
+      }
+      const int kept = lossless.deliver_lossless();
+      const int reference_kept =
+          reference.deliver([](int, std::span<const double> message, std::span<double> dst) {
+            if (message.empty()) return false;
+            engine::move_row(message, dst);
+            return true;
+          });
+      const std::string where = "straggling " + std::to_string(straggling) + " round " +
+                                std::to_string(t);
+      ASSERT_EQ(kept, reference_kept) << where;
+      ASSERT_EQ(lossless.ingest().rows(), kept) << where;
+      EXPECT_EQ(std::memcmp(lossless.ingest().data(), reference.ingest().data(),
+                            sizeof(double) * kDim * static_cast<std::size_t>(kept)),
+                0)
+          << where;
+      EXPECT_EQ(lossless.eliminated_count(), reference.eliminated_count()) << where;
+      EXPECT_TRUE(std::ranges::equal(lossless.members(), reference.members())) << where;
+      EXPECT_EQ(lossless.current_f(), reference.current_f()) << where;
+    }
+    // Every silent agent was eliminated by the end, the speaking one kept.
+    for (const int agent : {0, 4, 8}) EXPECT_FALSE(lossless.is_member(agent)) << agent;
+    EXPECT_TRUE(lossless.is_member(6));
+    EXPECT_EQ(lossless.eliminated_count(), 3);
   }
 }
 

@@ -218,8 +218,14 @@ TEST(Dgd, LossyAndRecordingNetworksDrawAndCountAsRecorded) {
   expect_recorded(run_lossy(0.04, true),
                   LossyRun{101, 5, 6, 101, 4989839340839946024ULL, 13801639363827219430ULL},
                   "drop 0.04 + transcript");
-  // The lossless network counts the same messages as the recording one.
-  EXPECT_EQ(run_lossy(0.0, false).sent, run_lossy(0.0, true).sent);
+  // The lossless network, which delivers without a per-message call,
+  // counts the same messages, eliminates the same agents and ends at the
+  // same estimates as the recording one, which keeps the per-message path.
+  const LossyRun lossless = run_lossy(0.0, false);
+  const LossyRun recording = run_lossy(0.0, true);
+  EXPECT_EQ(lossless.sent, recording.sent);
+  EXPECT_EQ(lossless.eliminated, recording.eliminated);
+  EXPECT_EQ(lossless.estimates, recording.estimates);
 }
 
 TEST(Dgd, ObserverSeesEveryRound) {

@@ -2,14 +2,15 @@
 // smallest-k sum the small-leaf Krum route scores with (rank_kernel.hpp
 // smallest_k_sum_lanes).
 //
-//   * the networks on 8 and 16 inputs sort every 0-1 input (by the 0-1
-//     principle, every input), and dropping any one comparator breaks that;
-//   * the pruned networks on 24 and 32 inputs sort random inputs full of
-//     ties;
+//   * the networks on 4, 8 and 16 inputs (the scorer's half-sorts) sort
+//     every 0-1 input (by the 0-1 principle, every input), and dropping any
+//     one comparator breaks that;
+//   * the networks on 4 to 32 inputs sort random inputs full of ties;
 //   * on AVX-512 builds, every row's smallest_k_sum_lanes sum has the bits
 //     of smallest_k_sum and of the scalar reference of Krum's score
 //     (krum_reference.hpp): m 1-32, every k, rows with ties, 0, +inf and
-//     NaN mapped to +inf.
+//     NaN mapped to +inf, a tie past the k-th in one lane only, and a
+//     +inf k-th entry with more +inf entries than it keeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,21 +56,26 @@ bool sorts_every_zero_one_input(int skip = -1) {
 }
 
 TEST(SortNetwork, ComparatorCountsAreBatchers) {
+  EXPECT_EQ(agg::detail::kBatcherNetwork<4>.size(), 5u);
   EXPECT_EQ(agg::detail::kBatcherNetwork<8>.size(), 19u);
   EXPECT_EQ(agg::detail::kBatcherNetwork<16>.size(), 63u);
   EXPECT_EQ(agg::detail::kBatcherNetwork<32>.size(), 191u);
-  for (const auto& [a, b] : agg::detail::kBatcherNetwork<24>) {
+  for (const auto& [a, b] : agg::detail::kBatcherNetwork<32>) {
     EXPECT_LT(a, b);
-    EXPECT_LT(b, 24);
+    EXPECT_LT(b, 32);
   }
 }
 
 TEST(SortNetwork, SortsEveryZeroOneInputAtSizes8And16) {
+  EXPECT_TRUE(sorts_every_zero_one_input<4>());
   EXPECT_TRUE(sorts_every_zero_one_input<8>());
   EXPECT_TRUE(sorts_every_zero_one_input<16>());
 }
 
 TEST(SortNetwork, DroppingAnyComparatorBreaksSizes8And16) {
+  for (int c = 0; c < static_cast<int>(agg::detail::kBatcherNetwork<4>.size()); ++c) {
+    EXPECT_FALSE(sorts_every_zero_one_input<4>(c)) << "comparator " << c;
+  }
   for (int c = 0; c < static_cast<int>(agg::detail::kBatcherNetwork<8>.size()); ++c) {
     EXPECT_FALSE(sorts_every_zero_one_input<8>(c)) << "comparator " << c;
   }
@@ -94,9 +100,9 @@ void expect_sorts_random_ties(util::Rng& rng) {
 
 TEST(SortNetwork, SortsRandomInputsWithTiesAtEverySize) {
   util::Rng rng(24);
+  expect_sorts_random_ties<4>(rng);
   expect_sorts_random_ties<8>(rng);
   expect_sorts_random_ties<16>(rng);
-  expect_sorts_random_ties<24>(rng);
   expect_sorts_random_ties<32>(rng);
 }
 
@@ -111,17 +117,23 @@ TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
   alignas(64) double cand[32 * 8];
   std::vector<double> row;
   int tied = 0;
+  int one_lane_ties = 0;  // kind 3 registers
+  int inf_kth = 0;        // kind 4 registers with +inf entries past the k-th
   for (int m = 1; m <= 32; ++m) {
     for (int k = 1; k <= m; ++k) {
       for (int trial = 0; trial < 40; ++trial) {
-        // Per trial one of: distinct values, a few values (ties), or a
-        // few values plus 0, +inf and now and then a NaN, which the Krum
-        // candidate builders map to +inf before scoring.
-        const int kind = trial % 3;
+        // Per trial one of: distinct values; a few values (ties); a few
+        // values plus 0, +inf and now and then a NaN, which the Krum
+        // candidate builders map to +inf before scoring; distinct values
+        // but for one lane whose k-th entry ties the (k+1)-th, so that
+        // lane reruns the register the other lanes scored in one pass; or
+        // fewer than k finite entries per lane, so the k-th is +inf and
+        // more +inf entries follow it than the k - #{finite} kept.
+        const int kind = trial % 5;
         for (int x = 0; x < m; ++x) {
           for (int t = 0; t < 8; ++t) {
             double v = rng.uniform();
-            if (kind >= 1) v = static_cast<double>(rng.uniform_index(4)) * 0.5;
+            if (kind == 1 || kind == 2) v = static_cast<double>(rng.uniform_index(4)) * 0.5;
             if (kind == 2) {
               const double u = rng.uniform();
               if (u < 0.1) v = 0.0;
@@ -130,6 +142,32 @@ TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
             }
             cand[x * 8 + t] = agg::detail::nan_as_inf(v);
           }
+        }
+        if (kind == 3 && k < m) {
+          const auto lane = static_cast<int>(rng.uniform_index(8));
+          std::vector<int> order(static_cast<std::size_t>(m));
+          for (int x = 0; x < m; ++x) order[static_cast<std::size_t>(x)] = x;
+          std::sort(order.begin(), order.end(), [&](int a, int b) {
+            return cand[a * 8 + lane] < cand[b * 8 + lane];
+          });
+          cand[order[static_cast<std::size_t>(k)] * 8 + lane] =
+              cand[order[static_cast<std::size_t>(k - 1)] * 8 + lane];
+          ++one_lane_ties;
+        }
+        if (kind == 4) {
+          for (int t = 0; t < 8; ++t) {
+            auto finite = static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(k)));
+            for (int x = 0; x < m; ++x) {
+              const bool keep_finite = finite > 0 && rng.uniform_index(
+                  static_cast<std::uint64_t>(m - x)) < static_cast<std::uint64_t>(finite);
+              if (keep_finite) {
+                --finite;
+              } else {
+                cand[x * 8 + t] = kInf;
+              }
+            }
+          }
+          inf_kth += k < m;
         }
         alignas(64) double sums[8];
         _mm512_store_pd(sums, agg::detail::smallest_k_sum_lanes(cand, m, k));
@@ -153,8 +191,11 @@ TEST(SmallestKSumLanes, MatchesSmallestKSumOnEveryCertifiedRow) {
       }
     }
   }
-  // Ties at the k-th entry occur often, so the tie-break is exercised.
+  // Ties at the k-th entry occur often, so the tie-break is exercised, in
+  // both rare shapes too.
   EXPECT_GT(tied, 10000);
+  EXPECT_GT(one_lane_ties, 1000);
+  EXPECT_GT(inf_kth, 1000);
 #else
   GTEST_SKIP() << "smallest_k_sum_lanes needs an AVX-512 build";
 #endif
